@@ -27,7 +27,8 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Ablation: leakage-model parameters",
       "Attack-quality shape vs the power-model knobs (the hardware\n"

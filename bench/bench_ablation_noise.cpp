@@ -17,7 +17,8 @@ using namespace reveal;
 using namespace reveal::core;
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Ablation: measurement noise",
       "Sign accuracy, value accuracy and hinted bikz vs. noise sigma\n"

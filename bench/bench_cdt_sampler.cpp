@@ -95,7 +95,8 @@ TimingOutcome timing_attack(bool constant_time, std::size_t runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Related work: CDT sampler timing leak",
       "The constructions attacked by refs [10]/[12], run on the same target:\n"
@@ -120,7 +121,5 @@ int main(int argc, char** argv) {
       "SEAL v3.2 does NOT use a CDT sampler, so those attacks (and their\n"
       "countermeasures) do not transfer — its clipped-normal + sign-branch\n"
       "structure leaks differently (Tables I-IV).\n");
-  (void)argc;
-  (void)argv;
   return 0;
 }

@@ -1,13 +1,18 @@
 #pragma once
 // Shared plumbing for the reproduction harnesses: default campaign
-// configurations, a tiny CLI-flag reader, and paper-vs-measured row
-// printing. Every bench prints the rows of one of the paper's tables or
-// figures next to the values measured on the simulated target.
+// configurations, the strict command-line parser every bench uses, and
+// paper-vs-measured row printing. Every bench prints the rows of one of the
+// paper's tables or figures next to the values measured on the simulated
+// target.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <string>
+#include <system_error>
+#include <utility>
+#include <vector>
 
 #include "core/acquisition.hpp"
 
@@ -32,40 +37,102 @@ inline core::CampaignConfig lab_campaign(std::size_t n = 64) {
   return cfg;
 }
 
-/// True if the flag (e.g. "--full") is present on the command line.
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
+/// Strict command line shared by every bench. A bench declares its flags;
+/// a value flag takes `--name=v` or `--name v`. An unknown or repeated
+/// flag, a value flag without a value, a value on a switch, a positional
+/// argument, or a malformed or out-of-range number prints the usage line
+/// to stderr and exits with status 2.
+class Cli {
+ public:
+  struct Flag {
+    const char* name;              ///< e.g. "--captures"
+    const char* value = nullptr;   ///< value placeholder ("<n>"); nullptr: a switch
+  };
 
-/// String value of "--name=<v>" or "--name <v>", or fallback
-/// (e.g. --diag=diag.json, --diag diag.json).
-inline std::string flag_string(int argc, char** argv, const char* name,
-                               const char* fallback = "") {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+  /// Parses argv against `flags`. Arguments that start with
+  /// `passthrough_prefix` (when given) are kept, unparsed, for another
+  /// parser — google-benchmark's --benchmark_* flags.
+  Cli(int argc, char** argv, std::vector<Flag> flags,
+      const char* passthrough_prefix = nullptr)
+      : flags_(std::move(flags)) {
+    const std::string prog = argc > 0 ? argv[0] : "bench";
+    usage_ = "usage: " + prog.substr(prog.find_last_of('/') + 1);
+    for (const Flag& f : flags_) {
+      usage_ += std::string(" [") + f.name + (f.value ? std::string(" ") + f.value : "") + "]";
     }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return argv[i + 1];
+    if (passthrough_prefix != nullptr) usage_ += std::string(" [") + passthrough_prefix + "...]";
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (passthrough_prefix != nullptr && arg.rfind(passthrough_prefix, 0) == 0) {
+        passthrough_.push_back(argv[i]);
+        continue;
+      }
+      const std::size_t eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      const Flag* flag = find(name);
+      if (flag == nullptr) fail("unknown argument '" + arg + "'");
+      if (values_.count(name) != 0) fail("repeated flag " + name);
+      std::string value;
+      if (flag->value == nullptr) {
+        if (eq != std::string::npos) fail(name + " takes no value");
+      } else if (eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        value = argv[++i];
+      }
+      if (flag->value != nullptr && value.empty()) fail(name + " needs a value " + flag->value);
+      values_.emplace(name, std::move(value));
     }
   }
-  return fallback;
-}
 
-/// Value of "--name=<v>" or fallback.
-inline long flag_value(int argc, char** argv, const char* name, long fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtol(argv[i] + prefix.size(), nullptr, 10);
-    }
+  [[nodiscard]] bool has(const char* name) const { return values_.count(name) != 0; }
+
+  /// The flag's value, or `fallback` when it is absent.
+  [[nodiscard]] std::string string(const char* name, const std::string& fallback = "") const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? fallback : it->second;
   }
-  return fallback;
-}
+
+  /// The flag's value as a decimal integer in [min, max], or `fallback`
+  /// when it is absent.
+  [[nodiscard]] long integer(const char* name, long fallback, long min, long max) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    long value = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    const bool overflow = ec == std::errc::result_out_of_range;
+    if ((ec != std::errc{} && !overflow) || end != text.data() + text.size()) {
+      fail("malformed number '" + text + "' for " + name);
+    }
+    if (overflow || value < min || value > max) {
+      fail(std::string(name) + " must be in [" + std::to_string(min) + ", " +
+           std::to_string(max) + "], got " + text);
+    }
+    return value;
+  }
+
+  /// Arguments matching the passthrough prefix, in command-line order.
+  [[nodiscard]] const std::vector<char*>& passthrough() const noexcept { return passthrough_; }
+
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "%s\n%s\n", message.c_str(), usage_.c_str());
+    std::exit(2);
+  }
+
+ private:
+  [[nodiscard]] const Flag* find(const std::string& name) const {
+    for (const Flag& f : flags_) {
+      if (name == f.name) return &f;
+    }
+    return nullptr;
+  }
+
+  std::vector<Flag> flags_;
+  std::string usage_;
+  std::map<std::string, std::string> values_;
+  std::vector<char*> passthrough_;
+};
 
 inline void print_header(const char* experiment, const char* description) {
   std::printf("==============================================================\n");

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
 #include "core/campaign_checkpoint.hpp"
@@ -60,12 +61,6 @@ double time_best_ms(F&& f, int passes) {
     best = std::min(best, t.ms());
   }
   return best;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
 }
 
 CampaignConfig degraded_config() {
@@ -398,7 +393,6 @@ int run_json_harness(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = has_flag(argc, argv, "--smoke");
-  (void)has_flag(argc, argv, "--json");
-  return run_json_harness(smoke);
+  const bench::Cli cli(argc, argv, {{"--json"}, {"--smoke"}});
+  return run_json_harness(cli.has("--smoke"));
 }

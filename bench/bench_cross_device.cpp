@@ -58,7 +58,8 @@ Outcome attack_device(const RevealAttack& attack, std::uint64_t device_seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Cross-device portability (§V-B)",
       "Templates profiled on device A, attacks on devices with different\n"

@@ -245,11 +245,14 @@ LevelResult run_level(const RevealAttack& attack, const CampaignConfig& clean,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::has_flag(argc, argv, "--full");
-  const std::size_t profiling_runs =
-      static_cast<std::size_t>(bench::flag_value(argc, argv, "--profiling", full ? 600 : 250));
-  const std::size_t captures_per_level =
-      static_cast<std::size_t>(bench::flag_value(argc, argv, "--captures", full ? 16 : 8));
+  const bench::Cli cli(argc, argv,
+                       {{"--full"}, {"--profiling", "<n>"}, {"--captures", "<n>"},
+                        {"--workers", "<n>"}, {"--diag", "<path>"}});
+  const bool full = cli.has("--full");
+  const auto profiling_runs =
+      static_cast<std::size_t>(cli.integer("--profiling", full ? 600 : 250, 1, 1000000));
+  const auto captures_per_level =
+      static_cast<std::size_t>(cli.integer("--captures", full ? 16 : 8, 1, 100000));
 
   bench::print_header(
       "Fault tolerance (extension)",
@@ -285,12 +288,12 @@ int main(int argc, char** argv) {
   // buffered per level and printed afterwards in severity order.
   const HintPolicy policy;
   const std::vector<Level> levels = severity_levels();
-  const long workers_flag = bench::flag_value(argc, argv, "--workers", -1);
+  const long workers_flag = cli.integer("--workers", -1, 0, 4096);  // -1: auto
   WorkerPool pool(workers_flag < 0 ? default_num_workers()
                                    : static_cast<std::size_t>(workers_flag));
   // --diag=<path>: per-level diagnostics sinks (one per level slot, so the
   // fan-out stays race-free), merged in severity order afterwards.
-  const std::string diag_path = bench::flag_string(argc, argv, "--diag");
+  const std::string diag_path = cli.string("--diag");
   std::vector<CampaignDiagnostics> level_diags(diag_path.empty() ? 0 : levels.size());
   std::vector<LevelResult> results(levels.size());
   pool.run_indexed(levels.size(), [&](std::size_t i, std::size_t) {

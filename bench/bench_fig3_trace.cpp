@@ -57,6 +57,7 @@ void render_ascii(const std::vector<double>& samples, std::size_t begin, std::si
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::Cli cli(argc, argv, {});
   bench::print_header(
       "Fig. 3",
       "(a) trace portion with locatable per-coefficient peaks; (b) the\n"
@@ -142,7 +143,5 @@ int main(int argc, char** argv) {
   }
   bench::print_row("branch (sign) identification accuracy (%)", 100.0,
                    100.0 * static_cast<double>(correct) / static_cast<double>(total));
-  (void)argc;
-  (void)argv;
   return 0;
 }

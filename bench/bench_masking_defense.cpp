@@ -56,7 +56,8 @@ Outcome evaluate(bool masked, std::size_t profile_runs, std::size_t attack_runs)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Countermeasure: first-order masking",
       "Arithmetic share-masked stores vs the single-trace attack — the\n"

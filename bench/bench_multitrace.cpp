@@ -22,7 +22,8 @@ using namespace reveal;
 using namespace reveal::core;
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Single-trace premise",
       "Why the attack must work with ONE measurement: fresh randomness per\n"
@@ -98,7 +99,5 @@ int main(int argc, char** argv) {
       "average — the attack succeeds or fails on one trace, which is why the\n"
       "paper targets the sampler with a single measurement and why masking\n"
       "(a multi-trace countermeasure) does not address this threat (§V-A).\n");
-  (void)argc;
-  (void)argv;
   return 0;
 }

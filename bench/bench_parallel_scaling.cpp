@@ -55,11 +55,13 @@ struct Point {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::has_flag(argc, argv, "--full");
-  const std::size_t profiling_runs = static_cast<std::size_t>(
-      bench::flag_value(argc, argv, "--profiling", full ? 400 : 200));
-  const std::size_t captures = static_cast<std::size_t>(
-      bench::flag_value(argc, argv, "--captures", full ? 32 : 12));
+  const bench::Cli cli(argc, argv,
+                       {{"--full"}, {"--profiling", "<n>"}, {"--captures", "<n>"}});
+  const bool full = cli.has("--full");
+  const auto profiling_runs =
+      static_cast<std::size_t>(cli.integer("--profiling", full ? 400 : 200, 1, 1000000));
+  const auto captures =
+      static_cast<std::size_t>(cli.integer("--captures", full ? 32 : 12, 1, 100000));
 
   bench::print_header(
       "Parallel campaign scaling (infrastructure)",

@@ -60,7 +60,8 @@ Outcome evaluate(bool patched, std::size_t profile_runs, std::size_t attack_runs
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Defense: SEAL v3.6-style patched sampler",
       "Same attack pipeline against the vulnerable (v3.2) and the\n"
@@ -90,7 +91,5 @@ int main(int argc, char** argv) {
       "from pure data-flow leakage of the stored value — the \"different\n"
       "vulnerability\" the paper leaves for future work. Shuffling or\n"
       "randomization would be needed to close that channel (§V-A).\n");
-  (void)argc;
-  (void)argv;
   return 0;
 }

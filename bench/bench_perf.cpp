@@ -5,21 +5,19 @@
 // Two modes:
 //   * default: google-benchmark over the registered BM_* functions
 //     (supports the usual --benchmark_* flags);
-//   * --json [--smoke] [--tier reference|predecode|block]: the hot-path
-//     regression harness. Hand-rolled steady_clock loops time the victim
-//     simulator's full execution ladder (decode-per-step reference,
-//     predecode cache, basic-block translation) and the shared-work
-//     template scoring against their pre-optimization references, plus
-//     segmentation / capture / NTT throughput, and emit BENCH_perf.json
-//     (BENCH_perf_<tier>.json for non-default --tier). --tier pins the
-//     capture-throughput leg's execution tier; the victim-sim leg always
-//     measures all three. The run fails (nonzero exit) if the fast paths
-//     are not byte-identical: every tier must produce identical InstrEvent
-//     streams, cycle counts and decoded noise, and the golden fixture's
-//     committed recovery (tests/data/golden_expected.txt) must replay
-//     exactly through the optimized pipeline. --smoke shrinks the
-//     iteration counts and skips the speedup thresholds (identity is
-//     still enforced) so CTest can run the gate quickly.
+//   * --json [--smoke]: the hot-path regression harness. Hand-rolled
+//     steady_clock loops time the capture path (capture_into, the ISS with
+//     the TraceRecorder observer attached) on the block tier against the
+//     decode-per-step reference tier, the shared-work template scoring and
+//     the analysis-plane kernels against their references, plus
+//     segmentation and NTT throughput, and emit BENCH_perf.json. The run
+//     fails (nonzero exit) if the fast paths are not byte-identical: both
+//     tiers must produce identical InstrEvent streams, cycle counts and
+//     decoded noise, and the golden fixture's committed recovery
+//     (tests/data/golden_expected.txt) must replay exactly through the
+//     optimized pipeline. --smoke shrinks the iteration counts and skips
+//     the speedup thresholds (identity is still enforced) so CTest can run
+//     the gate quickly.
 
 #include <benchmark/benchmark.h>
 
@@ -27,10 +25,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -64,17 +62,6 @@ namespace {
 // Shared helpers for the --json harness
 // --------------------------------------------------------------------------
 
-/// The pre-PR victim execution shape: decode-per-step interpretation with a
-/// runtime observer null check (Machine::run_reference).
-core::VictimRun run_victim_reference(const core::VictimProgram& prog, riscv::Machine& machine,
-                                     std::uint32_t seed,
-                                     riscv::ExecutionObserver* observer = nullptr) {
-  core::detail::prepare_victim_run(prog, machine, seed);
-  const auto reason =
-      machine.run_reference(core::detail::victim_instruction_limit(prog), observer);
-  return core::detail::finish_victim_run(prog, machine, reason);
-}
-
 /// Times f(i) over `iters` calls after a small warmup; returns ns per call.
 template <typename F>
 double time_ns_per_op(F&& f, std::size_t iters) {
@@ -85,6 +72,20 @@ double time_ns_per_op(F&& f, std::size_t iters) {
   const double ns =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
   return ns / static_cast<double>(iters);
+}
+
+/// time_ns_per_op for two legs of the same work, each the minimum over
+/// `passes` alternating windows, so a noisy stretch of the host lands on
+/// both legs or on neither.
+template <typename F, typename G>
+std::pair<double, double> time_pair_ns(F&& fast, G&& ref, std::size_t iters, int passes) {
+  double fast_ns = std::numeric_limits<double>::infinity();
+  double ref_ns = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < passes; ++pass) {
+    fast_ns = std::min(fast_ns, time_ns_per_op(fast, iters));
+    ref_ns = std::min(ref_ns, time_ns_per_op(ref, iters));
+  }
+  return {fast_ns, ref_ns};
 }
 
 /// Records every InstrEvent for field-by-field stream comparison.
@@ -102,46 +103,29 @@ bool events_equal(const riscv::InstrEvent& a, const riscv::InstrEvent& b) {
          a.is_mem_write == b.is_mem_write && a.cycles == b.cycles;
 }
 
-/// Every tier of the execution ladder (reference -> predecode -> block)
-/// over several seeds: event streams, cycle/instruction counters and
-/// decoded noise must all match the decode-per-step anchor exactly.
+/// The block tier against the decode-per-step anchor over several seeds:
+/// event streams, cycle/instruction counters and decoded noise must all
+/// match exactly.
 bool victim_identity_gate() {
   const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
   riscv::Machine ref_machine(prog.memory_bytes);
-  riscv::Machine pre_machine(prog.memory_bytes);
   riscv::Machine blk_machine(prog.memory_bytes);
   for (std::uint32_t seed = 1; seed <= 5; ++seed) {
     EventCollector ref_events;
-    EventCollector pre_events;
     EventCollector blk_events;
     const core::VictimRun ref = core::run_victim_tier(
         prog, ref_machine, seed, core::VictimTier::kReference, &ref_events);
-    const core::VictimRun pre = core::run_victim_tier(
-        prog, pre_machine, seed, core::VictimTier::kPredecode, &pre_events);
     const core::VictimRun blk = core::run_victim_tier(
         prog, blk_machine, seed, core::VictimTier::kBlock, &blk_events);
-    for (const core::VictimRun* run : {&pre, &blk}) {
-      if (run->noise != ref.noise || run->cycles != ref.cycles ||
-          run->instructions != ref.instructions)
-        return false;
-    }
-    for (const EventCollector* col : {&pre_events, &blk_events}) {
-      if (col->events.size() != ref_events.events.size()) return false;
-      for (std::size_t i = 0; i < col->events.size(); ++i) {
-        if (!events_equal(col->events[i], ref_events.events[i])) return false;
-      }
+    if (blk.noise != ref.noise || blk.cycles != ref.cycles ||
+        blk.instructions != ref.instructions)
+      return false;
+    if (blk_events.events.size() != ref_events.events.size()) return false;
+    for (std::size_t i = 0; i < blk_events.events.size(); ++i) {
+      if (!events_equal(blk_events.events[i], ref_events.events[i])) return false;
     }
   }
   return true;
-}
-
-const char* tier_name(core::VictimTier tier) {
-  switch (tier) {
-    case core::VictimTier::kReference: return "reference";
-    case core::VictimTier::kPredecode: return "predecode";
-    case core::VictimTier::kBlock: return "block";
-  }
-  return "block";
 }
 
 /// A template set of the attack's shape: K labels, pooled SPD covariance.
@@ -365,11 +349,10 @@ bool campaign_results_equal(const core::RecoveryCampaignResult& a,
 // --json harness
 // --------------------------------------------------------------------------
 
-int run_json_harness(bool smoke, core::VictimTier capture_tier) {
-  // Block tier vs the decode-per-step anchor, and vs the predecode tier it
-  // sits above: the tentpole gates of the translated execution tier.
-  constexpr double kVictimBlockVsReferenceGate = 10.0;
-  constexpr double kVictimBlockVsPredecodeGate = 3.5;
+int run_json_harness(bool smoke) {
+  // Block tier vs the decode-per-step anchor on the capture path, with the
+  // TraceRecorder attached as in every pipeline capture.
+  constexpr double kCaptureSpeedupGate = 1.15;
   constexpr double kTemplateSpeedupGate = 3.0;
   constexpr double kSegSweepSpeedupGate = 3.0;
   constexpr double kAlignSpeedupGate = 4.0;
@@ -378,34 +361,7 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   constexpr double kTStatTolerance = 1e-9;
   constexpr double kObsOverheadGate = 0.02;  // observability must cost < 2%
 
-  // --- victim simulation: the full execution ladder -----------------------
-  // All three tiers are timed every run (reference -> predecode -> block) so
-  // the regression gate tracks the whole ladder; min over repeated passes
-  // keeps the tier ratios stable against scheduler noise.
-  const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
-  const std::size_t victim_iters = smoke ? 20 : 300;
   std::uint64_t sink = 0;
-  const auto time_victim_tier = [&](core::VictimTier tier) {
-    riscv::Machine m(prog.memory_bytes);
-    double best = std::numeric_limits<double>::infinity();
-    for (int pass = 0; pass < (smoke ? 2 : 3); ++pass) {
-      best = std::min(
-          best, time_ns_per_op(
-                    [&](std::size_t i) {
-                      const auto run = core::run_victim_tier(
-                          prog, m, static_cast<std::uint32_t>(i + 1), tier);
-                      sink += run.cycles;
-                    },
-                    victim_iters));
-    }
-    return best;
-  };
-  const double victim_block_ns = time_victim_tier(core::VictimTier::kBlock);
-  const double victim_pre_ns = time_victim_tier(core::VictimTier::kPredecode);
-  const double victim_ref_ns = time_victim_tier(core::VictimTier::kReference);
-  const double victim_speedup = victim_block_ns > 0.0 ? victim_ref_ns / victim_block_ns : 0.0;
-  const double victim_speedup_pre =
-      victim_block_ns > 0.0 ? victim_pre_ns / victim_block_ns : 0.0;
 
   // --- template scoring: shared-work factorization vs per-class loops ----
   const std::size_t dim = 12;
@@ -419,18 +375,16 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   }
   const std::size_t score_iters = smoke ? 2000 : 40000;
   double fsink = 0.0;
-  const double score_fast_ns = time_ns_per_op(
+  const auto [score_fast_ns, score_ref_ns] = time_pair_ns(
       [&](std::size_t i) {
         const auto d = templates.mahalanobis(observations[i % observations.size()]);
         fsink += d.back();
       },
-      score_iters);
-  const double score_ref_ns = time_ns_per_op(
       [&](std::size_t i) {
         const auto d = templates.mahalanobis_reference(observations[i % observations.size()]);
         fsink += d.back();
       },
-      score_iters);
+      score_iters, smoke ? 5 : 1);
   const double score_speedup = score_ref_ns > 0.0 ? score_ref_ns / score_fast_ns : 0.0;
   double score_max_delta = 0.0;
   for (const auto& obs : observations) {
@@ -441,21 +395,53 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
     }
   }
 
-  // --- capture + segmentation throughput ---------------------------------
-  // The capture leg runs at the tier selected by --tier (default: block,
-  // the campaign default), reported as per-capture ms / captures-per-second
-  // — the acquisition-plane throughput the tier ladder exists to buy.
+  // --- capture throughput: block tier vs reference tier ------------------
+  // capture_into runs the victim with the TraceRecorder observer (plus
+  // noise and segmentation), the path every pipeline capture takes, so
+  // this ratio is what the block tier buys end to end. Single captures of
+  // the two tiers alternate, and each seed keeps its minimum over the
+  // passes, so a co-tenant burst lands on both legs or on neither.
   core::CampaignConfig cfg = bench::default_campaign(64);
   cfg.num_workers = 0;
-  cfg.victim_tier = capture_tier;
+  core::CampaignConfig ref_cfg = cfg;
+  ref_cfg.victim_tier = core::VictimTier::kReference;
   core::SamplerCampaign campaign(cfg);
+  core::SamplerCampaign ref_campaign(ref_cfg);
   core::FullCapture cap;
-  const double capture_ns = time_ns_per_op(
-      [&](std::size_t i) {
-        campaign.capture_into(i + 1, cap);
-        sink += cap.trace.size();
-      },
-      smoke ? 10 : 100);
+  core::FullCapture ref_cap;
+  const auto time_capture = [&sink](core::SamplerCampaign& c, std::uint64_t seed,
+                                    core::FullCapture& out) {
+    const auto t0 = std::chrono::steady_clock::now();
+    c.capture_into(seed, out);
+    const auto t1 = std::chrono::steady_clock::now();
+    sink += out.trace.size();
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  };
+  const std::size_t capture_seeds = smoke ? 4 : 16;
+  std::vector<double> block_best(capture_seeds, std::numeric_limits<double>::infinity());
+  std::vector<double> ref_best(capture_seeds, std::numeric_limits<double>::infinity());
+  bool capture_identical = true;
+  for (int pass = 0; pass < (smoke ? 5 : 16); ++pass) {
+    for (std::size_t i = 0; i < capture_seeds; ++i) {
+      const bool block_first = (pass + static_cast<int>(i)) % 2 == 0;
+      const auto time_block = [&] {
+        block_best[i] = std::min(block_best[i], time_capture(campaign, i + 1, cap));
+      };
+      if (block_first) time_block();
+      ref_best[i] = std::min(ref_best[i], time_capture(ref_campaign, i + 1, ref_cap));
+      if (!block_first) time_block();
+      capture_identical =
+          capture_identical && cap.trace == ref_cap.trace && cap.noise == ref_cap.noise;
+    }
+  }
+  double capture_ns = 0.0;
+  double capture_ref_ns = 0.0;
+  for (std::size_t i = 0; i < capture_seeds; ++i) {
+    capture_ns += block_best[i] / static_cast<double>(capture_seeds);
+    capture_ref_ns += ref_best[i] / static_cast<double>(capture_seeds);
+  }
+  const double capture_speedup = capture_ns > 0.0 ? capture_ref_ns / capture_ns : 0.0;
   const double capture_ms = capture_ns / 1e6;
   const double captures_per_second = capture_ns > 0.0 ? 1e9 / capture_ns : 0.0;
   campaign.capture_into(12345, cap);
@@ -506,20 +492,18 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   const std::size_t align_len = smoke ? 16384 : 65536;
   const std::size_t align_shift = smoke ? 256 : 512;
   const AlignmentPair align_pair = make_alignment_pair(align_len, 137, 21);
-  const double align_fast_ns = time_ns_per_op(
+  const auto [align_fast_ns, align_ref_ns] = time_pair_ns(
       [&](std::size_t) {
         const auto r =
             sca::find_alignment(align_pair.reference, align_pair.trace, align_shift);
         sink += static_cast<std::uint64_t>(r.shift + 4096);
       },
-      smoke ? 2 : 12);
-  const double align_ref_ns = time_ns_per_op(
       [&](std::size_t) {
         const auto r = sca::find_alignment_reference(align_pair.reference,
                                                      align_pair.trace, align_shift);
         sink += static_cast<std::uint64_t>(r.shift + 4096);
       },
-      smoke ? 2 : 12);
+      smoke ? 2 : 12, smoke ? 5 : 1);
   const double align_speedup = align_fast_ns > 0.0 ? align_ref_ns / align_fast_ns : 0.0;
   bool align_identical = true;
   for (std::uint64_t seed = 31; seed <= 35; ++seed) {
@@ -545,8 +529,7 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   for (const sca::Trace& t : cs_set) {
     cs_pops[static_cast<std::size_t>(t.label + cs_half)].add(t);
   }
-  const std::size_t cs_iters = smoke ? 2 : 10;
-  const double cs_fast_ns = time_ns_per_op(
+  const auto [cs_fast_ns, cs_ref_ns] = time_pair_ns(
       [&](std::size_t) {
         sca::ClassStats acc(cs_len);
         acc.add_all(cs_set);
@@ -560,8 +543,6 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
           }
         }
       },
-      cs_iters);
-  const double cs_ref_ns = time_ns_per_op(
       [&](std::size_t) {
         const auto means = sca::class_means(cs_set);
         const auto pois = sca::select_pois(sca::sosd_curve(means), 12, 3);
@@ -573,7 +554,7 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
           }
         }
       },
-      cs_iters);
+      smoke ? 2 : 10, smoke ? 5 : 1);
   const double cs_speedup = cs_fast_ns > 0.0 ? cs_ref_ns / cs_fast_ns : 0.0;
   sca::ClassStats cs_acc(cs_len);
   cs_acc.add_all(cs_set);
@@ -711,28 +692,17 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   // --- byte-identity gates ----------------------------------------------
   const bool victim_identical = victim_identity_gate();
   const bool golden_identical = golden_identity_gate();
-  const bool identity_ok = victim_identical && golden_identical && sweep_identical &&
-                           align_identical && cs_identical && lll_identical &&
-                           obs_identical;
+  const bool identity_ok = victim_identical && golden_identical && capture_identical &&
+                           sweep_identical && align_identical && cs_identical &&
+                           lll_identical && obs_identical;
   const bool speedups_ok =
-      victim_speedup >= kVictimBlockVsReferenceGate &&
-      victim_speedup_pre >= kVictimBlockVsPredecodeGate &&
-      score_speedup >= kTemplateSpeedupGate &&
+      capture_speedup >= kCaptureSpeedupGate && score_speedup >= kTemplateSpeedupGate &&
       sweep_speedup >= kSegSweepSpeedupGate && align_speedup >= kAlignSpeedupGate &&
       cs_speedup >= kClassStatsSpeedupGate && lll_speedup >= kLllSpeedupGate &&
       obs_overhead <= kObsOverheadGate;
   const bool passed = identity_ok && (smoke || speedups_ok);
 
-  // Non-default capture tiers write tier-suffixed files so the per-tier
-  // smoke tests can run in parallel without clobbering the regression
-  // gate's BENCH_perf.json.
-  char out_path[64];
-  if (capture_tier == core::VictimTier::kBlock) {
-    std::snprintf(out_path, sizeof out_path, "BENCH_perf.json");
-  } else {
-    std::snprintf(out_path, sizeof out_path, "BENCH_perf_%s.json",
-                  tier_name(capture_tier));
-  }
+  const char* const out_path = "BENCH_perf.json";
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path);
@@ -740,12 +710,8 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   }
   std::fprintf(out, "{\n  \"bench\": \"perf\",\n  \"smoke\": %s,\n",
                smoke ? "true" : "false");
-  std::fprintf(out,
-               "  \"victim_sim\": {\"block_ns_per_run\": %.1f, "
-               "\"predecode_ns_per_run\": %.1f, \"reference_ns_per_run\": %.1f, "
-               "\"speedup\": %.2f, \"speedup_vs_predecode\": %.2f, \"identical\": %s},\n",
-               victim_block_ns, victim_pre_ns, victim_ref_ns, victim_speedup,
-               victim_speedup_pre, victim_identical ? "true" : "false");
+  std::fprintf(out, "  \"victim_events_identical\": %s,\n",
+               victim_identical ? "true" : "false");
   std::fprintf(out,
                "  \"template_scoring\": {\"fast_ns_per_obs\": %.1f, "
                "\"baseline_ns_per_obs\": %.1f, \"speedup\": %.2f, \"classes\": %zu, "
@@ -753,9 +719,11 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
                score_fast_ns, score_ref_ns, score_speedup, num_classes, dim,
                score_max_delta);
   std::fprintf(out,
-               "  \"capture\": {\"tier\": \"%s\", \"ns_per_capture\": %.1f, "
-               "\"ms_per_capture\": %.4f, \"captures_per_second\": %.1f},\n",
-               tier_name(capture_tier), capture_ns, capture_ms, captures_per_second);
+               "  \"capture\": {\"block_ns_per_capture\": %.1f, "
+               "\"reference_ns_per_capture\": %.1f, \"ms_per_capture\": %.4f, "
+               "\"captures_per_second\": %.1f, \"speedup\": %.2f, \"identical\": %s},\n",
+               capture_ns, capture_ref_ns, capture_ms, captures_per_second, capture_speedup,
+               capture_identical ? "true" : "false");
   std::fprintf(out, "  \"segmentation\": {\"ns_per_trace\": %.1f},\n", segment_ns);
   std::fprintf(out,
                "  \"segmentation_sweep\": {\"fast_ns_per_sweep\": %.1f, "
@@ -792,15 +760,13 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
   std::fprintf(out, "  \"golden_recovery_identical\": %s,\n",
                golden_identical ? "true" : "false");
   std::fprintf(out,
-               "  \"gates\": {\"victim_speedup_min\": %.1f, "
-               "\"victim_vs_predecode_speedup_min\": %.1f, \"template_speedup_min\": "
+               "  \"gates\": {\"capture_speedup_min\": %.2f, \"template_speedup_min\": "
                "%.1f, \"segmentation_sweep_speedup_min\": %.1f, "
                "\"alignment_speedup_min\": %.1f, \"class_stats_speedup_min\": %.1f, "
                "\"lll_speedup_min\": %.1f, \"t_stat_tolerance\": %.1e, "
                "\"obs_overhead_max\": %.2f, "
                "\"enforced\": %s, \"passed\": %s},\n",
-               kVictimBlockVsReferenceGate, kVictimBlockVsPredecodeGate,
-               kTemplateSpeedupGate, kSegSweepSpeedupGate,
+               kCaptureSpeedupGate, kTemplateSpeedupGate, kSegSweepSpeedupGate,
                kAlignSpeedupGate, kClassStatsSpeedupGate, kLllSpeedupGate,
                kTStatTolerance, kObsOverheadGate, smoke ? "false" : "true",
                passed ? "true" : "false");
@@ -811,10 +777,9 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
                    (std::isfinite(fsink) ? 0ULL : 1ULL));
   std::fclose(out);
 
-  std::printf("victim sim:       block %.0f ns/run  predecode %.0f ns/run  reference "
-              "%.0f ns/run  speedup %.2fx vs ref, %.2fx vs predecode\n",
-              victim_block_ns, victim_pre_ns, victim_ref_ns, victim_speedup,
-              victim_speedup_pre);
+  std::printf("capture:          block %.3f ms  reference %.3f ms  speedup %.2fx  "
+              "(%.1f captures/s)\n",
+              capture_ms, capture_ref_ns / 1e6, capture_speedup, captures_per_second);
   std::printf("template scoring: fast %.0f ns/obs  baseline %.0f ns/obs  speedup %.2fx\n",
               score_fast_ns, score_ref_ns, score_speedup);
   std::printf("segmentation sweep: fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
@@ -827,12 +792,11 @@ int run_json_harness(bool smoke, core::VictimTier capture_tier) {
               lll_fast_ns, lll_ref_ns, lll_speedup);
   std::printf("observability:    off %.0f ns  on %.0f ns  overhead %.2f%% (max %.0f%%)\n",
               obs_off_ns, obs_on_ns, 100.0 * obs_overhead, 100.0 * kObsOverheadGate);
-  std::printf("capture (%s tier) %.3f ms/capture  %.1f captures/s  "
-              "segmentation %.0f ns  ntt-1024 %.0f ns\n",
-              tier_name(capture_tier), capture_ms, captures_per_second, segment_ns, ntt_ns);
-  std::printf("identity: victim events %s, golden recovery %s, sweep %s, alignment %s, "
-              "class stats %s, lll %s, observability %s\n",
+  std::printf("segmentation %.0f ns  ntt-1024 %.0f ns\n", segment_ns, ntt_ns);
+  std::printf("identity: victim events %s, golden recovery %s, capture %s, sweep %s, "
+              "alignment %s, class stats %s, lll %s, observability %s\n",
               victim_identical ? "ok" : "MISMATCH", golden_identical ? "ok" : "MISMATCH",
+              capture_identical ? "ok" : "MISMATCH",
               sweep_identical ? "ok" : "MISMATCH", align_identical ? "ok" : "MISMATCH",
               cs_identical ? "ok" : "MISMATCH", lll_identical ? "ok" : "MISMATCH",
               obs_identical ? "ok" : "MISMATCH");
@@ -940,25 +904,12 @@ void BM_VictimSampling64(benchmark::State& state) {
 }
 BENCHMARK(BM_VictimSampling64);
 
-void BM_VictimSampling64Predecode(benchmark::State& state) {
-  const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
-  riscv::Machine machine(prog.memory_bytes);
-  std::uint32_t seed = 1;
-  for (auto _ : state) {
-    auto run = core::run_victim_tier(prog, machine, seed++, core::VictimTier::kPredecode);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_VictimSampling64Predecode);
-
 void BM_VictimSampling64Reference(benchmark::State& state) {
   const core::VictimProgram prog = core::build_sampler_firmware(64, {132120577ULL});
   riscv::Machine machine(prog.memory_bytes);
-  machine.set_predecode(false);
   std::uint32_t seed = 1;
   for (auto _ : state) {
-    auto run = run_victim_reference(prog, machine, seed++);
+    auto run = core::run_victim_tier(prog, machine, seed++, core::VictimTier::kReference);
     benchmark::DoNotOptimize(run);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
@@ -1038,27 +989,17 @@ BENCHMARK(BM_Lll12);
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::VictimTier tier = core::VictimTier::kBlock;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--tier") != 0) continue;
-    const char* value = argv[i + 1];
-    if (std::strcmp(value, "reference") == 0) {
-      tier = core::VictimTier::kReference;
-    } else if (std::strcmp(value, "predecode") == 0) {
-      tier = core::VictimTier::kPredecode;
-    } else if (std::strcmp(value, "block") == 0) {
-      tier = core::VictimTier::kBlock;
-    } else {
-      std::fprintf(stderr, "bench_perf: unknown --tier '%s' "
-                           "(expected reference, predecode or block)\n", value);
-      return 2;
-    }
+  const bench::Cli cli(argc, argv, {{"--json"}, {"--smoke"}}, "--benchmark_");
+  if (cli.has("--json")) {
+    if (!cli.passthrough().empty()) cli.fail("--benchmark_* flags need the default mode");
+    return run_json_harness(cli.has("--smoke"));
   }
-  if (bench::has_flag(argc, argv, "--json")) {
-    return run_json_harness(bench::has_flag(argc, argv, "--smoke"), tier);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (cli.has("--smoke")) cli.fail("--smoke needs --json");
+  std::vector<char*> bench_argv = {argv[0]};
+  bench_argv.insert(bench_argv.end(), cli.passthrough().begin(), cli.passthrough().end());
+  int bench_argc = static_cast<int>(bench_argv.size());
+  benchmark::Initialize(&bench_argc, bench_argv.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -40,6 +40,7 @@ double log2_consistent_orderings(const std::vector<std::int64_t>& values) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::Cli cli(argc, argv, {});
   bench::print_header(
       "Countermeasure: shuffling",
       "Fisher-Yates shuffled sampling order (paper §V-A recommendation):\n"
@@ -111,7 +112,5 @@ int main(int argc, char** argv) {
       "thousands of bits. Caveats: a naive implementation still leaks the\n"
       "permutation indices over the data bus, and the multiset reduces\n"
       "entropy slightly — combine with other randomization (paper §V-A).\n");
-  (void)argc;
-  (void)argv;
   return 0;
 }

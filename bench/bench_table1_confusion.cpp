@@ -19,7 +19,8 @@ using namespace reveal;
 using namespace reveal::core;
 
 int main(int argc, char** argv) {
-  const bool full = bench::has_flag(argc, argv, "--full");
+  const bench::Cli cli(argc, argv, {{"--full"}, {"--diag", "<path>"}});
+  const bool full = cli.has("--full");
   bench::print_header(
       "Table I",
       "Attack success percentages per coefficient (template attack with\n"
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
   // --diag=<path>: emit the exact confusion tallies this table was printed
   // from as a DiagnosticsReport — campaign --diag output can be checked
   // against it cell by cell (same seeds => same counts).
-  const std::string diag_path = bench::flag_string(argc, argv, "--diag");
+  const std::string diag_path = cli.string("--diag");
   if (!diag_path.empty()) {
     obs::Registry reg;
     reg.add(reg.counter("capture.count"), captures);

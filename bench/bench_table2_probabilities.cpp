@@ -25,7 +25,8 @@ double mass_at(const CoefficientGuess& g, std::int32_t v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool lab = !bench::has_flag(argc, argv, "--default-noise");
+  const bench::Cli cli(argc, argv, {{"--default-noise"}});
+  const bool lab = !cli.has("--default-noise");
   bench::print_header(
       "Table II",
       "Guessing probabilities of selected measurements for secrets -2..2.\n"

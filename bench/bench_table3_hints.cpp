@@ -20,6 +20,7 @@ using namespace reveal;
 using namespace reveal::core;
 
 int main(int argc, char** argv) {
+  const bench::Cli cli(argc, argv, {});
   bench::print_header(
       "Table III",
       "Cost of attack with/without hints for SEAL-128 (bikz; bits = bikz/2.986).");
@@ -89,7 +90,5 @@ int main(int argc, char** argv) {
       "  collisions, cf. Table I) in the hint variances, so the residual\n"
       "  hardness stays higher than the paper's idealized 12.2 bikz; the\n"
       "  qualitative conclusion (massive security loss from one trace) holds.");
-  (void)argc;
-  (void)argv;
   return 0;
 }

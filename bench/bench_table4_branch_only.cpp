@@ -21,6 +21,7 @@ using namespace reveal;
 using namespace reveal::core;
 
 int main(int argc, char** argv) {
+  const bench::Cli cli(argc, argv, {});
   bench::print_header(
       "Table IV",
       "Cost of attack with hints from ONLY the branch vulnerability\n"
@@ -88,7 +89,5 @@ int main(int argc, char** argv) {
               "message\" — the sign-only bikz stays far above the full-hint cost\n"
               "of Table III, and so it does here: %.1f >> full-hint cost.\n",
               with_signs.beta);
-  (void)argc;
-  (void)argv;
   return 0;
 }

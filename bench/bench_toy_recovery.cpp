@@ -23,7 +23,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
+  const bench::Cli cli(argc, argv, {{"--quick"}});
+  const bool quick = cli.has("--quick");
   bench::print_header(
       "Toy-scale real recovery (BKZ + hints)",
       "Primal attack with our own LLL/BKZ on small LWE instances; perfect\n"
@@ -112,7 +113,5 @@ int main(int argc, char** argv) {
   std::printf("\nreading: hints monotonically cheapen the lattice step, and full\n"
               "hints reduce it to exact linear algebra — the laptop-scale analogue\n"
               "of Table III's 382.25 -> 12.2 bikz collapse.\n");
-  (void)argc;
-  (void)argv;
   return 0;
 }

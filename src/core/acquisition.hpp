@@ -45,8 +45,8 @@ struct CampaignConfig {
   /// derived from the capture seed alone, and all accumulations merge in
   /// index order (pinned by tests/test_campaign_equivalence.cpp).
   std::size_t num_workers = kAutoWorkers;
-  /// Victim-simulator cache configuration used for every capture (DESIGN.md
-  /// §6f). All tiers capture bit-identical traces — kReference here means
+  /// Victim-simulator execution path used for every capture (DESIGN.md
+  /// §6f). Both tiers capture bit-identical traces — kReference here means
   /// decode-per-step dispatch (the observer still binds statically); pinned
   /// by the golden-fixture and campaign-equivalence tests.
   VictimTier victim_tier = VictimTier::kBlock;

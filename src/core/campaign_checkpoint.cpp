@@ -73,33 +73,60 @@ HintRecord read_hint(std::istream& in) {
 
 }  // namespace
 
+// Every field that shapes an output feeds the digest, one by one. Each
+// hashed struct is unpacked with a structured binding, which stops
+// compiling when the struct gains or loses a field, and pinned by size as
+// a second guard: a new knob cannot slip past the stale-checkpoint check.
+static_assert(sizeof(power::LeakageParams) == 136, "LeakageParams changed: update campaign_digest");
+static_assert(sizeof(power::FaultSpec) == 104, "FaultSpec changed: update campaign_digest");
+static_assert(sizeof(sca::SegmentationConfig) == 24,
+              "SegmentationConfig changed: update campaign_digest");
+static_assert(sizeof(CampaignConfig) == 320, "CampaignConfig changed: update campaign_digest");
+
 std::uint64_t campaign_digest(std::uint64_t base_seed, std::uint64_t total_captures,
                               const CampaignConfig& config) {
+  // num_workers is the one field left out: every worker count produces
+  // the same output bytes, so a run may resume with a different one.
+  const auto& [n, moduli, patched_firmware, shuffled_firmware, masked_firmware, leakage,
+               faults, segmentation, num_workers, victim_tier] = config;
+  (void)num_workers;
   std::uint64_t h = 0xCBF29CE484222325ull;
   h = fnv1a(h, base_seed);
   h = fnv1a(h, total_captures);
-  h = fnv1a(h, config.n);
-  h = fnv1a(h, std::uint64_t{(config.patched_firmware ? 1u : 0u) |
-                             (config.shuffled_firmware ? 2u : 0u) |
-                             (config.masked_firmware ? 4u : 0u) |
-                             (config.faults.clip ? 8u : 0u)});
-  h = fnv1a(h, static_cast<std::uint64_t>(config.victim_tier));
-  // Every fault knob shapes every capture, so each one feeds the digest —
-  // a resumed run with any acquisition difference must fail loudly.
-  const power::FaultSpec& f = config.faults;
-  h = fnv1a(h, f.jitter_sigma);
-  h = fnv1a(h, f.dropout_rate);
-  h = fnv1a(h, static_cast<std::uint64_t>(f.glitch_count));
-  h = fnv1a(h, f.glitch_amplitude);
-  h = fnv1a(h, static_cast<std::uint64_t>(f.burst_count));
-  h = fnv1a(h, static_cast<std::uint64_t>(f.burst_length));
-  h = fnv1a(h, f.burst_sigma);
-  h = fnv1a(h, f.drift_sigma);
-  h = fnv1a(h, f.clip_lo);
-  h = fnv1a(h, f.clip_hi);
-  h = fnv1a(h, static_cast<std::uint64_t>(f.trigger_misalign));
-  h = fnv1a(h, f.seed);
-  for (const std::uint64_t m : config.moduli) h = fnv1a(h, m);
+  h = fnv1a(h, std::uint64_t{n});
+  h = fnv1a(h, std::uint64_t{moduli.size()});
+  for (const std::uint64_t m : moduli) h = fnv1a(h, m);
+  h = fnv1a(h, std::uint64_t{(patched_firmware ? 1u : 0u) | (shuffled_firmware ? 2u : 0u) |
+                             (masked_firmware ? 4u : 0u)});
+  h = fnv1a(h, static_cast<std::uint64_t>(victim_tier));
+
+  const auto& [w_hd, w_hw, w_mem, w_serial, bit_deviation, noise_sigma, drift_sigma,
+               bit_weight_seed, base_alu, base_alu_imm, base_load, base_store, base_branch,
+               base_jump, base_mul, base_div, base_system] = leakage;
+  for (const double v : {w_hd, w_hw, w_mem, w_serial, bit_deviation, noise_sigma, drift_sigma,
+                         base_alu, base_alu_imm, base_load, base_store, base_branch, base_jump,
+                         base_mul, base_div, base_system}) {
+    h = fnv1a(h, v);
+  }
+  h = fnv1a(h, bit_weight_seed);
+
+  const auto& [jitter_sigma, dropout_rate, glitch_count, glitch_amplitude, burst_count,
+               burst_length, burst_sigma, fault_drift_sigma, clip, clip_lo, clip_hi,
+               trigger_misalign, fault_seed] = faults;
+  for (const double v : {jitter_sigma, dropout_rate, glitch_amplitude, burst_sigma,
+                         fault_drift_sigma, clip_lo, clip_hi}) {
+    h = fnv1a(h, v);
+  }
+  for (const std::uint64_t v : {std::uint64_t{glitch_count}, std::uint64_t{burst_count},
+                                std::uint64_t{burst_length}, std::uint64_t{trigger_misalign},
+                                std::uint64_t{clip ? 1u : 0u}, fault_seed}) {
+    h = fnv1a(h, v);
+  }
+
+  const auto& [smooth_window, threshold, min_burst_length] = segmentation;
+  h = fnv1a(h, std::uint64_t{smooth_window});
+  h = fnv1a(h, threshold);
+  h = fnv1a(h, std::uint64_t{min_burst_length});
   return h;
 }
 

@@ -143,8 +143,9 @@ struct CheckpointedCampaignResult {
     const lwe::DbddParams& params, const CheckpointOptions& options);
 
 /// The schedule digest stored in checkpoint files: mixes base_seed,
-/// total_captures and the capture-shaping config fields so a stale file
-/// from a different campaign fails loudly instead of corrupting a resume.
+/// total_captures and every config field that shapes an output (all but
+/// num_workers) so a stale file from a different campaign fails loudly
+/// instead of corrupting a resume.
 [[nodiscard]] std::uint64_t campaign_digest(std::uint64_t base_seed,
                                             std::uint64_t total_captures,
                                             const CampaignConfig& config);

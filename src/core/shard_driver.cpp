@@ -4,10 +4,13 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "core/corpus_campaign.hpp"
@@ -114,9 +117,41 @@ void run_shards(const ShardOptions& options,
                              " shard process(es) failed");
 }
 
-std::string corpus_shard_path(const std::string& work_dir, std::size_t shard) {
-  return work_dir + "/corpus_shard_" + std::to_string(shard) + ".rvlc";
-}
+/// A directory of its own under work_dir for one sharded call's files, so
+/// concurrent calls sharing a work_dir never read each other's partials.
+/// Removed with everything in it when the call ends, unless the caller
+/// keeps the partials. Forked children leave through _exit and never run
+/// the destructor.
+class RunDir {
+ public:
+  RunDir(const std::string& work_dir, bool keep) : keep_(keep) {
+    if (work_dir.empty()) throw std::invalid_argument("shard driver: empty work_dir");
+    std::string path = work_dir + "/reveal_shards_XXXXXX";
+    if (mkdtemp(path.data()) == nullptr)
+      throw std::runtime_error("shard driver: cannot create a run directory in " + work_dir);
+    path_ = std::move(path);
+  }
+  ~RunDir() {
+    if (keep_) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  /// `<kind>_<digest>_shard_<k><ext>` inside the run directory.
+  [[nodiscard]] std::string file(const char* kind, std::uint64_t digest, std::size_t shard,
+                                 const char* ext) const {
+    char name[96];
+    std::snprintf(name, sizeof name, "/%s_%016llx_shard_%zu%s", kind,
+                  static_cast<unsigned long long>(digest), shard, ext);
+    return path_ + name;
+  }
+
+ private:
+  std::string path_;
+  bool keep_;
+};
 
 }  // namespace
 
@@ -131,17 +166,15 @@ std::pair<std::uint64_t, std::uint64_t> shard_range(std::uint64_t total,
   return {begin, end};
 }
 
-std::string shard_partial_path(const std::string& work_dir, std::size_t shard) {
-  return work_dir + "/campaign_shard_" + std::to_string(shard) + ".partial";
-}
-
 ShardedCampaignResult run_sharded_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,
     const lwe::DbddParams& params, const ShardOptions& options) {
-  if (options.work_dir.empty())
-    throw std::invalid_argument("run_sharded_campaign: empty work_dir");
   const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
+  const RunDir dir(options.work_dir, options.keep_partials);
+  const auto partial = [&](std::size_t shard) {
+    return dir.file("campaign", digest, shard, ".partial");
+  };
 
   run_shards(options, [&](std::size_t shard) {
     const auto [begin, end] = shard_range(total_captures, options.shards, shard);
@@ -149,8 +182,7 @@ ShardedCampaignResult run_sharded_campaign(
     CampaignAccumulator acc;
     accumulate_campaign_range(runner.pool(), attack, config, base_seed, begin, end,
                               policy, acc);
-    save_partial(shard_partial_path(options.work_dir, shard), digest, shard,
-                 options.shards, begin, end, acc);
+    save_partial(partial(shard), digest, shard, options.shards, begin, end, acc);
   });
 
   // Fixed shard-order merge: ranges are contiguous by construction, so the
@@ -161,8 +193,8 @@ ShardedCampaignResult run_sharded_campaign(
     const auto [begin, end] = shard_range(total_captures, options.shards, shard);
     if (global.next_index != begin)
       throw std::logic_error("run_sharded_campaign: non-contiguous shard ranges");
-    global.append(load_partial(shard_partial_path(options.work_dir, shard), digest,
-                               shard, options.shards, begin, end));
+    global.append(
+        load_partial(partial(shard), digest, shard, options.shards, begin, end));
   }
   if (global.next_index != total_captures)
     throw std::logic_error("run_sharded_campaign: merged partials do not cover the "
@@ -175,10 +207,6 @@ ShardedCampaignResult run_sharded_campaign(
   result.hints = std::move(global.hints);
   result.diagnostics.registry = std::move(global.registry);
   result.diagnostics.confusion = std::move(global.confusion);
-  if (!options.keep_partials) {
-    for (std::size_t shard = 0; shard < options.shards; ++shard)
-      std::remove(shard_partial_path(options.work_dir, shard).c_str());
-  }
   return result;
 }
 
@@ -186,8 +214,8 @@ void build_sharded_corpus(const std::string& dest_path, const CampaignConfig& co
                           std::uint64_t base_seed, std::size_t total_captures,
                           const ShardOptions& options,
                           const corpus::WriterOptions& writer_options) {
-  if (options.work_dir.empty())
-    throw std::invalid_argument("build_sharded_corpus: empty work_dir");
+  const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
+  const RunDir dir(options.work_dir, options.keep_partials);
 
   run_shards(options, [&](std::size_t shard) {
     const auto [begin, end] = shard_range(total_captures, options.shards, shard);
@@ -196,7 +224,7 @@ void build_sharded_corpus(const std::string& dest_path, const CampaignConfig& co
     for (std::size_t i = 0; i < seeds.size(); ++i)
       seeds[i] = stream_seed(base_seed, static_cast<std::size_t>(begin) + i);
     corpus::CorpusWriter writer = corpus::CorpusWriter::create(
-        corpus_shard_path(options.work_dir, shard), writer_options);
+        dir.file("corpus", digest, shard, ".rvlc"), writer_options);
     append_campaign_captures(writer, runner, config, seeds, begin);
     writer.close();
   });
@@ -204,11 +232,8 @@ void build_sharded_corpus(const std::string& dest_path, const CampaignConfig& co
   std::vector<std::string> sources;
   sources.reserve(options.shards);
   for (std::size_t shard = 0; shard < options.shards; ++shard)
-    sources.push_back(corpus_shard_path(options.work_dir, shard));
+    sources.push_back(dir.file("corpus", digest, shard, ".rvlc"));
   corpus::merge_corpora(dest_path, sources, writer_options);
-  if (!options.keep_partials) {
-    for (const std::string& s : sources) std::remove(s.c_str());
-  }
 }
 
 }  // namespace reveal::core

@@ -5,9 +5,12 @@
 // `shards` contiguous index ranges. Each shard — a fork()ed child process,
 // or an in-process pass when ShardOptions::in_process is set — runs
 // accumulate_campaign_range over its range with its own CampaignRunner and
-// serializes the resulting CampaignAccumulator to a partial file in
-// `work_dir`. The parent loads the partials in fixed shard order, folds
-// them with CampaignAccumulator::append, and finalizes.
+// serializes the resulting CampaignAccumulator to a partial file. Each call
+// keeps its partials, named after the campaign digest, in a fresh
+// `reveal_shards_XXXXXX` directory (mkdtemp) under `work_dir`, so calls
+// running concurrently in one work_dir never touch each other's files. The
+// parent loads the partials in fixed shard order, folds them with
+// CampaignAccumulator::append, and finalizes.
 //
 // Byte-identity for every shard count falls out of the checkpoint
 // determinism ledger (campaign_checkpoint.hpp): per-capture outputs are
@@ -36,7 +39,7 @@ namespace reveal::core {
 
 struct ShardOptions {
   std::size_t shards = 2;      ///< number of schedule partitions (>= 1)
-  std::string work_dir;        ///< partial files land here (must exist)
+  std::string work_dir;        ///< run directories are created here (must exist)
   /// Worker threads per shard runner (0 = the serial reference path).
   /// Does not change a single output byte — only shard wall-clock.
   std::size_t workers_per_shard = 0;
@@ -45,7 +48,8 @@ struct ShardOptions {
   /// serializes and reloads its partial, exercising the same path); this
   /// mode exists for sanitizers that do not follow multi-process runs.
   bool in_process = false;
-  /// Keep the per-shard partial files after a successful merge.
+  /// Keep the call's `reveal_shards_*` directory and its per-shard files
+  /// (removed when the call returns or throws otherwise).
   bool keep_partials = false;
 };
 
@@ -61,10 +65,6 @@ struct ShardedCampaignResult {
 /// than later ones, empty tail ranges allowed when shards > total.
 [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> shard_range(
     std::uint64_t total, std::size_t shards, std::size_t shard);
-
-/// Partial-file path for shard `shard` inside `work_dir`.
-[[nodiscard]] std::string shard_partial_path(const std::string& work_dir,
-                                             std::size_t shard);
 
 /// Runs the schedule across `options.shards` processes (or in-process
 /// passes) and merges the partials in shard order. The attack must already

@@ -424,20 +424,7 @@ VictimRun run_victim(const VictimProgram& program, riscv::Machine& machine,
 }
 
 void configure_victim_tier(riscv::Machine& machine, VictimTier tier) noexcept {
-  switch (tier) {
-    case VictimTier::kReference:
-      machine.set_predecode(false);
-      machine.set_block_tier(false);
-      break;
-    case VictimTier::kPredecode:
-      machine.set_predecode(true);
-      machine.set_block_tier(false);
-      break;
-    case VictimTier::kBlock:
-      machine.set_predecode(true);
-      machine.set_block_tier(true);
-      break;
-  }
+  machine.set_block_tier(tier == VictimTier::kBlock);
 }
 
 VictimRun run_victim_tier(const VictimProgram& program, riscv::Machine& machine,

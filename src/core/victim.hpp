@@ -127,23 +127,21 @@ void prepare_victim_run(const VictimProgram& program, riscv::Machine& machine,
 VictimRun run_victim(const VictimProgram& program, riscv::Machine& machine,
                      std::uint32_t seed, riscv::ExecutionObserver* observer = nullptr);
 
-/// The victim simulator's execution ladder (DESIGN.md §6f). Every tier
-/// produces byte-identical InstrEvent streams and machine state; only the
+/// The victim simulator's two execution paths (DESIGN.md §6f). Both
+/// produce byte-identical InstrEvent streams and machine state; only the
 /// dispatch cost differs.
 enum class VictimTier : std::uint8_t {
   kReference,  ///< decode-per-step (Machine::run_reference, the anchor)
-  kPredecode,  ///< predecoded-instruction cache, per-step dispatch
   kBlock,      ///< basic-block translation, threaded dispatch (default)
 };
 
-/// Configures `machine`'s caches for `tier` (idempotent and cheap — safe to
-/// call before every run; warm caches are kept when already in the right
-/// mode).
+/// Selects `machine`'s execution path for `tier` (idempotent and cheap —
+/// safe to call before every run; warm translations are kept).
 void configure_victim_tier(riscv::Machine& machine, VictimTier tier) noexcept;
 
 /// run_victim pinned to an execution tier: kReference runs the
-/// decode-per-step anchor loop, the other tiers run the corresponding cache
-/// configuration. Used by the bench tier ladder and the differential tests.
+/// decode-per-step anchor loop, kBlock the block tier. Used by the bench
+/// identity gate and the differential tests.
 VictimRun run_victim_tier(const VictimProgram& program, riscv::Machine& machine,
                           std::uint32_t seed, VictimTier tier,
                           riscv::ExecutionObserver* observer = nullptr);

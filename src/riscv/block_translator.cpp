@@ -33,124 +33,6 @@ namespace {
 /// translates to well under this; only self-modification churn grows it).
 constexpr std::size_t kCollectMinPool = 16384;
 
-/// Fused-pair handler for two consecutive micro-ops of one block, or 0
-/// (== Op::kLui, never a fused id) when the pair stays unfused. The fused
-/// handlers forward a.rd's value in a register, so a.rd must be a real
-/// destination; every pattern's second micro-op is branch- or ALU-class
-/// (no memory access, no trap mid-pair).
-[[nodiscard]] std::uint8_t fused_pair(const BlockInstr& a, const BlockInstr& b) noexcept {
-  if (a.rd == 0) return 0;
-  switch (a.op) {
-    case Op::kLui:
-      if (b.op == Op::kAddi) return kFuseLuiAddi;
-      if (b.op == Op::kAdd) return kFuseLuiAdd;
-      return 0;
-    case Op::kAddi:
-      if (b.op == Op::kAnd) return kFuseAddiAnd;
-      if (b.op == Op::kAddi) return kFuseAddiAddi;
-      if (b.op == Op::kBne) return kFuseAddiBne;
-      return 0;
-    case Op::kAdd:
-      return b.op == Op::kAddi ? kFuseAddAddi : 0;
-    case Op::kSub:
-      return b.op == Op::kMul ? kFuseSubMul : 0;
-    case Op::kSrai:
-      return b.op == Op::kSrai ? kFuseSraiSrai : 0;
-    case Op::kSlli:
-      if (b.op == Op::kXor) return kFuseSlliXor;
-      if (b.op == Op::kAdd) return kFuseSlliAdd;
-      return 0;
-    case Op::kSrli:
-      return b.op == Op::kXor ? kFuseSrliXor : 0;
-    case Op::kXor:
-      if (b.op == Op::kSlli) return kFuseXorSlli;
-      if (b.op == Op::kSrli) return kFuseXorSrli;
-      if (b.op == Op::kSub) return kFuseXorSub;
-      return 0;
-    case Op::kAnd:
-      return b.op == Op::kBgeu ? kFuseAndBgeu : 0;
-    default:
-      return 0;
-  }
-}
-
-/// Canonical-dataflow check for kFuseXorshiftMask: that handler computes
-/// the whole value chain in locals, so the register pattern of the classic
-/// xorshift32 (t = s << a; s ^= t; ...) followed by li-mask-and-reject must
-/// hold exactly, with the state, temp, mask and bound registers pairwise
-/// compatible. Any other assignment falls back to the generic forwarding
-/// idioms, which stay exact for arbitrary registers.
-[[nodiscard]] bool xorshift_mask_canonical(const BlockInstr* o) noexcept {
-  const std::uint8_t t = o[0].rd, s = o[1].rd, m = o[6].rd, x = o[8].rd;
-  if (t == s || m == s) return false;
-  if (o[0].rs1 != s) return false;
-  if (o[1].rs1 != s || o[1].rs2 != t) return false;
-  if (o[2].rd != t || o[2].rs1 != s) return false;
-  if (o[3].rd != s || o[3].rs1 != s || o[3].rs2 != t) return false;
-  if (o[4].rd != t || o[4].rs1 != s) return false;
-  if (o[5].rd != s || o[5].rs1 != s || o[5].rs2 != t) return false;
-  if (o[7].rd != m || o[7].rs1 != m) return false;
-  if (o[8].rs1 != s || o[8].rs2 != m) return false;
-  if (o[9].rs1 != x) return false;
-  const std::uint8_t b = o[9].rs2;
-  return b != t && b != s && b != m && b != x;
-}
-
-/// Canonical-dataflow check for kFuseAccBne (acc += x; i += step; bne i):
-/// the loop counter must be self-incremented and distinct from the
-/// accumulator, and the loop bound untouched by either.
-[[nodiscard]] bool acc_bne_canonical(const BlockInstr* o) noexcept {
-  const std::uint8_t a = o[0].rd, i = o[1].rd;
-  if (i == a || o[1].rs1 != i) return false;
-  if (o[2].rs1 != i) return false;
-  return o[2].rs2 != a && o[2].rs2 != i;
-}
-
-/// Opcode-shape match for the multi-op idiom starting at ops[i] (with
-/// count - i slots available), or 0. Every micro-op but the last must have
-/// a real destination (the idiom handlers write through unconditionally).
-[[nodiscard]] std::uint8_t fused_idiom(const BlockInstr* ops, std::uint32_t avail) noexcept {
-  static constexpr Op kXorshiftMask[10] = {Op::kSlli, Op::kXor,  Op::kSrli, Op::kXor,
-                                           Op::kSlli, Op::kXor,  Op::kLui,  Op::kAddi,
-                                           Op::kAnd,  Op::kBgeu};
-  static constexpr Op kXorshift[6] = {Op::kSlli, Op::kXor,  Op::kSrli,
-                                      Op::kXor,  Op::kSlli, Op::kXor};
-  static constexpr Op kMaskBgeu[4] = {Op::kLui, Op::kAddi, Op::kAnd, Op::kBgeu};
-  static constexpr Op kAccBne[3] = {Op::kAdd, Op::kAddi, Op::kBne};
-  static constexpr Op kSignFold[11] = {Op::kLui,  Op::kAddi, Op::kSub, Op::kMul,
-                                       Op::kLui,  Op::kAdd,  Op::kSrai, Op::kSrai,
-                                       Op::kXor,  Op::kSub,  Op::kBlt};
-  static constexpr Op kSlliAddBlt[3] = {Op::kSlli, Op::kAdd, Op::kBlt};
-  const auto matches = [ops, avail](const Op* shape, std::uint32_t len, bool last_writes) {
-    if (avail < len) return false;
-    for (std::uint32_t k = 0; k < len; ++k) {
-      if (ops[k].op != shape[k]) return false;
-      if ((last_writes || k + 1 < len) && ops[k].rd == 0) return false;
-    }
-    return true;
-  };
-  if (matches(kSignFold, 11, false)) return kFuseSignFold;
-  if (matches(kXorshiftMask, 10, false) && xorshift_mask_canonical(ops)) {
-    return kFuseXorshiftMask;
-  }
-  if (matches(kXorshift, 6, true)) return kFuseXorshift;
-  if (matches(kMaskBgeu, 4, false)) return kFuseMaskBgeu;
-  if (matches(kAccBne, 3, false) && acc_bne_canonical(ops)) return kFuseAccBne;
-  if (matches(kSlliAddBlt, 3, false)) return kFuseSlliAddBlt;
-  return 0;
-}
-
-/// Pool-slot footprint of a fused idiom id.
-[[nodiscard]] constexpr std::uint32_t idiom_len(std::uint8_t idiom) noexcept {
-  switch (idiom) {
-    case kFuseSignFold: return 11;
-    case kFuseXorshiftMask: return 10;
-    case kFuseXorshift: return 6;
-    case kFuseMaskBgeu: return 4;
-    default: return 3;  // kFuseAccBne, kFuseSlliAddBlt
-  }
-}
-
 [[nodiscard]] constexpr std::uint64_t pack_entry(std::size_t id, std::uint32_t first,
                                                  std::uint32_t count) noexcept {
   return (static_cast<std::uint64_t>(id) << 40) |
@@ -193,13 +75,6 @@ std::uint64_t BlockCache::lookup_packed(std::uint32_t pc, const std::uint8_t* me
   return entry_[(pc - base_) >> 2];
 }
 
-const TranslatedBlock* BlockCache::lookup(std::uint32_t pc, const std::uint8_t* memory,
-                                          const TimingModel& timing) {
-  const std::uint64_t e = entry_[(pc - base_) >> 2];
-  if (e != kNoBlock) return &blocks_[static_cast<std::size_t>(e >> 40)];
-  return translate(pc, memory, timing);
-}
-
 const TranslatedBlock* BlockCache::translate(std::uint32_t pc, const std::uint8_t* memory,
                                              const TimingModel& timing) {
   maybe_collect();
@@ -222,7 +97,6 @@ const TranslatedBlock* BlockCache::translate(std::uint32_t pc, const std::uint8_
     u.rd = ins.rd;
     u.rs1 = ins.rs1;
     u.rs2 = ins.rs2;
-    u.h = static_cast<std::uint8_t>(ins.op);
     pool_.push_back(u);
     ++count;
     cursor += 4;
@@ -233,7 +107,7 @@ const TranslatedBlock* BlockCache::translate(std::uint32_t pc, const std::uint8_
   }
   if (count == 0) {
     // The first word does not decode: no block starts here; the dispatcher
-    // falls back to a single predecode-tier step, which raises the same
+    // falls back to a single decode-from-memory step, which raises the same
     // "illegal instruction" trap as the reference.
     return nullptr;
   }
@@ -243,33 +117,6 @@ const TranslatedBlock* BlockCache::translate(std::uint32_t pc, const std::uint8_
     BlockInstr exit_op;
     exit_op.pc = cursor;
     pool_.push_back(exit_op);
-  }
-  // Peephole pass: greedily fuse multi-op idioms, then consecutive
-  // dependent pairs (left to right, non-overlapping) by retargeting the
-  // first slot's handler. The terminator may end a fused run; the exit
-  // sentinel never does.
-  if (count >= 2) {
-    BlockInstr* ops = pool_.data() + first;
-    for (std::uint32_t i = 0; i + 1 < count;) {
-      if (const std::uint8_t idiom = fused_idiom(ops + i, count - i); idiom != 0) {
-        const std::uint32_t len = idiom_len(idiom);
-        ops[i].h = idiom;
-        // Pre-sum the run's straight-line cost (all but the final micro-op)
-        // into the first slot's otherwise-unused taken cost; see BlockInstr.
-        std::uint32_t prefix = 0;
-        for (std::uint32_t k = 0; k + 1 < len; ++k) prefix += ops[i + k].cycles_not_taken;
-        ops[i].cycles_taken = prefix;
-        i += len;
-        continue;
-      }
-      const std::uint8_t fused = fused_pair(ops[i], ops[i + 1]);
-      if (fused != 0) {
-        ops[i].h = fused;
-        i += 2;
-      } else {
-        ++i;
-      }
-    }
   }
   TranslatedBlock block;
   block.start_pc = pc;

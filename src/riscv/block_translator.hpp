@@ -1,18 +1,18 @@
 #pragma once
-// Basic-block translation cache: the top tier of the victim simulator's
-// execution ladder (reference -> predecode -> block, DESIGN.md §6f).
+// Basic-block translation cache: the block tier of the victim simulator
+// (DESIGN.md §6f).
 //
 // A translated block is a maximal straight-line instruction run starting at
 // a jump/branch target and ending at the first control-transfer or system
-// instruction (or the predecode-region boundary / the first undecodable
+// instruction (or the program-region boundary / the first undecodable
 // word). Each block is translated once — decode, classify and both timing
 // costs are resolved at translation time into a flat array of BlockInstr
-// micro-ops — and then executed by Machine::exec_block's threaded dispatch
-// loop without any per-instruction fetch, decode, cache-probe or budget
-// checks. Stores into a block's word range drop the block (and the
-// underlying predecode entry) back to the lower tiers; the next dispatch at
-// its entry retranslates from current memory, so self-modifying code stays
-// byte-identical to the decode-per-step reference.
+// micro-ops — and then executed by Machine::run_translated's threaded
+// dispatch loop, one plain handler per Op, without any per-instruction
+// fetch, decode or budget checks. Stores into a block's word range drop the
+// block; the next dispatch at its entry retranslates from current memory,
+// so self-modifying code stays byte-identical to the decode-per-step
+// reference.
 
 #include <cstdint>
 #include <vector>
@@ -23,67 +23,13 @@ namespace reveal::riscv {
 
 struct TimingModel;
 
-/// Handler indices for the block executor's dispatch table: the Op value
-/// itself for plain micro-ops, then translate-time fused instruction pairs
-/// appended after the Op range. A fused pair occupies two pool slots (both
-/// original BlockInstr records stay intact; only the first slot's handler
-/// changes), so invalidation, instruction budgets, observer event streams
-/// and the fallthrough-exit sentinel are untouched — one dispatch simply
-/// retires two micro-ops, forwarding the first result to the second's
-/// operands in a register. The patterns cover the dominant dependent pairs
-/// of the sampler firmware (xorshift's shift->xor chain, li's lui->addi,
-/// and the CLT loop's mask/accumulate/branch sequences).
-enum : std::uint8_t {
-  kHandlerFusedBase = static_cast<std::uint8_t>(Op::kInvalid) + 1,
-  kFuseLuiAddi = kHandlerFusedBase,
-  kFuseAddiAnd,
-  kFuseAddiAddi,
-  kFuseAddiBne,
-  kFuseAddAddi,
-  kFuseSlliXor,
-  kFuseSrliXor,
-  kFuseXorSlli,
-  kFuseXorSrli,
-  kFuseAndBgeu,
-  kFuseSubMul,
-  kFuseLuiAdd,
-  kFuseSraiSrai,
-  kFuseXorSub,
-  kFuseSlliAdd,
-  /// Multi-op idiom handlers (3-6 pool slots each): the xorshift32 step
-  /// (slli,xor,srli,xor,slli,xor), the load-mask-and-reject sequence
-  /// (lui,addi,and,bgeu) and the accumulate-and-loop back edge
-  /// (add,addi,bne). Matched on opcode shape alone — register forwarding
-  /// inside the handlers is index-checked, so any register assignment is
-  /// executed exactly.
-  kFuseXorshift,
-  kFuseMaskBgeu,
-  kFuseAccBne,
-  /// The sampler's full rejection step — xorshift32 followed immediately by
-  /// load-mask-and-reject (10 micro-ops, one dispatch). Dominates the
-  /// victim instruction stream, so it gets its own handler rather than two
-  /// chained idiom dispatches.
-  kFuseXorshiftMask,
-  /// The sampler's sign-fold epilogue (lui,addi,sub,mul,lui,add,srai,srai,
-  /// xor,sub,blt) and its store-pointer advance (slli,add,blt): write-through
-  /// straight-line runs with exact per-op events for any register pattern.
-  kFuseSignFold,
-  kFuseSlliAddBlt,
-  kHandlerCount,
-};
-
 /// One translated micro-op: every field the block executor needs, resolved
 /// at translation time so the dispatch loop does no decode/classify/timing
 /// work per retirement.
 struct BlockInstr {
   std::uint32_t pc = 0;
   std::int32_t imm = 0;
-  /// For branch micro-ops, the taken-path cost. For the first slot of a
-  /// multi-op idiom run (h >= kFuseXorshift), repurposed at translation
-  /// time as the summed not-taken cost of every micro-op in the run except
-  /// the last — non-branch ops never read their taken cost, so the idiom
-  /// handlers accumulate the whole straight-line prefix with one load.
-  std::uint32_t cycles_taken = 0;
+  std::uint32_t cycles_taken = 0;  ///< branch micro-ops: the taken-path cost
   std::uint32_t cycles_not_taken = 0;
   /// Op::kInvalid marks the synthetic fallthrough-exit micro-op appended
   /// when a block ends at the region boundary or before an undecodable
@@ -94,9 +40,6 @@ struct BlockInstr {
   std::uint8_t rd = 0;
   std::uint8_t rs1 = 0;
   std::uint8_t rs2 = 0;
-  /// Dispatch-table index: == op for plain micro-ops, a kFuse* id when this
-  /// slot starts a fused pair (the pair's second micro-op is the next slot).
-  std::uint8_t h = static_cast<std::uint8_t>(Op::kInvalid);
 };
 
 /// One discovered straight-line block: a [first, first+count) run of
@@ -115,7 +58,7 @@ class BlockCache {
   /// chained through fallthrough-exit sentinels.
   static constexpr std::uint32_t kMaxBlockLen = 512;
 
-  /// entry_packed() value meaning "no live block enters at this word".
+  /// Packed-entry value meaning "no live block enters at this word".
   static constexpr std::uint64_t kNoBlock = ~0ULL;
 
   /// (Re)covers a word-aligned program region, dropping every block.
@@ -124,14 +67,16 @@ class BlockCache {
   /// Drops all blocks; the covered region is kept.
   void clear() noexcept;
 
-  /// Packed descriptor of the live block entered at `pc` (word-aligned,
-  /// inside the covered region), or kNoBlock: micro-op count in bits
-  /// [0,10), pool index in bits [10,40), block id in bits [40,64). One
-  /// inline load — the chain fast path of Machine::run_translated reaches
-  /// the block's micro-ops without touching the TranslatedBlock record.
-  [[nodiscard]] std::uint64_t entry_packed(std::uint32_t pc) const noexcept {
-    return entry_[(pc - base_) >> 2];
-  }
+  /// The covered program region [base, end) (byte addresses, word
+  /// aligned; empty when no program is loaded).
+  [[nodiscard]] std::uint32_t base() const noexcept { return base_; }
+  [[nodiscard]] std::uint32_t end() const noexcept { return end_; }
+
+  /// A packed entry describes the live block entered at one word, or is
+  /// kNoBlock: micro-op count in bits [0,10), pool index in bits [10,40),
+  /// block id in bits [40,64). One inline load — the chain fast path of
+  /// Machine::run_translated reaches the block's micro-ops without touching
+  /// the TranslatedBlock record.
   [[nodiscard]] static constexpr std::uint64_t packed_count(std::uint64_t e) noexcept {
     return e & 0x3FFu;
   }
@@ -139,7 +84,8 @@ class BlockCache {
     return (e >> 10) & 0x3FFFFFFFu;
   }
 
-  /// entry_packed(), translating the block from `memory` on first use.
+  /// The packed entry of the block entered at `pc` (word-aligned, inside
+  /// the covered region), translating it from `memory` on first use.
   /// Returns kNoBlock when no block can start at pc (the first word does
   /// not decode). May reallocate the pool: re-fetch pool_data() after.
   [[nodiscard]] std::uint64_t lookup_packed(std::uint32_t pc, const std::uint8_t* memory,
@@ -154,30 +100,9 @@ class BlockCache {
   /// entries in place, so a run loop can keep this pointer in a register.
   [[nodiscard]] const std::uint64_t* entry_data() const noexcept { return entry_.data(); }
 
-  /// Already-translated block entered at `pc`, or nullptr (observability).
-  [[nodiscard]] const TranslatedBlock* find(std::uint32_t pc) const noexcept {
-    const std::uint64_t e = entry_[(pc - base_) >> 2];
-    return e != kNoBlock ? blocks_.data() + (e >> 40) : nullptr;
-  }
-
-  /// The block entered at `pc` (word-aligned, inside the covered region),
-  /// translating it from `memory` on first use. Returns nullptr when no
-  /// block can start at pc (the first word does not decode). The pointer
-  /// is invalidated by the next lookup()/reset()/clear().
-  [[nodiscard]] const TranslatedBlock* lookup(std::uint32_t pc, const std::uint8_t* memory,
-                                              const TimingModel& timing);
-
-  [[nodiscard]] const BlockInstr* instrs(const TranslatedBlock& block) const noexcept {
-    return pool_.data() + block.first;
-  }
-
   /// Drops every block whose translated word range covers `address`
   /// (word-aligned store target). No-op outside the covered region.
   void invalidate_word(std::uint32_t address) noexcept;
-
-  [[nodiscard]] bool covers(std::uint32_t pc) const noexcept {
-    return pc >= base_ && pc < end_;
-  }
 
   /// Live translated blocks (observability/tests).
   [[nodiscard]] std::size_t block_count() const noexcept { return live_blocks_; }

@@ -28,12 +28,12 @@ void Machine::load_program(const std::vector<std::uint32_t>& words, std::uint32_
     throw std::out_of_range("Machine::load_program: program does not fit in memory");
   const auto bytes = static_cast<std::uint32_t>(words.size() * 4);
   // Unchanged reload: captures reload the same firmware before every run,
-  // so when the exact program bytes already cover the cached region the
-  // warm predecode entries and translated blocks stay valid (stores always
-  // invalidate, so a valid entry can only describe current memory) — just
-  // reset the pc instead of recopying and retranslating.
-  if ((address & 3u) == 0 && !words.empty() && address == icache_base_ &&
-      address + bytes == icache_end_ &&
+  // so when the exact program bytes already cover the translation region
+  // the warm translated blocks stay valid (stores always invalidate, so a
+  // live block can only describe current memory) — just reset the pc
+  // instead of recopying and retranslating.
+  if ((address & 3u) == 0 && !words.empty() && address == block_cache_.base() &&
+      address + bytes == block_cache_.end() &&
       std::memcmp(memory_.data() + address, words.data(), bytes) == 0) {
     pc_ = address;
     return;
@@ -42,40 +42,14 @@ void Machine::load_program(const std::vector<std::uint32_t>& words, std::uint32_
     std::memcpy(memory_.data() + address + i * 4, &words[i], 4);
   }
   pc_ = address;
-  // Cover the program region with the predecode cache. An unaligned base
-  // cannot be word-indexed; execution there traps on fetch anyway.
+  // Blocks translate lazily on first dispatch into the new region. An
+  // unaligned base cannot be word-indexed; execution there traps on fetch
+  // anyway.
   if ((address & 3u) == 0 && !words.empty()) {
-    icache_base_ = address;
-    icache_end_ = address + bytes;
-    icache_.assign(words.size(), DecodedInstr{});
-    if (predecode_) rebuild_icache();
+    block_cache_.reset(address, address + bytes);
   } else {
-    icache_.clear();
-    icache_base_ = icache_end_ = 0;
+    block_cache_.reset(0, 0);
   }
-  // Blocks translate lazily on first dispatch into the new region.
-  block_cache_.reset(icache_base_, icache_end_);
-}
-
-void Machine::rebuild_icache() {
-  for (std::size_t i = 0; i < icache_.size(); ++i) {
-    std::uint32_t word;
-    std::memcpy(&word, memory_.data() + icache_base_ + i * 4, 4);
-    icache_[i] = make_entry(word);
-  }
-}
-
-void Machine::set_predecode(bool enabled) {
-  // Stores invalidate affected entries regardless of the current mode
-  // (both predecode words and translated blocks), so a cached entry can
-  // only ever be invalid or describe current memory — toggling tiers
-  // mid-lifetime never executes stale decodes (pinned by the tier-toggle
-  // regression tests in tests/test_fast_path.cpp). Rebuilding eagerly on
-  // the off->on transition just front-loads the lazy refills; re-enabling
-  // an already-enabled cache is free, so per-capture callers can set the
-  // tier unconditionally.
-  if (enabled && !predecode_ && !icache_.empty()) rebuild_icache();
-  predecode_ = enabled;
 }
 
 std::uint32_t Machine::load_word(std::uint32_t address) const {
@@ -90,7 +64,7 @@ void Machine::store_word(std::uint32_t address, std::uint32_t value) {
   if ((address & 3u) != 0 || !in_bounds(address, 4))
     throw std::out_of_range("Machine::store_word: bad address");
   std::memcpy(memory_.data() + address, &value, 4);
-  invalidate_icache_word(address);
+  block_cache_.invalidate_word(address);
 }
 
 void Machine::reset() noexcept {
@@ -123,7 +97,7 @@ Machine::StopReason Machine::run_reference(std::uint64_t max_instructions,
   halted_ = false;
   trapped_ = false;
   for (std::uint64_t i = 0; i < max_instructions; ++i) {
-    if (!step_impl<ExecutionObserver, /*kUseCache=*/false>(observer)) {
+    if (!step_impl(observer)) {
       return trapped_ ? StopReason::kTrap : StopReason::kHalt;
     }
   }

@@ -3,30 +3,22 @@
 // model and an observer hook that reports per-instruction micro-architectural
 // activity (register/bus toggles) — the raw material for the power model.
 //
-// Hot path: load_program() predecodes the program region into a cache of
-// decoded instructions (class and cycle costs included), so the execute loop
-// skips decode()/classify()/cycles_for() per retirement. Stores into the
-// program region invalidate the affected cache word, and invalidated words
-// re-decode lazily on the next fetch, so self-modifying code behaves exactly
-// like the decode-per-step reference (pinned by the differential fuzz in
-// tests/test_fast_path.cpp). run_with() additionally binds the observer
-// statically, eliminating the virtual dispatch of run() — with a
-// NullExecutionObserver the event construction folds away entirely.
+// Two execution paths (DESIGN.md §6f), byte-identical in InstrEvent streams
+// and machine state:
 //
-// Above the predecode cache sits the basic-block translation tier
-// (block_translator.hpp, DESIGN.md §6f): straight-line blocks are
-// translated once into flat micro-op runs and executed by a threaded
-// dispatch loop (exec_block) that checks the instruction budget once per
-// block entry, keeps cycle/retired counters in registers, and statically
-// inlines the observer. A store into a translated block's word range drops
-// the block back to the predecode tier through the same invalidation
-// machinery. Every tier produces byte-identical InstrEvent streams and
-// machine state; run_reference() remains the decode-per-step anchor.
+//  * the block tier (default): straight-line blocks are translated once
+//    into flat micro-op runs (block_translator.hpp) and executed by a
+//    threaded dispatch loop with one plain handler per Op, the observer
+//    bound statically (run_with). A store into a translated block's word
+//    range drops the block, so self-modifying code re-translates from
+//    current memory;
+//  * run_reference(): the decode-per-step loop with a virtually dispatched
+//    observer — the anchor of the differential tests in
+//    tests/test_fast_path.cpp.
 
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "riscv/block_translator.hpp"
@@ -91,9 +83,8 @@ class Machine {
   explicit Machine(std::size_t memory_bytes = 256 * 1024,
                    TimingModel timing = TimingModel{});
 
-  /// Copies program words to `address`, sets the pc there, and (when
-  /// predecoding is enabled) rebuilds the decoded-instruction cache over
-  /// the program region.
+  /// Copies program words to `address`, sets the pc there, and makes the
+  /// program region the block tier's translation region.
   void load_program(const std::vector<std::uint32_t>& words, std::uint32_t address = 0);
 
   [[nodiscard]] std::uint32_t reg(Reg r) const noexcept { return regs_[index(r)]; }
@@ -104,23 +95,25 @@ class Machine {
   void set_pc(std::uint32_t pc) noexcept { pc_ = pc; }
 
   /// Word-aligned direct memory access for the host (throws on OOB). Host
-  /// stores into the program region invalidate the predecode cache word.
+  /// stores into the program region drop the translated blocks covering
+  /// the stored word.
   [[nodiscard]] std::uint32_t load_word(std::uint32_t address) const;
   void store_word(std::uint32_t address, std::uint32_t value);
 
   /// Executes until EBREAK/ECALL, the instruction limit, or a trap.
-  /// Dispatches the observer virtually; a null observer takes the fused
-  /// no-observer fast path.
+  /// Dispatches the observer virtually; a null observer runs run_with()
+  /// with a NullExecutionObserver.
   StopReason run(std::uint64_t max_instructions, ExecutionObserver* observer = nullptr);
 
-  /// Fused run loop: the observer callback binds statically (no virtual
-  /// dispatch per retirement). Semantics are identical to run() — same
-  /// InstrEvent stream, cycles, and trap behaviour.
+  /// The capture path: the observer callback binds statically (no virtual
+  /// dispatch per retirement). Runs the block tier when it is enabled, the
+  /// decode-per-step loop otherwise. Semantics are identical to run() —
+  /// same InstrEvent stream, cycles, and trap behaviour.
   template <typename ObserverT>
   StopReason run_with(std::uint64_t max_instructions, ObserverT& observer) {
     halted_ = false;
     trapped_ = false;
-    if (predecode_ && block_tier_ && !icache_.empty()) {
+    if (block_tier_ && block_cache_.end() > block_cache_.base()) {
       return run_translated(max_instructions, observer);
     }
     for (std::uint64_t i = 0; i < max_instructions; ++i) {
@@ -131,26 +124,17 @@ class Machine {
     return StopReason::kInstrLimit;
   }
 
-  /// Decode-per-step reference loop (the pre-predecode execution path):
-  /// ignores the instruction cache and dispatches the observer virtually.
+  /// Decode-per-step reference loop with a virtually dispatched observer.
   /// Kept as the anchor for the differential fuzz tests and as the
   /// benchmark baseline; produces byte-identical results to run()/run_with().
   StopReason run_reference(std::uint64_t max_instructions,
                            ExecutionObserver* observer = nullptr);
 
-  /// Enables/disables the predecoded-instruction fast path (default on).
-  /// Disabling decodes every fetched word from memory again, like the
-  /// reference loop; re-enabling rebuilds the cache from current memory.
-  void set_predecode(bool enabled);
-  [[nodiscard]] bool predecode_enabled() const noexcept { return predecode_; }
-
-  /// Enables/disables the basic-block translation tier (default on). The
-  /// block tier sits above the predecode cache and is only active while
-  /// predecoding is enabled; disabling it falls back to the per-step
-  /// predecode dispatch. Translated blocks are kept across toggles — store
+  /// Enables/disables the basic-block translation tier (default on).
+  /// Disabled, run_with() decodes every step from memory like
+  /// run_reference(). Translated blocks are kept across toggles — store
   /// invalidation runs regardless of mode, so they can never go stale.
   void set_block_tier(bool enabled) noexcept { block_tier_ = enabled; }
-  [[nodiscard]] bool block_tier_enabled() const noexcept { return block_tier_; }
 
   /// Live translated blocks (observability/tests).
   [[nodiscard]] std::size_t translated_block_count() const noexcept {
@@ -162,60 +146,26 @@ class Machine {
   [[nodiscard]] const std::string& trap_message() const noexcept { return trap_message_; }
   [[nodiscard]] const TimingModel& timing() const noexcept { return timing_; }
 
-  /// Resets registers, pc and counters (memory and the predecode cache are
+  /// Resets registers, pc and counters (memory and translated blocks are
   /// preserved).
   void reset() noexcept;
 
  private:
-  /// One predecoded program word: the decoded instruction plus everything
-  /// the execute loop would otherwise recompute per retirement.
-  struct DecodedInstr {
-    Instruction ins{};
-    InstrClass klass = InstrClass::kSystem;
-    std::uint32_t cycles_taken = 0;
-    std::uint32_t cycles_not_taken = 0;
-    bool valid = false;
-  };
-
   [[nodiscard]] bool in_bounds(std::uint32_t address, std::uint32_t size) const noexcept {
     return static_cast<std::uint64_t>(address) + size <= memory_.size();
   }
   bool trap(const std::string& message);
 
-  [[nodiscard]] DecodedInstr make_entry(std::uint32_t word) const noexcept {
-    DecodedInstr d;
-    d.ins = decode(word);
-    d.valid = true;
-    if (d.ins.op != Op::kInvalid) {
-      d.klass = classify(d.ins.op);
-      d.cycles_taken = timing_.cycles_for(d.klass, true);
-      d.cycles_not_taken = timing_.cycles_for(d.klass, false);
-    }
-    return d;
-  }
-
-  /// Drops the cache entry covering a stored-to program word, and every
-  /// translated block whose range covers it (no-op when the address is
-  /// outside the cached region).
-  void invalidate_icache_word(std::uint32_t address) noexcept {
-    if (!icache_.empty() && address >= icache_base_ && address < icache_end_) {
-      icache_[(address - icache_base_) >> 2].valid = false;
-      block_cache_.invalidate_word(address);
-    }
-  }
-
-  void rebuild_icache();
-
-  /// Executes one instruction; returns false to stop (halt or trap).
-  /// `kUseCache = false` forces the decode-per-step reference behaviour.
-  template <typename ObserverT, bool kUseCache = true>
+  /// Executes one instruction, decoded from memory; returns false to stop
+  /// (halt or trap).
+  template <typename ObserverT>
   bool step_impl(ObserverT* observer);
 
   /// Block-tier run loop: a threaded interpreter over translated blocks.
   /// Block terminators chain straight into the next block's micro-ops
   /// (budget checked once per block entry, counters live in registers
   /// across blocks); unaligned/out-of-region pcs, untranslatable words and
-  /// the precise budget tail fall back to single predecode-tier steps.
+  /// the precise budget tail fall back to single step_impl() steps.
   template <typename ObserverT>
   StopReason run_translated(std::uint64_t max_instructions, ObserverT& observer);
 
@@ -228,11 +178,7 @@ class Machine {
   bool trapped_ = false;
   std::string trap_message_;
   TimingModel timing_;
-  std::vector<DecodedInstr> icache_;
-  std::uint32_t icache_base_ = 0;  ///< byte address of icache_[0] (word aligned)
-  std::uint32_t icache_end_ = 0;   ///< one past the cached byte range
-  bool predecode_ = true;
-  BlockCache block_cache_;
+  BlockCache block_cache_;  ///< covers the program region of load_program()
   bool block_tier_ = true;
 };
 
@@ -240,34 +186,14 @@ namespace detail {
 __extension__ typedef __int128 machine_i128;
 }  // namespace detail
 
-template <typename ObserverT, bool kUseCache>
+template <typename ObserverT>
 bool Machine::step_impl(ObserverT* observer) {
   if ((pc_ & 3u) != 0 || !in_bounds(pc_, 4)) return trap("instruction fetch fault");
-  Instruction ins;
-  InstrClass klass;
-  std::uint32_t cyc_taken;
-  std::uint32_t cyc_not_taken;
-  if (kUseCache && predecode_ && pc_ >= icache_base_ && pc_ < icache_end_) {
-    DecodedInstr& entry = icache_[(pc_ - icache_base_) >> 2];
-    if (!entry.valid) {
-      std::uint32_t word;
-      std::memcpy(&word, memory_.data() + pc_, 4);
-      entry = make_entry(word);
-    }
-    ins = entry.ins;
-    if (ins.op == Op::kInvalid) return trap("illegal instruction");
-    klass = entry.klass;
-    cyc_taken = entry.cycles_taken;
-    cyc_not_taken = entry.cycles_not_taken;
-  } else {
-    std::uint32_t word;
-    std::memcpy(&word, memory_.data() + pc_, 4);
-    ins = decode(word);
-    if (ins.op == Op::kInvalid) return trap("illegal instruction");
-    klass = classify(ins.op);
-    cyc_taken = timing_.cycles_for(klass, true);
-    cyc_not_taken = timing_.cycles_for(klass, false);
-  }
+  std::uint32_t word;
+  std::memcpy(&word, memory_.data() + pc_, 4);
+  const Instruction ins = decode(word);
+  if (ins.op == Op::kInvalid) return trap("illegal instruction");
+  const InstrClass klass = classify(ins.op);
 
   InstrEvent ev;
   ev.pc = pc_;
@@ -310,7 +236,7 @@ bool Machine::step_impl(ObserverT* observer) {
       return false;
     }
     std::memcpy(memory_.data() + addr, &rs2, size);
-    invalidate_icache_word(addr);
+    block_cache_.invalidate_word(addr);
     ev.mem_addr = addr;
     ev.mem_data = size == 4 ? rs2 : (rs2 & ((1u << (size * 8)) - 1u));
     ev.is_mem_write = true;
@@ -445,7 +371,7 @@ bool Machine::step_impl(ObserverT* observer) {
     ev.rd_written = true;
   }
 
-  ev.cycles = ev.branch_taken ? cyc_taken : cyc_not_taken;
+  ev.cycles = timing_.cycles_for(klass, ev.branch_taken);
   cycles_ += ev.cycles;
   ++retired_;
   pc_ = next_pc;
@@ -453,22 +379,16 @@ bool Machine::step_impl(ObserverT* observer) {
   return !halted_;
 }
 
-// Threaded block interpreter. With GNU extensions each micro-op handler
-// jumps straight to the next handler through a per-instantiation label
-// table (token-threaded dispatch: one indirect branch per retirement, with
-// a distinct prediction site per op); otherwise a switch loop provides the
-// same semantics. Block terminators jump back to the chain point, which
-// charges the whole next block against the instruction budget and enters
-// its micro-ops directly — the cycle/retired counters stay in registers
-// across chained blocks and are flushed only on halt, trap, or fallback to
-// per-step execution. The observer binds statically — with a
-// NullExecutionObserver the InstrEvent construction folds away entirely.
-#if defined(__GNUC__) || defined(__clang__)
-#define REVEAL_BLOCK_THREADED 1
-#else
-#define REVEAL_BLOCK_THREADED 0
-#endif
-
+// Threaded block interpreter: each micro-op handler jumps straight to the
+// next handler through a per-instantiation label table (token-threaded
+// dispatch: one indirect branch per retirement, with a distinct prediction
+// site per op). A block terminator charges the whole next block against
+// the instruction budget and enters its micro-ops directly, going through
+// the chain point only to translate a block or fall back to per-step
+// execution — the cycle/retired counters stay in registers across chained
+// blocks and are flushed only on halt, trap, or fallback. The observer
+// binds statically — with a NullExecutionObserver the InstrEvent
+// construction folds away entirely.
 template <typename ObserverT>
 Machine::StopReason Machine::run_translated(std::uint64_t max_instructions,
                                             ObserverT& observer) {
@@ -484,8 +404,8 @@ Machine::StopReason Machine::run_translated(std::uint64_t max_instructions,
   // transition never round-trips the pc through memory. The entry pointer
   // is stable for the whole run (invalidation overwrites in place).
   std::uint32_t vpc = pc_;
-  const std::uint32_t ibase = icache_base_;
-  const std::uint32_t iend = icache_end_;
+  const std::uint32_t ibase = block_cache_.base();
+  const std::uint32_t iend = block_cache_.end();
   const std::uint64_t* const entry = block_cache_.entry_data();
   const BlockInstr* pool = block_cache_.pool_data();
   const BlockInstr* p = nullptr;
@@ -493,13 +413,12 @@ Machine::StopReason Machine::run_translated(std::uint64_t max_instructions,
   std::uint32_t rs1;
   std::uint32_t rs2;
 
-#if REVEAL_BLOCK_THREADED
-// Labels-as-values is a GNU extension (gated above), so the pedantic
-// diagnostics don't apply; pop after the last computed goto below.
+// Labels-as-values is a GNU extension (the header already needs GNU
+// __int128), so the pedantic diagnostics don't apply; pop after the last
+// computed goto below.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpedantic"
-  // Indexed by BlockInstr::h: the Op range in enum order (isa.hpp), then
-  // the fused-pair handlers in kFuse* id order (block_translator.hpp).
+  // Indexed by BlockInstr::op, in enum order (isa.hpp).
   static const void* const kJump[] = {
       &&u_kLui,  &&u_kAuipc,  &&u_kJal,   &&u_kJalr,  &&u_kBeq,   &&u_kBne,
       &&u_kBlt,  &&u_kBge,    &&u_kBltu,  &&u_kBgeu,  &&u_kLb,    &&u_kLh,
@@ -510,23 +429,12 @@ Machine::StopReason Machine::run_translated(std::uint64_t max_instructions,
       &&u_kAnd,  &&u_kMul,    &&u_kMulh,  &&u_kMulhsu, &&u_kMulhu, &&u_kDiv,
       &&u_kDivu, &&u_kRem,    &&u_kRemu,  &&u_kFence, &&u_kEcall, &&u_kEbreak,
       &&u_kCsrrs, &&u_kInvalid,
-      &&u_kFuseLuiAddi, &&u_kFuseAddiAnd, &&u_kFuseAddiAddi, &&u_kFuseAddiBne,
-      &&u_kFuseAddAddi, &&u_kFuseSlliXor, &&u_kFuseSrliXor,  &&u_kFuseXorSlli,
-      &&u_kFuseXorSrli, &&u_kFuseAndBgeu, &&u_kFuseSubMul,   &&u_kFuseLuiAdd,
-      &&u_kFuseSraiSrai, &&u_kFuseXorSub, &&u_kFuseSlliAdd,  &&u_kFuseXorshift,
-      &&u_kFuseMaskBgeu, &&u_kFuseAccBne, &&u_kFuseXorshiftMask,
-      &&u_kFuseSignFold, &&u_kFuseSlliAddBlt,
   };
-  static_assert(sizeof(kJump) / sizeof(kJump[0]) == kHandlerCount,
-                "jump table must cover every Op and fused handler");
+  static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
+                    static_cast<std::size_t>(Op::kInvalid) + 1,
+                "jump table must cover every Op");
 #define REVEAL_UOP(name) u_##name
-#define REVEAL_FUOP(name) u_##name
-#define REVEAL_DISPATCH() goto* kJump[p->h]
-#else
-#define REVEAL_UOP(name) case static_cast<std::uint8_t>(Op::name)
-#define REVEAL_FUOP(name) case name
-#define REVEAL_DISPATCH() goto reveal_dispatch
-#endif
+#define REVEAL_DISPATCH() goto* kJump[static_cast<std::uint8_t>(p->op)]
 
 reveal_chain:
   // vpc holds the next fetch address; counters are live in cyc/ret. Charge
@@ -551,12 +459,13 @@ reveal_chain:
   }
   // Per-step fallback: unaligned/out-of-region pc, an untranslatable word,
   // or the precise tail once fewer instructions remain than the next block
-  // would retire. One exact predecode-tier step, then try to chain again.
+  // would retire. One exact decode-from-memory step, then try to chain
+  // again.
   pc_ = vpc;
   cycles_ = cyc;
   retired_ = ret;
   if (remaining == 0) return StopReason::kInstrLimit;
-  if (!step_impl<ObserverT, /*kUseCache=*/true>(&observer)) {
+  if (!step_impl(&observer)) {
     return trapped_ ? StopReason::kTrap : StopReason::kHalt;
   }
   --remaining;
@@ -564,11 +473,6 @@ reveal_chain:
   ret = retired_;
   vpc = pc_;
   goto reveal_chain;
-
-#if !REVEAL_BLOCK_THREADED
-reveal_dispatch:
-  switch (p->h) {
-#endif
 
 // Mirrors step_impl field for field: zero-initialized event, source
 // registers latched before any destination write.
@@ -594,14 +498,41 @@ reveal_dispatch:
     }                                        \
   } while (0)
 
-#define REVEAL_RETIRE_NEXT()              \
-  do {                                    \
-    ev.cycles = p->cycles_not_taken;      \
-    cyc += p->cycles_not_taken;           \
-    ++ret;                                \
-    observer.on_instruction(ev);          \
-    ++p;                                  \
-    REVEAL_DISPATCH();                    \
+// Every retirement resolves its successor before the observer callback —
+// the next micro-op's handler, or for a block terminator the next block's
+// entry — so the indirect jump after an out-of-line callback (the
+// TraceRecorder of every capture) has its target ready instead of waiting
+// on the dependent pool and jump-table loads.
+#define REVEAL_RETIRE_NEXT()                                       \
+  do {                                                             \
+    ev.cycles = p->cycles_not_taken;                               \
+    cyc += p->cycles_not_taken;                                    \
+    ++ret;                                                         \
+    ++p;                                                           \
+    const void* const next_ = kJump[static_cast<std::uint8_t>(p->op)]; \
+    observer.on_instruction(ev);                                   \
+    goto* next_;                                                   \
+  } while (0)
+
+// Terminator tail: vpc holds the next fetch address and the terminator has
+// retired. The chain point's fast path (a live block that fits the budget)
+// runs before the callback; anything else goes through reveal_chain.
+#define REVEAL_RETIRE_CHAIN()                                      \
+  do {                                                             \
+    const void* next_ = &&reveal_chain;                            \
+    if ((vpc & 3u) == 0 && vpc >= ibase && vpc < iend) {           \
+      const std::uint64_t e_ = entry[(vpc - ibase) >> 2];          \
+      const std::uint64_t count_ = BlockCache::packed_count(e_);   \
+      if (e_ != BlockCache::kNoBlock && count_ <= remaining) {     \
+        remaining -= count_;                                       \
+        block_budget = count_;                                     \
+        ret_entry = ret;                                           \
+        p = pool + BlockCache::packed_first(e_);                   \
+        next_ = kJump[static_cast<std::uint8_t>(p->op)];           \
+      }                                                            \
+    }                                                              \
+    observer.on_instruction(ev);                                   \
+    goto* next_;                                                   \
   } while (0)
 
 #define REVEAL_SRS1 static_cast<std::int32_t>(rs1)
@@ -623,8 +554,7 @@ reveal_dispatch:
     cyc += ev.cycles;                                                       \
     ++ret;                                                                  \
     vpc = ev.branch_taken ? p->pc + REVEAL_IMM_U : p->pc + 4;               \
-    observer.on_instruction(ev);                                            \
-    goto reveal_chain;                                                      \
+    REVEAL_RETIRE_CHAIN();                                                  \
   }
 
 #define REVEAL_LOAD(name, size, is_signed)                                    \
@@ -649,10 +579,10 @@ reveal_dispatch:
     REVEAL_RETIRE_NEXT();                                                     \
   }
 
-// A store that lands in the program region retires normally, invalidates
-// the predecode word and any covering translated block, then exits so the
-// dispatcher refetches from current memory — the executing block itself may
-// just have been dropped.
+// A store that lands in the program region retires normally, drops every
+// translated block covering the stored word, then exits so the dispatcher
+// refetches from current memory — the executing block itself may just have
+// been dropped — refunding the block's unexecuted budget charge.
 #define REVEAL_STORE(name, size)                                              \
   REVEAL_UOP(name) : {                                                        \
     REVEAL_BEGIN();                                                           \
@@ -665,18 +595,17 @@ reveal_dispatch:
     ev.mem_addr = addr;                                                       \
     ev.mem_data = (size) == 4 ? rs2 : (rs2 & ((1u << (((size)&3) * 8)) - 1u)); \
     ev.is_mem_write = true;                                                   \
-    ev.cycles = p->cycles_not_taken;                                          \
-    cyc += p->cycles_not_taken;                                               \
-    ++ret;                                                                    \
-    observer.on_instruction(ev);                                              \
-    if (addr >= icache_base_ && addr < icache_end_) {                         \
-      invalidate_icache_word(addr);                                           \
+    if (addr >= ibase && addr < iend) {                                       \
+      block_cache_.invalidate_word(addr);                                     \
+      ev.cycles = p->cycles_not_taken;                                        \
+      cyc += p->cycles_not_taken;                                             \
+      ++ret;                                                                  \
       vpc = p->pc + 4;                                                        \
-      remaining += block_budget - (ret - ret_entry); /* refund unexecuted */  \
+      remaining += block_budget - (ret - ret_entry);                          \
+      observer.on_instruction(ev);                                            \
       goto reveal_chain;                                                      \
     }                                                                         \
-    ++p;                                                                      \
-    REVEAL_DISPATCH();                                                        \
+    REVEAL_RETIRE_NEXT();                                                     \
   }
 
   REVEAL_ALU(kLui, REVEAL_IMM_U)
@@ -689,8 +618,7 @@ reveal_dispatch:
     cyc += p->cycles_not_taken;
     ++ret;
     vpc = p->pc + REVEAL_IMM_U;
-    observer.on_instruction(ev);
-    goto reveal_chain;
+    REVEAL_RETIRE_CHAIN();
   }
   REVEAL_UOP(kJalr) : {
     REVEAL_BEGIN();
@@ -700,8 +628,7 @@ reveal_dispatch:
     cyc += p->cycles_not_taken;
     ++ret;
     vpc = target;
-    observer.on_instruction(ev);
-    goto reveal_chain;
+    REVEAL_RETIRE_CHAIN();
   }
 
   REVEAL_BRANCH(kBeq, rs1 == rs2)
@@ -834,547 +761,6 @@ reveal_dispatch:
     goto reveal_chain;
   }
 
-// Fused pairs: one dispatch retires two data-dependent micro-ops. The
-// first is always a real-destination ALU op (translate-time guarantee:
-// p->rd != 0), whose result is forwarded to the second's operands in a
-// register instead of through a regs_ store->load round trip; the second
-// is ALU- or branch-class (no memory access, no trap mid-pair). Events,
-// counters and register state are identical to the unfused pair.
-//
-// First half: retire `expr1` into p->rd, then latch the second micro-op's
-// operands (forwarded where they read p->rd) and start its event.
-#define REVEAL_FUSE_FIRST(expr1)                 \
-  const BlockInstr* q = p + 1;                   \
-  REVEAL_BEGIN();                                \
-  const std::uint32_t v1 = (expr1);              \
-  ev.rd_old = regs_[p->rd];                      \
-  regs_[p->rd] = v1;                             \
-  ev.rd_new = v1;                                \
-  ev.rd_written = true;                          \
-  ev.cycles = p->cycles_not_taken;               \
-  cyc += p->cycles_not_taken;                    \
-  ++ret;                                         \
-  observer.on_instruction(ev);                   \
-  rs1 = q->rs1 == p->rd ? v1 : regs_[q->rs1];    \
-  rs2 = q->rs2 == p->rd ? v1 : regs_[q->rs2];    \
-  ev = InstrEvent{};                             \
-  ev.pc = q->pc;                                 \
-  ev.op = q->op;                                 \
-  ev.klass = q->klass;                           \
-  ev.rd = q->rd;                                 \
-  ev.rs1_val = rs1;                              \
-  ev.rs2_val = rs2
-
-// `expr1` sees the first micro-op's operands in rs1/rs2 and its immediate
-// as REVEAL_IMM_U; `expr2`/`cond` see the second's in rs1/rs2 and q->imm.
-#define REVEAL_FUSE_ALU_ALU(name, expr1, expr2) \
-  REVEAL_FUOP(name) : {                         \
-    REVEAL_FUSE_FIRST(expr1);                   \
-    const std::uint32_t v2 = (expr2);           \
-    if (q->rd != 0) {                           \
-      ev.rd_old = regs_[q->rd];                 \
-      regs_[q->rd] = v2;                        \
-      ev.rd_new = v2;                           \
-      ev.rd_written = true;                     \
-    }                                           \
-    ev.cycles = q->cycles_not_taken;            \
-    cyc += q->cycles_not_taken;                 \
-    ++ret;                                      \
-    observer.on_instruction(ev);                \
-    p += 2;                                     \
-    REVEAL_DISPATCH();                          \
-  }
-
-#define REVEAL_FUSE_ALU_BRANCH(name, expr1, cond)                          \
-  REVEAL_FUOP(name) : {                                                    \
-    REVEAL_FUSE_FIRST(expr1);                                              \
-    ev.branch_taken = (cond);                                              \
-    ev.cycles = ev.branch_taken ? q->cycles_taken : q->cycles_not_taken;   \
-    cyc += ev.cycles;                                                      \
-    ++ret;                                                                 \
-    vpc = ev.branch_taken ? q->pc + static_cast<std::uint32_t>(q->imm)     \
-                          : q->pc + 4;                                     \
-    observer.on_instruction(ev);                                           \
-    goto reveal_chain;                                                     \
-  }
-
-  REVEAL_FUSE_ALU_ALU(kFuseLuiAddi, REVEAL_IMM_U,
-                      rs1 + static_cast<std::uint32_t>(q->imm))
-  REVEAL_FUSE_ALU_ALU(kFuseAddiAnd, rs1 + REVEAL_IMM_U, rs1 & rs2)
-  REVEAL_FUSE_ALU_ALU(kFuseAddiAddi, rs1 + REVEAL_IMM_U,
-                      rs1 + static_cast<std::uint32_t>(q->imm))
-  REVEAL_FUSE_ALU_ALU(kFuseAddAddi, rs1 + rs2,
-                      rs1 + static_cast<std::uint32_t>(q->imm))
-  REVEAL_FUSE_ALU_ALU(kFuseSlliXor, rs1 << (p->imm & 31), rs1 ^ rs2)
-  REVEAL_FUSE_ALU_ALU(kFuseSrliXor, rs1 >> (p->imm & 31), rs1 ^ rs2)
-  REVEAL_FUSE_ALU_ALU(kFuseXorSlli, rs1 ^ rs2, rs1 << (q->imm & 31))
-  REVEAL_FUSE_ALU_ALU(kFuseXorSrli, rs1 ^ rs2, rs1 >> (q->imm & 31))
-  REVEAL_FUSE_ALU_ALU(kFuseSubMul, rs1 - rs2,
-                      static_cast<std::uint32_t>(
-                          static_cast<std::int64_t>(static_cast<std::int32_t>(rs1)) *
-                          static_cast<std::int32_t>(rs2)))
-  REVEAL_FUSE_ALU_ALU(kFuseLuiAdd, REVEAL_IMM_U, rs1 + rs2)
-  REVEAL_FUSE_ALU_ALU(kFuseSraiSrai,
-                      static_cast<std::uint32_t>(REVEAL_SRS1 >> (p->imm & 31)),
-                      static_cast<std::uint32_t>(static_cast<std::int32_t>(rs1) >>
-                                                 (q->imm & 31)))
-  REVEAL_FUSE_ALU_ALU(kFuseXorSub, rs1 ^ rs2, rs1 - rs2)
-  REVEAL_FUSE_ALU_ALU(kFuseSlliAdd, rs1 << (p->imm & 31), rs1 + rs2)
-  REVEAL_FUSE_ALU_BRANCH(kFuseAndBgeu, rs1 & rs2, rs1 >= rs2)
-  REVEAL_FUSE_ALU_BRANCH(kFuseAddiBne, rs1 + REVEAL_IMM_U, rs1 != rs2)
-
-// Multi-op idiom handlers: one dispatch retires a whole matched run
-// (block_translator.cpp fused_idiom). Every micro-op writes through to
-// regs_ immediately, so operand reads from regs_ are always correct; the
-// two most recent in-flight results are additionally forwarded in
-// registers (index-checked, nearest first) to keep the dependent chain off
-// the store->load round trip.
-#define REVEAL_FUSE_OPS2(qp, r1, v1_, r2, v2_)                              \
-  rs1 = (qp)->rs1 == (r1) ? (v1_)                                           \
-        : (qp)->rs1 == (r2) ? (v2_)                                         \
-                            : regs_[(qp)->rs1];                             \
-  rs2 = (qp)->rs2 == (r1) ? (v1_)                                           \
-        : (qp)->rs2 == (r2) ? (v2_)                                         \
-                            : regs_[(qp)->rs2];                             \
-  ev = InstrEvent{};                                                        \
-  ev.pc = (qp)->pc;                                                         \
-  ev.op = (qp)->op;                                                         \
-  ev.klass = (qp)->klass;                                                   \
-  ev.rd = (qp)->rd;                                                         \
-  ev.rs1_val = rs1;                                                         \
-  ev.rs2_val = rs2
-
-// Operand load + event skeleton for a mid-run micro-op, reading regs_
-// plainly into the rs1/rs2 locals: exact under write-through retirement
-// (every earlier micro-op already stored its result). REVEAL_BEGIN for an
-// arbitrary slot, in effect.
-#define REVEAL_FUSE_LOAD(qp)            \
-  rs1 = regs_[(qp)->rs1];               \
-  rs2 = regs_[(qp)->rs2];               \
-  ev = InstrEvent{};                    \
-  ev.pc = (qp)->pc;                     \
-  ev.op = (qp)->op;                     \
-  ev.klass = (qp)->klass;               \
-  ev.rd = (qp)->rd;                     \
-  ev.rs1_val = rs1;                     \
-  ev.rs2_val = rs2
-
-// Event skeleton for a mid-run micro-op whose operand values are read
-// straight from regs_: exact under write-through retirement (every earlier
-// micro-op already stored its result), and fully dead-code-eliminated when
-// the observer ignores events.
-#define REVEAL_FUSE_EV(qp)              \
-  ev = InstrEvent{};                    \
-  ev.pc = (qp)->pc;                     \
-  ev.op = (qp)->op;                     \
-  ev.klass = (qp)->klass;               \
-  ev.rd = (qp)->rd;                     \
-  ev.rs1_val = regs_[(qp)->rs1];        \
-  ev.rs2_val = regs_[(qp)->rs2]
-
-// Retire an ALU micro-op *qp with value v (qp->rd != 0 guaranteed). Does
-// NOT advance cyc: idiom handlers add their run's pre-summed straight-line
-// cost (first slot's cycles_taken) once, plus the final micro-op's own
-// cost, instead of one load-and-add per retirement.
-#define REVEAL_FUSE_RET(qp, v)           \
-  do {                                   \
-    ev.rd_old = regs_[(qp)->rd];         \
-    regs_[(qp)->rd] = (v);               \
-    ev.rd_new = (v);                     \
-    ev.rd_written = true;                \
-    ev.cycles = (qp)->cycles_not_taken;  \
-    ++ret;                               \
-    observer.on_instruction(ev);         \
-  } while (0)
-
-// Event skeleton / retirement for a canonical-run micro-op whose operand
-// and overwritten-destination values are supplied from locals (the regs_
-// file is stale mid-run when a handler defers its stores to the end).
-// Everything here is dead code under a null observer.
-#define REVEAL_FUSE_EVX(qp, r1v, r2v)   \
-  ev = InstrEvent{};                    \
-  ev.pc = (qp)->pc;                     \
-  ev.op = (qp)->op;                     \
-  ev.klass = (qp)->klass;               \
-  ev.rd = (qp)->rd;                     \
-  ev.rs1_val = (r1v);                   \
-  ev.rs2_val = (r2v)
-
-#define REVEAL_FUSE_RETX(qp, oldv, v)    \
-  do {                                   \
-    ev.rd_old = (oldv);                  \
-    ev.rd_new = (v);                     \
-    ev.rd_written = true;                \
-    ev.cycles = (qp)->cycles_not_taken;  \
-    ++ret;                               \
-    observer.on_instruction(ev);         \
-  } while (0)
-
-// Retire the final branch micro-op *qp and chain to the next block.
-#define REVEAL_FUSE_BR(qp, cond)                                            \
-  do {                                                                      \
-    ev.branch_taken = (cond);                                               \
-    ev.cycles = ev.branch_taken ? (qp)->cycles_taken : (qp)->cycles_not_taken; \
-    cyc += ev.cycles;                                                       \
-    ++ret;                                                                  \
-    vpc = ev.branch_taken ? (qp)->pc + static_cast<std::uint32_t>((qp)->imm) \
-                          : (qp)->pc + 4;                                   \
-    observer.on_instruction(ev);                                            \
-    goto reveal_chain;                                                      \
-  } while (0)
-
-  // xorshift32 step: t = s << a; s ^= t; t = s >> b; s ^= t; t = s << c;
-  // s ^= t (any register assignment with real destinations).
-  REVEAL_FUOP(kFuseXorshift) : {
-    const BlockInstr* q1 = p + 1;
-    const BlockInstr* q2 = p + 2;
-    const BlockInstr* q3 = p + 3;
-    const BlockInstr* q4 = p + 4;
-    const BlockInstr* q5 = p + 5;
-    REVEAL_BEGIN();
-    cyc += p->cycles_taken + q5->cycles_not_taken;  // pre-summed run cost
-    const std::uint32_t v0 = rs1 << (p->imm & 31);
-    REVEAL_FUSE_RET(p, v0);
-    REVEAL_FUSE_OPS2(q1, p->rd, v0, 0xFFu, 0u);
-    const std::uint32_t v1 = rs1 ^ rs2;
-    REVEAL_FUSE_RET(q1, v1);
-    REVEAL_FUSE_OPS2(q2, q1->rd, v1, p->rd, v0);
-    const std::uint32_t v2 = rs1 >> (q2->imm & 31);
-    REVEAL_FUSE_RET(q2, v2);
-    REVEAL_FUSE_OPS2(q3, q2->rd, v2, q1->rd, v1);
-    const std::uint32_t v3 = rs1 ^ rs2;
-    REVEAL_FUSE_RET(q3, v3);
-    REVEAL_FUSE_OPS2(q4, q3->rd, v3, q2->rd, v2);
-    const std::uint32_t v4 = rs1 << (q4->imm & 31);
-    REVEAL_FUSE_RET(q4, v4);
-    REVEAL_FUSE_OPS2(q5, q4->rd, v4, q3->rd, v3);
-    const std::uint32_t v5 = rs1 ^ rs2;
-    REVEAL_FUSE_RET(q5, v5);
-    p += 6;
-    REVEAL_DISPATCH();
-  }
-
-  // Load-mask-and-reject: m = imm32 (lui+addi); x = s & m; bgeu.
-  REVEAL_FUOP(kFuseMaskBgeu) : {
-    const BlockInstr* q1 = p + 1;
-    const BlockInstr* q2 = p + 2;
-    const BlockInstr* q3 = p + 3;
-    REVEAL_BEGIN();
-    cyc += p->cycles_taken;  // pre-summed straight-line prefix cost
-    const std::uint32_t v0 = REVEAL_IMM_U;
-    REVEAL_FUSE_RET(p, v0);
-    REVEAL_FUSE_OPS2(q1, p->rd, v0, 0xFFu, 0u);
-    const std::uint32_t v1 = rs1 + static_cast<std::uint32_t>(q1->imm);
-    REVEAL_FUSE_RET(q1, v1);
-    REVEAL_FUSE_OPS2(q2, q1->rd, v1, p->rd, v0);
-    const std::uint32_t v2 = rs1 & rs2;
-    REVEAL_FUSE_RET(q2, v2);
-    REVEAL_FUSE_OPS2(q3, q2->rd, v2, q1->rd, v1);
-    REVEAL_FUSE_BR(q3, rs1 >= rs2);
-  }
-
-  // Full rejection-sampler step: xorshift32 (6 ops) straight into
-  // load-mask-and-reject (4 ops), canonical register pattern only
-  // (block_translator.cpp xorshift_mask_canonical). One dispatch retires
-  // the sampler's entire hot block with the value chain held in locals —
-  // regs_ is only *stored* (write-through retirement) and read for event
-  // operand values, so the null-observer fast leg reduces to the pure ALU
-  // chain plus ten stores.
-  REVEAL_FUOP(kFuseXorshiftMask) : {
-    const BlockInstr* q1 = p + 1;
-    const BlockInstr* q2 = p + 2;
-    const BlockInstr* q3 = p + 3;
-    const BlockInstr* q4 = p + 4;
-    const BlockInstr* q5 = p + 5;
-    const BlockInstr* q6 = p + 6;
-    const BlockInstr* q7 = p + 7;
-    const BlockInstr* q8 = p + 8;
-    const BlockInstr* q9 = p + 9;
-    if constexpr (std::is_same_v<ObserverT, NullExecutionObserver>) {
-      // Observer-free leg: per-op events are unobservable, so the whole
-      // rejection loop runs on locals. Every pool field is loop-invariant
-      // (the run contains no store, so nothing can invalidate or rewrite
-      // the block mid-run) and is hoisted explicitly — the write-through
-      // leg below cannot hoist them because regs_ stores may alias the
-      // pool under type-based aliasing. Architectural state (the four
-      // written registers, counters, budget) is committed identically to
-      // the generic leg: regs_ once at exit in last-write program order,
-      // cyc/ret/remaining per iteration.
-      const std::uint32_t sh_a = static_cast<std::uint32_t>(p->imm) & 31u;
-      const std::uint32_t sh_b = static_cast<std::uint32_t>(q2->imm) & 31u;
-      const std::uint32_t sh_c = static_cast<std::uint32_t>(q4->imm) & 31u;
-      const std::uint32_t mask =
-          static_cast<std::uint32_t>(q6->imm) + static_cast<std::uint32_t>(q7->imm);
-      const std::uint64_t prefix = p->cycles_taken;  // pre-summed run cost
-      const std::uint64_t cyc_taken = q9->cycles_taken;
-      const std::uint64_t cyc_not = q9->cycles_not_taken;
-      const bool self_loop = q9->pc + static_cast<std::uint32_t>(q9->imm) == p->pc;
-      const std::uint8_t rT = p->rd, rS = q1->rd, rM = q6->rd, rX = q8->rd;
-      const std::uint32_t bound = regs_[q9->rs2];  // canonical: never written
-      std::uint32_t s = regs_[p->rs1];
-      std::uint32_t t_fin;
-      std::uint32_t x_fin;
-      // Accept-path continuation: when the fall-through block is exactly an
-      // already-translated accumulate-and-loop idiom (acc += x; i += step;
-      // bne i, bound) whose registers are disjoint from everything this run
-      // defers or reads, the accept path also stays inside this handler —
-      // the full sampling loop (reject, accept, accumulate, loop) then runs
-      // on locals. The lookup goes through the live entry table, so a stale
-      // translation can never be entered, and no store can invalidate either
-      // block while the loop runs (neither contains one). Budget charges
-      // mirror the chain's: 10 per rejection pass, 3 per accumulate pass.
-      const std::uint32_t fall_pc = q9->pc + 4;
-      const BlockInstr* qb = nullptr;
-      if (self_loop && fall_pc >= ibase && fall_pc < iend) {
-        const std::uint64_t eb = entry[(fall_pc - ibase) >> 2];
-        if (eb != BlockCache::kNoBlock && BlockCache::packed_count(eb) == 3) {
-          const BlockInstr* f = pool + BlockCache::packed_first(eb);
-          const std::uint8_t ra = f[0].rd, ri = f[1].rd, rb = f[2].rs2;
-          if (f[0].h == kFuseAccBne && f[0].rs1 == ra && f[0].rs2 == rX &&
-              ra != rT && ra != rS && ra != rM && ra != rX &&
-              ri != rT && ri != rS && ri != rM && ri != rX &&
-              rb != rT && rb != rS && rb != rM && rb != rX &&
-              ra != q9->rs2 && ri != q9->rs2) {
-            qb = f;
-          }
-        }
-      }
-      std::uint32_t acc = 0;
-      std::uint32_t ctr = 0;
-      std::uint32_t b_bound = 0;
-      if (qb != nullptr) {
-        acc = regs_[qb[0].rd];
-        ctr = regs_[qb[1].rd];
-        b_bound = regs_[qb[2].rs2];
-      }
-      for (;;) {
-        const std::uint32_t v0 = s << sh_a;
-        const std::uint32_t v1 = s ^ v0;
-        const std::uint32_t v2 = v1 >> sh_b;
-        const std::uint32_t v3 = v1 ^ v2;
-        t_fin = v3 << sh_c;
-        s = v3 ^ t_fin;
-        x_fin = s & mask;
-        cyc += prefix;
-        ret += 10;
-        const bool taken = x_fin >= bound;
-        cyc += taken ? cyc_taken : cyc_not;
-        if (taken) {
-          vpc = q9->pc + static_cast<std::uint32_t>(q9->imm);
-          // Rejection back-edge shortcut, as in the generic leg: re-enter in
-          // place with the chain's exact budget charge for the 10 micro-ops.
-          if (self_loop && remaining >= 10) {
-            remaining -= 10;
-            block_budget = 10;
-            ret_entry = ret;
-            continue;
-          }
-          break;
-        }
-        vpc = fall_pc;
-        if (qb == nullptr || remaining < 3) break;
-        remaining -= 3;
-        block_budget = 3;
-        ret_entry = ret;
-        acc += x_fin;
-        ctr += static_cast<std::uint32_t>(qb[1].imm);
-        cyc += qb[0].cycles_taken;  // pre-summed add+addi cost
-        ret += 3;
-        const bool b_taken = ctr != b_bound;
-        cyc += b_taken ? qb[2].cycles_taken : qb[2].cycles_not_taken;
-        if (!b_taken) {
-          vpc = qb[2].pc + 4;
-          break;
-        }
-        vpc = qb[2].pc + static_cast<std::uint32_t>(qb[2].imm);
-        if (vpc == p->pc && remaining >= 10) {
-          remaining -= 10;
-          block_budget = 10;
-          ret_entry = ret;
-          continue;
-        }
-        break;
-      }
-      regs_[p->rd] = t_fin;   // rT = v4, then rS, rM, rX in last-write order
-      regs_[q1->rd] = s;      // rS = v5
-      regs_[q6->rd] = mask;   // rM = v7
-      regs_[q8->rd] = x_fin;  // rX = v8
-      if (qb != nullptr) {    // disjoint from the four above (checked)
-        regs_[qb[0].rd] = acc;
-        regs_[qb[1].rd] = ctr;
-      }
-      goto reveal_chain;
-    } else {
-  u_kFuseXorshiftMask_body:
-    REVEAL_BEGIN();
-    cyc += p->cycles_taken;  // pre-summed straight-line prefix cost
-    const std::uint32_t s0 = rs1;
-    const std::uint32_t bound = regs_[q9->rs2];  // canonical: never written in-run
-    // The value chain lives in locals; only each register's FINAL value is
-    // stored (in program order of last writes, so aliasing among the temp,
-    // mask and result registers resolves exactly). Mid-run event operand
-    // values for the raw index fields (shift amounts, lui immediate bits)
-    // are reconstructed with explicit selects against the written-so-far
-    // set — observer-only code, dead in the timed null-observer leg.
-    const std::uint8_t rT = p->rd, rS = q1->rd, rM = q6->rd;
-    const std::uint32_t v0 = s0 << (p->imm & 31);
-    REVEAL_FUSE_RETX(p, regs_[rT], v0);
-    REVEAL_FUSE_EVX(q1, s0, v0);
-    const std::uint32_t v1 = s0 ^ v0;
-    REVEAL_FUSE_RETX(q1, s0, v1);
-    REVEAL_FUSE_EVX(q2, v1,
-                    q2->rs2 == rS   ? v1
-                    : q2->rs2 == rT ? v0
-                                    : regs_[q2->rs2]);
-    const std::uint32_t v2 = v1 >> (q2->imm & 31);
-    REVEAL_FUSE_RETX(q2, v0, v2);
-    REVEAL_FUSE_EVX(q3, v1, v2);
-    const std::uint32_t v3 = v1 ^ v2;
-    REVEAL_FUSE_RETX(q3, v1, v3);
-    REVEAL_FUSE_EVX(q4, v3,
-                    q4->rs2 == rS   ? v3
-                    : q4->rs2 == rT ? v2
-                                    : regs_[q4->rs2]);
-    const std::uint32_t v4 = v3 << (q4->imm & 31);
-    REVEAL_FUSE_RETX(q4, v2, v4);
-    REVEAL_FUSE_EVX(q5, v3, v4);
-    const std::uint32_t v5 = v3 ^ v4;
-    REVEAL_FUSE_RETX(q5, v3, v5);
-    REVEAL_FUSE_EVX(q6,
-                    q6->rs1 == rS   ? v5
-                    : q6->rs1 == rT ? v4
-                                    : regs_[q6->rs1],
-                    q6->rs2 == rS   ? v5
-                    : q6->rs2 == rT ? v4
-                                    : regs_[q6->rs2]);
-    const std::uint32_t v6 = static_cast<std::uint32_t>(q6->imm);
-    REVEAL_FUSE_RETX(q6, rM == rT ? v4 : regs_[rM], v6);
-    REVEAL_FUSE_EVX(q7, v6,
-                    q7->rs2 == rM   ? v6
-                    : q7->rs2 == rS ? v5
-                    : q7->rs2 == rT ? v4
-                                    : regs_[q7->rs2]);
-    const std::uint32_t v7 = v6 + static_cast<std::uint32_t>(q7->imm);
-    REVEAL_FUSE_RETX(q7, v6, v7);
-    REVEAL_FUSE_EVX(q8, v5, v7);
-    const std::uint32_t v8 = v5 & v7;
-    REVEAL_FUSE_RETX(q8,
-                     q8->rd == rM   ? v7
-                     : q8->rd == rS ? v5
-                     : q8->rd == rT ? v4
-                                    : regs_[q8->rd],
-                     v8);
-    regs_[rT] = v4;
-    regs_[rS] = v5;
-    regs_[rM] = v7;
-    regs_[q8->rd] = v8;
-    REVEAL_FUSE_EV(q9);
-    ev.branch_taken = v8 >= bound;
-    ev.cycles = ev.branch_taken ? q9->cycles_taken : q9->cycles_not_taken;
-    cyc += ev.cycles;
-    ++ret;
-    observer.on_instruction(ev);
-    if (ev.branch_taken) {
-      vpc = q9->pc + static_cast<std::uint32_t>(q9->imm);
-      // Rejection back-edge: when the branch re-enters this very run and the
-      // budget covers another full pass, loop in place. The charge matches
-      // what the chain would make for the 10 micro-ops (no store in the run
-      // can trigger a refund), but the rejection — whose direction is
-      // data-random by construction — no longer feeds the chain's indirect
-      // dispatch, which keeps that dispatch's target sequence periodic and
-      // predictable.
-      if (vpc == p->pc && remaining >= 10) {
-        remaining -= 10;
-        block_budget = 10;
-        ret_entry = ret;
-        goto u_kFuseXorshiftMask_body;
-      }
-      goto reveal_chain;
-    }
-    vpc = q9->pc + 4;
-    goto reveal_chain;
-    }
-  }
-
-  // Accumulate-and-loop back edge: acc += x; i += step; bne i, bound —
-  // canonical register pattern only (acc_bne_canonical): counter and bound
-  // are distinct from the accumulator, so both load up front and the whole
-  // step is three ALU ops, two stores and the loop branch.
-  REVEAL_FUOP(kFuseAccBne) : {
-    const BlockInstr* q1 = p + 1;
-    const BlockInstr* q2 = p + 2;
-    REVEAL_BEGIN();
-    cyc += p->cycles_taken;  // pre-summed straight-line prefix cost
-    const std::uint32_t i0 = regs_[q1->rs1];     // canonical: counter != acc
-    const std::uint32_t bound = regs_[q2->rs2];  // canonical: untouched in-run
-    const std::uint32_t v0 = rs1 + rs2;
-    REVEAL_FUSE_RET(p, v0);
-    REVEAL_FUSE_EV(q1);
-    const std::uint32_t v1 = i0 + static_cast<std::uint32_t>(q1->imm);
-    REVEAL_FUSE_RET(q1, v1);
-    REVEAL_FUSE_EV(q2);
-    REVEAL_FUSE_BR(q2, v1 != bound);
-  }
-
-  // Sign-fold epilogue: center the accumulated CLT sum, multiply by the
-  // random sign, and branch on the folded value (lui,addi,sub,mul,lui,add,
-  // srai,srai,xor,sub,blt). Pure write-through with plain operand loads —
-  // exact for any register pattern — retiring eleven micro-ops per dispatch.
-  REVEAL_FUOP(kFuseSignFold) : {
-    const BlockInstr* q1 = p + 1;
-    const BlockInstr* q2 = p + 2;
-    const BlockInstr* q3 = p + 3;
-    const BlockInstr* q4 = p + 4;
-    const BlockInstr* q5 = p + 5;
-    const BlockInstr* q6 = p + 6;
-    const BlockInstr* q7 = p + 7;
-    const BlockInstr* q8 = p + 8;
-    const BlockInstr* q9 = p + 9;
-    const BlockInstr* q10 = p + 10;
-    REVEAL_BEGIN();
-    cyc += p->cycles_taken;  // pre-summed straight-line prefix cost
-    REVEAL_FUSE_RET(p, REVEAL_IMM_U);  // lui
-    REVEAL_FUSE_LOAD(q1);
-    REVEAL_FUSE_RET(q1, rs1 + static_cast<std::uint32_t>(q1->imm));  // addi
-    REVEAL_FUSE_LOAD(q2);
-    REVEAL_FUSE_RET(q2, rs1 - rs2);  // sub
-    REVEAL_FUSE_LOAD(q3);
-    REVEAL_FUSE_RET(q3, static_cast<std::uint32_t>(
-                            static_cast<std::int64_t>(REVEAL_SRS1) * REVEAL_SRS2));  // mul
-    REVEAL_FUSE_LOAD(q4);
-    REVEAL_FUSE_RET(q4, static_cast<std::uint32_t>(q4->imm));  // lui
-    REVEAL_FUSE_LOAD(q5);
-    REVEAL_FUSE_RET(q5, rs1 + rs2);  // add
-    REVEAL_FUSE_LOAD(q6);
-    REVEAL_FUSE_RET(q6, static_cast<std::uint32_t>(REVEAL_SRS1 >> (q6->imm & 31)));  // srai
-    REVEAL_FUSE_LOAD(q7);
-    REVEAL_FUSE_RET(q7, static_cast<std::uint32_t>(REVEAL_SRS1 >> (q7->imm & 31)));  // srai
-    REVEAL_FUSE_LOAD(q8);
-    REVEAL_FUSE_RET(q8, rs1 ^ rs2);  // xor
-    REVEAL_FUSE_LOAD(q9);
-    REVEAL_FUSE_RET(q9, rs1 - rs2);  // sub
-    REVEAL_FUSE_LOAD(q10);
-    REVEAL_FUSE_BR(q10, REVEAL_SRS1 < REVEAL_SRS2);  // blt
-  }
-
-  // Store-pointer advance and loop branch (slli,add,blt): write-through,
-  // exact for any register pattern.
-  REVEAL_FUOP(kFuseSlliAddBlt) : {
-    const BlockInstr* q1 = p + 1;
-    const BlockInstr* q2 = p + 2;
-    REVEAL_BEGIN();
-    cyc += p->cycles_taken;  // pre-summed straight-line prefix cost
-    REVEAL_FUSE_RET(p, rs1 << (p->imm & 31));
-    REVEAL_FUSE_LOAD(q1);
-    REVEAL_FUSE_RET(q1, rs1 + rs2);
-    REVEAL_FUSE_LOAD(q2);
-    REVEAL_FUSE_BR(q2, REVEAL_SRS1 < REVEAL_SRS2);
-  }
-
-#if !REVEAL_BLOCK_THREADED
-  }
-#endif
-
   // Trap exits: the faulting instruction does not retire — counters exclude
   // it and pc_ stays at the fault, exactly like an un-advanced step_impl.
 reveal_trap_load:
@@ -1405,26 +791,14 @@ reveal_trap_csr:
   trap("unsupported CSR");
   return StopReason::kTrap;
 
-#if REVEAL_BLOCK_THREADED
 #pragma GCC diagnostic pop
-#endif
 
 #undef REVEAL_UOP
-#undef REVEAL_FUOP
 #undef REVEAL_DISPATCH
-#undef REVEAL_FUSE_FIRST
-#undef REVEAL_FUSE_ALU_ALU
-#undef REVEAL_FUSE_ALU_BRANCH
-#undef REVEAL_FUSE_OPS2
-#undef REVEAL_FUSE_LOAD
-#undef REVEAL_FUSE_EV
-#undef REVEAL_FUSE_EVX
-#undef REVEAL_FUSE_RET
-#undef REVEAL_FUSE_RETX
-#undef REVEAL_FUSE_BR
 #undef REVEAL_BEGIN
 #undef REVEAL_WRITE_RD
 #undef REVEAL_RETIRE_NEXT
+#undef REVEAL_RETIRE_CHAIN
 #undef REVEAL_SRS1
 #undef REVEAL_SRS2
 #undef REVEAL_IMM_U

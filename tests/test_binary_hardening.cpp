@@ -24,6 +24,7 @@
 #include "sca/template_attack.hpp"
 #include "sca/trace.hpp"
 #include "seal/serialization.hpp"
+#include "temp_dir.hpp"
 
 using namespace reveal;
 
@@ -74,9 +75,7 @@ void run_sweeps(const std::string& bytes, const Loader& loader) {
   expect_corruptions_contained(bytes, loader);
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "reveal_hardening_" + name;
-}
+using reveal::test::temp_path;
 
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

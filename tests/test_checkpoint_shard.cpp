@@ -8,8 +8,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/acquisition.hpp"
@@ -20,6 +23,7 @@
 #include "core/shard_driver.hpp"
 #include "lwe/dbdd.hpp"
 #include "obs/diagnostics.hpp"
+#include "temp_dir.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -50,9 +54,7 @@ lwe::DbddParams paper_params() {
   return params;
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "reveal_ckpt_" + name;
-}
+using reveal::test::temp_path;
 
 void expect_reports_identical(const sca::RecoveryReport& a,
                               const sca::RecoveryReport& b) {
@@ -217,14 +219,27 @@ TEST_F(CheckpointShard, StaleCheckpointFromAnotherScheduleIsRejected) {
                    runner, *attack_, degraded_config(), kBaseSeed + 1, kCaptures,
                    HintPolicy{}, paper_params(), options),
                std::runtime_error);
-  // Different capture-shaping config too.
-  CampaignConfig other = degraded_config();
-  other.faults.glitch_count = 0;
-  EXPECT_THROW((void)run_recovery_campaign_checkpointed(runner, *attack_, other,
-                                                        kBaseSeed, kCaptures,
-                                                        HintPolicy{}, paper_params(),
-                                                        options),
-               std::runtime_error);
+  // Different capture-shaping config too: a fault knob, a leakage-model
+  // parameter, a segmentation parameter.
+  CampaignConfig fewer_glitches = degraded_config();
+  fewer_glitches.faults.glitch_count = 0;
+  CampaignConfig noisier = degraded_config();
+  noisier.leakage.noise_sigma = 0.5;
+  CampaignConfig higher_threshold = degraded_config();
+  higher_threshold.segmentation.threshold = 11.0;
+  const std::uint64_t digest = campaign_digest(kBaseSeed, kCaptures, degraded_config());
+  for (const CampaignConfig& other : {fewer_glitches, noisier, higher_threshold}) {
+    EXPECT_NE(campaign_digest(kBaseSeed, kCaptures, other), digest);
+    EXPECT_THROW((void)run_recovery_campaign_checkpointed(runner, *attack_, other,
+                                                          kBaseSeed, kCaptures,
+                                                          HintPolicy{}, paper_params(),
+                                                          options),
+                 std::runtime_error);
+  }
+  // The worker count never changes an output byte, so it stays out.
+  CampaignConfig more_workers = degraded_config();
+  more_workers.num_workers = 3;
+  EXPECT_EQ(campaign_digest(kBaseSeed, kCaptures, more_workers), digest);
   std::remove(options.path.c_str());
 }
 
@@ -251,7 +266,7 @@ TEST_F(CheckpointShard, ShardCountDoesNotChangeAnyOutputByte) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardOptions options;
     options.shards = shards;
-    options.work_dir = ::testing::TempDir();
+    options.work_dir = reveal::test::process_temp_dir();
     options.workers_per_shard = shards == 2 ? 2 : 0;  // mix worker counts in
     options.in_process = true;
     const ShardedCampaignResult result =
@@ -268,7 +283,7 @@ TEST_F(CheckpointShard, ForkedShardsMatchInProcessShards) {
 #else
   ShardOptions options;
   options.shards = 2;
-  options.work_dir = ::testing::TempDir();
+  options.work_dir = reveal::test::process_temp_dir();
   options.workers_per_shard = 0;  // children stay single-threaded
   options.in_process = false;
   const ShardedCampaignResult result =
@@ -277,6 +292,69 @@ TEST_F(CheckpointShard, ForkedShardsMatchInProcessShards) {
   expect_matches_reference(result.report, result.hint_totals, result.hints,
                            result.diagnostics.registry, result.diagnostics.confusion);
 #endif
+}
+
+TEST_F(CheckpointShard, ConcurrentCampaignsShareOneWorkDir) {
+  // A 2-shard and a 4-shard campaign over the same schedule (so the same
+  // digest) run at once in one work_dir: each call keeps its partials in a
+  // directory of its own, so neither reads the other's files, both match
+  // the reference, and nothing is left behind.
+  const std::string work_dir = temp_path("concurrent");
+  ASSERT_TRUE(std::filesystem::create_directory(work_dir));
+  const std::size_t shard_counts[2] = {2, 4};
+  ShardedCampaignResult results[2];
+  std::exception_ptr errors[2];
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        ShardOptions options;
+        options.shards = shard_counts[t];
+        options.work_dir = work_dir;
+        options.in_process = true;
+        results[t] = run_sharded_campaign(*attack_, degraded_config(), kBaseSeed, kCaptures,
+                                          HintPolicy{}, paper_params(), options);
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < 2; ++t) {
+    SCOPED_TRACE("shards=" + std::to_string(shard_counts[t]));
+    ASSERT_FALSE(errors[t]) << "campaign threw";
+    expect_matches_reference(results[t].report, results[t].hint_totals, results[t].hints,
+                             results[t].diagnostics.registry,
+                             results[t].diagnostics.confusion);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(work_dir));
+}
+
+TEST_F(CheckpointShard, KeptPartialsStayInOneRunDirectory) {
+  const std::string work_dir = temp_path("kept");
+  ASSERT_TRUE(std::filesystem::create_directory(work_dir));
+  ShardOptions options;
+  options.shards = 2;
+  options.work_dir = work_dir;
+  options.in_process = true;
+  options.keep_partials = true;
+  (void)run_sharded_campaign(*attack_, degraded_config(), kBaseSeed, kCaptures,
+                             HintPolicy{}, paper_params(), options);
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(
+                    campaign_digest(kBaseSeed, kCaptures, degraded_config())));
+  std::vector<std::filesystem::path> run_dirs;
+  for (const auto& entry : std::filesystem::directory_iterator(work_dir))
+    run_dirs.push_back(entry.path());
+  ASSERT_EQ(run_dirs.size(), 1u);
+  std::size_t partials = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(run_dirs[0])) {
+    EXPECT_NE(entry.path().filename().string().find(digest), std::string::npos)
+        << entry.path();
+    ++partials;
+  }
+  EXPECT_EQ(partials, options.shards);
 }
 
 TEST_F(CheckpointShard, CorpusReplayMatchesLiveCampaign) {
@@ -321,7 +399,7 @@ TEST_F(CheckpointShard, ShardedCorpusIsByteIdenticalForEveryShardCount) {
   for (const std::size_t shards : {1u, 2u, 4u}) {
     ShardOptions options;
     options.shards = shards;
-    options.work_dir = ::testing::TempDir();
+    options.work_dir = reveal::test::process_temp_dir();
     options.in_process = true;
     const std::string dest = temp_path("sharded_" + std::to_string(shards) + ".rvlc");
     build_sharded_corpus(dest, cfg, kBaseSeed, kCaptures, options);

@@ -14,14 +14,13 @@
 
 #include "corpus/corpus_format.hpp"
 #include "corpus/trace_store.hpp"
+#include "temp_dir.hpp"
 
 using namespace reveal::corpus;
 
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "reveal_corpus_" + name;
-}
+using reveal::test::temp_path;
 
 std::vector<char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -2,16 +2,13 @@
 // implementations — the contract of this codebase's perf work is that every
 // fast path is *byte-identical* to the code it replaced:
 //
-//   * predecoded + fused victim execution (Machine::run_with) vs the
-//     decode-per-step virtually-dispatched loop (Machine::run_reference),
-//     fuzzed over randomized RV32IM programs including self-modifying
-//     stores into the code region;
-//   * the block-translated execution tier (DESIGN.md §6f) vs both lower
-//     tiers: random and sampler-shaped programs, stores that split or
-//     invalidate translated blocks (including from inside the executing
-//     block), branches into block middles, invalid encodings at block
-//     tails, instruction limits expiring mid-block, and tier toggling
-//     after load_program;
+//   * the block-translated execution tier (DESIGN.md §6f) vs the
+//     decode-per-step virtually-dispatched loop (Machine::run_reference):
+//     random and sampler-shaped programs (aliased registers included),
+//     self-modifying stores that split or invalidate translated blocks
+//     (including from inside the executing block), branches into block
+//     middles, invalid encodings at block tails, instruction limits
+//     expiring mid-block, and tier toggling mid-execution;
 //   * shared-work template scoring (one Sigma^{-1} x matvec per
 //     observation) vs an in-test mirror of the documented kernel loop
 //     order (exact double equality) and vs the pre-factorization
@@ -218,9 +215,25 @@ Outcome finish(riscv::Machine& m, riscv::Machine::StopReason reason, Collector&&
   return out;
 }
 
-/// Fast path: predecode on, statically-bound observer (run_with).
-Outcome run_fast(const std::vector<std::uint32_t>& words) {
+/// Block tier (the default), statically-bound observer (run_with). Every
+/// program here decodes at its entry, so the run must have gone through
+/// translated blocks.
+Outcome run_block(const std::vector<std::uint32_t>& words,
+                  std::uint64_t limit = kInstrLimit) {
   riscv::Machine m(kMemBytes);
+  m.reset();
+  m.load_program(words, 0);
+  Collector col;
+  const auto reason = m.run_with(limit, col);
+  EXPECT_GT(m.translated_block_count(), 0u);
+  return finish(m, reason, std::move(col));
+}
+
+/// Block tier disabled: run_with steps through the decode-per-step loop
+/// with the observer still bound statically.
+Outcome run_per_step(const std::vector<std::uint32_t>& words) {
+  riscv::Machine m(kMemBytes);
+  m.set_block_tier(false);
   m.reset();
   m.load_program(words, 0);
   Collector col;
@@ -238,15 +251,36 @@ Outcome run_virtual(const std::vector<std::uint32_t>& words) {
   return finish(m, reason, std::move(col));
 }
 
-/// Reference: predecode disabled, decode-per-step loop.
-Outcome run_ref(const std::vector<std::uint32_t>& words) {
+/// Reference: the decode-per-step anchor loop.
+Outcome run_ref(const std::vector<std::uint32_t>& words,
+                std::uint64_t limit = kInstrLimit) {
   riscv::Machine m(kMemBytes);
-  m.set_predecode(false);
   m.reset();
   m.load_program(words, 0);
   Collector col;
-  const auto reason = m.run_reference(kInstrLimit, &col);
+  const auto reason = m.run_reference(limit, &col);
   return finish(m, reason, std::move(col));
+}
+
+/// State-only run through the public nullptr-observer route: the block
+/// tier instantiated with a NullExecutionObserver, where the InstrEvent
+/// construction folds away.
+Outcome run_lean(const std::vector<std::uint32_t>& words,
+                 std::uint64_t limit = kInstrLimit) {
+  riscv::Machine m(kMemBytes);
+  m.reset();
+  m.load_program(words, 0);
+  const auto reason = m.run(limit, nullptr);
+  return finish(m, reason, Collector{});
+}
+
+Outcome run_lean_reference(const std::vector<std::uint32_t>& words,
+                           std::uint64_t limit = kInstrLimit) {
+  riscv::Machine m(kMemBytes);
+  m.reset();
+  m.load_program(words, 0);
+  const auto reason = m.run_reference(limit, nullptr);
+  return finish(m, reason, Collector{});
 }
 
 void expect_events_equal(const riscv::InstrEvent& a, const riscv::InstrEvent& b,
@@ -288,7 +322,7 @@ TEST(PredecodeFuzz, RandomProgramsMatchReferenceExecution) {
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, /*self_modify=*/false);
-    expect_outcomes_equal(run_fast(words), run_ref(words));
+    expect_outcomes_equal(run_block(words), run_ref(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -298,12 +332,14 @@ TEST(PredecodeFuzz, SelfModifyingProgramsMatchReferenceExecution) {
   for (int trial = 0; trial < 25; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, /*self_modify=*/true);
-    expect_outcomes_equal(run_fast(words), run_ref(words));
+    expect_outcomes_equal(run_block(words), run_ref(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
 
 TEST(PredecodeFuzz, VirtualDispatchRouteMatchesFusedRoute) {
+  // The virtual route binds the observer through ExecutionObserver*; the
+  // block tier underneath is the same one run_with() instantiates.
   num::Xoshiro256StarStar rng(0x0D15'A7C4ULL);
   for (int trial = 0; trial < 10; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -314,9 +350,9 @@ TEST(PredecodeFuzz, VirtualDispatchRouteMatchesFusedRoute) {
 }
 
 TEST(Predecode, StoreIntoCodeRegionInvalidatesCachedInstruction) {
-  // The store executes before the patched slot is ever fetched: the fast
-  // path must re-decode the overwritten word, not replay the stale cache
-  // entry assembled at load time.
+  // The store executes before the patched slot is ever fetched: the block
+  // tier must re-translate the overwritten word, not replay the stale
+  // translation made before the store.
   riscv::Assembler as(0);
   using riscv::Reg;
   as.li(Reg::x16, static_cast<std::int32_t>(kPatchWord));  // addi x7, x0, 2
@@ -327,80 +363,21 @@ TEST(Predecode, StoreIntoCodeRegionInvalidatesCachedInstruction) {
   as.ebreak();
   const auto words = as.assemble();
 
-  const Outcome fast = run_fast(words);
+  const Outcome block = run_block(words);
   const Outcome ref = run_ref(words);
-  EXPECT_EQ(fast.regs[7], 2u);  // the patched instruction executed
-  expect_outcomes_equal(fast, ref);
+  EXPECT_EQ(block.regs[7], 2u);  // the patched instruction executed
+  expect_outcomes_equal(block, ref);
 }
 
 // --------------------------------------------------------------------------
 // Block-translated execution tier (DESIGN.md §6f)
 // --------------------------------------------------------------------------
 
-/// Runs `words` with an explicit tier configuration and instruction limit.
-Outcome run_tiered(const std::vector<std::uint32_t>& words, bool predecode, bool block,
-                   std::uint64_t limit = kInstrLimit) {
-  riscv::Machine m(kMemBytes);
-  m.set_predecode(predecode);
-  m.set_block_tier(block);
-  m.reset();
-  m.load_program(words, 0);
-  Collector col;
-  const auto reason = m.run_with(limit, col);
-  return finish(m, reason, std::move(col));
-}
-
-Outcome run_block(const std::vector<std::uint32_t>& words,
-                  std::uint64_t limit = kInstrLimit) {
-  return run_tiered(words, /*predecode=*/true, /*block=*/true, limit);
-}
-
-Outcome run_predecode_only(const std::vector<std::uint32_t>& words,
-                           std::uint64_t limit = kInstrLimit) {
-  return run_tiered(words, /*predecode=*/true, /*block=*/false, limit);
-}
-
-Outcome run_reference_limit(const std::vector<std::uint32_t>& words,
-                            std::uint64_t limit = kInstrLimit) {
-  riscv::Machine m(kMemBytes);
-  m.set_predecode(false);
-  m.reset();
-  m.load_program(words, 0);
-  Collector col;
-  const auto reason = m.run_reference(limit, &col);
-  return finish(m, reason, std::move(col));
-}
-
-/// State-only run through the public nullptr-observer route: this is the
-/// capture hot path, where the block tier's NullExecutionObserver lean legs
-/// (hoisted registers, inlined accept path) are statically selected.
-Outcome run_lean(const std::vector<std::uint32_t>& words, bool predecode, bool block,
-                 std::uint64_t limit = kInstrLimit) {
-  riscv::Machine m(kMemBytes);
-  m.set_predecode(predecode);
-  m.set_block_tier(block);
-  m.reset();
-  m.load_program(words, 0);
-  const auto reason = m.run(limit, nullptr);
-  return finish(m, reason, Collector{});
-}
-
-Outcome run_lean_reference(const std::vector<std::uint32_t>& words,
-                           std::uint64_t limit = kInstrLimit) {
-  riscv::Machine m(kMemBytes);
-  m.set_predecode(false);
-  m.reset();
-  m.load_program(words, 0);
-  const auto reason = m.run_reference(limit, nullptr);
-  return finish(m, reason, Collector{});
-}
-
-/// A rejection-sampling loop with the exact op shapes the translator fuses
-/// (xorshift-mask superop followed by the accumulate/loop block), with the
-/// register roles drawn from `rng`. Distinct roles reproduce the canonical
-/// firmware dataflow (specialized handlers, lean-leg accept-path inlining);
-/// aliased roles must fall back to the generic handlers with identical
-/// results. Aliasing can make the loop diverge — the instruction limit then
+/// A rejection-sampling loop with the sampler firmware's hot op shapes
+/// (xorshift32 step and mask-and-reject block, then the accumulate/loop
+/// block), with the register roles drawn from `rng`. Distinct roles
+/// reproduce the firmware's dataflow; aliased roles must execute just as
+/// exactly. Aliasing can make the loop diverge — the instruction limit then
 /// stops both executions at the same instruction.
 std::vector<std::uint32_t> sampler_like_program(num::Xoshiro256StarStar& rng,
                                                 bool distinct_roles) {
@@ -422,7 +399,7 @@ std::vector<std::uint32_t> sampler_like_program(num::Xoshiro256StarStar& rng,
   as.li(acc, 0);
   as.li(ctr, 0);
   as.li(n, 1 + static_cast<std::int32_t>(rng() % 4));
-  as.label("sample");  // both back-edges target the superop head: self-loops
+  as.label("sample");  // both back-edges target the block head: self-loops
   as.slli(t, s, 13);
   as.xor_(s, s, t);
   as.srli(t, s, 17);
@@ -440,9 +417,10 @@ std::vector<std::uint32_t> sampler_like_program(num::Xoshiro256StarStar& rng,
   return as.assemble();
 }
 
-/// Emits every remaining fused shape (sign-fold, slli-add-blt, mask-bgeu,
-/// plain xorshift, acc-bne) with registers drawn freely from x5..x15 —
-/// aliasing included — each terminated by a short forward branch.
+/// Emits the sampler's other straight-line shapes (sign-fold epilogue,
+/// slli-add-blt, mask-bgeu, plain xorshift, acc-bne) with registers drawn
+/// freely from x5..x15 — aliasing included — each terminated by a short
+/// forward branch.
 std::vector<std::uint32_t> idiom_shape_program(num::Xoshiro256StarStar& rng) {
   riscv::Assembler as(0);
   using riscv::Reg;
@@ -457,7 +435,7 @@ std::vector<std::uint32_t> idiom_shape_program(num::Xoshiro256StarStar& rng) {
   for (int group = 0; group < 8; ++group) {
     std::string target;
     switch (rng() % 5) {
-      case 0: {  // kFuseSignFold
+      case 0: {  // sign-fold epilogue
         as.lui(reg(), static_cast<std::uint32_t>(rng() % (1u << 20)));
         as.addi(reg(), reg(), imm12());
         as.sub(reg(), reg(), reg());
@@ -472,14 +450,14 @@ std::vector<std::uint32_t> idiom_shape_program(num::Xoshiro256StarStar& rng) {
         as.blt(reg(), reg(), target);
         break;
       }
-      case 1: {  // kFuseSlliAddBlt
+      case 1: {  // store-pointer advance and loop branch
         as.slli(reg(), reg(), sh());
         as.add(reg(), reg(), reg());
         target = fwd();
         as.blt(reg(), reg(), target);
         break;
       }
-      case 2: {  // kFuseMaskBgeu
+      case 2: {  // load-mask-and-reject
         as.lui(reg(), static_cast<std::uint32_t>(rng() % (1u << 20)));
         as.addi(reg(), reg(), imm12());
         as.and_(reg(), reg(), reg());
@@ -487,7 +465,7 @@ std::vector<std::uint32_t> idiom_shape_program(num::Xoshiro256StarStar& rng) {
         as.bgeu(reg(), reg(), target);
         break;
       }
-      case 3: {  // kFuseXorshift (no branch in the shape)
+      case 3: {  // xorshift32 step (no branch in the shape)
         as.slli(reg(), reg(), sh());
         as.xor_(reg(), reg(), reg());
         as.srli(reg(), reg(), sh());
@@ -498,7 +476,7 @@ std::vector<std::uint32_t> idiom_shape_program(num::Xoshiro256StarStar& rng) {
         as.beq(reg(), reg(), target);
         break;
       }
-      default: {  // kFuseAccBne
+      default: {  // accumulate-and-loop
         as.add(reg(), reg(), reg());
         as.addi(reg(), reg(), imm12());
         target = fwd();
@@ -514,13 +492,15 @@ std::vector<std::uint32_t> idiom_shape_program(num::Xoshiro256StarStar& rng) {
 }
 
 TEST(BlockTierFuzz, RandomProgramsMatchBothLowerTiers) {
+  // The block tier and the statically bound per-step loop (block tier
+  // off) against the virtually dispatched reference.
   num::Xoshiro256StarStar rng(0xB10C'F7A5ULL);
   for (int trial = 0; trial < 30; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, /*self_modify=*/false);
-    const Outcome ref = run_reference_limit(words);
+    const Outcome ref = run_ref(words);
     expect_outcomes_equal(run_block(words), ref);
-    expect_outcomes_equal(run_predecode_only(words), ref);
+    expect_outcomes_equal(run_per_step(words), ref);
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -530,7 +510,7 @@ TEST(BlockTierFuzz, SelfModifyingProgramsMatchReferenceExecution) {
   for (int trial = 0; trial < 25; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = random_program(rng, /*self_modify=*/true);
-    expect_outcomes_equal(run_block(words), run_reference_limit(words));
+    expect_outcomes_equal(run_block(words), run_ref(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -540,7 +520,7 @@ TEST(BlockTierFuzz, FusedIdiomShapesWithAliasedRegistersMatchReference) {
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = idiom_shape_program(rng);
-    expect_outcomes_equal(run_block(words), run_reference_limit(words));
+    expect_outcomes_equal(run_block(words), run_ref(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -550,39 +530,39 @@ TEST(BlockTierFuzz, SamplerShapedLoopsMatchReferenceWithObserver) {
   for (int trial = 0; trial < 20; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = sampler_like_program(rng, /*distinct_roles=*/trial % 2 == 0);
-    expect_outcomes_equal(run_block(words), run_reference_limit(words));
+    expect_outcomes_equal(run_block(words), run_ref(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
 
 TEST(BlockTierFuzz, LeanNullObserverPathMatchesReference) {
-  // The nullptr-observer route statically selects the lean legs (hoisted
-  // pool fields, self-loop shortcut, inlined accept path); the observer
-  // tests above never reach them.
+  // The nullptr-observer route instantiates the block tier with a
+  // NullExecutionObserver, whose event construction the compiler drops;
+  // the observer tests above never reach that instantiation.
   num::Xoshiro256StarStar rng(0x0B5E'55EDULL);
   for (int trial = 0; trial < 20; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = trial < 12 ? sampler_like_program(rng, trial % 2 == 0)
                                   : random_program(rng, trial % 2 == 1);
-    expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+    expect_outcomes_equal(run_lean(words), run_lean_reference(words));
     if (::testing::Test::HasFailure()) break;
   }
 }
 
 TEST(BlockTierFuzz, InstructionLimitExpiringMidBlockMatchesReference) {
-  // Sweep the budget through every point of a superop-heavy program: limits
-  // landing inside a translated block (including inside a fused idiom) must
-  // stop after exactly `limit` retired instructions via the precise tail.
+  // Sweep the budget through every point of a sampler-shaped program:
+  // limits landing inside a translated block must stop after exactly
+  // `limit` retired instructions via the precise tail.
   num::Xoshiro256StarStar rng(0x11D1'7B0DULL);
   const auto words = sampler_like_program(rng, /*distinct_roles=*/true);
-  const Outcome full = run_reference_limit(words);
+  const Outcome full = run_ref(words);
   const std::uint64_t total = full.retired;
   ASSERT_GT(total, 20u);
   for (std::uint64_t limit = 1; limit <= std::min<std::uint64_t>(total + 2, 80); ++limit) {
     SCOPED_TRACE("limit " + std::to_string(limit));
-    const Outcome ref = run_reference_limit(words, limit);
+    const Outcome ref = run_ref(words, limit);
     expect_outcomes_equal(run_block(words, limit), ref);
-    expect_outcomes_equal(run_lean(words, true, true, limit), run_lean_reference(words, limit));
+    expect_outcomes_equal(run_lean(words, limit), run_lean_reference(words, limit));
     if (limit < total) {
       EXPECT_EQ(ref.reason, riscv::Machine::StopReason::kInstrLimit);
       EXPECT_EQ(ref.retired, limit);
@@ -608,8 +588,8 @@ TEST(BlockTier, StoreAheadInsideExecutingBlockInvalidatesBeforeFetch) {
 
   const Outcome block = run_block(words);
   EXPECT_EQ(block.regs[7], 2u);  // the patched instruction executed
-  expect_outcomes_equal(block, run_reference_limit(words));
-  expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+  expect_outcomes_equal(block, run_ref(words));
+  expect_outcomes_equal(run_lean(words), run_lean_reference(words));
 }
 
 TEST(BlockTier, StoreBehindInsideLoopBlockIsObservedOnReExecution) {
@@ -635,8 +615,8 @@ TEST(BlockTier, StoreBehindInsideLoopBlockIsObservedOnReExecution) {
 
   const Outcome block = run_block(words);
   EXPECT_EQ(block.regs[9], 3u);
-  expect_outcomes_equal(block, run_reference_limit(words));
-  expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+  expect_outcomes_equal(block, run_ref(words));
+  expect_outcomes_equal(run_lean(words), run_lean_reference(words));
 }
 
 std::vector<std::uint32_t> branch_into_middle_program(bool middle_first) {
@@ -665,8 +645,8 @@ TEST(BlockTier, BranchIntoBlockMiddleMatchesReference) {
   for (const bool middle_first : {false, true}) {
     SCOPED_TRACE(middle_first ? "middle entry first" : "head entry first");
     const auto words = branch_into_middle_program(middle_first);
-    expect_outcomes_equal(run_block(words), run_reference_limit(words));
-    expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+    expect_outcomes_equal(run_block(words), run_ref(words));
+    expect_outcomes_equal(run_lean(words), run_lean_reference(words));
   }
 }
 
@@ -681,15 +661,15 @@ TEST(BlockTier, InvalidEncodingAtBlockTailTrapsIdentically) {
     words.push_back(bad);  // straight line runs off into an invalid encoding
     const Outcome block = run_block(words);
     EXPECT_EQ(block.reason, riscv::Machine::StopReason::kTrap);
-    expect_outcomes_equal(block, run_reference_limit(words));
-    expect_outcomes_equal(run_lean(words, true, true), run_lean_reference(words));
+    expect_outcomes_equal(block, run_ref(words));
+    expect_outcomes_equal(run_lean(words), run_lean_reference(words));
   }
 }
 
-TEST(TierToggle, EnablingPredecodeAfterLoadSeesPatchedMemory) {
-  // set_predecode(true) after load_program: the cache was populated (or
-  // left cold) under the old mode, and memory has changed since — the
-  // re-enabled tiers must decode current bytes, never the load-time ones.
+TEST(TierToggle, EnablingBlockTierAfterLoadSeesPatchedMemory) {
+  // set_block_tier(true) after load_program: memory has changed since the
+  // load — the block tier must translate current bytes, never the
+  // load-time ones.
   riscv::Assembler as(0);
   using riscv::Reg;
   as.addi(Reg::x7, riscv::zero, 1);
@@ -697,23 +677,21 @@ TEST(TierToggle, EnablingPredecodeAfterLoadSeesPatchedMemory) {
   const auto words = as.assemble();
 
   riscv::Machine m(kMemBytes);
-  m.set_predecode(false);
   m.set_block_tier(false);
   m.reset();
   m.load_program(words, 0);
-  m.store_word(0, kPatchWord);  // patch while both caches are disabled
-  m.set_predecode(true);
+  m.store_word(0, kPatchWord);  // patch while the block tier is disabled
   m.set_block_tier(true);
   const auto reason = m.run(kInstrLimit, nullptr);
   EXPECT_EQ(reason, riscv::Machine::StopReason::kHalt);
   EXPECT_EQ(m.reg(riscv::Reg::x7), 2u);
 }
 
-TEST(TierToggle, ReenablingWarmPredecodeSeesStoredPatch) {
-  // Warm the caches with a full run, patch the code via the public store
-  // API, then re-enable the (already enabled) tiers: the store invalidation
-  // must be honoured — set_predecode(true) on an enabled cache is a no-op,
-  // not a mask of the patch.
+TEST(TierToggle, ReenablingWarmBlockTierSeesStoredPatch) {
+  // Warm the translations with a full run, patch the code via the public
+  // store API while the block tier is off, then re-enable it: the store
+  // invalidation must be honoured — warm blocks are kept across toggles,
+  // so they must not mask the patch.
   riscv::Assembler as(0);
   using riscv::Reg;
   as.addi(Reg::x7, riscv::zero, 1);
@@ -726,8 +704,8 @@ TEST(TierToggle, ReenablingWarmPredecodeSeesStoredPatch) {
   ASSERT_EQ(m.run(kInstrLimit, nullptr), riscv::Machine::StopReason::kHalt);
   ASSERT_EQ(m.reg(riscv::Reg::x7), 1u);
 
+  m.set_block_tier(false);
   m.store_word(0, kPatchWord);
-  m.set_predecode(true);
   m.set_block_tier(true);
   m.reset();
   m.load_program(words, 0);  // unchanged-reload path must NOT apply here:
@@ -735,8 +713,9 @@ TEST(TierToggle, ReenablingWarmPredecodeSeesStoredPatch) {
   ASSERT_EQ(m.run(kInstrLimit, nullptr), riscv::Machine::StopReason::kHalt);
   EXPECT_EQ(m.reg(riscv::Reg::x7), 1u);  // reload restored the original word
 
+  m.set_block_tier(false);
   m.store_word(0, kPatchWord);
-  m.set_predecode(true);  // no rebuild: invalidation alone must carry it
+  m.set_block_tier(true);  // invalidation alone must carry the patch
   const auto r = (m.reset(), m.load_program({m.load_word(0), words[1]}, 0),
                   m.run(kInstrLimit, nullptr));
   ASSERT_EQ(r, riscv::Machine::StopReason::kHalt);
@@ -744,15 +723,15 @@ TEST(TierToggle, ReenablingWarmPredecodeSeesStoredPatch) {
 }
 
 TEST(TierToggle, SwitchingTiersMidExecutionMatchesReference) {
-  // Run the first third under the block tier, the second under predecode
-  // only, and the rest under decode-per-step — the composite must be
-  // indistinguishable from a pure reference run.
+  // Run the first third under the block tier, the second under the
+  // decode-per-step loop and the rest under the block tier again — the
+  // composite must be indistinguishable from a pure reference run.
   num::Xoshiro256StarStar rng(0x706'6135ULL);
   for (int trial = 0; trial < 10; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const auto words = trial % 2 == 0 ? sampler_like_program(rng, true)
                                       : random_program(rng, false);
-    const Outcome ref = run_reference_limit(words);
+    const Outcome ref = run_ref(words);
     if (ref.retired < 9) continue;
 
     riscv::Machine m(kMemBytes);
@@ -765,7 +744,7 @@ TEST(TierToggle, SwitchingTiersMidExecutionMatchesReference) {
     m.set_block_tier(false);
     reason = m.run_with(third, col);
     ASSERT_EQ(reason, riscv::Machine::StopReason::kInstrLimit);
-    m.set_predecode(false);
+    m.set_block_tier(true);
     reason = m.run_with(kInstrLimit, col);
     expect_outcomes_equal(finish(m, reason, std::move(col)), ref);
     if (::testing::Test::HasFailure()) break;

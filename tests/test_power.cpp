@@ -1,4 +1,4 @@
-// Power model, trace recorder and scope front-end tests.
+// Power model and trace recorder tests.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 
 #include "numeric/stats.hpp"
 #include "power/leakage_model.hpp"
-#include "power/scope.hpp"
 #include "power/trace_recorder.hpp"
 #include "riscv/assembler.hpp"
 #include "riscv/machine.hpp"
@@ -178,146 +177,6 @@ TEST(TraceRecorder, ReusedRecorderMatchesFreshRecorder) {
     EXPECT_EQ(reused.samples(), fresh.samples()) << "seed " << seed;
     (void)reused.take_samples();
   }
-}
-
-TEST(Scope, GainAndOffset) {
-  power::ScopeParams sp;
-  sp.gain = 2.0;
-  sp.offset = 1.0;
-  const auto out = power::acquire({1.0, 2.0, 3.0}, sp);
-  EXPECT_EQ(out, (std::vector<double>{3.0, 5.0, 7.0}));
-}
-
-TEST(Scope, Decimation) {
-  power::ScopeParams sp;
-  sp.decimation = 2;
-  const auto out = power::acquire({1, 2, 3, 4, 5}, sp);
-  EXPECT_EQ(out, (std::vector<double>{1, 3, 5}));
-}
-
-TEST(Scope, MovingAverageSmooths) {
-  power::ScopeParams sp;
-  sp.bandwidth_window = 2;
-  const auto out = power::acquire({0, 10, 0, 10}, sp);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_NEAR(out[0], 0.0, 1e-12);
-  EXPECT_NEAR(out[1], 5.0, 1e-12);
-  EXPECT_NEAR(out[2], 5.0, 1e-12);
-}
-
-TEST(Scope, Quantization8Bit) {
-  power::ScopeParams sp;
-  sp.quantize_8bit = true;
-  sp.range_lo = 0.0;
-  sp.range_hi = 255.0;
-  const auto out = power::acquire({1.4, 100.6, 300.0, -5.0}, sp);
-  EXPECT_NEAR(out[0], 1.0, 1e-9);
-  EXPECT_NEAR(out[1], 101.0, 1e-9);
-  EXPECT_NEAR(out[2], 255.0, 1e-9);  // clipped high
-  EXPECT_NEAR(out[3], 0.0, 1e-9);    // clipped low
-}
-
-TEST(Scope, QuantizeSampleClampsAtBothRails) {
-  // Out-of-range inputs must clip to the rails — including with a
-  // negative range floor — never wrap or extrapolate codes.
-  EXPECT_NEAR(power::quantize_8bit_sample(-100.0, -2.0, 2.0), -2.0, 1e-12);
-  EXPECT_NEAR(power::quantize_8bit_sample(100.0, -2.0, 2.0), 2.0, 1e-12);
-  EXPECT_NEAR(power::quantize_8bit_sample(-2.0, -2.0, 2.0), -2.0, 1e-12);
-  EXPECT_NEAR(power::quantize_8bit_sample(2.0, -2.0, 2.0), 2.0, 1e-12);
-  // In-range values snap to the nearest of 256 codes (half-code error max).
-  const double half_code = 0.5 * 4.0 / 255.0;
-  EXPECT_NEAR(power::quantize_8bit_sample(0.3, -2.0, 2.0), 0.3, half_code + 1e-12);
-  EXPECT_THROW((void)power::quantize_8bit_sample(0.0, 1.0, 1.0), std::invalid_argument);
-}
-
-TEST(Scope, QuantizationClampsNegativeRangeInAcquire) {
-  power::ScopeParams sp;
-  sp.quantize_8bit = true;
-  sp.range_lo = -2.0;
-  sp.range_hi = 2.0;
-  const auto out = power::acquire({-3.0, -2.0, 0.0, 2.0, 3.0}, sp);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_NEAR(out[0], -2.0, 1e-12);  // clipped low rail
-  EXPECT_NEAR(out[1], -2.0, 1e-12);
-  EXPECT_NEAR(out[2], 0.0, 0.5 * 4.0 / 255.0 + 1e-12);
-  EXPECT_NEAR(out[3], 2.0, 1e-12);
-  EXPECT_NEAR(out[4], 2.0, 1e-12);  // clipped high rail
-}
-
-TEST(Scope, QuantizeCodeTopOfRangeIsCode255NotWrapped) {
-  // The silent-saturation regression: range_hi must convert to code 255
-  // exactly. A conversion that scaled past 255.0 and cast to uint8 would
-  // wrap 256 to code 0 — the top rail would read as the bottom rail.
-  bool clipped = true;
-  EXPECT_EQ(power::quantize_8bit_code(64.0, 0.0, 64.0, &clipped), 255);
-  EXPECT_FALSE(clipped);  // hi is in range, not a rail hit
-  EXPECT_EQ(power::quantize_8bit_code(0.0, 0.0, 64.0, &clipped), 0);
-  EXPECT_FALSE(clipped);
-  // The last ulp below hi still snaps up to 255, never past it.
-  const double just_below = std::nextafter(64.0, 0.0);
-  EXPECT_EQ(power::quantize_8bit_code(just_below, 0.0, 64.0), 255);
-  // Asymmetric/negative ranges hit both rails at the extreme codes too.
-  EXPECT_EQ(power::quantize_8bit_code(2.0, -2.0, 2.0), 255);
-  EXPECT_EQ(power::quantize_8bit_code(-2.0, -2.0, 2.0), 0);
-  EXPECT_THROW((void)power::quantize_8bit_code(0.0, 1.0, 1.0), std::invalid_argument);
-}
-
-TEST(Scope, QuantizeCodeReportsRailHits) {
-  bool clipped = false;
-  EXPECT_EQ(power::quantize_8bit_code(1e9, 0.0, 64.0, &clipped), 255);
-  EXPECT_TRUE(clipped);
-  clipped = false;
-  EXPECT_EQ(power::quantize_8bit_code(-1e9, 0.0, 64.0, &clipped), 0);
-  EXPECT_TRUE(clipped);
-  // Reconstruction of the code equals the legacy sample quantizer: one
-  // conversion path, two views.
-  for (const double v : {-5.0, 0.0, 13.37, 63.9, 64.0, 300.0}) {
-    const std::uint8_t code = power::quantize_8bit_code(v, 0.0, 64.0);
-    const double reconstructed = 0.0 + static_cast<double>(code) / 255.0 * 64.0;
-    EXPECT_EQ(reconstructed, power::quantize_8bit_sample(v, 0.0, 64.0)) << "v=" << v;
-  }
-}
-
-TEST(Scope, AcquireCountsClippedSamples) {
-  power::ScopeParams sp;
-  sp.quantize_8bit = true;
-  sp.range_lo = 0.0;
-  sp.range_hi = 64.0;
-  std::size_t clipped = 999;
-  const auto out = power::acquire({-1.0, 10.0, 64.0, 100.0, 32.0}, sp, &clipped);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(clipped, 2u);  // -1.0 (low rail) and 100.0 (high rail); 64.0 is in range
-  // Without quantization the counter must reset to zero, not keep its old
-  // value.
-  power::ScopeParams splain;
-  clipped = 999;
-  (void)power::acquire({1e9, -1e9}, splain, &clipped);
-  EXPECT_EQ(clipped, 0u);
-}
-
-TEST(Scope, RejectsBadParams) {
-  power::ScopeParams sp;
-  sp.decimation = 0;
-  EXPECT_THROW(power::acquire({1.0}, sp), std::invalid_argument);
-  power::ScopeParams sq;
-  sq.quantize_8bit = true;
-  sq.range_lo = 1.0;
-  sq.range_hi = 1.0;
-  EXPECT_THROW(power::acquire({1.0}, sq), std::invalid_argument);
-}
-
-TEST(Scope, QuantizationPreservesLeakageOrdering) {
-  // End-to-end sanity: the acquisition chain must not destroy the
-  // value-dependent ordering the attack relies on.
-  const power::LeakageModel model(quiet_params());
-  const double p1 = model.execute_cycle_power(make_alu_event(0, 0x0F));
-  const double p2 = model.execute_cycle_power(make_alu_event(0, 0xFF));
-  power::ScopeParams sp;
-  sp.quantize_8bit = true;
-  sp.range_lo = 0.0;
-  sp.range_hi = 64.0;
-  const auto out = power::acquire({p1, p2}, sp);
-  EXPECT_LT(out[0], out[1]);
 }
 
 TEST(Drift, RandomWalkAccumulates) {
