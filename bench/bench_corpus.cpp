@@ -273,10 +273,10 @@ int run_json_harness(bool smoke) {
 
   const bool checkpoint_identical =
       uninterrupted.complete &&
-      reports_identical(uninterrupted.report, reference.report) &&
-      uninterrupted.hints == reference.hints &&
-      reports_identical(resumed.report, reference.report) &&
-      resumed.hints == reference.hints &&
+      reports_identical(uninterrupted.campaign.report, reference.report) &&
+      uninterrupted.campaign.hints == reference.hints &&
+      reports_identical(resumed.campaign.report, reference.report) &&
+      resumed.campaign.hints == reference.hints &&
       diag_json(uninterrupted.diagnostics.registry,
                 uninterrupted.diagnostics.confusion) == reference_json &&
       diag_json(resumed.diagnostics.registry, resumed.diagnostics.confusion) ==
@@ -290,13 +290,14 @@ int run_json_harness(bool smoke) {
     options.shards = shards;
     options.work_dir = ".";
     options.in_process = true;  // byte-identical to fork mode by contract
-    const ShardedCampaignResult sharded =
-        run_sharded_campaign(attack, cfg, base_seed, captures, policy, params, options);
+    CampaignDiagnostics sharded_diag;
+    const RecoveryCampaignResult sharded = run_sharded_campaign(
+        attack, cfg, base_seed, captures, policy, params, options, &sharded_diag);
     shard_identical = shard_identical &&
                       reports_identical(sharded.report, reference.report) &&
                       sharded.hints == reference.hints &&
-                      diag_json(sharded.diagnostics.registry,
-                                sharded.diagnostics.confusion) == reference_json;
+                      diag_json(sharded_diag.registry, sharded_diag.confusion) ==
+                          reference_json;
   }
   const double shard_ms = shard_timer.ms();
 

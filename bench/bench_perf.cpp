@@ -41,7 +41,6 @@
 #include "lattice/lattice.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/rng.hpp"
-#include "sca/alignment.hpp"
 #include "sca/class_stats.hpp"
 #include "sca/poi.hpp"
 #include "sca/segmentation.hpp"
@@ -240,26 +239,6 @@ bool sweep_results_equal(const sca::SegmentationResult& fast,
          fast.burst_consistency == ref.burst_consistency;
 }
 
-/// A jittery alignment pair: a noisy burst pattern and a shifted noisy copy.
-struct AlignmentPair {
-  std::vector<double> reference;
-  std::vector<double> trace;
-};
-
-AlignmentPair make_alignment_pair(std::size_t length, std::ptrdiff_t shift,
-                                  std::uint64_t seed) {
-  num::Xoshiro256StarStar rng(seed);
-  AlignmentPair p;
-  p.reference.resize(length);
-  for (std::size_t i = 0; i < length; ++i) {
-    const double burst = (i / 96) % 3 == 0 ? 2.5 : 0.3;
-    p.reference[i] = burst + rng.gaussian(0.0, 0.25);
-  }
-  p.trace = sca::apply_shift(p.reference, shift);
-  for (double& v : p.trace) v += rng.gaussian(0.0, 0.1);
-  return p;
-}
-
 /// A labelled trace set of the attack's shape: one mean level per label
 /// plus noise, leaking at a few sample points.
 sca::TraceSet make_labelled_set(std::size_t num_classes, std::size_t traces_per_class,
@@ -355,7 +334,6 @@ int run_json_harness(bool smoke) {
   constexpr double kCaptureSpeedupGate = 1.15;
   constexpr double kTemplateSpeedupGate = 3.0;
   constexpr double kSegSweepSpeedupGate = 3.0;
-  constexpr double kAlignSpeedupGate = 4.0;
   constexpr double kClassStatsSpeedupGate = 2.0;
   constexpr double kLllSpeedupGate = 2.0;
   constexpr double kTStatTolerance = 1e-9;
@@ -486,33 +464,6 @@ int run_json_harness(bool smoke) {
     const auto fast = sca::segment_trace_robust(cap.trace, expected);
     const auto ref = sca::segment_trace_robust_reference(cap.trace, expected);
     if (!sweep_results_equal(fast, ref)) sweep_identical = false;
-  }
-
-  // --- alignment: FFT screen + exact re-score vs O(L * lag) scan ---------
-  const std::size_t align_len = smoke ? 16384 : 65536;
-  const std::size_t align_shift = smoke ? 256 : 512;
-  const AlignmentPair align_pair = make_alignment_pair(align_len, 137, 21);
-  const auto [align_fast_ns, align_ref_ns] = time_pair_ns(
-      [&](std::size_t) {
-        const auto r =
-            sca::find_alignment(align_pair.reference, align_pair.trace, align_shift);
-        sink += static_cast<std::uint64_t>(r.shift + 4096);
-      },
-      [&](std::size_t) {
-        const auto r = sca::find_alignment_reference(align_pair.reference,
-                                                     align_pair.trace, align_shift);
-        sink += static_cast<std::uint64_t>(r.shift + 4096);
-      },
-      smoke ? 2 : 12, smoke ? 5 : 1);
-  const double align_speedup = align_fast_ns > 0.0 ? align_ref_ns / align_fast_ns : 0.0;
-  bool align_identical = true;
-  for (std::uint64_t seed = 31; seed <= 35; ++seed) {
-    const AlignmentPair p = make_alignment_pair(
-        8192, static_cast<std::ptrdiff_t>(seed % 7) * 29 - 87, seed);
-    const auto fast = sca::find_alignment(p.reference, p.trace, 192);
-    const auto ref = sca::find_alignment_reference(p.reference, p.trace, 192);
-    if (fast.shift != ref.shift || fast.correlation != ref.correlation)
-      align_identical = false;
   }
 
   // --- class stats: one streaming pass vs per-deliverable re-reads -------
@@ -693,12 +644,11 @@ int run_json_harness(bool smoke) {
   const bool victim_identical = victim_identity_gate();
   const bool golden_identical = golden_identity_gate();
   const bool identity_ok = victim_identical && golden_identical && capture_identical &&
-                           sweep_identical && align_identical && cs_identical &&
+                           sweep_identical && cs_identical &&
                            lll_identical && obs_identical;
   const bool speedups_ok =
       capture_speedup >= kCaptureSpeedupGate && score_speedup >= kTemplateSpeedupGate &&
-      sweep_speedup >= kSegSweepSpeedupGate && align_speedup >= kAlignSpeedupGate &&
-      cs_speedup >= kClassStatsSpeedupGate && lll_speedup >= kLllSpeedupGate &&
+      sweep_speedup >= kSegSweepSpeedupGate && cs_speedup >= kClassStatsSpeedupGate && lll_speedup >= kLllSpeedupGate &&
       obs_overhead <= kObsOverheadGate;
   const bool passed = identity_ok && (smoke || speedups_ok);
 
@@ -731,12 +681,6 @@ int run_json_harness(bool smoke) {
                sweep_fast_ns, sweep_ref_ns, sweep_speedup,
                sweep_identical ? "true" : "false");
   std::fprintf(out,
-               "  \"alignment_fft\": {\"length\": %zu, \"max_shift\": %zu, "
-               "\"fast_ns_per_align\": %.1f, \"baseline_ns_per_align\": %.1f, "
-               "\"speedup\": %.2f, \"identical\": %s},\n",
-               align_len, align_shift, align_fast_ns, align_ref_ns, align_speedup,
-               align_identical ? "true" : "false");
-  std::fprintf(out,
                "  \"class_stats\": {\"classes\": %zu, \"traces\": %zu, "
                "\"fast_ns_per_pass\": %.1f, \"baseline_ns_per_pass\": %.1f, "
                "\"speedup\": %.2f, \"pois_identical\": %s, \"means_identical\": %s, "
@@ -762,12 +706,12 @@ int run_json_harness(bool smoke) {
   std::fprintf(out,
                "  \"gates\": {\"capture_speedup_min\": %.2f, \"template_speedup_min\": "
                "%.1f, \"segmentation_sweep_speedup_min\": %.1f, "
-               "\"alignment_speedup_min\": %.1f, \"class_stats_speedup_min\": %.1f, "
+               "\"class_stats_speedup_min\": %.1f, "
                "\"lll_speedup_min\": %.1f, \"t_stat_tolerance\": %.1e, "
                "\"obs_overhead_max\": %.2f, "
                "\"enforced\": %s, \"passed\": %s},\n",
                kCaptureSpeedupGate, kTemplateSpeedupGate, kSegSweepSpeedupGate,
-               kAlignSpeedupGate, kClassStatsSpeedupGate, kLllSpeedupGate,
+               kClassStatsSpeedupGate, kLllSpeedupGate,
                kTStatTolerance, kObsOverheadGate, smoke ? "false" : "true",
                passed ? "true" : "false");
   // Folding the sinks into the output keeps the timed work observable
@@ -784,8 +728,6 @@ int run_json_harness(bool smoke) {
               score_fast_ns, score_ref_ns, score_speedup);
   std::printf("segmentation sweep: fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
               sweep_fast_ns, sweep_ref_ns, sweep_speedup);
-  std::printf("alignment (L=%zu): fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
-              align_len, align_fast_ns, align_ref_ns, align_speedup);
   std::printf("class stats:      fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
               cs_fast_ns, cs_ref_ns, cs_speedup);
   std::printf("lll (n=%zu):      fast %.0f ns  baseline %.0f ns  speedup %.2fx\n", lll_n,
@@ -794,10 +736,9 @@ int run_json_harness(bool smoke) {
               obs_off_ns, obs_on_ns, 100.0 * obs_overhead, 100.0 * kObsOverheadGate);
   std::printf("segmentation %.0f ns  ntt-1024 %.0f ns\n", segment_ns, ntt_ns);
   std::printf("identity: victim events %s, golden recovery %s, capture %s, sweep %s, "
-              "alignment %s, class stats %s, lll %s, observability %s\n",
+              "class stats %s, lll %s, observability %s\n",
               victim_identical ? "ok" : "MISMATCH", golden_identical ? "ok" : "MISMATCH",
-              capture_identical ? "ok" : "MISMATCH",
-              sweep_identical ? "ok" : "MISMATCH", align_identical ? "ok" : "MISMATCH",
+              capture_identical ? "ok" : "MISMATCH", sweep_identical ? "ok" : "MISMATCH",
               cs_identical ? "ok" : "MISMATCH", lll_identical ? "ok" : "MISMATCH",
               obs_identical ? "ok" : "MISMATCH");
   if (!passed) {

@@ -154,23 +154,23 @@ int do_attack(const std::string& dir) {
 
 int main(int argc, char** argv) {
   const std::string mode = argc > 1 ? argv[1] : "both";
+  if (argc > 3 || (mode != "capture" && mode != "attack" && mode != "both")) {
+    std::fprintf(stderr, "usage: %s [capture|attack|both] [dir]\n", argv[0]);
+    return 64;
+  }
   const std::string dir =
       argc > 2 ? argv[2]
                : (std::filesystem::temp_directory_path() / "reveal_attack").string();
 
   if (mode == "capture") return do_capture(dir, 20260706);
   if (mode == "attack") return do_attack(dir);
-  if (mode == "both") {
-    // Retry with fresh captures until the residual search lands (roughly
-    // one in two lab-grade traces is within budget).
-    for (std::uint64_t seed = 20260706; seed < 20260712; ++seed) {
-      if (do_capture(dir, seed) != 0) continue;
-      const int rc = do_attack(dir);
-      if (rc != 2) return rc;
-      std::printf("(trace too noisy for the budget; trying another capture)\n\n");
-    }
-    return 1;
+  // both: retry with fresh captures until the residual search lands
+  // (roughly one in two lab-grade traces is within budget).
+  for (std::uint64_t seed = 20260706; seed < 20260712; ++seed) {
+    if (do_capture(dir, seed) != 0) continue;
+    const int rc = do_attack(dir);
+    if (rc != 2) return rc;
+    std::printf("(trace too noisy for the budget; trying another capture)\n\n");
   }
-  std::fprintf(stderr, "usage: %s [capture|attack|both] [dir]\n", argv[0]);
-  return 64;
+  return 1;
 }

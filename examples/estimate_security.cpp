@@ -8,18 +8,33 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli_args.hpp"
 #include "lwe/dbdd.hpp"
 
 using namespace reveal::lwe;
+using reveal::examples::parse_arg;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1024;
-  const double log2_q = argc > 2 ? std::strtod(argv[2], nullptr) : std::log2(132120577.0);
-  const double sigma = argc > 3 ? std::strtod(argv[3], nullptr) : 3.2;
-  const std::size_t perfect = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 0;
-  const double post_var = argc > 5 ? std::strtod(argv[5], nullptr) : 0.0;
+  std::size_t n = 1024;
+  double log2_q = std::log2(132120577.0);
+  double sigma = 3.2;
+  std::size_t perfect = 0;
+  double post_var = 0.0;
+  // Perfect hints fix error coordinates, so at most n of them.
+  const bool ok = argc <= 6 &&
+                  (argc <= 1 || parse_arg<std::size_t>(argv[1], 1, 65536, n)) &&
+                  (argc <= 2 || parse_arg(argv[2], 1.0, 1000.0, log2_q)) &&
+                  (argc <= 3 || parse_arg(argv[3], 1e-6, 1e6, sigma)) &&
+                  (argc <= 4 || parse_arg<std::size_t>(argv[4], 0, n, perfect)) &&
+                  (argc <= 5 || parse_arg(argv[5], 0.0, 1e12, post_var));
+  if (!ok) {
+    std::fprintf(stderr,
+                 "usage: %s [n 1..65536] [log2_q 1..1000] [sigma 1e-6..1e6] "
+                 "[perfect_hints 0..n] [posterior_variance 0..1e12]\n",
+                 argv[0]);
+    return 64;
+  }
 
   DbddParams params;
   params.secret_dim = n;

@@ -8,9 +8,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "cli_args.hpp"
 #include "core/acquisition.hpp"
 #include "sca/poi.hpp"
 
@@ -18,8 +18,13 @@ using namespace reveal;
 using namespace reveal::core;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 16;
-  const double sigma = argc > 2 ? std::strtod(argv[2], nullptr) : 0.15;
+  std::size_t n = 16;
+  double sigma = 0.15;
+  if (argc > 3 || (argc > 1 && !examples::parse_arg<std::size_t>(argv[1], 1, 1024, n)) ||
+      (argc > 2 && !examples::parse_arg(argv[2], 0.0, 100.0, sigma))) {
+    std::fprintf(stderr, "usage: %s [n 1..1024] [noise_sigma 0..100]\n", argv[0]);
+    return 64;
+  }
 
   CampaignConfig cfg;
   cfg.n = n;

@@ -221,60 +221,129 @@ CampaignAccumulator CampaignAccumulator::load(std::istream& in) {
   return acc;
 }
 
-void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
-                               const CampaignConfig& config, std::uint64_t base_seed,
-                               std::uint64_t begin, std::uint64_t end,
-                               const HintPolicy& policy, CampaignAccumulator& acc) {
-  if (end < begin)
-    throw std::invalid_argument("accumulate_campaign_range: inverted range");
-  const std::size_t count = static_cast<std::size_t>(end - begin);
-  if (count == 0) return;
-  std::vector<std::uint64_t> seeds(count);
-  for (std::size_t i = 0; i < count; ++i)
-    seeds[i] = stream_seed(base_seed, static_cast<std::size_t>(begin) + i);
+namespace {
 
+/// The fold body, templated on whether anything observes it: kDiag=false
+/// instantiates with obs::NullSpanTracer and no counter code at all, so
+/// "observability off changes nothing" holds by construction; kDiag=true
+/// only ever reads pipeline outputs.
+template <bool kDiag>
+void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource& source,
+                std::size_t begin, std::size_t count, const HintPolicy& policy,
+                CampaignAccumulator& acc, obs::SpanTracer* spans) {
+  const CampaignConfig& config = source.config;
   const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
   std::vector<RobustCaptureResult> captures(count);
-  std::vector<std::vector<HintRecord>> batch_hints(count);
+  std::vector<std::vector<HintRecord>> hints(count);
   std::vector<HintTally> tallies(worker_slots);
-  std::vector<detail::WorkerObs> worker_obs(worker_slots);
+  std::vector<detail::WorkerObs> worker_obs(kDiag ? worker_slots : 0);
   // Fresh replicas per range: their fault stats then cover exactly these
   // captures, so the fold below is resume- and shard-correct (a replica
   // reused across ranges would double-count on every fold).
   detail::CampaignReplicas replicas(config, pool.num_workers());
-  detail::run_capture_stage<true>(pool, attack, config, seeds, policy, replicas,
-                                  captures, batch_hints, tallies, &worker_obs,
-                                  static_cast<std::size_t>(begin));
+
+  // Each capture is one task: the per-window attack inside stays sequential
+  // (nesting run_indexed on the same pool is not allowed), which is the
+  // right granularity anyway — captures outnumber workers in every
+  // campaign-shaped sweep. Results land in index slots.
+  pool.run_indexed(count, [&](std::size_t i, std::size_t w) {
+    const std::size_t index = begin + i;
+    FullCapture& cap = replicas.scratch_for(w);
+    auto load = [&] {
+      if (source.corpus == nullptr) {
+        replicas.for_worker(w).capture_into(source.seeds[index], cap);
+      } else {
+        // The zero-copy view is copied once into the worker's reusable
+        // buffer because the analysis APIs take vectors.
+        const std::span<const double> samples = (*source.corpus)[index].samples;
+        cap.trace.assign(samples.begin(), samples.end());
+      }
+    };
+    RobustCaptureResult res;
+    std::vector<HintRecord> records;
+    auto route = [&] {
+      if (res.segmentation.status == sca::SegmentationStatus::kFailed) return;
+      records.reserve(res.guesses.size());
+      for (const CoefficientGuess& g : res.guesses) {
+        records.push_back(route_guess(g, policy));
+        tallies[w].add(records.back());
+      }
+    };
+    if constexpr (kDiag) {
+      detail::WorkerObs& o = worker_obs[w];
+      const auto span_index = static_cast<std::uint32_t>(index);
+      {
+        auto span = o.tracer.span(obs::Stage::kCapture, span_index);
+        load();
+      }
+      res = attack.attack_capture_robust_traced(cap.trace, config.n, config.segmentation,
+                                                o.tracer, span_index);
+      {
+        auto span = o.tracer.span(obs::Stage::kHints, span_index);
+        route();
+      }
+      detail::count_capture(o, config, cap, res, records);
+    } else {
+      load();
+      res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
+      route();
+    }
+    captures[i] = std::move(res);
+    hints[i] = std::move(records);
+  });
 
   // Ordered folds — capture order for the report partials and hints,
-  // worker order for tallies and observability. The tracer is never
-  // merged: spans are wall-clock and would break resume determinism.
+  // worker order for tallies and observability.
   for (std::size_t i = 0; i < count; ++i) {
     acc.fold_capture(captures[i]);
-    acc.hints.push_back(std::move(batch_hints[i]));
+    acc.hints.push_back(std::move(hints[i]));
+    if (acc.keep_captures) acc.captures.push_back(std::move(captures[i]));
   }
   for (const HintTally& t : tallies) acc.worker_tally.merge(t);
-  for (const detail::WorkerObs& o : worker_obs) {
-    acc.registry.merge(o.registry);
-    acc.confusion.merge(o.confusion);
+  if constexpr (kDiag) {
+    for (const detail::WorkerObs& o : worker_obs) {
+      acc.registry.merge(o.registry);
+      acc.confusion.merge(o.confusion);
+      spans->merge(o.tracer);
+    }
+    const power::FaultStats faults = replicas.merged_fault_stats();
+    obs::Registry& reg = acc.registry;
+    reg.add(reg.counter("faults.captures"), faults.captures);
+    reg.add(reg.counter("faults.dropped_samples"), faults.dropped_samples);
+    reg.add(reg.counter("faults.glitch_samples"), faults.glitch_samples);
+    reg.add(reg.counter("faults.burst_windows"), faults.burst_windows);
+    reg.add(reg.counter("faults.drifted_captures"), faults.drifted_captures);
+    reg.add(reg.counter("faults.clipped_samples"), faults.clipped_samples);
+    reg.add(reg.counter("faults.misaligned_captures"), faults.misaligned_captures);
+    reg.add(reg.counter("faults.warped_captures"), faults.warped_captures);
   }
-  const power::FaultStats faults = replicas.merged_fault_stats();
-  obs::Registry& reg = acc.registry;
-  reg.add(reg.counter("faults.captures"), faults.captures);
-  reg.add(reg.counter("faults.dropped_samples"), faults.dropped_samples);
-  reg.add(reg.counter("faults.glitch_samples"), faults.glitch_samples);
-  reg.add(reg.counter("faults.burst_windows"), faults.burst_windows);
-  reg.add(reg.counter("faults.drifted_captures"), faults.drifted_captures);
-  reg.add(reg.counter("faults.clipped_samples"), faults.clipped_samples);
-  reg.add(reg.counter("faults.misaligned_captures"), faults.misaligned_captures);
-  reg.add(reg.counter("faults.warped_captures"), faults.warped_captures);
   acc.next_index += count;
 }
 
-CampaignFinalization finalize_campaign(const CampaignAccumulator& acc,
-                                       std::size_t windows_per_capture,
-                                       const lwe::DbddParams& params) {
-  CampaignFinalization fin;
+}  // namespace
+
+void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
+                               const TraceSource& source, std::uint64_t begin,
+                               std::uint64_t end, const HintPolicy& policy,
+                               CampaignAccumulator& acc, obs::SpanTracer* spans) {
+  const std::size_t available =
+      source.corpus != nullptr ? source.corpus->size() : source.seeds.size();
+  if (end < begin || end > available)
+    throw std::invalid_argument("accumulate_campaign_range: range outside the trace source");
+  const auto first = static_cast<std::size_t>(begin);
+  const auto count = static_cast<std::size_t>(end - begin);
+  if (spans != nullptr) {
+    fold_range<true>(pool, attack, source, first, count, policy, acc, spans);
+  } else {
+    fold_range<false>(pool, attack, source, first, count, policy, acc, nullptr);
+  }
+}
+
+RecoveryCampaignResult finalize_campaign(CampaignAccumulator&& acc,
+                                         std::size_t windows_per_capture,
+                                         const lwe::DbddParams& params,
+                                         CampaignDiagnostics* diag, obs::SpanTracer* spans) {
+  RecoveryCampaignResult out;
   HintTally recount;
   for (const auto& records : acc.hints) {
     for (const HintRecord& r : records) recount.add(r);
@@ -287,20 +356,31 @@ CampaignFinalization finalize_campaign(const CampaignAccumulator& acc,
         "finalize_campaign: accumulated tallies diverge from the ordered recount "
         "(lost update in shared accumulation)");
   }
-  fin.hint_totals = recount.summary();
+  // The float sum is taken from the recount: capture order is the one order
+  // that exists for every worker count, batch size and shard partition.
+  out.hint_totals = recount.summary();
 
-  lwe::DbddEstimator estimator(params);
-  for (const auto& records : acc.hints) {
-    for (const HintRecord& r : records) apply_hint(estimator, r);
+  // Estimator integration replays the routed hints in capture order on this
+  // thread — its state update is floating-point order-sensitive.
+  auto integrate = [&] {
+    lwe::DbddEstimator estimator(params);
+    for (const auto& records : acc.hints) {
+      for (const HintRecord& r : records) apply_hint(estimator, r);
+    }
+    return estimator.estimate();
+  };
+  lwe::SecurityEstimate estimate;
+  if (spans != nullptr) {
+    auto span = spans->span(obs::Stage::kEstimation);
+    estimate = integrate();
+  } else {
+    estimate = integrate();
   }
-  const lwe::SecurityEstimate estimate = estimator.estimate();
 
-  // Capture-order float sum: the one reduction order that exists for every
-  // batch size, worker count, and shard partition.
   double consistency_sum = 0.0;
   for (const double c : acc.capture_consistency) consistency_sum += c;
 
-  sca::RecoveryReport& rep = fin.report;
+  sca::RecoveryReport& rep = out.report;
   const std::uint64_t total = acc.next_index;
   rep.expected_windows = static_cast<std::size_t>(total) * windows_per_capture;
   rep.recovered_windows = acc.recovered_windows;
@@ -310,13 +390,20 @@ CampaignFinalization finalize_campaign(const CampaignAccumulator& acc,
   rep.ok_guesses = acc.ok_guesses;
   rep.low_confidence_guesses = acc.low_confidence_guesses;
   rep.abstained_guesses = acc.abstained_guesses;
-  rep.perfect_hints = fin.hint_totals.perfect;
-  rep.approximate_hints = fin.hint_totals.approximate;
-  rep.sign_only_hints = fin.hint_totals.sign_only;
-  rep.dropped_hints = fin.hint_totals.skipped;
+  rep.perfect_hints = out.hint_totals.perfect;
+  rep.approximate_hints = out.hint_totals.approximate;
+  rep.sign_only_hints = out.hint_totals.sign_only;
+  rep.dropped_hints = out.hint_totals.skipped;
   rep.bikz = estimate.beta;
   rep.bits = estimate.bits;
-  return fin;
+
+  if (diag != nullptr) {
+    diag->registry.merge(acc.registry);
+    diag->confusion.merge(acc.confusion);
+  }
+  out.captures = std::move(acc.captures);
+  out.hints = std::move(acc.hints);
+  return out;
 }
 
 namespace {
@@ -371,14 +458,17 @@ CheckpointedCampaignResult run_recovery_campaign_checkpointed(
   CampaignAccumulator acc;
   result.resumed = load_checkpoint(options.path, digest, total_captures, acc);
 
-  WorkerPool& pool = runner.pool();
+  const std::vector<std::uint64_t> seeds =
+      CampaignRunner::stream_seeds(base_seed, total_captures);
+  const TraceSource source{config, seeds};
   std::size_t batches = 0;
   while (acc.next_index < total_captures &&
          (options.max_batches_per_call == 0 || batches < options.max_batches_per_call)) {
     const std::uint64_t begin = acc.next_index;
     const std::uint64_t end =
         std::min<std::uint64_t>(begin + options.batch_size, total_captures);
-    accumulate_campaign_range(pool, attack, config, base_seed, begin, end, policy, acc);
+    accumulate_campaign_range(runner.pool(), attack, source, begin, end, policy, acc,
+                              &result.diagnostics.tracer);
     result.processed_this_call += end - begin;
     save_checkpoint(options.path, digest, total_captures, acc);
     ++batches;
@@ -387,12 +477,8 @@ CheckpointedCampaignResult run_recovery_campaign_checkpointed(
   result.next_index = acc.next_index;
   if (acc.next_index < total_captures) return result;  // interrupted run
 
-  CampaignFinalization fin = finalize_campaign(acc, config.n, params);
-  result.report = fin.report;
-  result.hint_totals = fin.hint_totals;
-  result.hints = std::move(acc.hints);
-  result.diagnostics.registry = std::move(acc.registry);
-  result.diagnostics.confusion = std::move(acc.confusion);
+  result.campaign = finalize_campaign(std::move(acc), config.n, params, &result.diagnostics,
+                                      &result.diagnostics.tracer);
   result.complete = true;
   if (!options.keep_checkpoint) std::remove(options.path.c_str());
   return result;

@@ -1,14 +1,21 @@
 #pragma once
-// Checkpoint/resume for recovery campaigns (DESIGN.md §8).
+// The campaign fold, and checkpoint/resume on top of it (DESIGN.md §6c, §8).
 //
-// run_recovery_campaign_checkpointed processes the seed schedule
-// stream_seed(base_seed, 0..total) in batches, persisting a
-// CampaignAccumulator snapshot after every batch with an atomic
-// write-to-temp + rename. A killed campaign restarts from the last
-// completed batch and finishes with a *byte-identical* final
+// Every recovery campaign is one fold plus one tail:
+// accumulate_campaign_range runs capture -> robust attack -> hint routing
+// over an index range of a TraceSource (live captures or corpus traces)
+// and folds the outcomes into a CampaignAccumulator; finalize_campaign
+// cross-checks the tallies, replays the estimator and assembles the report.
+// The four drivers differ only in how they split the range: the live
+// CampaignRunner::run_recovery_campaign and run_recovery_campaign_on_corpus
+// fold it in one call, run_recovery_campaign_checkpointed batch by batch,
+// run_sharded_campaign (shard_driver.hpp) one partition per process.
+//
+// run_recovery_campaign_checkpointed persists the accumulator after every
+// batch with an atomic write-to-temp + rename. A killed campaign restarts
+// from the last completed batch and finishes with a *byte-identical* final
 // RecoveryReport, hint set, and diagnostics JSON — identical both to an
-// uninterrupted checkpointed run and to plain
-// CampaignRunner::run_recovery_campaign over the same schedule.
+// uninterrupted checkpointed run and to the live campaign.
 //
 // Why this works (the determinism ledger):
 //   * Every per-capture output is a pure function of (config, seed); batch
@@ -21,26 +28,39 @@
 //     histogram value sums accumulate through obs::ExactSum, whose
 //     serialized normalized form makes save/load exact. Hence the final
 //     diagnostics are batch-partition invariant too.
-//   * Wall-clock spans are the one non-deterministic observation, so the
-//     checkpointed driver never merges worker tracers: the resulting
-//     diagnostics carry an empty stages section by construction.
+//   * Wall-clock spans are the one non-deterministic observation, so they
+//     never enter the accumulator or a checkpoint: a checkpointed call
+//     reports the spans of the batches it ran itself.
 //
 // The accumulator and its binary snapshot are exposed because the
-// multi-process shard driver (core/shard_driver.hpp) serializes the same
-// state per shard and folds the partials in shard order.
+// multi-process shard driver serializes the same state per shard and folds
+// the partials in shard order.
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/campaign_runner.hpp"
+#include "corpus/trace_store.hpp"
 
 namespace reveal::core {
 
-/// Running partial state of a batched campaign: everything needed to
-/// continue from capture `next_index` and later finalize a report that is
-/// byte-identical to an unbroken run.
+/// The traces a campaign attacks, by schedule index: live captures of
+/// seeds[i] under `config`, or — when `corpus` is set — its stored trace i
+/// (no ground truth, so no confusion or accuracy counters). `config.n` and
+/// `config.segmentation` are the expected window count and the robust
+/// segmentation settings either way.
+struct TraceSource {
+  CampaignConfig config;
+  std::span<const std::uint64_t> seeds;
+  const corpus::CorpusReader* corpus = nullptr;
+};
+
+/// Running partial state of a campaign: everything needed to continue from
+/// capture `next_index` and later finalize a report that is byte-identical
+/// to an unbroken run.
 struct CampaignAccumulator {
   std::uint64_t next_index = 0;  ///< captures [0, next_index) are folded in
 
@@ -69,6 +89,12 @@ struct CampaignAccumulator {
   obs::Registry registry;
   sca::ConfusionMatrix confusion;
 
+  /// Per-capture attack results in capture order, collected only when
+  /// keep_captures is set (the in-memory drivers return them). Never saved
+  /// or appended: checkpoints and shard partials do without them.
+  bool keep_captures = false;
+  std::vector<RobustCaptureResult> captures;
+
   /// Folds one capture's report-feeding outcome (call in capture order).
   void fold_capture(const RobustCaptureResult& res);
 
@@ -82,29 +108,30 @@ struct CampaignAccumulator {
   [[nodiscard]] static CampaignAccumulator load(std::istream& in);
 };
 
-/// Runs the capture stage over schedule indices [begin, end) of
-/// {stream_seed(base_seed, i)} and folds every output into `acc` in capture
-/// order (diagnostics without spans). Shared by the checkpointed driver
-/// (one call per persisted batch) and the shard driver (one call per shard
-/// range). Increments acc.next_index by end - begin.
+/// The campaign fold: runs capture -> robust attack -> hint routing for
+/// source indices [begin, end) on the pool's workers and folds every output
+/// into `acc` in capture order. With `spans` null it runs the
+/// NullSpanTracer instantiation and no counter code at all; otherwise it
+/// counts into acc.registry / acc.confusion and records the capture,
+/// segmentation, classification and hints spans into *spans. Increments
+/// acc.next_index by end - begin; throws std::invalid_argument when the
+/// range is inverted or runs past the source.
 void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
-                               const CampaignConfig& config, std::uint64_t base_seed,
-                               std::uint64_t begin, std::uint64_t end,
-                               const HintPolicy& policy, CampaignAccumulator& acc);
+                               const TraceSource& source, std::uint64_t begin,
+                               std::uint64_t end, const HintPolicy& policy,
+                               CampaignAccumulator& acc, obs::SpanTracer* spans);
 
-struct CampaignFinalization {
-  sca::RecoveryReport report;
-  HintSummary hint_totals;
-};
-
-/// The deterministic campaign tail over a complete accumulator: recounts
-/// the stored hints in capture order (cross-checking the merged worker
-/// tallies), replays estimator integration in capture order, and assembles
-/// the RecoveryReport — byte-identical to run_recovery_campaign's tail for
-/// the same capture outcomes. `windows_per_capture` is config.n.
-[[nodiscard]] CampaignFinalization finalize_campaign(const CampaignAccumulator& acc,
-                                                     std::size_t windows_per_capture,
-                                                     const lwe::DbddParams& params);
+/// The campaign tail over a complete accumulator: recounts the stored hints
+/// in capture order (cross-checking the merged worker tallies; throws
+/// std::logic_error on a mismatch, the symptom of a lost update), replays
+/// estimator integration in capture order — timed into `spans` when given —
+/// and assembles the RecoveryReport. `diag` (optional) receives the
+/// accumulated counters and confusion. `windows_per_capture` is config.n.
+[[nodiscard]] RecoveryCampaignResult finalize_campaign(CampaignAccumulator&& acc,
+                                                       std::size_t windows_per_capture,
+                                                       const lwe::DbddParams& params,
+                                                       CampaignDiagnostics* diag,
+                                                       obs::SpanTracer* spans);
 
 struct CheckpointOptions {
   std::string path;  ///< checkpoint file (written atomically via path + ".tmp")
@@ -125,11 +152,11 @@ struct CheckpointedCampaignResult {
   std::uint64_t processed_this_call = 0;  ///< captures executed in this call
   std::uint64_t next_index = 0;           ///< schedule cursor after this call
 
-  // Valid only when complete:
-  sca::RecoveryReport report;
-  HintSummary hint_totals;
-  std::vector<std::vector<HintRecord>> hints;  ///< per capture, capture order
-  CampaignDiagnostics diagnostics;  ///< registry + confusion; tracer empty
+  /// Valid only when complete; `captures` stays empty.
+  RecoveryCampaignResult campaign;
+  /// Counters and confusion of the whole schedule (when complete); spans of
+  /// this call's batches, plus the estimation when it completed the run.
+  CampaignDiagnostics diagnostics;
 };
 
 /// Batched, checkpointed counterpart of CampaignRunner::run_recovery_campaign

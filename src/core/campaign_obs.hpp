@@ -1,26 +1,23 @@
 #pragma once
-// Shared internals of the campaign engines (runner, checkpoint, sharding).
+// Shared internals of the campaign engine (core::detail).
 //
-// The per-capture worker stage — acquisition, robust attack, hint routing,
-// per-worker observability — was originally private to campaign_runner.cpp.
-// The checkpointed and sharded campaign drivers must execute the *same*
-// stage over arbitrary seed subranges to keep their byte-identity contracts
-// with run_recovery_campaign, so the pieces live here under core::detail:
-// one definition, three drivers. Everything in this header preserves the
-// campaign determinism contract: per-capture work is a pure function of
-// (config, seed), all outputs land in index slots, and per-worker partials
-// are merged in worker-index order by the caller.
+// Every campaign driver — live, checkpointed, sharded, corpus replay — runs
+// the one campaign fold (accumulate_campaign_range, campaign_checkpoint.hpp).
+// This header holds the pieces the fold and CampaignRunner's acquisition
+// helpers share: per-worker SamplerCampaign replicas and the per-worker
+// counter schema. Everything here preserves the campaign determinism
+// contract: per-capture work is a pure function of (config, seed), all
+// outputs land in index slots, and per-worker partials are merged in
+// worker-index order by the caller.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
 #include "core/hints.hpp"
-#include "core/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
 #include "sca/report.hpp"
@@ -47,12 +44,6 @@ class CampaignReplicas {
   /// worker's acquisition stops allocating after its first few captures.
   FullCapture& scratch_for(std::size_t w) { return scratch_[w]; }
 
-  [[nodiscard]] std::size_t slots() const noexcept { return replicas_.size(); }
-  /// The worker's replica, or null if that worker never captured.
-  [[nodiscard]] const SamplerCampaign* replica(std::size_t w) const noexcept {
-    return replicas_[w].get();
-  }
-
   /// Replica-level fault activation counts folded in worker-index order.
   [[nodiscard]] power::FaultStats merged_fault_stats() const noexcept {
     power::FaultStats faults;
@@ -68,45 +59,36 @@ class CampaignReplicas {
   std::vector<FullCapture> scratch_;
 };
 
-/// Metric handles for one worker's registry, resolved once so the capture
-/// loop never does string lookups. Constructing this registers the full
-/// counter schema, so even idle workers contribute stable (zero-valued)
-/// names to the merged report.
-struct CampaignCounters {
-  explicit CampaignCounters(obs::Registry& reg)
-      : capture_count(reg.counter("capture.count")),
-        capture_faulted(reg.counter("capture.faulted")),
-        seg_attempts(reg.counter("segmentation.attempts")),
-        seg_retries(reg.counter("segmentation.retries")),
-        seg_ok(reg.counter("segmentation.ok")),
-        seg_recovered(reg.counter("segmentation.recovered")),
-        seg_degraded(reg.counter("segmentation.degraded")),
-        seg_failed(reg.counter("segmentation.failed")),
-        guess_ok(reg.counter("classify.ok")),
-        guess_low(reg.counter("classify.low_confidence")),
-        guess_abstained(reg.counter("classify.abstained")),
-        hints_perfect(reg.counter("hints.perfect")),
-        hints_approximate(reg.counter("hints.approximate")),
-        hints_sign_only(reg.counter("hints.sign_only")),
-        hints_skipped(reg.counter("hints.skipped")),
-        trace_samples_max(reg.gauge("capture.trace_samples.max")),
-        window_quality(reg.histogram("segmentation.window_quality", 0.0, 1.0, 20)) {}
-
-  obs::Registry::Id capture_count, capture_faulted;
-  obs::Registry::Id seg_attempts, seg_retries, seg_ok, seg_recovered, seg_degraded,
-      seg_failed;
-  obs::Registry::Id guess_ok, guess_low, guess_abstained;
-  obs::Registry::Id hints_perfect, hints_approximate, hints_sign_only, hints_skipped;
-  obs::Registry::Id trace_samples_max;
-  obs::Registry::Id window_quality;
-};
-
 /// One worker's private observability partial (merged in worker order).
+/// The metric handles are resolved once, right after `registry` is built,
+/// so the capture loop never does string lookups; resolving them registers
+/// the full counter schema, so even idle workers contribute stable
+/// (zero-valued) names to the merged report.
 struct WorkerObs {
   obs::Registry registry;
   obs::SpanTracer tracer;
   sca::ConfusionMatrix confusion;
-  CampaignCounters ids{registry};
+
+  obs::Registry::Id capture_count = registry.counter("capture.count");
+  obs::Registry::Id capture_faulted = registry.counter("capture.faulted");
+  obs::Registry::Id seg_attempts = registry.counter("segmentation.attempts");
+  obs::Registry::Id seg_retries = registry.counter("segmentation.retries");
+  obs::Registry::Id seg_ok = registry.counter("segmentation.ok");
+  obs::Registry::Id seg_recovered = registry.counter("segmentation.recovered");
+  obs::Registry::Id seg_degraded = registry.counter("segmentation.degraded");
+  obs::Registry::Id seg_failed = registry.counter("segmentation.failed");
+  obs::Registry::Id guess_ok = registry.counter("classify.ok");
+  obs::Registry::Id guess_low = registry.counter("classify.low_confidence");
+  obs::Registry::Id guess_abstained = registry.counter("classify.abstained");
+  obs::Registry::Id sign_correct = registry.counter("classify.sign_correct");
+  obs::Registry::Id hints_perfect = registry.counter("hints.perfect");
+  obs::Registry::Id hints_approximate = registry.counter("hints.approximate");
+  obs::Registry::Id hints_sign_only = registry.counter("hints.sign_only");
+  obs::Registry::Id hints_skipped = registry.counter("hints.skipped");
+  obs::Registry::Id wrong_perfect = registry.counter("hints.wrong_perfect");
+  obs::Registry::Id trace_samples_max = registry.gauge("capture.trace_samples.max");
+  obs::Registry::Id window_quality =
+      registry.histogram("segmentation.window_quality", 0.0, 1.0, 20);
 };
 
 /// Folds one finished capture's outcome into the worker's counters.
@@ -114,100 +96,57 @@ inline void count_capture(WorkerObs& o, const CampaignConfig& config,
                           const FullCapture& cap, const RobustCaptureResult& res,
                           const std::vector<HintRecord>& records) {
   obs::Registry& reg = o.registry;
-  const CampaignCounters& ids = o.ids;
-  reg.add(ids.capture_count);
-  if (config.faults.any()) reg.add(ids.capture_faulted);
-  reg.set_max(ids.trace_samples_max, static_cast<double>(cap.trace.size()));
+  reg.add(o.capture_count);
+  if (config.faults.any()) reg.add(o.capture_faulted);
+  reg.set_max(o.trace_samples_max, static_cast<double>(cap.trace.size()));
 
-  reg.add(ids.seg_attempts, res.segmentation.attempts);
+  reg.add(o.seg_attempts, res.segmentation.attempts);
   if (res.segmentation.attempts > 1)
-    reg.add(ids.seg_retries, res.segmentation.attempts - 1);
+    reg.add(o.seg_retries, res.segmentation.attempts - 1);
   switch (res.segmentation.status) {
-    case sca::SegmentationStatus::kOk: reg.add(ids.seg_ok); break;
-    case sca::SegmentationStatus::kRecovered: reg.add(ids.seg_recovered); break;
-    case sca::SegmentationStatus::kDegraded: reg.add(ids.seg_degraded); break;
-    case sca::SegmentationStatus::kFailed: reg.add(ids.seg_failed); break;
+    case sca::SegmentationStatus::kOk: reg.add(o.seg_ok); break;
+    case sca::SegmentationStatus::kRecovered: reg.add(o.seg_recovered); break;
+    case sca::SegmentationStatus::kDegraded: reg.add(o.seg_degraded); break;
+    case sca::SegmentationStatus::kFailed: reg.add(o.seg_failed); break;
   }
-  for (const double q : res.segmentation.window_quality) reg.observe(ids.window_quality, q);
+  for (const double q : res.segmentation.window_quality) reg.observe(o.window_quality, q);
 
   for (const CoefficientGuess& g : res.guesses) {
     switch (g.quality) {
-      case GuessQuality::kOk: reg.add(ids.guess_ok); break;
-      case GuessQuality::kLowConfidence: reg.add(ids.guess_low); break;
-      case GuessQuality::kAbstained: reg.add(ids.guess_abstained); break;
+      case GuessQuality::kOk: reg.add(o.guess_ok); break;
+      case GuessQuality::kLowConfidence: reg.add(o.guess_low); break;
+      case GuessQuality::kAbstained: reg.add(o.guess_abstained); break;
     }
   }
   for (const HintRecord& r : records) {
     switch (r.kind) {
-      case HintRecord::Kind::kPerfect: reg.add(ids.hints_perfect); break;
-      case HintRecord::Kind::kApproximate: reg.add(ids.hints_approximate); break;
-      case HintRecord::Kind::kSignOnly: reg.add(ids.hints_sign_only); break;
-      case HintRecord::Kind::kSkipped: reg.add(ids.hints_skipped); break;
+      case HintRecord::Kind::kPerfect: reg.add(o.hints_perfect); break;
+      case HintRecord::Kind::kApproximate: reg.add(o.hints_approximate); break;
+      case HintRecord::Kind::kSignOnly: reg.add(o.hints_sign_only); break;
+      case HintRecord::Kind::kSkipped: reg.add(o.hints_skipped); break;
     }
   }
 
-  // Ground truth travels with the capture, so the per-class confusion of
-  // the paper's Table I falls out of the campaign for free — but only when
-  // every window produced a guess (a shorted segmentation loses the
-  // window <-> coefficient correspondence).
+  // Ground truth travels with a live capture, so the per-class confusion of
+  // the paper's Table I, the sign accuracy and the wrong-perfect-hint count
+  // (the invariant the degradation-aware routing must hold at zero) fall
+  // out of the campaign for free — but only when every window produced a
+  // guess (a shorted segmentation loses the window <-> coefficient
+  // correspondence). A guess exists only when segmentation did not fail,
+  // so records[j] is guess j's hint.
   if (!res.guesses.empty() && res.guesses.size() == cap.noise.size()) {
+    std::uint64_t sign_correct = 0;
+    std::uint64_t wrong_perfect = 0;
     for (std::size_t j = 0; j < res.guesses.size(); ++j) {
-      o.confusion.add(static_cast<std::int32_t>(cap.noise[j]), res.guesses[j].value);
+      const CoefficientGuess& g = res.guesses[j];
+      const std::int64_t truth = cap.noise[j];
+      o.confusion.add(static_cast<std::int32_t>(truth), g.value);
+      sign_correct += g.sign == (truth > 0) - (truth < 0);
+      wrong_perfect += records[j].kind == HintRecord::Kind::kPerfect && g.value != truth;
     }
+    reg.add(o.sign_correct, sign_correct);
+    reg.add(o.wrong_perfect, wrong_perfect);
   }
-}
-
-/// The per-capture worker stage over one contiguous seed range: capture ->
-/// robust attack -> hint routing, with results landing in index slots.
-/// `captures`/`hints` must be pre-sized to seeds.size(); `tallies` to the
-/// pool's worker-slot count; `worker_obs` likewise when kDiag (the span
-/// indices recorded are `span_index_base + i`, the campaign-global capture
-/// index). The caller owns all ordered merges afterwards.
-template <bool kDiag>
-void run_capture_stage(WorkerPool& pool, const RevealAttack& attack,
-                       const CampaignConfig& config,
-                       std::span<const std::uint64_t> seeds, const HintPolicy& policy,
-                       CampaignReplicas& replicas,
-                       std::vector<RobustCaptureResult>& captures,
-                       std::vector<std::vector<HintRecord>>& hints,
-                       std::vector<HintTally>& tallies,
-                       std::vector<WorkerObs>* worker_obs,
-                       std::size_t span_index_base = 0) {
-  pool.run_indexed(seeds.size(), [&](std::size_t i, std::size_t w) {
-    FullCapture& cap = replicas.scratch_for(w);
-    RobustCaptureResult res;
-    std::vector<HintRecord> records;
-    auto route_records = [&] {
-      if (res.segmentation.status != sca::SegmentationStatus::kFailed) {
-        records.reserve(res.guesses.size());
-        for (const CoefficientGuess& g : res.guesses) {
-          records.push_back(route_guess(g, policy));
-          tallies[w].add(records.back());
-        }
-      }
-    };
-    if constexpr (kDiag) {
-      WorkerObs& o = (*worker_obs)[w];
-      const auto index = static_cast<std::uint32_t>(span_index_base + i);
-      {
-        auto span = o.tracer.span(obs::Stage::kCapture, index);
-        replicas.for_worker(w).capture_into(seeds[i], cap);
-      }
-      res = attack.attack_capture_robust_traced(cap.trace, config.n,
-                                                config.segmentation, o.tracer, index);
-      {
-        auto span = o.tracer.span(obs::Stage::kHints, index);
-        route_records();
-      }
-      count_capture(o, config, cap, res, records);
-    } else {
-      replicas.for_worker(w).capture_into(seeds[i], cap);
-      res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
-      route_records();
-    }
-    captures[i] = std::move(res);
-    hints[i] = std::move(records);
-  });
 }
 
 }  // namespace reveal::core::detail

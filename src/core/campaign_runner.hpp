@@ -4,9 +4,9 @@
 // A "campaign" is the unit of every Table I/III-style experiment: many
 // seeded firmware captures, template building over the collected windows,
 // per-window classification, and hint integration into the DBDD estimator.
-// CampaignRunner drives all four stages through one WorkerPool
+// CampaignRunner drives the stages through one WorkerPool
 // (core/parallel.hpp) while guaranteeing results that are *byte-identical*
-// to the single-threaded pipeline for every worker count:
+// for every worker count:
 //
 //   * acquisition: capture i is a pure function of (config, seeds[i]) — the
 //     firmware PRNG, measurement-noise, and fault streams all derive from
@@ -14,7 +14,6 @@
 //     (captures are history-independent), and results land in index slots.
 //   * template building: POI extraction fans out; the pooled-covariance
 //     accumulation replays in window-index order (see RevealAttack::train).
-//   * classification: per-window fan-out, guesses written by window index.
 //   * hints: workers *route* their captures' guesses into HintRecord lists
 //     (a pure function); the estimator integration — whose floating-point
 //     state is order-sensitive — replays those records in capture order on
@@ -23,9 +22,11 @@
 //     an ordered recount: a data race that loses an update is detected, not
 //     silently reported.
 //
-// The serial path (num_workers == 0) spawns no threads and executes the
-// pre-existing single-threaded code; tests/test_campaign_equivalence.cpp
-// pins workers ∈ {0, 1, 4} to byte-identical RecoveryReports and hint sets.
+// run_recovery_campaign is the campaign fold (accumulate_campaign_range)
+// over the whole seed list plus finalize_campaign — the same two steps
+// every other driver runs (campaign_checkpoint.hpp). With num_workers == 0
+// the pool spawns no threads; tests/test_campaign_equivalence.cpp pins
+// workers ∈ {0, 1, 4} to byte-identical RecoveryReports and hint sets.
 
 #include <cstdint>
 #include <vector>
@@ -45,20 +46,24 @@ namespace reveal::core {
 
 /// Everything a recovery campaign produced, in deterministic order.
 struct RecoveryCampaignResult {
-  std::vector<RobustCaptureResult> captures;   ///< one per seed, in seed order
+  /// One per capture, in capture order (live and corpus runs; checkpointed
+  /// and sharded runs do not keep them).
+  std::vector<RobustCaptureResult> captures;
   std::vector<std::vector<HintRecord>> hints;  ///< per capture, in window order
   HintSummary hint_totals;                     ///< over all captures
   sca::RecoveryReport report;  ///< aggregate stage counters + residual estimate
 };
 
-/// Observability sink for run_recovery_campaign. Passing one enables the
+/// Observability sink of the campaign drivers. Passing one enables the
 /// instrumented pipeline instantiation: per-stage spans land in `tracer`,
 /// retry/abstention/downgrade/fault counters in `registry`, and — when the
 /// ground-truth noise is available — per-class confusion tallies in
 /// `confusion` (the same (truth, predicted-value) tally bench_table1_
-/// confusion prints). Everything here is *derived* from the campaign's
-/// outputs: the RecoveryCampaignResult is byte-identical with or without a
-/// sink, enforced by tests/test_campaign_equivalence.cpp. Counters,
+/// confusion prints) plus the `classify.sign_correct` and
+/// `hints.wrong_perfect` counters over the same aligned windows.
+/// Everything here is *derived* from the campaign's outputs: the
+/// RecoveryCampaignResult is byte-identical with or without a sink,
+/// enforced by tests/test_campaign_equivalence.cpp. Counters,
 /// histogram buckets and confusion counts are integers accumulated per
 /// worker and merged in worker-index order, so they are worker-count
 /// invariant; span timings are wall-clock observations and are not.
@@ -78,8 +83,6 @@ class CampaignRunner {
   /// uses every hardware thread.
   explicit CampaignRunner(std::size_t num_workers = default_num_workers());
 
-  [[nodiscard]] std::size_t num_workers() const noexcept { return pool_.num_workers(); }
-  [[nodiscard]] bool serial() const noexcept { return pool_.serial(); }
   [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
 
   /// Counter-split per-capture seeds: {stream_seed(base_seed, 0..count)}.
@@ -101,18 +104,7 @@ class CampaignRunner {
                                                           std::uint64_t seed_base,
                                                           std::size_t* rejected = nullptr);
 
-  // --- (b) template building / (c) classification fan-out ----------------
-
-  void train(RevealAttack& attack, const std::vector<WindowRecord>& profiling);
-
-  [[nodiscard]] std::vector<CoefficientGuess> attack_capture(const RevealAttack& attack,
-                                                             const FullCapture& capture);
-
-  [[nodiscard]] RobustCaptureResult attack_capture_robust(
-      const RevealAttack& attack, const std::vector<double>& trace,
-      std::size_t expected_windows, const sca::SegmentationConfig& seg_config);
-
-  // --- (d) streaming per-class statistics ---------------------------------
+  // --- (b) streaming per-class statistics ---------------------------------
 
   /// Traces per class_stats partial. Fixed (not derived from the worker
   /// count) so the floating-point association of the merged result is the
@@ -132,7 +124,8 @@ class CampaignRunner {
   /// Runs the complete degradation-aware campaign over `seeds`: capture ->
   /// robust segmentation -> classification -> hint routing per capture on
   /// the workers, then ordered hint integration and the security estimate
-  /// on the calling thread. Throws std::logic_error if the merged per-worker
+  /// on the calling thread — accumulate_campaign_range over [0, N) plus
+  /// finalize_campaign. Throws std::logic_error if the merged per-worker
   /// tallies disagree with the ordered recount (a lost-update symptom).
   ///
   /// `diag` (optional) collects observability data — spans, counters,

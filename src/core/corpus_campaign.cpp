@@ -1,7 +1,9 @@
 #include "core/corpus_campaign.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <utility>
+
+#include "core/campaign_checkpoint.hpp"
 
 namespace reveal::core {
 
@@ -31,84 +33,15 @@ RecoveryCampaignResult run_recovery_campaign_on_corpus(
     const corpus::CorpusReader& corpus, std::size_t expected_windows,
     const sca::SegmentationConfig& seg_config, const HintPolicy& policy,
     const lwe::DbddParams& params) {
-  const std::size_t n = corpus.size();
-  RecoveryCampaignResult out;
-  out.captures.resize(n);
-  out.hints.resize(n);
-
-  WorkerPool& pool = runner.pool();
-  const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
-  std::vector<HintTally> tallies(worker_slots);
-  // Per-worker trace scratch: the zero-copy view is copied once into a
-  // reusable buffer because the analysis APIs take vectors; steady-state
-  // reads off the corpus allocate nothing.
-  std::vector<std::vector<double>> scratch(worker_slots);
-  pool.run_indexed(n, [&](std::size_t i, std::size_t w) {
-    const corpus::TraceView view = corpus[i];
-    std::vector<double>& trace = scratch[w];
-    trace.assign(view.samples.begin(), view.samples.end());
-    RobustCaptureResult res =
-        attack.attack_capture_robust(trace, expected_windows, seg_config);
-    std::vector<HintRecord> records;
-    if (res.segmentation.status != sca::SegmentationStatus::kFailed) {
-      records.reserve(res.guesses.size());
-      for (const CoefficientGuess& g : res.guesses) {
-        records.push_back(route_guess(g, policy));
-        tallies[w].add(records.back());
-      }
-    }
-    out.captures[i] = std::move(res);
-    out.hints[i] = std::move(records);
-  });
-
-  // Identical tail to run_recovery_campaign: worker tallies merged in
-  // worker order, cross-checked against the capture-order recount; the
-  // estimator replays the routed hints in capture order on this thread.
-  HintTally merged;
-  for (const HintTally& t : tallies) merged.merge(t);
-  HintTally recount;
-  for (const auto& records : out.hints) {
-    for (const HintRecord& r : records) recount.add(r);
-  }
-  if (merged.perfect != recount.perfect || merged.approximate != recount.approximate ||
-      merged.sign_only != recount.sign_only || merged.skipped != recount.skipped) {
-    throw std::logic_error(
-        "run_recovery_campaign_on_corpus: per-worker hint tallies diverge from the "
-        "ordered recount (lost update in shared accumulation)");
-  }
-  out.hint_totals = recount.summary();
-
-  lwe::DbddEstimator estimator(params);
-  for (const auto& records : out.hints) {
-    for (const HintRecord& r : records) apply_hint(estimator, r);
-  }
-  const lwe::SecurityEstimate estimate = estimator.estimate();
-
-  sca::RecoveryReport& rep = out.report;
-  rep.expected_windows = n * expected_windows;
-  rep.segmentation_status = sca::SegmentationStatus::kOk;
-  double consistency_sum = 0.0;
-  for (const RobustCaptureResult& res : out.captures) {
-    rep.recovered_windows += res.segmentation.segments.size();
-    rep.segmentation_attempts += res.segmentation.attempts;
-    consistency_sum += res.segmentation.burst_consistency;
-    rep.segmentation_status = std::max(rep.segmentation_status, res.segmentation.status);
-    for (const CoefficientGuess& g : res.guesses) {
-      switch (g.quality) {
-        case GuessQuality::kOk: ++rep.ok_guesses; break;
-        case GuessQuality::kLowConfidence: ++rep.low_confidence_guesses; break;
-        case GuessQuality::kAbstained: ++rep.abstained_guesses; break;
-      }
-    }
-  }
-  if (n > 0) rep.burst_consistency = consistency_sum / static_cast<double>(n);
-  rep.perfect_hints = out.hint_totals.perfect;
-  rep.approximate_hints = out.hint_totals.approximate;
-  rep.sign_only_hints = out.hint_totals.sign_only;
-  rep.dropped_hints = out.hint_totals.skipped;
-  rep.bikz = estimate.beta;
-  rep.bits = estimate.bits;
-  return out;
+  TraceSource source;
+  source.config.n = expected_windows;
+  source.config.segmentation = seg_config;
+  source.corpus = &corpus;
+  CampaignAccumulator acc;
+  acc.keep_captures = true;
+  accumulate_campaign_range(runner.pool(), attack, source, 0, corpus.size(), policy, acc,
+                            nullptr);
+  return finalize_campaign(std::move(acc), expected_windows, params, nullptr, nullptr);
 }
 
 }  // namespace reveal::core

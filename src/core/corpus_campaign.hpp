@@ -27,13 +27,13 @@ void append_campaign_captures(corpus::CorpusWriter& writer, CampaignRunner& runn
                               std::span<const std::uint64_t> seeds,
                               std::uint64_t index_base = 0);
 
-/// The recovery campaign's attack stages over stored traces: per-trace
-/// robust segmentation -> classification -> hint routing on the workers
-/// (reading zero-copy views, copying each trace only into a per-worker
-/// scratch buffer), then ordered hint integration and the security estimate
-/// on the calling thread. Byte-identical for every worker count, same
-/// contract (and same tally cross-check) as run_recovery_campaign; the
-/// `captures` field of the result is index-aligned with the corpus.
+/// The recovery campaign over stored traces: the campaign fold over every
+/// corpus trace (robust segmentation -> classification -> hint routing on
+/// the workers, each zero-copy view copied only into a per-worker scratch
+/// buffer) plus finalize_campaign — the live campaign's two steps with
+/// acquisition replaced by the corpus. Byte-identical for every worker
+/// count; the `captures` field of the result is index-aligned with the
+/// corpus.
 [[nodiscard]] RecoveryCampaignResult run_recovery_campaign_on_corpus(
     CampaignRunner& runner, const RevealAttack& attack,
     const corpus::CorpusReader& corpus, std::size_t expected_windows,

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -166,22 +167,25 @@ std::pair<std::uint64_t, std::uint64_t> shard_range(std::uint64_t total,
   return {begin, end};
 }
 
-ShardedCampaignResult run_sharded_campaign(
+RecoveryCampaignResult run_sharded_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,
-    const lwe::DbddParams& params, const ShardOptions& options) {
+    const lwe::DbddParams& params, const ShardOptions& options, CampaignDiagnostics* diag) {
   const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
   const RunDir dir(options.work_dir, options.keep_partials);
   const auto partial = [&](std::size_t shard) {
     return dir.file("campaign", digest, shard, ".partial");
   };
+  const std::vector<std::uint64_t> seeds =
+      CampaignRunner::stream_seeds(base_seed, total_captures);
 
   run_shards(options, [&](std::size_t shard) {
     const auto [begin, end] = shard_range(total_captures, options.shards, shard);
     CampaignRunner runner(options.workers_per_shard);
     CampaignAccumulator acc;
-    accumulate_campaign_range(runner.pool(), attack, config, base_seed, begin, end,
-                              policy, acc);
+    obs::SpanTracer dropped;  // spans never leave a shard (see the header)
+    accumulate_campaign_range(runner.pool(), attack, TraceSource{config, seeds}, begin, end,
+                              policy, acc, &dropped);
     save_partial(partial(shard), digest, shard, options.shards, begin, end, acc);
   });
 
@@ -200,14 +204,7 @@ ShardedCampaignResult run_sharded_campaign(
     throw std::logic_error("run_sharded_campaign: merged partials do not cover the "
                            "schedule");
 
-  ShardedCampaignResult result;
-  CampaignFinalization fin = finalize_campaign(global, config.n, params);
-  result.report = fin.report;
-  result.hint_totals = fin.hint_totals;
-  result.hints = std::move(global.hints);
-  result.diagnostics.registry = std::move(global.registry);
-  result.diagnostics.confusion = std::move(global.confusion);
-  return result;
+  return finalize_campaign(std::move(global), config.n, params, diag, nullptr);
 }
 
 void build_sharded_corpus(const std::string& dest_path, const CampaignConfig& config,
@@ -216,16 +213,16 @@ void build_sharded_corpus(const std::string& dest_path, const CampaignConfig& co
                           const corpus::WriterOptions& writer_options) {
   const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
   const RunDir dir(options.work_dir, options.keep_partials);
+  const std::vector<std::uint64_t> seeds =
+      CampaignRunner::stream_seeds(base_seed, total_captures);
 
   run_shards(options, [&](std::size_t shard) {
     const auto [begin, end] = shard_range(total_captures, options.shards, shard);
     CampaignRunner runner(options.workers_per_shard);
-    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(end - begin));
-    for (std::size_t i = 0; i < seeds.size(); ++i)
-      seeds[i] = stream_seed(base_seed, static_cast<std::size_t>(begin) + i);
     corpus::CorpusWriter writer = corpus::CorpusWriter::create(
         dir.file("corpus", digest, shard, ".rvlc"), writer_options);
-    append_campaign_captures(writer, runner, config, seeds, begin);
+    append_campaign_captures(writer, runner, config,
+                             std::span(seeds).subspan(begin, end - begin), begin);
     writer.close();
   });
 

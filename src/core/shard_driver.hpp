@@ -23,6 +23,11 @@
 // schedule produce byte-identical reports, hint sets, and diagnostics, and
 // all match run_recovery_campaign_checkpointed over the same schedule.
 //
+// Sharded runs report no spans: a forked child could send its spans to the
+// parent only by persisting them in its partial, and partials — like
+// checkpoints — hold deterministic state only. The children's tracers are
+// dropped and the sink's tracer is left untouched.
+//
 // Partial files carry the campaign digest plus their (shard, range) so a
 // stale file from a different campaign or a mis-assembled work_dir fails
 // loudly at merge time instead of corrupting the result.
@@ -30,7 +35,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/campaign_checkpoint.hpp"
 #include "corpus/trace_store.hpp"
@@ -53,13 +57,6 @@ struct ShardOptions {
   bool keep_partials = false;
 };
 
-struct ShardedCampaignResult {
-  sca::RecoveryReport report;
-  HintSummary hint_totals;
-  std::vector<std::vector<HintRecord>> hints;  ///< per capture, capture order
-  CampaignDiagnostics diagnostics;  ///< registry + confusion; tracer empty
-};
-
 /// Contiguous index range [first, second) of shard `shard` out of `shards`
 /// over a `total`-capture schedule: ceil-split, earlier shards no smaller
 /// than later ones, empty tail ranges allowed when shards > total.
@@ -69,12 +66,15 @@ struct ShardedCampaignResult {
 /// Runs the schedule across `options.shards` processes (or in-process
 /// passes) and merges the partials in shard order. The attack must already
 /// be trained; children inherit it by fork (or share it in-process) and
-/// never mutate it. Throws std::runtime_error when a shard fails or a
-/// partial does not match the expected (digest, shard, range).
-[[nodiscard]] ShardedCampaignResult run_sharded_campaign(
+/// never mutate it. `diag` (optional) receives the counters and confusion;
+/// its tracer stays untouched. The result's `captures` stay empty. Throws
+/// std::runtime_error when a shard fails or a partial does not match the
+/// expected (digest, shard, range).
+[[nodiscard]] RecoveryCampaignResult run_sharded_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,
-    const lwe::DbddParams& params, const ShardOptions& options);
+    const lwe::DbddParams& params, const ShardOptions& options,
+    CampaignDiagnostics* diag = nullptr);
 
 /// Sharded corpus construction: each shard captures its schedule range into
 /// its own corpus file (labels = global capture indices), and the parent

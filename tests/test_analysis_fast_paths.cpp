@@ -1,23 +1,20 @@
 // Differential tests for the analysis-plane fast kernels: every optimized
-// path (shared-work segmentation sweep, FFT alignment, streaming class
-// statistics, flat-GSO LLL) is fuzzed against its retained *_reference
-// implementation. The segmentation/alignment/LLL pairs must agree
-// bit-for-bit; the Welford-track statistics are tolerance-gated. Also
-// covers the compensated-smoothing drift bound and the deterministic merge
-// contracts (ClassStats blocks, RankAccumulator).
+// path (shared-work segmentation sweep, streaming class statistics,
+// flat-GSO LLL) is fuzzed against its retained *_reference implementation.
+// The segmentation/LLL pairs must agree bit-for-bit; the Welford-track
+// statistics are tolerance-gated. Also covers the compensated-smoothing
+// drift bound and the deterministic merge contracts (ClassStats blocks,
+// RankAccumulator).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <cstdint>
 #include <vector>
 
 #include "core/campaign_runner.hpp"
 #include "lattice/lattice.hpp"
-#include "numeric/fft.hpp"
 #include "numeric/rng.hpp"
-#include "sca/alignment.hpp"
 #include "sca/class_stats.hpp"
 #include "sca/metrics.hpp"
 #include "sca/poi.hpp"
@@ -29,72 +26,6 @@ using namespace reveal;
 using namespace reveal::sca;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// numeric/fft
-
-TEST(FftKernel, NextPow2) {
-  EXPECT_EQ(num::Fft::next_pow2(0), 1u);
-  EXPECT_EQ(num::Fft::next_pow2(1), 1u);
-  EXPECT_EQ(num::Fft::next_pow2(2), 2u);
-  EXPECT_EQ(num::Fft::next_pow2(3), 4u);
-  EXPECT_EQ(num::Fft::next_pow2(1024), 1024u);
-  EXPECT_EQ(num::Fft::next_pow2(1025), 2048u);
-}
-
-TEST(FftKernel, ForwardInverseRoundTrip) {
-  const std::size_t n = 256;
-  num::Xoshiro256StarStar rng(11);
-  std::vector<std::complex<double>> data(n);
-  for (auto& v : data) v = {rng.gaussian(0.0, 1.0), rng.gaussian(0.0, 1.0)};
-  const std::vector<std::complex<double>> original = data;
-  const num::Fft fft(n);
-  fft.forward(data.data());
-  fft.inverse(data.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(data[i].real(), original[i].real(), 1e-11);
-    EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-11);
-  }
-}
-
-TEST(FftKernel, MatchesDirectDft) {
-  const std::size_t n = 16;
-  num::Xoshiro256StarStar rng(12);
-  std::vector<std::complex<double>> data(n);
-  for (auto& v : data) v = {rng.gaussian(0.0, 1.0), rng.gaussian(0.0, 1.0)};
-  std::vector<std::complex<double>> direct(n, {0.0, 0.0});
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double angle = -2.0 * M_PI * static_cast<double>(j * k) / static_cast<double>(n);
-      direct[k] += data[j] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
-  }
-  const num::Fft fft(n);
-  fft.forward(data.data());
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(data[k].real(), direct[k].real(), 1e-10);
-    EXPECT_NEAR(data[k].imag(), direct[k].imag(), 1e-10);
-  }
-}
-
-TEST(FftKernel, CrossCorrelationMatchesReference) {
-  num::Xoshiro256StarStar rng(13);
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {17, 64}, {33, 100}, {128, 128}, {1, 40}};
-  for (const auto& [na, nb] : shapes) {
-    std::vector<double> a(na), b(nb);
-    for (double& v : a) v = rng.gaussian(0.0, 2.0);
-    for (double& v : b) v = rng.gaussian(0.0, 2.0);
-    const std::vector<double> fast = num::cross_correlation(a, b);
-    const std::vector<double> ref = num::cross_correlation_reference(a, b);
-    ASSERT_EQ(fast.size(), ref.size());
-    double scale = 1.0;
-    for (const double v : ref) scale = std::max(scale, std::fabs(v));
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_NEAR(fast[i], ref[i], 1e-10 * scale) << "lag index " << i;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Segmentation sweep
@@ -246,62 +177,6 @@ TEST(SmoothingDrift, CompensatedEqualsReferenceOnShortBenignTraces) {
     for (std::size_t j = begin; j <= i; ++j) acc += samples[j];
     EXPECT_NEAR(fast[i], acc / static_cast<double>(i - begin + 1), 1e-12);
   }
-}
-
-// ---------------------------------------------------------------------------
-// FFT alignment
-
-TEST(AlignmentFastPath, FuzzMatchesReference) {
-  num::Xoshiro256StarStar rng(31);
-  struct Case {
-    std::size_t ref_len, trace_len, max_shift;
-  };
-  for (const Case& c : {Case{3000, 3000, 60}, Case{4096, 3500, 48},
-                        Case{2800, 3100, 80}, Case{5000, 5000, 24}}) {
-    SCOPED_TRACE("ref_len " + std::to_string(c.ref_len) + " max_shift " +
-                 std::to_string(c.max_shift));
-    std::vector<double> reference(c.ref_len);
-    for (std::size_t i = 0; i < c.ref_len; ++i) {
-      const double burst = (i / 70) % 2 == 0 ? 2.0 : 0.2;
-      reference[i] = burst + rng.gaussian(0.0, 0.3);
-    }
-    const auto shift = static_cast<std::ptrdiff_t>(rng() % (2 * c.max_shift)) -
-                       static_cast<std::ptrdiff_t>(c.max_shift);
-    std::vector<double> trace = apply_shift(reference, shift);
-    trace.resize(c.trace_len, 0.1);
-    for (double& v : trace) v += rng.gaussian(0.0, 0.05);
-
-    const AlignmentResult fast = find_alignment(reference, trace, c.max_shift);
-    const AlignmentResult ref = find_alignment_reference(reference, trace, c.max_shift);
-    EXPECT_EQ(fast.shift, ref.shift);
-    EXPECT_EQ(fast.correlation, ref.correlation);  // bit-equal
-  }
-}
-
-TEST(AlignmentFastPath, PureNoiseMatchesReference) {
-  // No correlation structure: many near-tied delays, the worst case for the
-  // screened-candidate set. Selection must still be tie-for-tie identical.
-  num::Xoshiro256StarStar rng(41);
-  std::vector<double> a(3200), b(3200);
-  for (double& v : a) v = rng.gaussian(0.0, 1.0);
-  for (double& v : b) v = rng.gaussian(0.0, 1.0);
-  const AlignmentResult fast = find_alignment(a, b, 64);
-  const AlignmentResult ref = find_alignment_reference(a, b, 64);
-  EXPECT_EQ(fast.shift, ref.shift);
-  EXPECT_EQ(fast.correlation, ref.correlation);
-}
-
-TEST(AlignmentFastPath, DegenerateConstantTraceMatchesReference) {
-  // A constant trace zeroes every correlation denominator; the screen's
-  // tolerance collapses and every delay is re-scored exactly.
-  const std::vector<double> constant(3000, 4.0);
-  std::vector<double> pattern(3000);
-  num::Xoshiro256StarStar rng(43);
-  for (double& v : pattern) v = rng.gaussian(0.0, 1.0);
-  const AlignmentResult fast = find_alignment(pattern, constant, 20);
-  const AlignmentResult ref = find_alignment_reference(pattern, constant, 20);
-  EXPECT_EQ(fast.shift, ref.shift);
-  EXPECT_EQ(fast.correlation, ref.correlation);
 }
 
 // ---------------------------------------------------------------------------

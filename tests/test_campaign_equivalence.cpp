@@ -12,15 +12,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
+#include "core/campaign_checkpoint.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/hints.hpp"
 #include "core/parallel.hpp"
+#include "core/shard_driver.hpp"
 #include "lwe/dbdd.hpp"
 #include "sca/report.hpp"
+#include "temp_dir.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -225,6 +229,93 @@ TEST_F(CampaignEquivalence, DiagnosticsCountersInvariantAcrossWorkerCounts) {
     const obs::DiagnosticsReport full = diag.report();
     EXPECT_EQ(obs::DiagnosticsReport::from_json(full.to_json()), full);
   }
+}
+
+TEST_F(CampaignEquivalence, GroundTruthCountersMatchHandRecountInEveryDriver) {
+  // classify.sign_correct and hints.wrong_perfect, recounted by hand from
+  // each capture's ground-truth noise over the confusion tally's aligned
+  // windows. A policy that grants every confident guess perfect status
+  // (huge threshold, exact zeros) makes wrong perfect hints actually occur
+  // on clean captures: positive values collide within Hamming-weight
+  // classes.
+  HintPolicy policy;
+  policy.perfect_threshold = 1e9;
+  policy.zero_hint_variance = 0.0;
+  lwe::DbddParams params;
+  params.secret_dim = 1024;
+  params.error_dim = 1024;
+  params.q = 132120577.0;
+  params.secret_variance = 3.2 * 3.2;
+  params.error_variance = 3.2 * 3.2;
+  constexpr std::uint64_t kBase = 9090;
+  constexpr std::size_t kCaptures = 6;
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(kBase, kCaptures);
+
+  struct Recount {
+    std::uint64_t sign_correct = 0, sign_wrong = 0, wrong_perfect = 0, wrong_other = 0;
+  };
+  // Runs the live driver on `cfg`, recounts by hand and checks the counters.
+  auto live_recount = [&](const CampaignConfig& cfg, CampaignDiagnostics& diag) {
+    CampaignRunner runner(2);
+    const RecoveryCampaignResult result =
+        runner.run_recovery_campaign(*attack_, cfg, seeds, policy, params, &diag);
+    SamplerCampaign campaign(cfg);
+    Recount r;
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      const std::vector<std::int64_t> noise = campaign.capture(seeds[i]).noise;
+      const std::vector<CoefficientGuess>& guesses = result.captures[i].guesses;
+      if (guesses.empty() || guesses.size() != noise.size()) continue;
+      for (std::size_t j = 0; j < guesses.size(); ++j) {
+        const int truth_sign = noise[j] > 0 ? 1 : (noise[j] < 0 ? -1 : 0);
+        ++(guesses[j].sign == truth_sign ? r.sign_correct : r.sign_wrong);
+        if (guesses[j].value == noise[j]) continue;
+        const bool perfect =
+            route_guess(guesses[j], policy).kind == HintRecord::Kind::kPerfect;
+        ++(perfect ? r.wrong_perfect : r.wrong_other);
+      }
+    }
+    EXPECT_EQ(diag.registry.counter_value("classify.sign_correct"), r.sign_correct);
+    EXPECT_EQ(diag.registry.counter_value("hints.wrong_perfect"), r.wrong_perfect);
+    return r;
+  };
+
+  CampaignConfig cfg;
+  cfg.n = 64;
+  CampaignDiagnostics live;
+  const Recount clean = live_recount(cfg, live);
+  ASSERT_GT(clean.wrong_perfect, 0u) << "the policy should let wrong perfect hints through";
+  // Faulted captures add wrong signs and wrong values that route below
+  // perfect, so neither counter can pass as a plain tally of aligned or
+  // wrong windows.
+  CampaignDiagnostics faulted_diag;
+  const Recount faulted = live_recount(degraded_config(), faulted_diag);
+  EXPECT_GT(faulted.sign_wrong, 0u);
+  EXPECT_GT(faulted.wrong_other, 0u);
+
+  // Every other driver reports the live values.
+  auto expect_live_counters = [&](const obs::Registry& registry) {
+    EXPECT_EQ(registry.counter_value("classify.sign_correct"), clean.sign_correct);
+    EXPECT_EQ(registry.counter_value("hints.wrong_perfect"), clean.wrong_perfect);
+  };
+  for (const std::size_t batch : {1u, 4u}) {
+    SCOPED_TRACE("checkpointed batch=" + std::to_string(batch));
+    CampaignRunner runner(batch == 1 ? 0 : 2);
+    CheckpointOptions options;
+    options.path = reveal::test::temp_path("counters_b" + std::to_string(batch) + ".ckpt");
+    options.batch_size = batch;
+    const CheckpointedCampaignResult checkpointed = run_recovery_campaign_checkpointed(
+        runner, *attack_, cfg, kBase, kCaptures, policy, params, options);
+    ASSERT_TRUE(checkpointed.complete);
+    expect_live_counters(checkpointed.diagnostics.registry);
+  }
+  ShardOptions options;
+  options.shards = 2;
+  options.work_dir = reveal::test::process_temp_dir();
+  options.in_process = true;
+  CampaignDiagnostics sharded;
+  (void)run_sharded_campaign(*attack_, cfg, kBase, kCaptures, policy, params, options,
+                             &sharded);
+  expect_live_counters(sharded.registry);
 }
 
 TEST_F(CampaignEquivalence, TrainedTemplatesByteIdenticalAcrossWorkerCounts) {

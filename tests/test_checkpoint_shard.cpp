@@ -11,6 +11,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +57,12 @@ lwe::DbddParams paper_params() {
 
 using reveal::test::temp_path;
 
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 void expect_reports_identical(const sca::RecoveryReport& a,
                               const sca::RecoveryReport& b) {
   EXPECT_EQ(a.expected_windows, b.expected_windows);
@@ -74,10 +81,10 @@ void expect_reports_identical(const sca::RecoveryReport& a,
   EXPECT_EQ(a.bits, b.bits);  // bit-equal
 }
 
-/// Diagnostics comparison used throughout: spans are wall-clock and
-/// excluded by construction (the checkpoint/shard paths never merge
-/// tracers), so the report is built without a tracer on both sides and
-/// compared through its canonical JSON — "byte-identical diagnostics".
+/// Diagnostics comparison used throughout: spans are wall-clock (and a
+/// checkpointed call times only its own batches), so the report is built
+/// without a tracer on both sides and compared through its canonical JSON
+/// — "byte-identical diagnostics".
 std::string diag_json(const obs::Registry& registry, const sca::ConfusionMatrix& confusion) {
   return obs::make_report(registry, nullptr, &confusion).to_json();
 }
@@ -150,8 +157,9 @@ TEST_F(CheckpointShard, UninterruptedCheckpointedRunMatchesPlainCampaign) {
     ASSERT_TRUE(result.complete);
     EXPECT_FALSE(result.resumed);
     EXPECT_EQ(result.processed_this_call, kCaptures);
-    expect_matches_reference(result.report, result.hint_totals, result.hints,
-                             result.diagnostics.registry, result.diagnostics.confusion);
+    expect_matches_reference(result.campaign.report, result.campaign.hint_totals,
+                             result.campaign.hints, result.diagnostics.registry,
+                             result.diagnostics.confusion);
     std::ifstream leftover(options.path);
     EXPECT_FALSE(leftover.good());  // checkpoint removed on completion
   }
@@ -181,8 +189,51 @@ TEST_F(CheckpointShard, KillAndResumeIsByteIdentical) {
     }
   } while (!result.complete);
   EXPECT_EQ(calls, (kCaptures + 2) / 3);
-  expect_matches_reference(result.report, result.hint_totals, result.hints,
-                           result.diagnostics.registry, result.diagnostics.confusion);
+  expect_matches_reference(result.campaign.report, result.campaign.hint_totals,
+                           result.campaign.hints, result.diagnostics.registry,
+                           result.diagnostics.confusion);
+}
+
+TEST_F(CheckpointShard, CheckpointedCallsReportTheirSpansButNeverPersistThem) {
+  // Spans flow in checkpointed runs as a separate, non-persisted section: a
+  // call stopped after one batch of 3 reports those 3 captures' spans, and
+  // its checkpoint file is byte-identical to a second such run's. (Serial
+  // runners: the saved worker tally sums its variances in whatever order
+  // a parallel pool scheduled the captures.)
+  CheckpointOptions options;
+  options.batch_size = 3;
+  options.max_batches_per_call = 1;
+  std::string bytes[2];
+  for (const std::size_t run : {0u, 1u}) {
+    SCOPED_TRACE("run=" + std::to_string(run));
+    options.path = temp_path("spans_" + std::to_string(run) + ".ckpt");
+    std::remove(options.path.c_str());
+    CampaignRunner runner(0);
+    const CheckpointedCampaignResult result = run_recovery_campaign_checkpointed(
+        runner, *attack_, degraded_config(), kBaseSeed, kCaptures, HintPolicy{},
+        paper_params(), options);
+    ASSERT_FALSE(result.complete);
+    const obs::SpanTracer& tracer = result.diagnostics.tracer;
+    EXPECT_EQ(tracer.timing(obs::Stage::kCapture).count, 3u);
+    EXPECT_EQ(tracer.timing(obs::Stage::kSegmentation).count, 3u);
+    EXPECT_EQ(tracer.timing(obs::Stage::kHints).count, 3u);
+    EXPECT_EQ(tracer.timing(obs::Stage::kEstimation).count, 0u);
+    bytes[run] = read_all(options.path);
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[0], bytes[1]);
+
+  // The resuming call reports only the batches it ran, plus the estimation.
+  options.max_batches_per_call = 0;
+  CampaignRunner runner(0);
+  const CheckpointedCampaignResult result = run_recovery_campaign_checkpointed(
+      runner, *attack_, degraded_config(), kBaseSeed, kCaptures, HintPolicy{},
+      paper_params(), options);
+  ASSERT_TRUE(result.complete);
+  EXPECT_TRUE(result.resumed);
+  EXPECT_EQ(result.diagnostics.tracer.timing(obs::Stage::kCapture).count, kCaptures - 3);
+  EXPECT_EQ(result.diagnostics.tracer.timing(obs::Stage::kEstimation).count, 1u);
+  std::remove(temp_path("spans_0.ckpt").c_str());
 }
 
 TEST_F(CheckpointShard, BatchSizeDoesNotChangeAnyOutputByte) {
@@ -197,8 +248,9 @@ TEST_F(CheckpointShard, BatchSizeDoesNotChangeAnyOutputByte) {
         runner, *attack_, degraded_config(), kBaseSeed, kCaptures, HintPolicy{},
         paper_params(), options);
     ASSERT_TRUE(result.complete);
-    expect_matches_reference(result.report, result.hint_totals, result.hints,
-                             result.diagnostics.registry, result.diagnostics.confusion);
+    expect_matches_reference(result.campaign.report, result.campaign.hint_totals,
+                             result.campaign.hints, result.diagnostics.registry,
+                             result.diagnostics.confusion);
   }
 }
 
@@ -269,11 +321,13 @@ TEST_F(CheckpointShard, ShardCountDoesNotChangeAnyOutputByte) {
     options.work_dir = reveal::test::process_temp_dir();
     options.workers_per_shard = shards == 2 ? 2 : 0;  // mix worker counts in
     options.in_process = true;
-    const ShardedCampaignResult result =
+    CampaignDiagnostics diag;
+    const RecoveryCampaignResult result =
         run_sharded_campaign(*attack_, degraded_config(), kBaseSeed, kCaptures,
-                             HintPolicy{}, paper_params(), options);
-    expect_matches_reference(result.report, result.hint_totals, result.hints,
-                             result.diagnostics.registry, result.diagnostics.confusion);
+                             HintPolicy{}, paper_params(), options, &diag);
+    expect_matches_reference(result.report, result.hint_totals, result.hints, diag.registry,
+                             diag.confusion);
+    EXPECT_EQ(diag.tracer.timing(obs::Stage::kCapture).count, 0u);  // span-free
   }
 }
 
@@ -286,11 +340,12 @@ TEST_F(CheckpointShard, ForkedShardsMatchInProcessShards) {
   options.work_dir = reveal::test::process_temp_dir();
   options.workers_per_shard = 0;  // children stay single-threaded
   options.in_process = false;
-  const ShardedCampaignResult result =
+  CampaignDiagnostics diag;
+  const RecoveryCampaignResult result =
       run_sharded_campaign(*attack_, degraded_config(), kBaseSeed, kCaptures,
-                           HintPolicy{}, paper_params(), options);
-  expect_matches_reference(result.report, result.hint_totals, result.hints,
-                           result.diagnostics.registry, result.diagnostics.confusion);
+                           HintPolicy{}, paper_params(), options, &diag);
+  expect_matches_reference(result.report, result.hint_totals, result.hints, diag.registry,
+                           diag.confusion);
 #endif
 }
 
@@ -302,7 +357,8 @@ TEST_F(CheckpointShard, ConcurrentCampaignsShareOneWorkDir) {
   const std::string work_dir = temp_path("concurrent");
   ASSERT_TRUE(std::filesystem::create_directory(work_dir));
   const std::size_t shard_counts[2] = {2, 4};
-  ShardedCampaignResult results[2];
+  RecoveryCampaignResult results[2];
+  CampaignDiagnostics diags[2];
   std::exception_ptr errors[2];
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 2; ++t) {
@@ -313,7 +369,7 @@ TEST_F(CheckpointShard, ConcurrentCampaignsShareOneWorkDir) {
         options.work_dir = work_dir;
         options.in_process = true;
         results[t] = run_sharded_campaign(*attack_, degraded_config(), kBaseSeed, kCaptures,
-                                          HintPolicy{}, paper_params(), options);
+                                          HintPolicy{}, paper_params(), options, &diags[t]);
       } catch (...) {
         errors[t] = std::current_exception();
       }
@@ -324,8 +380,7 @@ TEST_F(CheckpointShard, ConcurrentCampaignsShareOneWorkDir) {
     SCOPED_TRACE("shards=" + std::to_string(shard_counts[t]));
     ASSERT_FALSE(errors[t]) << "campaign threw";
     expect_matches_reference(results[t].report, results[t].hint_totals, results[t].hints,
-                             results[t].diagnostics.registry,
-                             results[t].diagnostics.confusion);
+                             diags[t].registry, diags[t].confusion);
   }
   EXPECT_TRUE(std::filesystem::is_empty(work_dir));
 }
@@ -405,12 +460,6 @@ TEST_F(CheckpointShard, ShardedCorpusIsByteIdenticalForEveryShardCount) {
     build_sharded_corpus(dest, cfg, kBaseSeed, kCaptures, options);
     built.push_back(dest);
   }
-  auto read_all = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << path;
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
   const std::string reference_bytes = read_all(built[0]);
   ASSERT_FALSE(reference_bytes.empty());
   for (std::size_t i = 1; i < built.size(); ++i) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/acquisition.hpp"
 #include "numeric/rng.hpp"
 #include "sca/classifier.hpp"
 #include "sca/poi.hpp"
@@ -569,4 +570,25 @@ TEST(Metrics, AccumulatorStatistics) {
   EXPECT_NEAR(acc.success_rate_at(4), 1.0, 1e-12);
   EXPECT_EQ(acc.median_rank(), 2u);
   EXPECT_THROW(acc.add(0), std::invalid_argument);
+}
+
+TEST(Alignment, JitteredCaptureStillSegments) {
+  // Simulate trigger jitter: prepend a random-length quiet prefix to a real
+  // capture. Because segmentation is per-trace, the attack pipeline is
+  // insensitive to the global offset without any re-alignment step.
+  core::CampaignConfig cfg;
+  cfg.n = 16;
+  core::SamplerCampaign campaign(cfg);
+  const auto cap = campaign.capture(77);
+  ASSERT_EQ(cap.segments.size(), 16u);
+
+  for (const std::size_t jitter : {3u, 17u, 64u}) {
+    std::vector<double> shifted(jitter, 4.0);  // idle baseline
+    for (const double v : cap.trace) shifted.push_back(v);
+    const auto segments = segment_trace(shifted, cfg.segmentation);
+    EXPECT_EQ(segments.size(), 16u) << "jitter " << jitter;
+    if (!segments.empty()) {
+      EXPECT_EQ(segments[0].burst_begin, cap.segments[0].burst_begin + jitter);
+    }
+  }
 }
