@@ -9,8 +9,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "sca/report.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -57,26 +55,14 @@ int main(int argc, char** argv) {
     RevealAttack attack;
     attack.train(campaign.collect_windows(profile_runs, /*seed_base=*/1));
 
-    sca::ConfusionMatrix cm;
-    std::size_t sign_ok = 0, total = 0;
-    for (std::uint64_t seed = 50000; seed < 50000 + attack_runs; ++seed) {
-      const FullCapture cap = campaign.capture(seed);
-      if (cap.segments.size() != cfg.n) continue;
-      const auto guesses = attack.attack_capture(cap);
-      for (std::size_t i = 0; i < guesses.size(); ++i) {
-        cm.add(static_cast<std::int32_t>(cap.noise[i]), guesses[i].value);
-        const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-        sign_ok += (guesses[i].sign == truth);
-        ++total;
-      }
-    }
+    const bench::AttackRun run = bench::attack_campaign(attack, cfg, 50000, attack_runs);
+    const sca::ConfusionMatrix& cm = run.diag.confusion;
     double neg = 0.0, pos = 0.0;
     for (int v = 1; v <= 6; ++v) {
       neg += cm.accuracy(-v) / 6.0;
       pos += cm.accuracy(v) / 6.0;
     }
-    std::printf("%-42s %9.1f %9.1f %9.1f %9.1f\n", row.name,
-                100.0 * static_cast<double>(sign_ok) / static_cast<double>(total),
+    std::printf("%-42s %9.1f %9.1f %9.1f %9.1f\n", row.name, run.sign_accuracy(),
                 cm.accuracy(0), neg, pos);
   }
 

@@ -6,12 +6,10 @@
 // measurement equipment." — we sweep the scope-noise sigma and report how
 // each stage of the attack degrades.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "core/hints.hpp"
-#include "lwe/dbdd.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -24,12 +22,7 @@ int main(int argc, char** argv) {
       "Sign accuracy, value accuracy and hinted bikz vs. noise sigma\n"
       "(proxy for the operating-frequency discussion of paper §V-B).");
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
   const double baseline = lwe::estimate_lwe_security(params).beta;
 
   std::printf("\n%10s %12s %12s %14s   (no-hint baseline: %.1f bikz)\n", "sigma",
@@ -45,30 +38,20 @@ int main(int argc, char** argv) {
     RevealAttack attack;
     attack.train(campaign.collect_windows(profile_runs, /*seed_base=*/1));
 
-    std::size_t sign_ok = 0, value_ok = 0, total = 0;
-    std::vector<CoefficientGuess> guesses;
-    for (std::uint64_t seed = 80000; seed < 80000 + attack_runs; ++seed) {
-      const FullCapture cap = campaign.capture(seed);
-      if (cap.segments.size() != cfg.n) continue;
-      const auto batch = attack.attack_capture(cap);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-        sign_ok += (batch[i].sign == truth);
-        value_ok += (batch[i].value == cap.noise[i]);
-        ++total;
-        if (guesses.size() < 1024) guesses.push_back(batch[i]);
-      }
-    }
+    const bench::AttackRun run = bench::attack_campaign(attack, cfg, 80000, attack_runs);
+    // The first 1024 guesses, cycled when the run has fewer, hint the
+    // paper's m = 1024 error coordinates.
+    std::vector<CoefficientGuess> guesses = run.guesses();
+    const std::size_t total = guesses.size();
+    guesses.resize(std::min<std::size_t>(total, 1024));
     while (guesses.size() < 1024) guesses.push_back(guesses[guesses.size() % total]);
 
     lwe::DbddEstimator est(params);
-    integrate_guess_hints(est, guesses, 1e-6);
+    integrate_guess_hints(est, guesses, bench::kPaperHints);
     const double hinted = est.estimate().beta;
 
-    std::printf("%10.2f %12.1f %12.1f %14.1f\n", sigma,
-                100.0 * static_cast<double>(sign_ok) / static_cast<double>(total),
-                100.0 * static_cast<double>(value_ok) / static_cast<double>(total),
-                hinted);
+    std::printf("%10.2f %12.1f %12.1f %14.1f\n", sigma, run.sign_accuracy(),
+                run.diag.confusion.overall_accuracy(), hinted);
   }
   std::printf("\nexpected shape: accuracy and hint strength degrade monotonically\n"
               "with noise; the sign (control-flow) leak survives far more noise\n"

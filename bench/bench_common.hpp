@@ -1,20 +1,25 @@
 #pragma once
 // Shared plumbing for the reproduction harnesses: default campaign
-// configurations, the strict command-line parser every bench uses, and
-// paper-vs-measured row printing. Every bench prints the rows of one of the
-// paper's tables or figures next to the values measured on the simulated
-// target.
+// configurations, the attack phase on the campaign engine, the strict
+// command-line parser every bench uses, and paper-vs-measured row printing.
+// Every bench prints the rows of one of the paper's tables or figures next
+// to the values measured on the simulated target.
 
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "core/acquisition.hpp"
+#include "core/attack.hpp"
+#include "core/campaign_runner.hpp"
+#include "core/hints.hpp"
+#include "lwe/dbdd.hpp"
 
 namespace reveal::bench {
 
@@ -35,6 +40,61 @@ inline core::CampaignConfig lab_campaign(std::size_t n = 64) {
   cfg.leakage.noise_sigma = 0.01;
   cfg.leakage.bit_deviation = 0.35;
   return cfg;
+}
+
+/// The SEAL-128 DBDD instance (n = 1024, q = 132120577, sigma = 3.2) with
+/// `error_dim` error coordinates — 1024 in the paper's Tables III and IV.
+inline lwe::DbddParams seal128_params(std::size_t error_dim = 1024) {
+  lwe::DbddParams params;
+  params.secret_dim = 1024;
+  params.error_dim = error_dim;
+  params.q = 132120577.0;
+  params.secret_variance = 3.2 * 3.2;
+  params.error_variance = 3.2 * 3.2;
+  return params;
+}
+
+/// Hint routing of paper §IV-C: a guess is a perfect hint when its
+/// posterior variance is ~0 (zero detections included), otherwise an
+/// approximate hint with that variance.
+inline constexpr core::HintPolicy kPaperHints{.perfect_threshold = 1e-6,
+                                              .zero_hint_variance = 0.0};
+
+/// A paper bench's attack phase: one campaign-engine run (robust attack,
+/// kPaperHints routing) plus its diagnostics.
+struct AttackRun {
+  core::RecoveryCampaignResult result;
+  core::CampaignDiagnostics diag;
+
+  /// Percentage of the windows with a guess and ground truth (the confusion
+  /// tally's) whose sign was classified correctly.
+  [[nodiscard]] double sign_accuracy() const {
+    return 100.0 *
+           static_cast<double>(diag.registry.counter_value("classify.sign_correct")) /
+           static_cast<double>(diag.confusion.total());
+  }
+  /// Every capture's guesses, concatenated in capture order.
+  [[nodiscard]] std::vector<core::CoefficientGuess> guesses() const {
+    std::vector<core::CoefficientGuess> out;
+    for (const core::RobustCaptureResult& c : result.captures)
+      out.insert(out.end(), c.guesses.begin(), c.guesses.end());
+    return out;
+  }
+};
+
+/// Attacks the captures of seeds first_seed, first_seed + 1, ... under
+/// `cfg` on the campaign engine. The estimate is over a SEAL-128 instance
+/// with one error coordinate per attacked window.
+inline AttackRun attack_campaign(const core::RevealAttack& attack,
+                                 const core::CampaignConfig& cfg, std::uint64_t first_seed,
+                                 std::size_t captures) {
+  std::vector<std::uint64_t> seeds(captures);
+  std::iota(seeds.begin(), seeds.end(), first_seed);
+  AttackRun run;
+  core::CampaignRunner runner(core::resolved_num_workers(cfg));
+  run.result = runner.run_recovery_campaign(attack, cfg, seeds, kPaperHints,
+                                            seal128_params(captures * cfg.n), &run.diag);
+  return run;
 }
 
 /// Strict command line shared by every bench. A bench declares its flags;

@@ -12,8 +12,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "sca/report.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -32,22 +30,10 @@ Outcome attack_device(const RevealAttack& attack, std::uint64_t device_seed,
   // the value templates (and where cross-device loss is visible).
   CampaignConfig cfg = bench::lab_campaign(64);
   cfg.leakage.bit_weight_seed = device_seed;
-  SamplerCampaign campaign(cfg);
-  sca::ConfusionMatrix cm;
-  std::size_t sign_ok = 0, total = 0;
-  for (std::uint64_t seed = 60000; seed < 60000 + attack_runs; ++seed) {
-    const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != cfg.n) continue;
-    const auto guesses = attack.attack_capture(cap);
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      cm.add(static_cast<std::int32_t>(cap.noise[i]), guesses[i].value);
-      const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-      sign_ok += (guesses[i].sign == truth);
-      ++total;
-    }
-  }
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 60000, attack_runs);
+  const sca::ConfusionMatrix& cm = run.diag.confusion;
   Outcome out;
-  out.sign = 100.0 * static_cast<double>(sign_ok) / static_cast<double>(total);
+  out.sign = run.sign_accuracy();
   for (int v = 1; v <= 6; ++v) {
     out.neg += cm.accuracy(-v) / 6.0;
     out.pos += cm.accuracy(v) / 6.0;

@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "sca/classifier.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -130,18 +128,7 @@ int main(int argc, char** argv) {
   // Sign classification over fresh traces (paper: 100%).
   RevealAttack attack;
   attack.train(campaign.collect_windows(100, 1));
-  std::size_t total = 0, correct = 0;
-  for (std::uint64_t seed = 5000; seed < 5020; ++seed) {
-    const FullCapture c = campaign.capture(seed);
-    if (c.segments.size() != cfg.n) continue;
-    const auto guesses = attack.attack_capture(c);
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      const int truth = c.noise[i] > 0 ? 1 : (c.noise[i] < 0 ? -1 : 0);
-      correct += (guesses[i].sign == truth);
-      ++total;
-    }
-  }
   bench::print_row("branch (sign) identification accuracy (%)", 100.0,
-                   100.0 * static_cast<double>(correct) / static_cast<double>(total));
+                   bench::attack_campaign(attack, cfg, 5000, 20).sign_accuracy());
   return 0;
 }

@@ -11,8 +11,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "sca/report.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -32,24 +30,11 @@ Outcome evaluate(bool masked, std::size_t profile_runs, std::size_t attack_runs)
   RevealAttack attack;
   attack.train(campaign.collect_windows(profile_runs, /*seed_base=*/1));
 
-  sca::ConfusionMatrix cm;
-  std::size_t sign_ok = 0, value_ok = 0, total = 0;
-  for (std::uint64_t seed = 70000; seed < 70000 + attack_runs; ++seed) {
-    const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != cfg.n) continue;
-    const auto guesses = attack.attack_capture(cap);
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      cm.add(static_cast<std::int32_t>(cap.noise[i]), guesses[i].value);
-      const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-      sign_ok += (guesses[i].sign == truth);
-      value_ok += (guesses[i].value == cap.noise[i]);
-      ++total;
-    }
-  }
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 70000, attack_runs);
   Outcome out;
-  out.sign_accuracy = 100.0 * static_cast<double>(sign_ok) / static_cast<double>(total);
-  out.zero_accuracy = cm.accuracy(0);
-  out.value_accuracy = 100.0 * static_cast<double>(value_ok) / static_cast<double>(total);
+  out.sign_accuracy = run.sign_accuracy();
+  out.zero_accuracy = run.diag.confusion.accuracy(0);
+  out.value_accuracy = run.diag.confusion.overall_accuracy();
   return out;
 }
 

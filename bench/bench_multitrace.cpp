@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
 #include "power/trace_recorder.hpp"
 
 using namespace reveal;
@@ -37,18 +36,8 @@ int main(int argc, char** argv) {
   attack.train(campaign.collect_windows(quick ? 100 : 300, /*seed_base=*/1));
 
   // (a) Fresh encryptions: single-trace accuracy is all there is.
-  std::size_t ok = 0, total = 0;
-  const std::size_t attack_runs = quick ? 10 : 25;
-  for (std::uint64_t seed = 30000; seed < 30000 + attack_runs; ++seed) {
-    const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != cfg.n) continue;
-    const auto guesses = attack.attack_capture(cap);
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      ok += (guesses[i].value == cap.noise[i]);
-      ++total;
-    }
-  }
-  const double single = 100.0 * static_cast<double>(ok) / static_cast<double>(total);
+  const double single = bench::attack_campaign(attack, cfg, 30000, quick ? 10 : 25)
+                            .diag.confusion.overall_accuracy();
 
   // (b) Hypothetical replay: same firmware seed, k independent noise
   // streams, averaged before the attack.
@@ -75,17 +64,13 @@ int main(int argc, char** argv) {
       }
       for (double& v : averaged) v /= static_cast<double>(k);
 
-      auto segments = sca::segment_trace(averaged, cfg.segmentation);
-      anchor_windows_at_burst_edge(averaged, segments, cfg.segmentation.threshold);
-      if (segments.size() != cfg.n) continue;
+      const RobustCaptureResult res =
+          attack.attack_capture_robust(averaged, cfg.n, cfg.segmentation);
+      if (res.guesses.size() != cfg.n) continue;
       for (std::size_t i = 0; i < cfg.n; ++i) {
-        const auto& seg = segments[i];
-        std::vector<double> window(
-            averaged.begin() + static_cast<std::ptrdiff_t>(seg.window_begin),
-            averaged.begin() + static_cast<std::ptrdiff_t>(seg.window_end));
-        if (window.size() < 110) continue;
-        const auto guess = attack.attack_window(window);
-        rok += (guess.value == run.noise[i]);
+        const sca::Segment& seg = res.segmentation.segments[i];
+        if (seg.window_end - seg.window_begin < 110) continue;
+        rok += (res.guesses[i].value == run.noise[i]);
         ++rtotal;
       }
     }

@@ -12,8 +12,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "sca/report.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -34,21 +32,10 @@ Outcome evaluate(bool patched, std::size_t profile_runs, std::size_t attack_runs
   RevealAttack attack;
   attack.train(campaign.collect_windows(profile_runs, /*seed_base=*/1));
 
-  sca::ConfusionMatrix cm;
-  std::size_t sign_ok = 0, total = 0;
-  for (std::uint64_t seed = 90000; seed < 90000 + attack_runs; ++seed) {
-    const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != cfg.n) continue;
-    const auto guesses = attack.attack_capture(cap);
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      cm.add(static_cast<std::int32_t>(cap.noise[i]), guesses[i].value);
-      const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-      sign_ok += (guesses[i].sign == truth);
-      ++total;
-    }
-  }
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 90000, attack_runs);
+  const sca::ConfusionMatrix& cm = run.diag.confusion;
   Outcome out;
-  out.sign_accuracy = 100.0 * static_cast<double>(sign_ok) / static_cast<double>(total);
+  out.sign_accuracy = run.sign_accuracy();
   out.zero_accuracy = cm.accuracy(0);
   for (int v = 1; v <= 6; ++v) {
     out.neg_accuracy += cm.accuracy(-v) / 6.0;

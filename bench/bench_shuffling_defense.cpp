@@ -10,8 +10,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "lwe/dbdd.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -60,17 +58,23 @@ int main(int argc, char** argv) {
   attack.train(campaign.collect_windows(200, /*seed_base=*/1));
 
   // Attack fresh shuffled traces: per-window recovery is evaluated against
-  // the slot ground truth the real adversary would NOT have.
+  // the slot ground truth the real adversary would NOT have. The
+  // Fisher-Yates divisions add n - 1 bursts before the sampling loop, so a
+  // shuffled trace holds 2n - 1 windows and the last n are the samplings.
+  // (The campaign engine rejects shuffled firmware: its hints are
+  // positional.)
   std::size_t value_ok = 0, sign_ok = 0, total = 0;
   std::vector<std::int64_t> last_noise;
   for (std::uint64_t seed = 5000; seed < 5016; ++seed) {
     const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != kN) continue;
-    const auto guesses = attack.attack_capture(cap);
-    for (std::size_t s = 0; s < guesses.size(); ++s) {
+    const RobustCaptureResult res =
+        attack.attack_capture_robust(cap.trace, 2 * kN - 1, cfg.segmentation);
+    if (res.guesses.size() != 2 * kN - 1) continue;
+    for (std::size_t s = 0; s < kN; ++s) {
+      const CoefficientGuess& g = res.guesses[kN - 1 + s];
       const int truth_sign = cap.noise[s] > 0 ? 1 : (cap.noise[s] < 0 ? -1 : 0);
-      sign_ok += (guesses[s].sign == truth_sign);
-      value_ok += (guesses[s].value == cap.noise[s]);
+      sign_ok += (g.sign == truth_sign);
+      value_ok += (g.value == cap.noise[s]);
       ++total;
     }
     last_noise = cap.noise;
@@ -86,12 +90,7 @@ int main(int argc, char** argv) {
               "2^%.1f orderings\n",
               kN, order_bits);
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
   const double baseline = lwe::estimate_lwe_security(params).beta;
 
   std::printf("\n%-44s %10s\n", "configuration (SEAL-128 estimator)", "bikz");

@@ -9,11 +9,8 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
 #include "obs/diagnostics.hpp"
-#include "obs/metrics.hpp"
 #include "sca/metrics.hpp"
-#include "sca/report.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -40,25 +37,16 @@ int main(int argc, char** argv) {
   attack.train(campaign.collect_windows(profiling_runs, /*seed_base=*/1));
 
   std::printf("attacking %zu samplings (paper: 25000)...\n", attack_runs * cfg.n);
-  sca::ConfusionMatrix cm;
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 900000, attack_runs);
+  const sca::ConfusionMatrix& cm = run.diag.confusion;
   sca::RankAccumulator ranks;
-  std::size_t sign_correct = 0, sign_total = 0;
-  std::size_t captures = 0, skipped_captures = 0;
-  for (std::uint64_t seed = 0; seed < attack_runs; ++seed) {
-    const FullCapture cap = campaign.capture(900000 + seed);
-    ++captures;
-    if (cap.segments.size() != cfg.n) {
-      ++skipped_captures;
-      continue;
-    }
-    const auto guesses = attack.attack_capture(cap);
+  for (std::size_t c = 0; c < run.result.captures.size(); ++c) {
+    const auto& guesses = run.result.captures[c].guesses;
+    const auto& truth = run.result.truth[c];
+    if (guesses.size() != truth.size()) continue;
     for (std::size_t i = 0; i < guesses.size(); ++i) {
-      cm.add(static_cast<std::int32_t>(cap.noise[i]), guesses[i].value);
       ranks.add(sca::rank_of_truth(guesses[i].support, guesses[i].posterior,
-                                   static_cast<std::int32_t>(cap.noise[i])));
-      const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-      sign_correct += (guesses[i].sign == truth);
-      ++sign_total;
+                                   static_cast<std::int32_t>(truth[i])));
     }
   }
 
@@ -66,9 +54,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", cm.to_table(-14, 14, -7, 7).c_str());
 
   std::printf("key comparisons (true value -> %% classified correctly):\n");
-  bench::print_row("sign recovery accuracy (%)", 100.0,
-                   100.0 * static_cast<double>(sign_correct) /
-                       static_cast<double>(sign_total));
+  bench::print_row("sign recovery accuracy (%)", 100.0, run.sign_accuracy());
   bench::print_row("value  0 accuracy (%)", 100.0, cm.accuracy(0));
   bench::print_row("value -1 accuracy (%)", 95.7, cm.accuracy(-1));
   bench::print_row("value -2 accuracy (%)", 92.5, cm.accuracy(-2));
@@ -99,17 +85,12 @@ int main(int argc, char** argv) {
       "  (vulnerability 3: the negation + modulus-subtract store); positive\n"
       "  values collide within Hamming-weight classes exactly as in the paper.");
 
-  // --diag=<path>: emit the exact confusion tallies this table was printed
-  // from as a DiagnosticsReport — campaign --diag output can be checked
-  // against it cell by cell (same seeds => same counts).
+  // --diag=<path>: the engine's diagnostics of the attack phase — stage
+  // spans, counters and the exact confusion tallies this table was printed
+  // from (same seeds => same counts).
   const std::string diag_path = cli.string("--diag");
   if (!diag_path.empty()) {
-    obs::Registry reg;
-    reg.add(reg.counter("capture.count"), captures);
-    reg.add(reg.counter("capture.skipped"), skipped_captures);
-    reg.add(reg.counter("classify.windows"), sign_total);
-    reg.add(reg.counter("classify.sign_correct"), sign_correct);
-    obs::write_json_file(obs::make_report(reg, nullptr, &cm), diag_path);
+    obs::write_json_file(run.diag.report(), diag_path);
     std::printf("wrote %s\n", diag_path.c_str());
   }
   return 0;

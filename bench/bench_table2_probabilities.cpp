@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
 #include "numeric/rng.hpp"
 
 using namespace reveal;
@@ -40,19 +39,20 @@ int main(int argc, char** argv) {
   attack.train(campaign.collect_windows(150, /*seed_base=*/1));
 
   // Select one measurement per secret value in -2..2 "uniformly at random".
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 7000, 40);
   num::Xoshiro256StarStar pick(42);
   std::printf("\n%6s |%10s%10s%10s%10s%10s |%10s%12s\n", "secret", "-2", "-1", "0", "1",
               "2", "centered", "variance");
   for (const std::int32_t secret : {0, 1, -1, 2, -2}) {
-    // Scan captures until we find windows with this true value; choose one
-    // at random among the first few.
+    // Scan the captures until we find windows with this true value; choose
+    // one at random among the first few.
     std::vector<CoefficientGuess> matches;
-    for (std::uint64_t seed = 7000; seed < 7040 && matches.size() < 8; ++seed) {
-      const FullCapture cap = campaign.capture(seed);
-      if (cap.segments.size() != cfg.n) continue;
-      const auto guesses = attack.attack_capture(cap);
+    for (std::size_t c = 0; c < run.result.captures.size() && matches.size() < 8; ++c) {
+      const auto& guesses = run.result.captures[c].guesses;
+      const auto& truth = run.result.truth[c];
+      if (guesses.size() != truth.size()) continue;
       for (std::size_t i = 0; i < guesses.size(); ++i) {
-        if (cap.noise[i] == secret) matches.push_back(guesses[i]);
+        if (truth[i] == secret) matches.push_back(guesses[i]);
       }
     }
     if (matches.empty()) {

@@ -12,9 +12,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "core/hints.hpp"
-#include "lwe/dbdd.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -25,12 +22,7 @@ int main(int argc, char** argv) {
       "Table III",
       "Cost of attack with/without hints for SEAL-128 (bikz; bits = bikz/2.986).");
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
 
   // --- row 1: attack without hints ---------------------------------------
   const lwe::SecurityEstimate baseline = lwe::estimate_lwe_security(params);
@@ -44,19 +36,11 @@ int main(int argc, char** argv) {
   SamplerCampaign campaign(cfg);
   RevealAttack attack;
   attack.train(campaign.collect_windows(600, /*seed_base=*/1));
-  std::vector<CoefficientGuess> guesses;
-  std::size_t value_correct = 0;
-  for (std::uint64_t seed = 40000; guesses.size() < 1024; ++seed) {
-    const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != cfg.n) continue;
-    const auto batch = attack.attack_capture(cap);
-    for (std::size_t i = 0; i < batch.size() && guesses.size() < 1024; ++i) {
-      value_correct += (batch[i].value == cap.noise[i]);
-      guesses.push_back(batch[i]);
-    }
-  }
+  // 16 captures x 64 windows: the engine's estimate is over the m = 1024
+  // error coordinates of `params`, one hint each.
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 40000, 1024 / cfg.n);
   std::printf("per-coefficient ML accuracy over the hint set: %.1f%%\n",
-              100.0 * static_cast<double>(value_correct) / 1024.0);
+              run.diag.confusion.overall_accuracy());
 
   // --- row 2 (paper methodology): all measurements as perfect hints ------
   lwe::DbddEstimator paper_style(params);
@@ -74,17 +58,13 @@ int main(int argc, char** argv) {
       "  residual_search end-to-end demo).");
 
   // --- row 3 (honest calibration): measured posterior variances ----------
-  lwe::DbddEstimator honest(params);
-  const HintSummary summary = integrate_guess_hints(honest, guesses, 1e-6);
-  const lwe::SecurityEstimate with_hints_measured = honest.estimate();
+  const HintSummary& summary = run.result.hint_totals;
   std::printf("\n");
   std::printf("  measured hint quality: %zu perfect, %zu approximate (mean residual "
               "variance %.2f)\n",
               summary.perfect, summary.approximate, summary.mean_residual_variance);
-  bench::print_row("attack with measured-variance hints (bikz)", 12.2,
-                   with_hints_measured.beta);
-  bench::print_row("attack with measured-variance hints (bits)", 4.4,
-                   with_hints_measured.bits);
+  bench::print_row("attack with measured-variance hints (bikz)", 12.2, run.result.report.bikz);
+  bench::print_row("attack with measured-variance hints (bits)", 4.4, run.result.report.bits);
   bench::print_note(
       "honest calibration keeps the positive-value ambiguity (Hamming-weight\n"
       "  collisions, cf. Table I) in the hint variances, so the residual\n"

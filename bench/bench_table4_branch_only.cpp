@@ -12,9 +12,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/attack.hpp"
-#include "core/hints.hpp"
-#include "lwe/dbdd.hpp"
 #include "numeric/distributions.hpp"
 
 using namespace reveal;
@@ -27,12 +24,7 @@ int main(int argc, char** argv) {
       "Cost of attack with hints from ONLY the branch vulnerability\n"
       "(signs + zeros) for SEAL-128. Signs alone must NOT break the scheme.");
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params();
 
   const lwe::SecurityEstimate baseline = lwe::estimate_lwe_security(params);
   std::printf("\n");
@@ -45,20 +37,9 @@ int main(int argc, char** argv) {
   SamplerCampaign campaign(cfg);
   RevealAttack attack;
   attack.train(campaign.collect_windows(150, /*seed_base=*/1));
-  std::vector<CoefficientGuess> guesses;
-  std::size_t sign_correct = 0;
-  for (std::uint64_t seed = 60000; guesses.size() < 1024; ++seed) {
-    const FullCapture cap = campaign.capture(seed);
-    if (cap.segments.size() != cfg.n) continue;
-    const auto batch = attack.attack_capture(cap);
-    for (std::size_t i = 0; i < batch.size() && guesses.size() < 1024; ++i) {
-      const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
-      sign_correct += (batch[i].sign == truth);
-      guesses.push_back(batch[i]);
-    }
-  }
-  bench::print_row("branch (sign) success probability (%)", 100.0,
-                   100.0 * static_cast<double>(sign_correct) / 1024.0);
+  const bench::AttackRun run = bench::attack_campaign(attack, cfg, 60000, 1024 / cfg.n);
+  const std::vector<CoefficientGuess> guesses = run.guesses();
+  bench::print_row("branch (sign) success probability (%)", 100.0, run.sign_accuracy());
 
   lwe::DbddEstimator sign_only(params);
   const HintSummary summary = integrate_sign_only_hints(sign_only, guesses, 3.19, 41.0);

@@ -111,25 +111,17 @@ int do_attack(const std::string& dir) {
   attack.train(campaign.collect_windows(150, /*seed_base=*/1));
 
   std::printf("attack: segmenting the captured trace...\n");
-  std::vector<double> trace = traces[0].samples;
-  auto segments = sca::segment_trace(trace, cfg.segmentation);
-  anchor_windows_at_burst_edge(trace, segments, cfg.segmentation.threshold);
-  if (segments.size() != kN) {
+  const RobustCaptureResult res =
+      attack.attack_capture_robust(traces[0].samples, kN, cfg.segmentation);
+  if (res.guesses.size() != kN) {
     std::fprintf(stderr, "attack: expected %zu windows, found %zu\n", kN,
-                 segments.size());
+                 res.segmentation.segments.size());
     return 1;
-  }
-
-  std::vector<CoefficientGuess> guesses;
-  for (const auto& seg : segments) {
-    std::vector<double> window(trace.begin() + static_cast<std::ptrdiff_t>(seg.window_begin),
-                               trace.begin() + static_cast<std::ptrdiff_t>(seg.window_end));
-    guesses.push_back(attack.attack_window(window));
   }
 
   ResidualSearchConfig rs;
   rs.max_tries = 1000000;
-  const ResidualSearchResult search = residual_search(ctx, pk, ct, guesses, rs);
+  const ResidualSearchResult search = residual_search(ctx, pk, ct, res.guesses, rs);
   if (!search.found) {
     std::printf("attack: residual search exhausted (%zu tried) — capture another trace\n",
                 search.tried);

@@ -63,7 +63,9 @@ int main() {
   // residual-search budget; the loop retries on the rare exception.
   for (std::uint64_t trace_seed = 424202; ; ++trace_seed) {
     const FullCapture capture = campaign.capture(trace_seed);
-    if (capture.segments.size() != kN) continue;
+    const RobustCaptureResult res =
+        attack.attack_capture_robust(capture.trace, kN, cfg.segmentation);
+    if (res.guesses.size() != kN) continue;
 
     seal::EncryptionWitness witness;
     seal::sample_poly_ternary(witness.u, rng, ctx);
@@ -76,8 +78,8 @@ int main() {
 
     // --- the attack ------------------------------------------------------
     std::printf("[attack] segmentation: %zu/%zu coefficient windows found\n",
-                capture.segments.size(), kN);
-    const auto guesses = attack.attack_capture(capture);
+                res.segmentation.segments.size(), kN);
+    const std::vector<CoefficientGuess>& guesses = res.guesses;
 
     std::size_t sign_ok = 0, value_ok = 0;
     for (std::size_t i = 0; i < kN; ++i) {

@@ -212,26 +212,9 @@ CoefficientGuess RevealAttack::attack_window(const std::vector<double>& window,
 
 RobustCaptureResult RevealAttack::attack_capture_robust(
     const std::vector<double>& trace, std::size_t expected_windows,
-    const sca::SegmentationConfig& seg_config, WorkerPool* pool) const {
+    const sca::SegmentationConfig& seg_config) const {
   obs::NullSpanTracer null_tracer;
-  return attack_capture_robust_traced(trace, expected_windows, seg_config, null_tracer,
-                                      0, pool);
-}
-
-std::vector<CoefficientGuess> RevealAttack::attack_capture(const FullCapture& capture,
-                                                           WorkerPool* pool) const {
-  const std::vector<WindowRecord> windows = windows_from_capture(capture);
-  std::vector<CoefficientGuess> out;
-  if (pool != nullptr && !pool->serial()) {
-    out.resize(windows.size());
-    pool->run_indexed(windows.size(), [&](std::size_t i, std::size_t) {
-      out[i] = attack_window(windows[i].samples);
-    });
-  } else {
-    out.reserve(windows.size());
-    for (const auto& w : windows) out.push_back(attack_window(w.samples));
-  }
-  return out;
+  return attack_capture_robust_traced(trace, expected_windows, seg_config, null_tracer);
 }
 
 }  // namespace reveal::core

@@ -33,10 +33,6 @@ struct AttackConfig {
   /// template (they fall outside the observed range, like the paper's
   /// "values between -14 and 14 with 220,000 tests").
   std::size_t min_class_count = 5;
-  /// Posterior variance below this counts as a perfect hint (paper Table II:
-  /// probabilities that "rounded up to 1 ... because of floating-point
-  /// precision" are used as perfect hints).
-  double perfect_hint_threshold = 1e-6;
 
   // --- degradation awareness (all 0 = disabled: exact seed behaviour) ---
   /// Relative Fisher-distance margin (d2 - d1) / d1 between the two closest
@@ -126,21 +122,17 @@ class RevealAttack {
   [[nodiscard]] CoefficientGuess attack_window(const std::vector<double>& window,
                                                double window_quality = 1.0) const;
 
-  /// Attacks every window of a capture (single-trace attack). A non-serial
-  /// `pool` fans the per-window classifications out over the workers; each
-  /// guess is written to its window-index slot, so the result is identical
-  /// for any worker count.
-  [[nodiscard]] std::vector<CoefficientGuess> attack_capture(
-      const FullCapture& capture, WorkerPool* pool = nullptr) const;
-
-  /// Degradation-aware single-trace attack: robust segmentation with the
-  /// expected window count, burst-edge anchoring, then per-window attacks
-  /// gated by the segmentation quality scores. Never throws on a bad trace;
-  /// a failed segmentation returns zero guesses with the diagnosis attached.
-  /// `pool` parallelizes the per-window stage exactly as in attack_capture.
+  /// The single-trace attack — the one capture-level entry point: robust
+  /// segmentation with the expected window count, burst-edge anchoring,
+  /// then per-window attacks gated by the segmentation quality scores. On a
+  /// clean trace the first segmentation attempt succeeds and every window
+  /// is read at full quality. Never throws on a bad trace; a failed
+  /// segmentation returns zero guesses with the diagnosis attached. Windows
+  /// are attacked in order on the calling thread (campaigns parallelize
+  /// over captures instead).
   [[nodiscard]] RobustCaptureResult attack_capture_robust(
       const std::vector<double>& trace, std::size_t expected_windows,
-      const sca::SegmentationConfig& seg_config, WorkerPool* pool = nullptr) const;
+      const sca::SegmentationConfig& seg_config) const;
 
   /// attack_capture_robust with pipeline-stage spans (segmentation /
   /// classification) recorded into `tracer`, tagged with `capture_index`.
@@ -152,7 +144,7 @@ class RevealAttack {
   [[nodiscard]] RobustCaptureResult attack_capture_robust_traced(
       const std::vector<double>& trace, std::size_t expected_windows,
       const sca::SegmentationConfig& seg_config, TracerT& tracer,
-      std::uint32_t capture_index = 0, WorkerPool* pool = nullptr) const;
+      std::uint32_t capture_index = 0) const;
 
  private:
   AttackConfig config_;
@@ -167,7 +159,7 @@ template <typename TracerT>
 RobustCaptureResult RevealAttack::attack_capture_robust_traced(
     const std::vector<double>& trace, std::size_t expected_windows,
     const sca::SegmentationConfig& seg_config, TracerT& tracer,
-    std::uint32_t capture_index, WorkerPool* pool) const {
+    std::uint32_t capture_index) const {
   if (!trained()) throw std::logic_error("RevealAttack: train() first");
   RobustCaptureResult out;
   {
@@ -183,22 +175,13 @@ RobustCaptureResult RevealAttack::attack_capture_robust_traced(
   if (out.segmentation.status == sca::SegmentationStatus::kFailed) return out;
 
   auto span = tracer.span(obs::Stage::kClassification, capture_index);
-  auto window_guess = [&](std::size_t i) {
+  out.guesses.reserve(out.segmentation.segments.size());
+  for (std::size_t i = 0; i < out.segmentation.segments.size(); ++i) {
     const sca::Segment& seg = out.segmentation.segments[i];
     const std::vector<double> window(
         trace.begin() + static_cast<std::ptrdiff_t>(seg.window_begin),
         trace.begin() + static_cast<std::ptrdiff_t>(seg.window_end));
-    return attack_window(window, out.segmentation.window_quality[i]);
-  };
-  if (pool != nullptr && !pool->serial()) {
-    out.guesses.resize(out.segmentation.segments.size());
-    pool->run_indexed(out.guesses.size(),
-                      [&](std::size_t i, std::size_t) { out.guesses[i] = window_guess(i); });
-  } else {
-    out.guesses.reserve(out.segmentation.segments.size());
-    for (std::size_t i = 0; i < out.segmentation.segments.size(); ++i) {
-      out.guesses.push_back(window_guess(i));
-    }
+    out.guesses.push_back(attack_window(window, out.segmentation.window_quality[i]));
   }
   return out;
 }

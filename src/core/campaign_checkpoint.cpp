@@ -17,7 +17,7 @@ namespace {
 
 constexpr std::uint32_t kCheckpointMarker = 0x52'56'43'50;  // "PCVR"
 constexpr std::uint32_t kCheckpointEndMarker = 0x50'43'56'52;
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 constexpr std::uint64_t kMaxCheckpointCaptures = std::uint64_t{1} << 32;
 constexpr std::uint64_t kMaxHintsPerCapture = std::uint64_t{1} << 20;
 
@@ -35,12 +35,14 @@ std::uint64_t fnv1a(std::uint64_t h, double v) {
   return fnv1a(h, bits);
 }
 
+// Only the tally's counts are written: its variance sum adds up in the
+// order the workers happened to route captures, so saving it would make the
+// checkpoint bytes depend on the schedule (finalize never reads it).
 void write_tally(std::ostream& out, const HintTally& t) {
   num::io::write_pod<std::uint64_t>(out, t.perfect);
   num::io::write_pod<std::uint64_t>(out, t.approximate);
   num::io::write_pod<std::uint64_t>(out, t.sign_only);
   num::io::write_pod<std::uint64_t>(out, t.skipped);
-  num::io::write_pod(out, t.approximate_variance_sum);
 }
 
 HintTally read_tally(std::istream& in) {
@@ -49,7 +51,6 @@ HintTally read_tally(std::istream& in) {
   t.approximate = static_cast<std::size_t>(num::io::read_pod<std::uint64_t>(in));
   t.sign_only = static_cast<std::size_t>(num::io::read_pod<std::uint64_t>(in));
   t.skipped = static_cast<std::size_t>(num::io::read_pod<std::uint64_t>(in));
-  t.approximate_variance_sum = num::io::read_pod<double>(in);
   return t;
 }
 
@@ -235,6 +236,8 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
   const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
   std::vector<RobustCaptureResult> captures(count);
   std::vector<std::vector<HintRecord>> hints(count);
+  std::vector<std::vector<std::int64_t>> truth(
+      acc.keep_captures && source.corpus == nullptr ? count : 0);
   std::vector<HintTally> tallies(worker_slots);
   std::vector<detail::WorkerObs> worker_obs(kDiag ? worker_slots : 0);
   // Fresh replicas per range: their fault stats then cover exactly these
@@ -242,10 +245,9 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
   // reused across ranges would double-count on every fold).
   detail::CampaignReplicas replicas(config, pool.num_workers());
 
-  // Each capture is one task: the per-window attack inside stays sequential
-  // (nesting run_indexed on the same pool is not allowed), which is the
-  // right granularity anyway — captures outnumber workers in every
-  // campaign-shaped sweep. Results land in index slots.
+  // Each capture is one task whose windows are attacked in order inside it:
+  // captures outnumber workers in every campaign-shaped sweep. Results land
+  // in index slots.
   pool.run_indexed(count, [&](std::size_t i, std::size_t w) {
     const std::size_t index = begin + i;
     FullCapture& cap = replicas.scratch_for(w);
@@ -290,6 +292,7 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
     }
     captures[i] = std::move(res);
     hints[i] = std::move(records);
+    if (!truth.empty()) truth[i] = cap.noise;
   });
 
   // Ordered folds — capture order for the report partials and hints,
@@ -298,6 +301,7 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
     acc.fold_capture(captures[i]);
     acc.hints.push_back(std::move(hints[i]));
     if (acc.keep_captures) acc.captures.push_back(std::move(captures[i]));
+    if (!truth.empty()) acc.truth.push_back(std::move(truth[i]));
   }
   for (const HintTally& t : tallies) acc.worker_tally.merge(t);
   if constexpr (kDiag) {
@@ -330,6 +334,10 @@ void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
       source.corpus != nullptr ? source.corpus->size() : source.seeds.size();
   if (end < begin || end > available)
     throw std::invalid_argument("accumulate_campaign_range: range outside the trace source");
+  if (source.config.shuffled_firmware)
+    throw std::invalid_argument(
+        "accumulate_campaign_range: shuffled firmware hides the coefficient order "
+        "(2n - 1 bursts, no positional hints)");
   const auto first = static_cast<std::size_t>(begin);
   const auto count = static_cast<std::size_t>(end - begin);
   if (spans != nullptr) {
@@ -402,6 +410,7 @@ RecoveryCampaignResult finalize_campaign(CampaignAccumulator&& acc,
     diag->confusion.merge(acc.confusion);
   }
   out.captures = std::move(acc.captures);
+  out.truth = std::move(acc.truth);
   out.hints = std::move(acc.hints);
   return out;
 }

@@ -51,7 +51,9 @@ namespace reveal::core {
 /// seeds[i] under `config`, or — when `corpus` is set — its stored trace i
 /// (no ground truth, so no confusion or accuracy counters). `config.n` and
 /// `config.segmentation` are the expected window count and the robust
-/// segmentation settings either way.
+/// segmentation settings either way. Shuffled firmware is not a campaign
+/// target: its trace holds 2n - 1 bursts, and positional hints mean nothing
+/// for a victim that hides the coefficient order.
 struct TraceSource {
   CampaignConfig config;
   std::span<const std::uint64_t> seeds;
@@ -69,8 +71,10 @@ struct CampaignAccumulator {
   /// replays the full sequence once, at finalize.
   std::vector<std::vector<HintRecord>> hints;
 
-  /// Per-worker tallies merged in worker order (integer cross-check against
-  /// the finalize-time recount; the float sum is taken from the recount).
+  /// Per-worker tallies merged in worker order — an integer cross-check
+  /// against the finalize-time recount. Only the four counts are saved: the
+  /// variance sum follows the worker schedule, and finalize takes it from
+  /// the capture-order recount instead.
   HintTally worker_tally;
 
   // Report partials, accumulated in capture order. The burst-consistency
@@ -89,11 +93,13 @@ struct CampaignAccumulator {
   obs::Registry registry;
   sca::ConfusionMatrix confusion;
 
-  /// Per-capture attack results in capture order, collected only when
-  /// keep_captures is set (the in-memory drivers return them). Never saved
-  /// or appended: checkpoints and shard partials do without them.
+  /// Per-capture attack results — and, for live captures, their ground
+  /// truth — in capture order, collected only when keep_captures is set
+  /// (the in-memory drivers return them). Never saved or appended:
+  /// checkpoints and shard partials do without them.
   bool keep_captures = false;
   std::vector<RobustCaptureResult> captures;
+  std::vector<std::vector<std::int64_t>> truth;
 
   /// Folds one capture's report-feeding outcome (call in capture order).
   void fold_capture(const RobustCaptureResult& res);
@@ -115,7 +121,8 @@ struct CampaignAccumulator {
 /// counts into acc.registry / acc.confusion and records the capture,
 /// segmentation, classification and hints spans into *spans. Increments
 /// acc.next_index by end - begin; throws std::invalid_argument when the
-/// range is inverted or runs past the source.
+/// range is inverted or runs past the source, or when the source runs
+/// shuffled firmware.
 void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
                                const TraceSource& source, std::uint64_t begin,
                                std::uint64_t end, const HintPolicy& policy,

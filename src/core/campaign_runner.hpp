@@ -49,6 +49,10 @@ struct RecoveryCampaignResult {
   /// One per capture, in capture order (live and corpus runs; checkpointed
   /// and sharded runs do not keep them).
   std::vector<RobustCaptureResult> captures;
+  /// Ground truth of each live capture — the sampled coefficients, one per
+  /// window — in capture order, kept alongside `captures` (empty for corpus
+  /// replays, which carry no truth).
+  std::vector<std::vector<std::int64_t>> truth;
   std::vector<std::vector<HintRecord>> hints;  ///< per capture, in window order
   HintSummary hint_totals;                     ///< over all captures
   sca::RecoveryReport report;  ///< aggregate stage counters + residual estimate

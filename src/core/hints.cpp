@@ -6,27 +6,6 @@
 
 namespace reveal::core {
 
-HintSummary integrate_guess_hints(lwe::DbddEstimator& estimator,
-                                  const std::vector<CoefficientGuess>& guesses,
-                                  double perfect_threshold) {
-  HintSummary summary;
-  double var_acc = 0.0;
-  for (const auto& g : guesses) {
-    const double variance = g.posterior_variance();
-    if (variance <= perfect_threshold) {
-      estimator.integrate_perfect_error_hints(1);
-      ++summary.perfect;
-    } else {
-      estimator.integrate_posterior_error_hints(variance, 1);
-      ++summary.approximate;
-      var_acc += variance;
-    }
-  }
-  if (summary.approximate > 0)
-    summary.mean_residual_variance = var_acc / static_cast<double>(summary.approximate);
-  return summary;
-}
-
 HintRecord route_guess(const CoefficientGuess& g, const HintPolicy& policy) {
   switch (g.quality) {
     case GuessQuality::kOk: {
@@ -133,32 +112,6 @@ HintSummary integrate_sign_only_hints(lwe::DbddEstimator& estimator,
   }
   summary.mean_residual_variance = summary.approximate > 0 ? side_variance : 0.0;
   return summary;
-}
-
-sca::RecoveryReport summarize_recovery(const RobustCaptureResult& result,
-                                       std::size_t expected_windows,
-                                       const HintSummary& hints,
-                                       const lwe::SecurityEstimate& estimate) {
-  sca::RecoveryReport report;
-  report.expected_windows = expected_windows;
-  report.recovered_windows = result.segmentation.segments.size();
-  report.segmentation_status = result.segmentation.status;
-  report.segmentation_attempts = result.segmentation.attempts;
-  report.burst_consistency = result.segmentation.burst_consistency;
-  for (const CoefficientGuess& g : result.guesses) {
-    switch (g.quality) {
-      case GuessQuality::kOk: ++report.ok_guesses; break;
-      case GuessQuality::kLowConfidence: ++report.low_confidence_guesses; break;
-      case GuessQuality::kAbstained: ++report.abstained_guesses; break;
-    }
-  }
-  report.perfect_hints = hints.perfect;
-  report.approximate_hints = hints.approximate;
-  report.sign_only_hints = hints.sign_only;
-  report.dropped_hints = hints.skipped;
-  report.bikz = estimate.beta;
-  report.bits = estimate.bits;
-  return report;
 }
 
 }  // namespace reveal::core

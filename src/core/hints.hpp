@@ -9,7 +9,6 @@
 
 #include "core/attack.hpp"
 #include "lwe/dbdd.hpp"
-#include "sca/report.hpp"
 
 namespace reveal::core {
 
@@ -21,21 +20,15 @@ struct HintSummary {
   std::size_t skipped = 0;    ///< abstained without a trusted sign: no hint
 };
 
-/// Integrates full-attack guesses (sign + value posteriors) for the error
-/// coordinates of `estimator`. `perfect_threshold` is the posterior-variance
-/// cutoff below which a guess counts as a perfect hint. Ignores guess
-/// quality flags (the seed pipeline's behaviour; suitable only for clean
-/// captures).
-HintSummary integrate_guess_hints(lwe::DbddEstimator& estimator,
-                                  const std::vector<CoefficientGuess>& guesses,
-                                  double perfect_threshold);
-
 /// Degradation-aware hint routing (paper §IV-C's perfect/approximate split,
 /// extended with fallbacks for degraded captures). Perfect hints require a
 /// full-confidence guess AND a near-zero posterior variance — a corrupted
 /// window can therefore never poison the estimator with a wrong "exact"
 /// coefficient; it degrades into a wider approximate hint, a sign-only
 /// hint, or no hint at all, raising bikz instead of breaking correctness.
+/// With zero_hint_variance = 0, full-confidence guesses route exactly as in
+/// the paper: perfect at posterior variance <= perfect_threshold, otherwise
+/// approximate with the posterior variance (Table III).
 struct HintPolicy {
   /// Posterior-variance cutoff for perfect hints (full-confidence only).
   double perfect_threshold = 1e-6;
@@ -113,15 +106,11 @@ struct HintTally {
 /// the routing rules.
 [[nodiscard]] bool routes_as_perfect(const CoefficientGuess& g, const HintPolicy& policy);
 
+/// Integrates full-attack guesses (sign + value posteriors) for the error
+/// coordinates of `estimator`: route_guess + apply_hint in guess order.
 HintSummary integrate_guess_hints(lwe::DbddEstimator& estimator,
                                   const std::vector<CoefficientGuess>& guesses,
                                   const HintPolicy& policy);
-
-/// Collates one robust capture attack + its hint integration + the
-/// resulting security estimate into a per-stage RecoveryReport.
-[[nodiscard]] sca::RecoveryReport summarize_recovery(
-    const RobustCaptureResult& result, std::size_t expected_windows,
-    const HintSummary& hints, const lwe::SecurityEstimate& estimate);
 
 /// Branch-only adversary (paper Table IV): only the sign / zero information
 /// is used. Zero coefficients become perfect hints; signed ones are

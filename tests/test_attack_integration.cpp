@@ -27,6 +27,13 @@ CampaignConfig small_campaign() {
   return cfg;
 }
 
+/// The single-trace attack on one capture of `cfg`'s campaign.
+std::vector<CoefficientGuess> attack_guesses(const RevealAttack& attack,
+                                             const CampaignConfig& cfg,
+                                             const FullCapture& cap) {
+  return attack.attack_capture_robust(cap.trace, cfg.n, cfg.segmentation).guesses;
+}
+
 }  // namespace
 
 TEST(Acquisition, SegmentationFindsEveryCoefficient) {
@@ -89,7 +96,7 @@ TEST_F(AttackPipeline, SignClassificationIsPerfect) {
   for (std::uint64_t seed = 500; seed < 520; ++seed) {
     const FullCapture cap = campaign_->capture(seed);
     ASSERT_EQ(cap.segments.size(), 64u);
-    const auto guesses = attack_->attack_capture(cap);
+    const auto guesses = attack_guesses(*attack_, campaign_->config(), cap);
     for (std::size_t i = 0; i < guesses.size(); ++i) {
       const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
       correct += (guesses[i].sign == truth);
@@ -104,7 +111,7 @@ TEST_F(AttackPipeline, ValueRecoveryBeatsChanceAndFavoursNegatives) {
   for (std::uint64_t seed = 600; seed < 640; ++seed) {
     const FullCapture cap = campaign_->capture(seed);
     ASSERT_EQ(cap.segments.size(), 64u);
-    const auto guesses = attack_->attack_capture(cap);
+    const auto guesses = attack_guesses(*attack_, campaign_->config(), cap);
     for (std::size_t i = 0; i < guesses.size(); ++i) {
       cm.add(static_cast<std::int32_t>(cap.noise[i]), guesses[i].value);
     }
@@ -138,7 +145,7 @@ TEST_F(AttackPipeline, ValueRecoveryBeatsChanceAndFavoursNegatives) {
 TEST_F(AttackPipeline, PosteriorsAreCalibratedProbabilities) {
   const FullCapture cap = campaign_->capture(700);
   ASSERT_EQ(cap.segments.size(), 64u);
-  const auto guesses = attack_->attack_capture(cap);
+  const auto guesses = attack_guesses(*attack_, campaign_->config(), cap);
   for (const auto& g : guesses) {
     double total = 0.0;
     for (const double p : g.posterior) {
@@ -157,7 +164,7 @@ TEST_F(AttackPipeline, HintsCollapseEstimatedSecurity) {
   for (std::uint64_t seed = 800; guesses.size() < 1024; ++seed) {
     const FullCapture cap = campaign_->capture(seed);
     ASSERT_EQ(cap.segments.size(), 64u);
-    const auto batch = attack_->attack_capture(cap);
+    const auto batch = attack_guesses(*attack_, campaign_->config(), cap);
     guesses.insert(guesses.end(), batch.begin(), batch.end());
   }
   guesses.resize(1024);
@@ -175,8 +182,8 @@ TEST_F(AttackPipeline, HintsCollapseEstimatedSecurity) {
 
   // (i) Honest calibration: integrate the measured posterior variances.
   lwe::DbddEstimator with_hints(params);
-  const HintSummary summary =
-      integrate_guess_hints(with_hints, guesses, attack_->config().perfect_hint_threshold);
+  const HintSummary summary = integrate_guess_hints(
+      with_hints, guesses, HintPolicy{.perfect_threshold = 1e-6, .zero_hint_variance = 0.0});
   EXPECT_EQ(summary.perfect + summary.approximate, 1024u);
   EXPECT_GT(summary.perfect, 100u);  // zeros (and sharp negatives) are exact
   const double hinted = with_hints.estimate().beta;
@@ -201,12 +208,16 @@ TEST_F(AttackPipeline, HintsCollapseEstimatedSecurity) {
 TEST_F(AttackPipeline, RobustPathMatchesSeedPipelineBitIdentically) {
   // Acceptance criterion of the robustness layer: with no faults injected
   // and the default (gates-off) AttackConfig, the degradation-aware entry
-  // point must reproduce the seed pipeline exactly — same segmentation on
-  // the first attempt and field-identical guesses, not merely "close".
+  // point must reproduce the seed pipeline — every window of the
+  // capture-side segmentation attacked at full quality — exactly: same
+  // segmentation on the first attempt and field-identical guesses, not
+  // merely "close".
   for (std::uint64_t seed = 2000; seed < 2008; ++seed) {
     const FullCapture cap = campaign_->capture(seed);
     ASSERT_EQ(cap.segments.size(), 64u);
-    const auto seed_guesses = attack_->attack_capture(cap);
+    std::vector<CoefficientGuess> seed_guesses;
+    for (const WindowRecord& w : windows_from_capture(cap))
+      seed_guesses.push_back(attack_->attack_window(w.samples));
 
     const RobustCaptureResult robust = attack_->attack_capture_robust(
         cap.trace, 64, campaign_->config().segmentation);
@@ -281,7 +292,7 @@ TEST(EndToEnd, SingleTraceMessageRecovery) {
 
     // Attack: recover e2 from the trace (template posteriors + residual
     // search with the public-value consistency oracle), then the message.
-    const auto guesses = attack.attack_capture(cap);
+    const auto guesses = attack_guesses(attack, lab, cap);
     ++attempts;
     ResidualSearchConfig search_config;
     search_config.max_tries = 500000;
@@ -327,21 +338,17 @@ TEST(EndToEnd, FullEncryptionTraceCoversBothErrorPolys) {
   power::TraceRecorder recorder(model, /*noise_seed=*/5);
   const VictimRun run = run_victim(prog, machine, 0xBEEF, &recorder);
 
-  std::vector<double> trace = recorder.take_samples();
-  auto segments = sca::segment_trace(trace, cfg.segmentation);
-  anchor_windows_at_burst_edge(trace, segments, cfg.segmentation.threshold);
-  ASSERT_EQ(segments.size(), 2 * kN);
+  const RobustCaptureResult res =
+      attack.attack_capture_robust(recorder.take_samples(), 2 * kN, cfg.segmentation);
+  ASSERT_EQ(res.guesses.size(), 2 * kN);
 
   std::size_t sign_ok = 0;
-  for (std::size_t w = 0; w < segments.size(); ++w) {
-    const auto& seg = segments[w];
-    std::vector<double> window(trace.begin() + static_cast<std::ptrdiff_t>(seg.window_begin),
-                               trace.begin() + static_cast<std::ptrdiff_t>(seg.window_end));
-    if (window.size() < 110) continue;  // final window may be short-ish
-    const auto guess = attack.attack_window(window);
+  for (std::size_t w = 0; w < res.guesses.size(); ++w) {
+    const sca::Segment& seg = res.segmentation.segments[w];
+    if (seg.window_end - seg.window_begin < 110) continue;  // final window may be short-ish
     const std::int64_t truth = run.noise[w];
     const int truth_sign = truth > 0 ? 1 : (truth < 0 ? -1 : 0);
-    sign_ok += (guess.sign == truth_sign);
+    sign_ok += (res.guesses[w].sign == truth_sign);
   }
   // Sign recovery transfers across both polynomials (one window between the
   // polys may see a slightly different continuation).
@@ -360,7 +367,7 @@ TEST(Acquisition, RobustToBaselineDrift) {
   for (std::uint64_t seed = 400; seed < 410; ++seed) {
     const FullCapture cap = campaign.capture(seed);
     ASSERT_EQ(cap.segments.size(), cfg.n) << seed;
-    const auto guesses = attack.attack_capture(cap);
+    const auto guesses = attack_guesses(attack, cfg, cap);
     for (std::size_t i = 0; i < guesses.size(); ++i) {
       const int truth = cap.noise[i] > 0 ? 1 : (cap.noise[i] < 0 ? -1 : 0);
       sign_ok += (guesses[i].sign == truth);

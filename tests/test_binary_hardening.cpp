@@ -277,7 +277,11 @@ TEST(BinaryHardening, CampaignAccumulatorLoadSurvivesCorruptStreams) {
     EXPECT_EQ(loaded.next_index, acc.next_index);
     EXPECT_EQ(loaded.hints, acc.hints);
     EXPECT_EQ(loaded.capture_consistency, acc.capture_consistency);
-    EXPECT_EQ(loaded.worker_tally, acc.worker_tally);
+    // Only the tally's counts persist (its variance sum is schedule-dependent).
+    EXPECT_EQ(loaded.worker_tally.perfect, acc.worker_tally.perfect);
+    EXPECT_EQ(loaded.worker_tally.approximate, acc.worker_tally.approximate);
+    EXPECT_EQ(loaded.worker_tally.sign_only, acc.worker_tally.sign_only);
+    EXPECT_EQ(loaded.worker_tally.skipped, acc.worker_tally.skipped);
     EXPECT_EQ(loaded.worst_status, acc.worst_status);
     EXPECT_TRUE(loaded.registry.same_metrics(acc.registry));
     EXPECT_EQ(loaded.confusion, acc.confusion);

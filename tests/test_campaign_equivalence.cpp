@@ -332,14 +332,16 @@ TEST_F(CampaignEquivalence, TrainedTemplatesByteIdenticalAcrossWorkerCounts) {
   // must give bit-identical posteriors: training accumulates the pooled
   // covariance in window-index order regardless of the pool.
   const FullCapture probe = profiler.capture(31337);
-  ASSERT_EQ(probe.segments.size(), clean.n);
-  const std::vector<CoefficientGuess> ref = serial.attack_capture(probe);
+  const std::vector<CoefficientGuess> ref =
+      serial.attack_capture_robust(probe.trace, clean.n, clean.segmentation).guesses;
+  ASSERT_EQ(ref.size(), clean.n);
 
   for (const std::size_t workers : {1u, 4u}) {
     WorkerPool pool(workers);
     RevealAttack parallel(gated_attack_config());
     parallel.train(profiling, &pool);
-    const std::vector<CoefficientGuess> got = parallel.attack_capture(probe, &pool);
+    const std::vector<CoefficientGuess> got =
+        parallel.attack_capture_robust(probe.trace, clean.n, clean.segmentation).guesses;
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) expect_guesses_identical(ref[i], got[i]);

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,9 +198,7 @@ TEST_F(CheckpointShard, KillAndResumeIsByteIdentical) {
 TEST_F(CheckpointShard, CheckpointedCallsReportTheirSpansButNeverPersistThem) {
   // Spans flow in checkpointed runs as a separate, non-persisted section: a
   // call stopped after one batch of 3 reports those 3 captures' spans, and
-  // its checkpoint file is byte-identical to a second such run's. (Serial
-  // runners: the saved worker tally sums its variances in whatever order
-  // a parallel pool scheduled the captures.)
+  // its checkpoint file is byte-identical to a second such run's.
   CheckpointOptions options;
   options.batch_size = 3;
   options.max_batches_per_call = 1;
@@ -234,6 +233,76 @@ TEST_F(CheckpointShard, CheckpointedCallsReportTheirSpansButNeverPersistThem) {
   EXPECT_EQ(result.diagnostics.tracer.timing(obs::Stage::kCapture).count, kCaptures - 3);
   EXPECT_EQ(result.diagnostics.tracer.timing(obs::Stage::kEstimation).count, 1u);
   std::remove(temp_path("spans_0.ckpt").c_str());
+}
+
+TEST_F(CheckpointShard, CheckpointBytesDoNotDependOnTheWorkerSchedule) {
+  // A serial and a 4-worker run, each stopped after one 32-capture batch,
+  // must write the same checkpoint bytes: nothing saved may depend on which
+  // worker routed which capture (the worker tally persists its counts only;
+  // its variance sum adds up in schedule order).
+  CheckpointOptions options;
+  options.batch_size = 32;
+  options.max_batches_per_call = 1;
+  for (std::uint64_t base = kBaseSeed; base < kBaseSeed + 5; ++base) {
+    SCOPED_TRACE("base=" + std::to_string(base));
+    std::string bytes[2];
+    for (const std::size_t workers : {0u, 4u}) {
+      options.path = temp_path("schedule_w" + std::to_string(workers) + ".ckpt");
+      std::remove(options.path.c_str());
+      CampaignRunner runner(workers);
+      const CheckpointedCampaignResult result = run_recovery_campaign_checkpointed(
+          runner, *attack_, degraded_config(), base, 64, HintPolicy{}, paper_params(),
+          options);
+      ASSERT_FALSE(result.complete);
+      bytes[workers == 0 ? 0 : 1] = read_all(options.path);
+      std::remove(options.path.c_str());
+    }
+    ASSERT_FALSE(bytes[0].empty());
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
+}
+
+TEST_F(CheckpointShard, ShuffledFirmwareIsRejectedByTheLiveAndCheckpointedDrivers) {
+  // A shuffled trace holds 2n - 1 bursts and hides which coefficient each
+  // window sampled, so positional hints from it would be wrong: the fold
+  // refuses the config before any capture runs, whatever the driver.
+  CampaignConfig cfg;
+  cfg.n = 64;
+  cfg.shuffled_firmware = true;
+  CampaignRunner runner(2);
+  EXPECT_THROW((void)runner.run_recovery_campaign(*attack_, cfg,
+                                                  CampaignRunner::stream_seeds(kBaseSeed, 4),
+                                                  HintPolicy{}, paper_params()),
+               std::invalid_argument);
+  CheckpointOptions options;
+  options.path = temp_path("shuffled.ckpt");
+  std::remove(options.path.c_str());
+  EXPECT_THROW((void)run_recovery_campaign_checkpointed(runner, *attack_, cfg, kBaseSeed, 4,
+                                                        HintPolicy{}, paper_params(), options),
+               std::invalid_argument);
+  std::ifstream leftover(options.path);
+  EXPECT_FALSE(leftover.good());  // no batch ran, so nothing was saved
+}
+
+TEST_F(CheckpointShard, LiveResultCarriesGroundTruthInCaptureOrder) {
+  // The live campaign keeps each capture's sampled coefficients next to its
+  // guesses; the checkpointed driver keeps neither.
+  SamplerCampaign campaign(degraded_config());
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(kBaseSeed, kCaptures);
+  ASSERT_EQ(reference_->truth.size(), kCaptures);
+  for (std::size_t i = 0; i < kCaptures; ++i) {
+    EXPECT_EQ(reference_->truth[i], campaign.capture(seeds[i]).noise) << i;
+  }
+  CampaignRunner runner(2);
+  CheckpointOptions options;
+  options.path = temp_path("truth.ckpt");
+  std::remove(options.path.c_str());
+  const CheckpointedCampaignResult checkpointed = run_recovery_campaign_checkpointed(
+      runner, *attack_, degraded_config(), kBaseSeed, kCaptures, HintPolicy{}, paper_params(),
+      options);
+  ASSERT_TRUE(checkpointed.complete);
+  EXPECT_TRUE(checkpointed.campaign.captures.empty());
+  EXPECT_TRUE(checkpointed.campaign.truth.empty());
 }
 
 TEST_F(CheckpointShard, BatchSizeDoesNotChangeAnyOutputByte) {
@@ -437,6 +506,7 @@ TEST_F(CheckpointShard, CorpusReplayMatchesLiveCampaign) {
         paper_params());
     expect_reports_identical(result.report, reference_->report);
     EXPECT_EQ(result.hints, reference_->hints);
+    EXPECT_TRUE(result.truth.empty());  // stored traces carry no ground truth
     ASSERT_EQ(result.captures.size(), reference_->captures.size());
     for (std::size_t i = 0; i < result.captures.size(); ++i) {
       EXPECT_EQ(result.captures[i].segmentation.status,

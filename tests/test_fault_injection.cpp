@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
+#include "core/campaign_checkpoint.hpp"
 #include "core/hints.hpp"
 #include "lwe/dbdd.hpp"
 #include "power/fault_injector.hpp"
@@ -347,19 +349,6 @@ TEST(HintRouting, DegradedHintsCostBikzMonotonically) {
   EXPECT_LT(sign_only, dropped);
 }
 
-TEST(HintRouting, LegacyOverloadIgnoresQuality) {
-  // The seed-pipeline entry point must keep its exact historical behaviour:
-  // every guess lands in perfect-or-approximate, regardless of flags.
-  std::vector<CoefficientGuess> guesses;
-  guesses.push_back(make_guess(GuessQuality::kAbstained, false, 1, 1.0));
-  guesses.push_back(make_guess(GuessQuality::kLowConfidence, true, -1, 0.6));
-  lwe::DbddEstimator estimator(seal_params());
-  const HintSummary summary = integrate_guess_hints(estimator, guesses, 1e-6);
-  EXPECT_EQ(summary.perfect + summary.approximate, 2u);
-  EXPECT_EQ(summary.sign_only, 0u);
-  EXPECT_EQ(summary.skipped, 0u);
-}
-
 TEST(HintRouting, RecoveryReportCollatesStages) {
   RobustCaptureResult result;
   result.segmentation.status = sca::SegmentationStatus::kRecovered;
@@ -371,10 +360,18 @@ TEST(HintRouting, RecoveryReportCollatesStages) {
   result.guesses.push_back(make_guess(GuessQuality::kAbstained, true, 0, 1.0));
   result.guesses.push_back(make_guess(GuessQuality::kAbstained, false, 1, 1.0));
 
-  lwe::DbddEstimator estimator(seal_params());
-  const HintSummary hints = integrate_guess_hints(estimator, result.guesses, HintPolicy{});
+  // One capture of four windows through the campaign tail, the one place a
+  // RecoveryReport is assembled.
+  CampaignAccumulator acc;
+  acc.next_index = 1;
+  acc.fold_capture(result);
+  acc.hints.emplace_back();
+  for (const CoefficientGuess& g : result.guesses) {
+    acc.hints.back().push_back(route_guess(g, HintPolicy{}));
+    acc.worker_tally.add(acc.hints.back().back());
+  }
   const sca::RecoveryReport report =
-      summarize_recovery(result, 4, hints, estimator.estimate());
+      finalize_campaign(std::move(acc), 4, seal_params(), nullptr, nullptr).report;
   EXPECT_EQ(report.expected_windows, 4u);
   EXPECT_EQ(report.recovered_windows, 4u);
   EXPECT_EQ(report.ok_guesses, 1u);

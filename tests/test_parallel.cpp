@@ -267,10 +267,10 @@ std::vector<HintRecord> synthetic_records(std::size_t count, std::uint64_t seed)
 }
 
 TEST(HintTally, PerWorkerMergeMatchesOrderedRecountExactly) {
-  // The summarize_recovery / HintPolicy counter fix: counters must be
-  // accumulated per worker and merged, never shared-mutated. Feed a large
-  // record batch through a real pool into per-worker tallies and require the
-  // merged integer counters to match the ordered serial recount exactly.
+  // Hint counters must be accumulated per worker and merged, never
+  // shared-mutated. Feed a large record batch through a real pool into
+  // per-worker tallies and require the merged integer counters to match the
+  // ordered serial recount exactly.
   const std::vector<HintRecord> records = synthetic_records(20000, 321);
   HintTally serial;
   for (const HintRecord& r : records) serial.add(r);
