@@ -5,6 +5,7 @@
 // Every bench prints the rows of one of the paper's tables or figures next
 // to the values measured on the simulated target.
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +53,13 @@ inline lwe::DbddParams seal128_params(std::size_t error_dim = 1024) {
   params.secret_variance = 3.2 * 3.2;
   params.error_variance = 3.2 * 3.2;
   return params;
+}
+
+/// seal128_params for a campaign of `captures` captures of `n` windows: the
+/// paper's 1024 error coordinates, or one per window when the campaign has
+/// more — the campaign engine gives every hint a coordinate of its own.
+inline lwe::DbddParams seal128_params_for(std::size_t captures, std::size_t n) {
+  return seal128_params(std::max<std::size_t>(1024, captures * n));
 }
 
 /// Hint routing of paper §IV-C: a guess is a perfect hint when its

@@ -72,16 +72,6 @@ CampaignConfig degraded_config() {
   return cfg;
 }
 
-lwe::DbddParams paper_params() {
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
-  return params;
-}
-
 bool reports_identical(const sca::RecoveryReport& a, const sca::RecoveryReport& b) {
   return a == b;
 }
@@ -226,10 +216,10 @@ int run_json_harness(bool smoke) {
 
   // ---- campaign legs share one trained attack and one reference run ------
   const CampaignConfig cfg = degraded_config();
-  const lwe::DbddParams params = paper_params();
   const HintPolicy policy;
   const std::uint64_t base_seed = 424242;
   const std::size_t captures = smoke ? 6 : 24;
+  const lwe::DbddParams params = bench::seal128_params_for(captures, cfg.n);
 
   RevealAttack attack;
   {

@@ -152,12 +152,7 @@ int main(int argc, char** argv) {
   std::printf("\ntraining on %zu clean profiling runs...\n", profiling_runs);
   attack.train(profiler.collect_windows(profiling_runs, /*seed_base=*/1));
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params_for(captures_per_level, clean.n);
   const double baseline = lwe::estimate_lwe_security(params).beta;
   std::printf("baseline (no hints): %.1f bikz\n", baseline);
 

@@ -84,12 +84,7 @@ int main(int argc, char** argv) {
     attack.train(profiler.collect_windows(profiling_runs, /*seed_base=*/1));
   }
 
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = bench::seal128_params_for(captures, cfg.n);
   const HintPolicy policy;
   const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(90000, captures);
 

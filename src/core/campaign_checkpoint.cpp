@@ -17,7 +17,9 @@ namespace {
 
 constexpr std::uint32_t kCheckpointMarker = 0x52'56'43'50;  // "PCVR"
 constexpr std::uint32_t kCheckpointEndMarker = 0x50'43'56'52;
-constexpr std::uint32_t kCheckpointVersion = 2;
+// Version 3: captures carry ziggurat measurement noise. A version-2 file
+// holds Box-Muller captures, and resuming it would mix the two kernels.
+constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr std::uint64_t kMaxCheckpointCaptures = std::uint64_t{1} << 32;
 constexpr std::uint64_t kMaxHintsPerCapture = std::uint64_t{1} << 20;
 
@@ -415,6 +417,16 @@ RecoveryCampaignResult finalize_campaign(CampaignAccumulator&& acc,
   return out;
 }
 
+void require_hint_capacity(std::uint64_t captures, std::size_t windows_per_capture,
+                           const lwe::DbddParams& params) {
+  // captures * windows > error_dim, without the product overflowing.
+  if (windows_per_capture != 0 && captures > params.error_dim / windows_per_capture)
+    throw std::invalid_argument(
+        "campaign: " + std::to_string(captures) + " captures x " +
+        std::to_string(windows_per_capture) + " windows can route more hints than the " +
+        std::to_string(params.error_dim) + " error coordinates of the estimator");
+}
+
 namespace {
 
 /// Atomic checkpoint write: the old checkpoint stays intact until the new
@@ -461,6 +473,7 @@ CheckpointedCampaignResult run_recovery_campaign_checkpointed(
     throw std::invalid_argument("run_recovery_campaign_checkpointed: empty path");
   if (options.batch_size == 0)
     throw std::invalid_argument("run_recovery_campaign_checkpointed: zero batch size");
+  require_hint_capacity(total_captures, config.n, params);
 
   const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
   CheckpointedCampaignResult result;

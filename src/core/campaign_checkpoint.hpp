@@ -140,6 +140,13 @@ void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
                                                        CampaignDiagnostics* diag,
                                                        obs::SpanTracer* spans);
 
+/// Throws std::invalid_argument when `captures` captures of
+/// `windows_per_capture` windows each could route more hints than `params`
+/// has error coordinates — finalize_campaign gives every hint a coordinate
+/// of its own. The four campaign drivers call it before their first capture.
+void require_hint_capacity(std::uint64_t captures, std::size_t windows_per_capture,
+                           const lwe::DbddParams& params);
+
 struct CheckpointOptions {
   std::string path;  ///< checkpoint file (written atomically via path + ".tmp")
   /// Captures per batch. The final outputs are batch-size invariant; the
@@ -170,7 +177,8 @@ struct CheckpointedCampaignResult {
 /// over the schedule {stream_seed(base_seed, i) : i < total_captures}.
 /// Resumes from `options.path` when it exists (throws std::runtime_error if
 /// that checkpoint belongs to a different schedule); deletes the file after
-/// completion unless options.keep_checkpoint.
+/// completion unless options.keep_checkpoint. Throws std::invalid_argument,
+/// before any batch, when total_captures x config.n exceeds params.error_dim.
 [[nodiscard]] CheckpointedCampaignResult run_recovery_campaign_checkpointed(
     CampaignRunner& runner, const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,

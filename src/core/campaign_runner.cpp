@@ -87,6 +87,7 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     const std::vector<std::uint64_t>& seeds, const HintPolicy& policy,
     const lwe::DbddParams& params, CampaignDiagnostics* diag) {
+  require_hint_capacity(seeds.size(), config.n, params);
   obs::SpanTracer* spans = diag != nullptr ? &diag->tracer : nullptr;
   CampaignAccumulator acc;
   acc.keep_captures = true;

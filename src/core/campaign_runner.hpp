@@ -129,7 +129,9 @@ class CampaignRunner {
   /// robust segmentation -> classification -> hint routing per capture on
   /// the workers, then ordered hint integration and the security estimate
   /// on the calling thread — accumulate_campaign_range over [0, N) plus
-  /// finalize_campaign. Throws std::logic_error if the merged per-worker
+  /// finalize_campaign. Throws std::invalid_argument, before any capture,
+  /// when seeds.size() x config.n exceeds params.error_dim
+  /// (require_hint_capacity), and std::logic_error if the merged per-worker
   /// tallies disagree with the ordered recount (a lost-update symptom).
   ///
   /// `diag` (optional) collects observability data — spans, counters,

@@ -33,6 +33,7 @@ RecoveryCampaignResult run_recovery_campaign_on_corpus(
     const corpus::CorpusReader& corpus, std::size_t expected_windows,
     const sca::SegmentationConfig& seg_config, const HintPolicy& policy,
     const lwe::DbddParams& params) {
+  require_hint_capacity(corpus.size(), expected_windows, params);
   TraceSource source;
   source.config.n = expected_windows;
   source.config.segmentation = seg_config;

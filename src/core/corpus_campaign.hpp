@@ -33,7 +33,8 @@ void append_campaign_captures(corpus::CorpusWriter& writer, CampaignRunner& runn
 /// buffer) plus finalize_campaign — the live campaign's two steps with
 /// acquisition replaced by the corpus. Byte-identical for every worker
 /// count; the `captures` field of the result is index-aligned with the
-/// corpus.
+/// corpus. Throws std::invalid_argument, before any trace is read, when
+/// corpus.size() x expected_windows exceeds params.error_dim.
 [[nodiscard]] RecoveryCampaignResult run_recovery_campaign_on_corpus(
     CampaignRunner& runner, const RevealAttack& attack,
     const corpus::CorpusReader& corpus, std::size_t expected_windows,

@@ -171,6 +171,7 @@ RecoveryCampaignResult run_sharded_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,
     const lwe::DbddParams& params, const ShardOptions& options, CampaignDiagnostics* diag) {
+  require_hint_capacity(total_captures, config.n, params);
   const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
   const RunDir dir(options.work_dir, options.keep_partials);
   const auto partial = [&](std::size_t shard) {

@@ -69,7 +69,8 @@ struct ShardOptions {
 /// never mutate it. `diag` (optional) receives the counters and confusion;
 /// its tracer stays untouched. The result's `captures` stay empty. Throws
 /// std::runtime_error when a shard fails or a partial does not match the
-/// expected (digest, shard, range).
+/// expected (digest, shard, range), and std::invalid_argument, before any
+/// shard runs, when total_captures x config.n exceeds params.error_dim.
 [[nodiscard]] RecoveryCampaignResult run_sharded_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,

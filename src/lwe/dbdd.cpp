@@ -41,19 +41,24 @@ double DbddEstimator::logvol() const noexcept {
 std::size_t DbddEstimator::live_error_coords() const noexcept { return error_vars_.size(); }
 std::size_t DbddEstimator::live_secret_coords() const noexcept { return secret_vars_.size(); }
 
-double DbddEstimator::pop_error_variance() {
-  if (error_vars_.empty())
-    throw std::logic_error("DbddEstimator: no error coordinates left to hint");
-  const double v = error_vars_.back();
-  error_vars_.pop_back();
-  return v;
+std::span<double> DbddEstimator::take_fresh_error_coords(std::size_t count) {
+  if (count > error_vars_.size() - hinted_errors_)
+    throw std::logic_error("DbddEstimator: not enough fresh error coordinates for hints");
+  const std::span<double> taken(error_vars_.data() + hinted_errors_, count);
+  hinted_errors_ += count;
+  return taken;
 }
 
 void DbddEstimator::integrate_perfect_error_hints(std::size_t count) {
   // A perfect hint on coordinate i: Vol(Lambda ∩ e_i^⊥) = Vol(Lambda) for
   // e_i in the dual, and the coordinate's 1/2 ln(var) leaves the det term —
-  // realized here simply by dropping the live coordinate.
-  for (std::size_t k = 0; k < count; ++k) (void)pop_error_variance();
+  // realized here simply by dropping the live coordinate. Fresh coordinates
+  // sit at the back, so they go first; the hinted prefix shrinks only once
+  // none is left.
+  if (count > error_vars_.size())
+    throw std::logic_error("DbddEstimator: no error coordinates left to hint");
+  error_vars_.resize(error_vars_.size() - count);
+  hinted_errors_ = std::min(hinted_errors_, error_vars_.size());
 }
 
 void DbddEstimator::integrate_perfect_secret_hints(std::size_t count) {
@@ -70,27 +75,15 @@ void DbddEstimator::integrate_approximate_error_hints(double eps_variance,
     throw std::invalid_argument(
         "DbddEstimator: approximate hint needs positive measurement variance "
         "(use a perfect hint for exact knowledge)");
-  if (count > error_vars_.size())
-    throw std::logic_error("DbddEstimator: not enough error coordinates for hints");
-  for (std::size_t k = 0; k < count; ++k) {
-    double& v = error_vars_[error_vars_.size() - 1 - k];  // distinct coordinates
-    v = v * eps_variance / (v + eps_variance);            // Gaussian conditioning
-  }
+  for (double& v : take_fresh_error_coords(count))
+    v = v * eps_variance / (v + eps_variance);  // Gaussian conditioning
 }
 
 void DbddEstimator::integrate_posterior_error_hints(double new_variance,
                                                     std::size_t count) {
   if (new_variance <= 0.0)
     throw std::invalid_argument("DbddEstimator: posterior variance must be positive");
-  std::size_t updated = 0;
-  for (double& v : error_vars_) {
-    if (updated == count) break;
-    // Replace the first `count` still-at-prior coordinates.
-    v = new_variance;
-    ++updated;
-  }
-  if (updated < count)
-    throw std::logic_error("DbddEstimator: not enough error coordinates for hints");
+  for (double& v : take_fresh_error_coords(count)) v = new_variance;
 }
 
 void DbddEstimator::integrate_modular_error_hints(double k, std::size_t count) {

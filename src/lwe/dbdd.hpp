@@ -22,9 +22,15 @@
 //                       (used for sign-only information: the half-Gaussian
 //                        conditional variance)
 //
+// Every approximate or posterior hint lands on its own, still-unhinted
+// ("fresh") error coordinate, so n single-hint calls equal one n-count call.
+// A perfect hint removes a fresh coordinate while one is left, and a hinted
+// one after that (guessing a coordinate that already carries a hint).
+//
 // bikz -> bits uses the paper's footnote 3 anchor: 382.25 bikz = 128 bits.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "lattice/bkz_sim.hpp"
@@ -72,14 +78,20 @@ class DbddEstimator {
   [[nodiscard]] std::size_t live_error_coords() const noexcept;
   [[nodiscard]] std::size_t live_secret_coords() const noexcept;
 
-  /// Integrates `count` perfect hints on error coordinates (e_i known).
+  /// Integrates `count` perfect hints on error coordinates (e_i known):
+  /// fresh coordinates first, then hinted ones. Throws std::logic_error
+  /// when fewer than `count` live coordinates are left.
   void integrate_perfect_error_hints(std::size_t count);
   /// Perfect hints on secret coordinates.
   void integrate_perfect_secret_hints(std::size_t count);
-  /// Approximate hints: e_i measured with additive noise variance `eps`.
+  /// Approximate hints: e_i measured with additive noise variance `eps`,
+  /// one fresh coordinate each. Throws std::logic_error when fewer than
+  /// `count` fresh coordinates are left.
   void integrate_approximate_error_hints(double eps_variance, std::size_t count);
   /// A-posteriori replacement: e_i's distribution replaced by one with
-  /// variance `new_variance` (e.g. sign-conditioned half-Gaussian).
+  /// variance `new_variance` (e.g. sign-conditioned half-Gaussian), one
+  /// fresh coordinate each. Throws std::logic_error when fewer than `count`
+  /// fresh coordinates are left.
   void integrate_posterior_error_hints(double new_variance, std::size_t count);
 
   /// Modular hints (paper §IV-C list): e_i known mod k. Following DDGR20,
@@ -112,11 +124,14 @@ class DbddEstimator {
       const lattice::BkzSimParams& params = {}) const;
 
  private:
-  double pop_error_variance();
+  /// The next `count` fresh error coordinates (throws if there are fewer).
+  std::span<double> take_fresh_error_coords(std::size_t count);
 
   double log_vol_lattice_;              // ln Vol(Lambda) = m ln q (+ modular hints)
   std::vector<double> secret_vars_;     // live secret coordinate variances
-  std::vector<double> error_vars_;      // live error coordinate variances
+  std::vector<double> error_vars_;      // live error coordinate variances:
+                                        // [hinted | fresh (at the prior)]
+  std::size_t hinted_errors_ = 0;       // size of the hinted prefix
 };
 
 /// Convenience: estimate for a fresh (hint-free) LWE instance.

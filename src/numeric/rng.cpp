@@ -1,10 +1,31 @@
 #include "numeric/rng.hpp"
 
-#include <bit>
 #include <cmath>
-#include <numbers>
 
 namespace reveal::num {
+
+namespace {
+constexpr double kZigguratR = 3.6541528853610088;  // x[1]: where the tail starts
+constexpr double kZigguratV = 0.00492867323399;    // area of every layer
+double unnormalized_pdf(double x) { return std::exp(-0.5 * x * x); }
+}  // namespace
+
+detail::ZigguratTables detail::make_ziggurat_tables() noexcept {
+  std::array<double, 257> x{};
+  x[0] = kZigguratV / unnormalized_pdf(kZigguratR);
+  x[1] = kZigguratR;
+  // Equal areas: x[i] * (f(x[i+1]) - f(x[i])) = v.
+  for (std::size_t i = 1; i + 1 < 256; ++i)
+    x[i + 1] = std::sqrt(-2.0 * std::log(kZigguratV / x[i] + unnormalized_pdf(x[i])));
+  x[256] = 0.0;
+  ZigguratTables t;
+  for (std::size_t i = 0; i < 257; ++i) t.f[i] = unnormalized_pdf(x[i]);
+  for (std::size_t i = 0; i < 256; ++i) {
+    t.accept[i] = static_cast<std::uint64_t>(std::ceil(std::ldexp(x[i + 1] / x[i], 53)));
+    t.scale[i] = std::ldexp(x[i], -53);
+  }
+  return t;
+}
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9E3779B97F4A7C15ULL;
@@ -22,18 +43,6 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t Xoshiro256StarStar::uniform_below(std::uint64_t bound) noexcept {
   // Lemire-style rejection to avoid modulo bias.
   if (bound <= 1) return 0;
@@ -49,31 +58,29 @@ std::int64_t Xoshiro256StarStar::uniform_int(std::int64_t lo, std::int64_t hi) n
   return lo + static_cast<std::int64_t>(uniform_below(span));
 }
 
-double Xoshiro256StarStar::uniform_double() noexcept {
-  // 53 high bits -> [0,1) with full double precision.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256StarStar::gaussian() noexcept {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
+double Xoshiro256StarStar::gaussian_slow(std::uint64_t bits) noexcept {
+  const detail::ZigguratTables& t = detail::ziggurat_tables();
+  for (;;) {
+    const std::size_t layer = bits & 0xFF;
+    const std::uint64_t mantissa = bits >> 11;
+    const double x = static_cast<double>(mantissa) * t.scale[layer];
+    if (mantissa < t.accept[layer]) return with_sign(x, bits);
+    if (layer == 0) {
+      // Beyond r in the base strip: sample the tail (Marsaglia 1964). The
+      // uniforms are taken from (0, 1] so both logs are finite.
+      double tail = 0.0;
+      double y = 0.0;
+      do {
+        tail = -std::log(1.0 - uniform_double()) / kZigguratR;
+        y = -std::log(1.0 - uniform_double());
+      } while (y + y < tail * tail);
+      return with_sign(kZigguratR + tail, bits);
+    }
+    // Wedge between x[layer+1] and x[layer]: accept under the curve.
+    const double height = t.f[layer] + (t.f[layer + 1] - t.f[layer]) * uniform_double();
+    if (height < unnormalized_pdf(x)) return with_sign(x, bits);
+    bits = (*this)();
   }
-  // Box-Muller; u1 in (0,1] so log() is finite.
-  double u1 = 0.0;
-  do {
-    u1 = uniform_double();
-  } while (u1 <= 0.0);
-  const double u2 = uniform_double();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_gaussian_ = radius * std::sin(angle);
-  has_cached_gaussian_ = true;
-  return radius * std::cos(angle);
-}
-
-double Xoshiro256StarStar::gaussian(double mean, double stddev) noexcept {
-  return mean + stddev * gaussian();
 }
 
 bool Xoshiro256StarStar::bernoulli(double p) noexcept {
@@ -94,7 +101,6 @@ void Xoshiro256StarStar::jump() noexcept {
     }
   }
   state_ = acc;
-  has_cached_gaussian_ = false;
 }
 
 Xoshiro256StarStar Xoshiro256StarStar::fork() noexcept {

@@ -8,19 +8,19 @@ LeakageModel::LeakageModel(LeakageParams params) : params_(params) {
   // Fixed pseudo-random per-bit capacitance deviations: the same physical
   // device is used for profiling and attack, so these are constant.
   num::Xoshiro256StarStar rng(params_.bit_weight_seed);
-  for (double& w : bit_weights_) {
+  std::array<double, 32> bit_weights{};  // 1 + deviation per bus line
+  for (double& w : bit_weights) {
     w = 1.0 + params_.bit_deviation * (2.0 * rng.uniform_double() - 1.0);
   }
-}
-
-double LeakageModel::weighted_hw(std::uint32_t value) const noexcept {
-  double acc = 0.0;
-  while (value != 0) {
-    const int b = std::countr_zero(value);
-    acc += bit_weights_[static_cast<std::size_t>(b)];
-    value &= value - 1;
+  for (std::size_t k = 0; k < byte_weights_.size(); ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      double acc = 0.0;
+      for (std::size_t bit = 0; bit < 8; ++bit) {
+        if ((b >> bit) & 1) acc += bit_weights[8 * k + bit];
+      }
+      byte_weights_[k][b] = acc;
+    }
   }
-  return acc;
 }
 
 double LeakageModel::base_power(riscv::InstrClass klass) const noexcept {
@@ -63,11 +63,13 @@ void LeakageModel::append_samples(const riscv::InstrEvent& event,
   }
   const double exec = execute_cycle_power(event) + level - base_power(event.klass);
   // The result/bus write-back activity lands on the last cycle; earlier
-  // cycles carry the fetch/decode/datapath level.
+  // cycles carry the fetch/decode/datapath level. A local sigma: stores into
+  // `out` could otherwise alias params_ and force a reload per sample.
+  const double sigma = params_.noise_sigma;
   for (std::uint32_t c = 0; c + 1 < event.cycles; ++c) {
-    out.push_back(level + noise_rng.gaussian(0.0, params_.noise_sigma));
+    out.push_back(level + noise_rng.gaussian(0.0, sigma));
   }
-  out.push_back(exec + noise_rng.gaussian(0.0, params_.noise_sigma));
+  out.push_back(exec + noise_rng.gaussian(0.0, sigma));
 }
 
 }  // namespace reveal::power

@@ -66,8 +66,12 @@ class LeakageModel {
 
   [[nodiscard]] const LeakageParams& params() const noexcept { return params_; }
 
-  /// Weighted Hamming weight with the model's per-bit capacitances.
-  [[nodiscard]] double weighted_hw(std::uint32_t value) const noexcept;
+  /// Weighted Hamming weight with the model's per-bit capacitances: one
+  /// table lookup per byte, (t0[b0] + t1[b1]) + (t2[b2] + t3[b3]).
+  [[nodiscard]] double weighted_hw(std::uint32_t value) const noexcept {
+    return (byte_weights_[0][value & 0xFF] + byte_weights_[1][(value >> 8) & 0xFF]) +
+           (byte_weights_[2][(value >> 16) & 0xFF] + byte_weights_[3][value >> 24]);
+  }
 
   /// Base power of an instruction class.
   [[nodiscard]] double base_power(riscv::InstrClass klass) const noexcept;
@@ -81,7 +85,9 @@ class LeakageModel {
 
  private:
   LeakageParams params_;
-  std::array<double, 32> bit_weights_{};  // 1 + deviation per bus line
+  /// byte_weights_[k][b]: the summed per-bit capacitances (1 + deviation)
+  /// of the bus lines set in byte k = b.
+  std::array<std::array<double, 256>, 4> byte_weights_{};
 };
 
 }  // namespace reveal::power

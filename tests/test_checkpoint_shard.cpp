@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -239,10 +240,14 @@ TEST_F(CheckpointShard, CheckpointBytesDoNotDependOnTheWorkerSchedule) {
   // A serial and a 4-worker run, each stopped after one 32-capture batch,
   // must write the same checkpoint bytes: nothing saved may depend on which
   // worker routed which capture (the worker tally persists its counts only;
-  // its variance sum adds up in schedule order).
+  // its variance sum adds up in schedule order). The estimator gets one
+  // coordinate per window of the 64-capture schedule, which the driver
+  // requires up front even though no call here gets to the estimate.
   CheckpointOptions options;
   options.batch_size = 32;
   options.max_batches_per_call = 1;
+  lwe::DbddParams params = paper_params();
+  params.error_dim = 64 * 64;
   for (std::uint64_t base = kBaseSeed; base < kBaseSeed + 5; ++base) {
     SCOPED_TRACE("base=" + std::to_string(base));
     std::string bytes[2];
@@ -251,8 +256,7 @@ TEST_F(CheckpointShard, CheckpointBytesDoNotDependOnTheWorkerSchedule) {
       std::remove(options.path.c_str());
       CampaignRunner runner(workers);
       const CheckpointedCampaignResult result = run_recovery_campaign_checkpointed(
-          runner, *attack_, degraded_config(), base, 64, HintPolicy{}, paper_params(),
-          options);
+          runner, *attack_, degraded_config(), base, 64, HintPolicy{}, params, options);
       ASSERT_FALSE(result.complete);
       bytes[workers == 0 ? 0 : 1] = read_all(options.path);
       std::remove(options.path.c_str());
@@ -282,6 +286,62 @@ TEST_F(CheckpointShard, ShuffledFirmwareIsRejectedByTheLiveAndCheckpointedDriver
                std::invalid_argument);
   std::ifstream leftover(options.path);
   EXPECT_FALSE(leftover.good());  // no batch ran, so nothing was saved
+}
+
+TEST_F(CheckpointShard, CampaignWithMoreWindowsThanErrorCoordinatesIsRejectedUpFront) {
+  // Every hint takes an estimator coordinate of its own, so 17 clean
+  // captures x 64 windows (up to 1088 hints) do not fit the 1024 error
+  // coordinates of paper_params(): every driver refuses the campaign before
+  // its first capture instead of failing in the estimator replay after the
+  // last one. With one coordinate per window the same campaign completes.
+  constexpr std::size_t kTooMany = 17;
+  CampaignConfig cfg;
+  cfg.n = 64;
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(kBaseSeed, kTooMany);
+  CampaignRunner runner(2);
+  CampaignDiagnostics diag;
+  EXPECT_THROW((void)runner.run_recovery_campaign(*attack_, cfg, seeds, HintPolicy{},
+                                                  paper_params(), &diag),
+               std::invalid_argument);
+  EXPECT_TRUE(diag.tracer.events().empty());  // no capture was folded
+
+  CheckpointOptions options;
+  options.path = temp_path("too_many.ckpt");
+  std::remove(options.path.c_str());
+  EXPECT_THROW((void)run_recovery_campaign_checkpointed(runner, *attack_, cfg, kBaseSeed,
+                                                        kTooMany, HintPolicy{},
+                                                        paper_params(), options),
+               std::invalid_argument);
+  EXPECT_FALSE(std::ifstream(options.path).good());  // no batch was saved
+
+  ShardOptions shard_options;
+  shard_options.work_dir = temp_path("too_many_shards");
+  ASSERT_TRUE(std::filesystem::create_directory(shard_options.work_dir));
+  shard_options.in_process = true;
+  EXPECT_THROW((void)run_sharded_campaign(*attack_, cfg, kBaseSeed, kTooMany, HintPolicy{},
+                                          paper_params(), shard_options),
+               std::invalid_argument);
+  EXPECT_TRUE(std::filesystem::is_empty(shard_options.work_dir));  // no shard ran
+
+  const std::string corpus_path = temp_path("too_many.rvlc");
+  {
+    corpus::CorpusWriter writer = corpus::CorpusWriter::create(corpus_path);
+    append_campaign_captures(writer, runner, cfg, seeds);
+    writer.close();
+  }
+  const corpus::CorpusReader corpus(corpus_path);
+  EXPECT_THROW((void)run_recovery_campaign_on_corpus(runner, *attack_, corpus, cfg.n,
+                                                     cfg.segmentation, HintPolicy{},
+                                                     paper_params()),
+               std::invalid_argument);
+
+  lwe::DbddParams sized = paper_params();
+  sized.error_dim = kTooMany * cfg.n;
+  const RecoveryCampaignResult result =
+      runner.run_recovery_campaign(*attack_, cfg, seeds, HintPolicy{}, sized);
+  const HintSummary& h = result.hint_totals;
+  EXPECT_GT(h.perfect + h.approximate + h.sign_only, 1024u);  // would not have fit
+  EXPECT_LT(result.report.bikz, lwe::estimate_lwe_security(sized).beta);
 }
 
 TEST_F(CheckpointShard, LiveResultCarriesGroundTruthInCaptureOrder) {
@@ -361,6 +421,45 @@ TEST_F(CheckpointShard, StaleCheckpointFromAnotherScheduleIsRejected) {
   CampaignConfig more_workers = degraded_config();
   more_workers.num_workers = 3;
   EXPECT_EQ(campaign_digest(kBaseSeed, kCaptures, more_workers), digest);
+  std::remove(options.path.c_str());
+}
+
+TEST_F(CheckpointShard, CheckpointFromAnOlderFormatIsRejected) {
+  // A version-2 checkpoint holds captures with Box-Muller noise; resuming
+  // it would mix two noise kernels in one campaign, so it must fail loudly.
+  CheckpointOptions options;
+  options.path = temp_path("old_version.ckpt");
+  options.batch_size = 3;
+  options.max_batches_per_call = 1;
+  std::remove(options.path.c_str());
+  CampaignRunner runner(0);
+  ASSERT_FALSE(run_recovery_campaign_checkpointed(runner, *attack_, degraded_config(),
+                                                  kBaseSeed, kCaptures, HintPolicy{},
+                                                  paper_params(), options)
+                   .complete);
+
+  // File layout: u64 digest, u64 total, u32 marker, u32 version, ...
+  constexpr std::streamoff kVersionOffset = 8 + 8 + 4;
+  std::string bytes = read_all(options.path);
+  ASSERT_GT(bytes.size(), static_cast<std::size_t>(kVersionOffset) + 4);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + kVersionOffset, sizeof(version));
+  EXPECT_EQ(version, 3u);
+  version = 2;
+  std::memcpy(bytes.data() + kVersionOffset, &version, sizeof(version));
+  {
+    std::ofstream out(options.path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)run_recovery_campaign_checkpointed(runner, *attack_, degraded_config(), kBaseSeed,
+                                             kCaptures, HintPolicy{}, paper_params(),
+                                             options);
+    ADD_FAILURE() << "a version-2 checkpoint was resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"), std::string::npos)
+        << e.what();
+  }
   std::remove(options.path.c_str());
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "lwe/dbdd.hpp"
 #include "lwe/lwe.hpp"
 #include "numeric/rng.hpp"
@@ -238,6 +241,59 @@ TEST(Dbdd, ParameterValidation) {
   EXPECT_THROW(est.integrate_perfect_error_hints(5000), std::logic_error);
 }
 
+TEST(Dbdd, SingleHintCallsEqualOneBatchedCall) {
+  // Every approximate or posterior hint lands on its own fresh coordinate,
+  // so the per-guess loops (one call per hint) integrate exactly what one
+  // batched call does — down to the last bit of the estimate.
+  const auto expect_same = [](const DbddEstimator& a, const DbddEstimator& b) {
+    EXPECT_EQ(a.dim(), b.dim());
+    EXPECT_EQ(a.logvol(), b.logvol());
+    EXPECT_EQ(a.estimate().beta, b.estimate().beta);
+  };
+  DbddEstimator single(seal128_params());
+  DbddEstimator batched(seal128_params());
+  for (int i = 0; i < 500; ++i) single.integrate_posterior_error_hints(1.0, 1);
+  batched.integrate_posterior_error_hints(1.0, 500);
+  expect_same(single, batched);
+  EXPECT_LT(single.estimate().beta, estimate_lwe_security(seal128_params()).beta - 10.0);
+
+  DbddEstimator approx_single(seal128_params());
+  DbddEstimator approx_batched(seal128_params());
+  for (int i = 0; i < 300; ++i) approx_single.integrate_approximate_error_hints(0.5, 1);
+  approx_batched.integrate_approximate_error_hints(0.5, 300);
+  expect_same(approx_single, approx_batched);
+
+  // Interleaved with perfect hints (the campaign engine's mix): perfect
+  // hints take fresh coordinates too, so order does not matter.
+  DbddEstimator mixed(seal128_params());
+  DbddEstimator grouped(seal128_params());
+  for (int i = 0; i < 200; ++i) {
+    mixed.integrate_posterior_error_hints(2.0, 1);
+    mixed.integrate_perfect_error_hints(1);
+    mixed.integrate_approximate_error_hints(0.5, 1);
+  }
+  grouped.integrate_posterior_error_hints(2.0, 200);
+  grouped.integrate_approximate_error_hints(0.5, 200);
+  grouped.integrate_perfect_error_hints(200);
+  expect_same(mixed, grouped);
+  EXPECT_EQ(mixed.live_error_coords(), 1024u - 200u);
+}
+
+TEST(Dbdd, PerfectHintsTakeFreshCoordinatesFirst) {
+  DbddEstimator est(seal128_params());
+  est.integrate_posterior_error_hints(3.0, 1000);
+  est.integrate_perfect_error_hints(24);  // the 24 fresh coordinates
+  EXPECT_EQ(est.live_error_coords(), 1000u);
+  EXPECT_THROW(est.integrate_posterior_error_hints(3.0, 1), std::logic_error);
+  EXPECT_THROW(est.integrate_approximate_error_hints(3.0, 1), std::logic_error);
+  // A guess on an already sign-hinted coordinate (Table IV's "1 guess").
+  const double before = est.estimate().beta;
+  est.integrate_perfect_error_hints(1);
+  EXPECT_EQ(est.live_error_coords(), 999u);
+  EXPECT_LT(est.estimate().beta, before);
+  EXPECT_THROW(est.integrate_perfect_error_hints(1000), std::logic_error);
+}
+
 TEST(Dbdd, BikzToBitsConvention) {
   // Footnote 3: 382.25 bikz corresponds to 128 bits.
   EXPECT_NEAR(382.25 / kBikzPerBit, 128.0, 1e-9);
@@ -322,11 +378,46 @@ TEST(DbddMatrix, ApproximateCoordinateHintsAgreeWithLite) {
   const double eps = 0.5;
   for (std::size_t i = 0; i < 8; ++i) {
     std::vector<double> v(96, 0.0);
-    v[47 - i] = 1.0;  // the lite variant hints from the back
+    v[i] = 1.0;
     full.integrate_approximate_hint(v, eps);
   }
   lite.integrate_approximate_error_hints(eps, 8);
   EXPECT_NEAR(full.logvol(), lite.logvol(), 1e-6);
+  EXPECT_NEAR(full.estimate().beta, lite.estimate().beta, 0.1);
+}
+
+TEST(DbddMatrix, AgreesWithLiteOnSingleHintsAtDistinctIndices) {
+  // One call per hint, each on the next error coordinate of the full
+  // estimator: approximate hints directly, posterior replacements as the
+  // approximate hint that conditions the prior to the same variance, and
+  // perfect hints in between.
+  DbddMatrixEstimator full(small_params());
+  DbddEstimator lite(small_params());
+  const double prior = small_params().error_variance;
+  std::size_t next = 0;
+  const auto coordinate = [&] {
+    std::vector<double> v(96, 0.0);
+    v[next++] = 1.0;
+    return v;
+  };
+  for (std::size_t k = 0; k < 10; ++k) {
+    const double eps = 0.25 + 0.1 * static_cast<double>(k);
+    ASSERT_EQ(full.integrate_approximate_hint(coordinate(), eps), HintOutcome::kApplied);
+    lite.integrate_approximate_error_hints(eps, 1);
+
+    const double posterior = 0.5 + 0.05 * static_cast<double>(k);
+    ASSERT_EQ(full.integrate_approximate_hint(coordinate(),
+                                              prior * posterior / (prior - posterior)),
+              HintOutcome::kApplied);
+    lite.integrate_posterior_error_hints(posterior, 1);
+
+    if (k % 3 == 0) {
+      ASSERT_EQ(full.integrate_perfect_error_hint(next++), HintOutcome::kApplied);
+      lite.integrate_perfect_error_hints(1);
+    }
+    EXPECT_EQ(full.dim(), lite.dim());
+    EXPECT_NEAR(full.logvol(), lite.logvol(), 1e-9) << k;
+  }
   EXPECT_NEAR(full.estimate().beta, lite.estimate().beta, 0.1);
 }
 

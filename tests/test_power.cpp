@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "numeric/rng.hpp"
 #include "numeric/stats.hpp"
 #include "power/leakage_model.hpp"
 #include "power/trace_recorder.hpp"
@@ -41,6 +45,39 @@ TEST(LeakageModel, WeightedHwNearHw) {
   const double whw = model.weighted_hw(0xFFFFFFFFu);
   EXPECT_NEAR(whw, 32.0, 32.0 * 0.08 + 1e-12);
   EXPECT_GT(model.weighted_hw(0b111), model.weighted_hw(0b1));
+}
+
+TEST(LeakageModel, WeightedHwTablesMatchBitLoop) {
+  // The byte tables regroup the per-bit sum, so they may differ from a
+  // plain bit loop in the last few ulp, never more. The weights are
+  // derived here exactly as the model derives them.
+  const power::LeakageParams params;
+  const power::LeakageModel model(params);
+  num::Xoshiro256StarStar weight_rng(params.bit_weight_seed);
+  std::array<double, 32> bit_weights{};
+  for (double& w : bit_weights)
+    w = 1.0 + params.bit_deviation * (2.0 * weight_rng.uniform_double() - 1.0);
+  const auto bit_loop = [&](std::uint32_t value) {
+    double acc = 0.0;
+    for (std::size_t b = 0; b < 32; ++b) {
+      if ((value >> b) & 1u) acc += bit_weights[b];
+    }
+    return acc;
+  };
+
+  std::vector<std::uint32_t> words = {0u, 0xFFFFFFFFu, 0x80000000u, 0x7FFFFFFFu,
+                                      0x000000FFu, 0xFF000000u, 0x00FF00FFu, 0xFF00FF00u,
+                                      0x55555555u, 0xAAAAAAAAu};
+  for (std::size_t b = 0; b < 32; ++b) words.push_back(std::uint32_t{1} << b);
+  num::Xoshiro256StarStar rng(2024);
+  for (int i = 0; i < 1'000'000; ++i) words.push_back(static_cast<std::uint32_t>(rng()));
+
+  for (const std::uint32_t w : words) {
+    const double expected = bit_loop(w);
+    ASSERT_NEAR(model.weighted_hw(w), expected, 1e-14 * expected) << std::hex << w;
+  }
+  for (std::size_t b = 0; b < 32; ++b)
+    EXPECT_EQ(model.weighted_hw(std::uint32_t{1} << b), bit_weights[b]) << b;
 }
 
 TEST(LeakageModel, WeightedHwDistinguishesEqualHwValues) {
