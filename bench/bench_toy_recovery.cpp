@@ -1,15 +1,23 @@
 // "Explore the remaining search space" at laptop scale: a REAL lattice
 // attack (LLL/BKZ, Kannan embedding) on scaled-down LWE instances, with and
 // without side-channel hints — demonstrating, not merely estimating, that
-// hints make the instance practically solvable.
+// hints make the instance practically solvable. Section [4] measures the
+// single-trace attack's residual search: the share of fresh captures it
+// recovers within each try budget.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "core/residual_search.hpp"
 #include "lwe/dbdd.hpp"
 #include "lwe/lwe.hpp"
 #include "numeric/rng.hpp"
+#include "seal/encryptor.hpp"
+#include "seal/sampler.hpp"
 
 using namespace reveal;
 using namespace reveal::lwe;
@@ -18,6 +26,48 @@ namespace {
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Profiles like attack_cli (150 captures), then attacks `captures` fresh
+/// captures, each encrypted under a fresh key, with one residual search of
+/// `budget` tries. Returns the sorted tries of the recovered captures. The
+/// search is exact best-first, so a capture recovered on try k is recovered
+/// by every budget of at least k tries.
+std::vector<std::size_t> recovered_tries(const core::CampaignConfig& cfg, std::size_t captures,
+                                         std::size_t budget) {
+  core::SamplerCampaign campaign(cfg);
+  core::RevealAttack attack;
+  attack.train(campaign.collect_windows(150, /*seed_base=*/1));
+  seal::EncryptionParameters parms;
+  parms.set_poly_modulus_degree(cfg.n);
+  parms.set_coeff_modulus({seal::Modulus(cfg.moduli[0])});
+  parms.set_plain_modulus(256);
+  const seal::Context ctx(parms);
+
+  std::vector<std::size_t> tries;
+  for (std::uint64_t seed = 50000; seed < 50000 + captures; ++seed) {
+    seal::StandardRandomGenerator rng(seed);
+    const seal::KeyGenerator keygen(ctx, rng);
+    const seal::Encryptor encryptor(ctx, keygen.public_key());
+    const core::FullCapture cap = campaign.capture(seed);
+    seal::EncryptionWitness witness;
+    seal::sample_poly_ternary(witness.u, rng, ctx);
+    (void)seal::sample_error_poly(rng, ctx, &witness.e1);
+    witness.e2 = cap.noise;
+    std::vector<std::uint64_t> msg(cfg.n);
+    for (std::size_t i = 0; i < cfg.n; ++i) msg[i] = (i * 31 + seed) % 256;
+    const seal::Ciphertext ct = encryptor.encrypt_with_witness(seal::Plaintext(msg), witness);
+
+    const auto guesses = attack.attack_capture_robust(cap.trace, cfg.n, cfg.segmentation).guesses;
+    if (guesses.size() != cfg.n) continue;
+    core::ResidualSearchConfig rs;
+    rs.max_tries = budget;
+    const core::ResidualSearchResult r =
+        core::residual_search(ctx, keygen.public_key(), ct, guesses, rs);
+    if (r.found && r.e2 == cap.noise) tries.push_back(r.tried);
+  }
+  std::sort(tries.begin(), tries.end());
+  return tries;
 }
 
 }  // namespace
@@ -110,8 +160,46 @@ int main(int argc, char** argv) {
     std::printf("%14zu %10s %12.2f\n", hinted, ok ? "yes" : "NO", seconds_since(t0));
   }
 
+  // --- 4: what a residual-search try buys --------------------------------
+  const unsigned max_log = quick ? 14 : 17;
+  const std::size_t captures = quick ? 16 : 64;
+  std::printf("\n[4] single-trace residual search: share of %zu fresh n = 64 captures\n"
+              "    recovered within a try budget (at most 48 searched positions):\n",
+              captures);
+  std::printf("%14s", "attacker");
+  for (unsigned b = 0; b <= max_log; b += (b < 8 ? 4 : 3)) std::printf("   2^%-2u", b);
+  std::printf("  median tries\n");
+  struct Attacker {
+    const char* name;
+    core::CampaignConfig cfg;
+  };
+  std::vector<std::pair<const char*, std::size_t>> within_2_11;
+  for (const Attacker& a : {Attacker{"lab-grade", bench::lab_campaign()},
+                            Attacker{"default-noise", bench::default_campaign()}}) {
+    const std::vector<std::size_t> tries =
+        recovered_tries(a.cfg, captures, std::size_t{1} << max_log);
+    std::printf("%14s", a.name);
+    std::size_t at_2_11 = 0;
+    for (unsigned b = 0; b <= max_log; b += (b < 8 ? 4 : 3)) {
+      const auto within = static_cast<std::size_t>(
+          std::upper_bound(tries.begin(), tries.end(), std::size_t{1} << b) - tries.begin());
+      if (b == 11) at_2_11 = within;
+      std::printf("  %5.3f", static_cast<double>(within) / static_cast<double>(captures));
+    }
+    if (tries.empty()) {
+      std::printf("  %12s\n", "-");
+    } else {
+      std::printf("  %12zu\n", tries[(tries.size() - 1) / 2]);
+    }
+    within_2_11.emplace_back(a.name, at_2_11);
+  }
+  for (const auto& [name, count] : within_2_11) {
+    std::printf("  %s: %zu/%zu captures recovered within 2^11 tries\n", name, count, captures);
+  }
+
   std::printf("\nreading: hints monotonically cheapen the lattice step, and full\n"
               "hints reduce it to exact linear algebra — the laptop-scale analogue\n"
-              "of Table III's 382.25 -> 12.2 bikz collapse.\n");
+              "of Table III's 382.25 -> 12.2 bikz collapse. [4] turns Table III's\n"
+              "estimated residual work (2^4.4 in the paper) into a measured one.\n");
   return 0;
 }

@@ -163,7 +163,7 @@ RobustCaptureResult RevealAttack::attack_capture_robust_traced(
   if (!trained()) throw std::logic_error("RevealAttack: train() first");
   RobustCaptureResult out;
   {
-    auto span = tracer.span(obs::Stage::kSegmentation, capture_index);
+    [[maybe_unused]] auto span = tracer.span(obs::Stage::kSegmentation, capture_index);
     out.segmentation = sca::segment_trace_robust(trace, expected_windows, seg_config);
     if (out.segmentation.status != sca::SegmentationStatus::kFailed) {
       const double threshold = out.segmentation.config.threshold > 0.0
@@ -174,7 +174,7 @@ RobustCaptureResult RevealAttack::attack_capture_robust_traced(
   }
   if (out.segmentation.status == sca::SegmentationStatus::kFailed) return out;
 
-  auto span = tracer.span(obs::Stage::kClassification, capture_index);
+  [[maybe_unused]] auto span = tracer.span(obs::Stage::kClassification, capture_index);
   out.guesses.reserve(out.segmentation.segments.size());
   for (std::size_t i = 0; i < out.segmentation.segments.size(); ++i) {
     const sca::Segment& seg = out.segmentation.segments[i];

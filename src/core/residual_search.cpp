@@ -19,26 +19,32 @@ struct CandidateList {
   std::size_t coeff_index = 0;
   std::vector<std::int64_t> values;
   std::vector<double> log_probs;  // aligned, non-increasing
+  /// (values[r] - values[0]) mod q_j at [r * moduli + j]; searched lists only.
+  std::vector<std::uint64_t> deltas;
 };
 
-/// Search node in the lazy best-first enumeration. A node represents one
-/// rank assignment; `fresh` marks whether the assignment still needs its
-/// consistency check. Children are generated lazily (two per pop) so the
-/// heap stays proportional to the try budget even at large search widths:
-///   A: increment the rank at `frontier` (new assignment, fresh)
-///   B: advance `frontier` by one, same assignment (virtual, not re-checked)
-/// Together these cover the duplicate-free child set
-/// { ranks + e_j : j >= frontier } of the canonical-parent scheme.
+/// Log-posterior lost by moving a list off its most likely candidate.
+double first_step(const CandidateList& l) { return l.log_probs[0] - l.log_probs[1]; }
+
+/// Heap node: one rank assignment R over the searched positions (its ranks
+/// live in the search's rank pool at `slot`), the highest position `last`
+/// with a nonzero rank, and its log-posterior loss against the all-top
+/// assignment. Every node is a real assignment, so each pop is one try.
 struct Node {
-  std::vector<std::uint8_t> ranks;
-  std::size_t frontier = 0;
-  double log_prob = 0.0;
-  bool fresh = true;
+  double cost = 0.0;
+  std::size_t slot = 0;
+  std::size_t last = 0;
 };
 
 struct NodeOrder {
-  bool operator()(const Node& a, const Node& b) const { return a.log_prob < b.log_prob; }
+  bool operator()(const Node& a, const Node& b) const { return a.cost > b.cost; }
 };
+
+/// v mod q for a small signed v.
+std::uint64_t reduce_signed(std::int64_t v, const seal::Modulus& q) {
+  const std::uint64_t mag = static_cast<std::uint64_t>(v < 0 ? -v : v) % q.value();
+  return v < 0 ? seal::negate_mod(mag, q) : mag;
+}
 
 }  // namespace
 
@@ -51,6 +57,10 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
     throw std::invalid_argument("residual_search: guess count does not match context");
   if (ct.size() != 2)
     throw std::invalid_argument("residual_search: need a fresh 2-part ciphertext");
+  if (config.max_candidates_per_coeff < 1 || config.max_candidates_per_coeff > 256)
+    throw std::invalid_argument("residual_search: max_candidates_per_coeff must be in [1, 256]");
+  if (config.max_tries == 0)
+    throw std::invalid_argument("residual_search: max_tries must be positive");
 
   ResidualSearchResult result;
 
@@ -90,8 +100,8 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
   if (lists.size() > config.max_uncertain) lists.resize(config.max_uncertain);
   result.uncertain_count = lists.size();
 
-  // Consistency oracle. Precompute everything that does not depend on the
-  // candidate: NTT(c1), the NTT-domain inverse of p1, and NTT(p0) — each
+  // Full consistency oracle. Precompute everything that does not depend on
+  // the candidate: NTT(c1), the NTT-domain inverse of p1, and NTT(p0) — each
   // check is then one forward + one inverse transform.
   const double max_dev = context.parms().noise_max_deviation();
   const auto& tables = context.fast_ntt_tables();
@@ -125,9 +135,8 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
 
   Poly scratch(n, moduli.size());
   Poly u_ntt(n, moduli.size());
-  auto consistent = [&](const std::vector<std::int64_t>& candidate_e2) -> bool {
-    // u = (c1 - e2) * p1^{-1}: ternary check first (the cheap, powerful
-    // filter), then the e1-bound check on survivors.
+  // u = (c1 - e2) * p1^{-1} in the NTT domain.
+  auto u_ntt_of = [&](const std::vector<std::int64_t>& candidate_e2) {
     encode_noise_values(candidate_e2, context, scratch);
     polyops::ntt_forward(scratch, tables);
     for (std::size_t j = 0; j < moduli.size(); ++j) {
@@ -136,6 +145,11 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
         u_ntt.at(i, j) = seal::mul_mod(num, p1_inv_ntt.at(i, j), moduli[j]);
       }
     }
+  };
+  auto consistent = [&](const std::vector<std::int64_t>& candidate_e2) -> bool {
+    // Ternary check first (the cheap, powerful filter), then the e1-bound
+    // check on survivors.
+    u_ntt_of(candidate_e2);
     Poly u = u_ntt;
     polyops::ntt_inverse(u, tables);
     for (std::size_t i = 0; i < n; ++i) {
@@ -168,53 +182,135 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
     result.e2 = e2;
     return result;
   }
-  if (lists.empty()) return result;
+  if (lists.empty() || config.max_candidates_per_coeff == 1) return result;  // nothing to enumerate
 
-  // Lazy best-first enumeration over candidate ranks (two pushes per pop).
+  // k-best chain enumeration over the searched positions sorted by
+  // first-step cost. A node is an assignment R with its highest nonzero
+  // position m; popping it pushes
+  //   R + e_m              (increment child),
+  //   R + e_{m+1}          (next-position child),
+  //   R - e_m + e_{m+1}    (chain sibling, only when R[m] == 1).
+  // Every R != 0 has exactly one parent under these rules, so no assignment
+  // is pushed twice, and the sort makes every child cost at least as much
+  // as its parent, so popping the cheapest node is exact best-first order.
+  std::stable_sort(lists.begin(), lists.end(), [](const CandidateList& a, const CandidateList& b) {
+    return first_step(a) < first_step(b);
+  });
+  const std::size_t width = lists.size();
+
+  // Incremental ternary oracle. u is linear in e2: against the all-top
+  // assignment `base`, a candidate differing by delta_k at coefficients p_k
+  // has u = u_base - sum_k delta_k * x^{p_k} * w with w = p1^{-1}. Checking
+  // it coefficient by coefficient rejects a wrong candidate at its first
+  // non-ternary coefficient; survivors still run the full oracle.
+  std::vector<std::int64_t> base = e2;
+  for (const auto& l : lists) base[l.coeff_index] = l.values[0];
+  u_ntt_of(base);
+  Poly u_base = u_ntt;
+  polyops::ntt_inverse(u_base, tables);
+  Poly w = p1_inv_ntt;
+  polyops::ntt_inverse(w, tables);
+  for (auto& l : lists) {
+    for (const std::int64_t v : l.values) {
+      for (const Modulus& q : moduli) l.deltas.push_back(reduce_signed(v - l.values[0], q));
+    }
+  }
+  struct Change {
+    std::size_t pos;
+    const std::uint64_t* delta;  // one residue per modulus
+  };
+  std::vector<Change> changes;
+  changes.reserve(width);
+  auto ternary = [&]() -> bool {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int64_t centered = 0;
+      for (std::size_t j = 0; j < moduli.size(); ++j) {
+        const Modulus& q = moduli[j];
+        std::uint64_t v = u_base.at(i, j);
+        for (const Change& c : changes) {
+          // Negacyclic: (x^p * w)[i] = w[i - p], or -w[n + i - p] on wrap.
+          if (i >= c.pos) {
+            v = seal::sub_mod(v, seal::mul_mod(c.delta[j], w.at(i - c.pos, j), q), q);
+          } else {
+            v = seal::add_mod(v, seal::mul_mod(c.delta[j], w.at(n + i - c.pos, j), q), q);
+          }
+        }
+        const std::int64_t cv = seal::center_mod(v, q);
+        if (j == 0) {
+          if (cv < -1 || cv > 1) return false;
+          centered = cv;
+        } else if (cv != centered) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+
+  // Ranks of live nodes, `width` bytes per slot; popped slots are reused.
+  std::vector<std::uint8_t> pool;
+  std::vector<std::size_t> free_slots;
   std::priority_queue<Node, std::vector<Node>, NodeOrder> heap;
-  Node root;
-  root.ranks.assign(lists.size(), 0);
-  root.frontier = 0;
-  root.log_prob = 0.0;
-  root.fresh = false;  // the ML assignment was already checked above
-  for (const auto& l : lists) root.log_prob += l.log_probs[0];
-  heap.push(std::move(root));
-
-  auto push_increment = [&heap, &lists](const Node& node) {
-    const std::size_t j = node.frontier;
-    const std::size_t next_rank = node.ranks[j] + 1u;
-    if (next_rank >= lists[j].values.size()) return;
-    Node child = node;
-    child.ranks[j] = static_cast<std::uint8_t>(next_rank);
-    child.log_prob += lists[j].log_probs[next_rank] - lists[j].log_probs[next_rank - 1];
-    child.fresh = true;
-    heap.push(std::move(child));
+  std::vector<std::uint8_t> ranks(width, 0);
+  // Pushes the assignment currently in `ranks`.
+  auto push = [&](double cost, std::size_t last) {
+    std::size_t slot;
+    if (free_slots.empty()) {
+      slot = pool.size() / width;
+      pool.resize(pool.size() + width);
+    } else {
+      slot = free_slots.back();
+      free_slots.pop_back();
+    }
+    std::copy(ranks.begin(), ranks.end(), pool.begin() + static_cast<std::ptrdiff_t>(slot * width));
+    heap.push(Node{cost, slot, last});
   };
-  auto push_advance = [&heap, &lists](const Node& node) {
-    if (node.frontier + 1 >= lists.size()) return;
-    Node sibling = node;
-    ++sibling.frontier;
-    sibling.fresh = false;
-    heap.push(std::move(sibling));
-  };
+  ranks[0] = 1;
+  push(first_step(lists[0]), 0);
 
-  std::vector<std::int64_t> candidate = e2;
+  std::vector<std::int64_t> candidate = base;
   while (!heap.empty() && result.tried < config.max_tries) {
     const Node node = heap.top();
     heap.pop();
-    if (node.fresh) {
-      for (std::size_t j = 0; j < lists.size(); ++j) {
-        candidate[lists[j].coeff_index] = lists[j].values[node.ranks[j]];
+    const auto stored = pool.begin() + static_cast<std::ptrdiff_t>(node.slot * width);
+    std::copy(stored, stored + static_cast<std::ptrdiff_t>(width), ranks.begin());
+    free_slots.push_back(node.slot);
+
+    ++result.tried;
+    changes.clear();
+    for (std::size_t k = 0; k < width; ++k) {
+      if (ranks[k] != 0) {
+        changes.push_back({lists[k].coeff_index, &lists[k].deltas[ranks[k] * moduli.size()]});
       }
-      ++result.tried;
+    }
+    if (ternary()) {
+      for (std::size_t k = 0; k < width; ++k) {
+        candidate[lists[k].coeff_index] = lists[k].values[ranks[k]];
+      }
       if (consistent(candidate)) {
         result.found = true;
         result.e2 = candidate;
         return result;
       }
     }
-    push_increment(node);
-    push_advance(node);
+
+    const std::size_t m = node.last;
+    const std::uint8_t r = ranks[m];
+    const auto& lp = lists[m].log_probs;
+    if (r + 1u < lp.size()) {
+      ranks[m] = static_cast<std::uint8_t>(r + 1u);
+      push(node.cost + (lp[r] - lp[r + 1u]), m);
+      ranks[m] = r;
+    }
+    if (m + 1 < width) {
+      const double next_step = first_step(lists[m + 1]);
+      ranks[m + 1] = 1;
+      push(node.cost + next_step, m + 1);
+      if (r == 1) {
+        ranks[m] = 0;
+        push(node.cost + (next_step - first_step(lists[m])), m + 1);
+      }
+    }
   }
   return result;
 }
