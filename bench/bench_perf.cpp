@@ -41,12 +41,9 @@
 #include "lattice/lattice.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/rng.hpp"
-#include "sca/class_stats.hpp"
-#include "sca/poi.hpp"
 #include "sca/segmentation.hpp"
 #include "sca/template_attack.hpp"
 #include "sca/trace.hpp"
-#include "sca/tvla.hpp"
 #include "seal/decryptor.hpp"
 #include "seal/encryptor.hpp"
 #include "seal/keys.hpp"
@@ -239,28 +236,6 @@ bool sweep_results_equal(const sca::SegmentationResult& fast,
          fast.burst_consistency == ref.burst_consistency;
 }
 
-/// A labelled trace set of the attack's shape: one mean level per label
-/// plus noise, leaking at a few sample points.
-sca::TraceSet make_labelled_set(std::size_t num_classes, std::size_t traces_per_class,
-                                std::size_t length, std::uint64_t seed) {
-  num::Xoshiro256StarStar rng(seed);
-  sca::TraceSet set;
-  const std::int32_t half = static_cast<std::int32_t>(num_classes / 2);
-  for (std::size_t t = 0; t < traces_per_class; ++t) {
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      sca::Trace trace;
-      trace.label = static_cast<std::int32_t>(c) - half;
-      trace.samples.resize(length);
-      for (std::size_t i = 0; i < length; ++i) {
-        const double leak = i % 37 == 5 ? 0.08 * static_cast<double>(trace.label) : 0.0;
-        trace.samples[i] = leak + rng.gaussian(0.0, 1.0);
-      }
-      set.add(std::move(trace));
-    }
-  }
-  return set;
-}
-
 /// A fixed-seed LLL instance: near-diagonal with dense noise, the shape the
 /// DBDD embedding produces after hint intersection.
 lattice::Basis make_lll_basis(std::size_t n, std::uint64_t seed) {
@@ -334,9 +309,7 @@ int run_json_harness(bool smoke) {
   constexpr double kCaptureSpeedupGate = 1.15;
   constexpr double kTemplateSpeedupGate = 3.0;
   constexpr double kSegSweepSpeedupGate = 3.0;
-  constexpr double kClassStatsSpeedupGate = 2.0;
   constexpr double kLllSpeedupGate = 2.0;
-  constexpr double kTStatTolerance = 1e-9;
   constexpr double kObsOverheadGate = 0.02;  // observability must cost < 2%
 
   std::uint64_t sink = 0;
@@ -466,68 +439,6 @@ int run_json_harness(bool smoke) {
     if (!sweep_results_equal(fast, ref)) sweep_identical = false;
   }
 
-  // --- class stats: one streaming pass vs per-deliverable re-reads -------
-  // Deliverable: class means, SOSD curve, POIs and the pairwise |t|
-  // distinguishability matrix. The reference path re-reads the trace set
-  // for the means and twice per population per pair; ClassStats reads every
-  // trace once and answers each pair from its accumulated state.
-  const std::size_t cs_classes = 25;
-  const std::size_t cs_per_class = smoke ? 8 : 24;
-  const std::size_t cs_len = 256;
-  const sca::TraceSet cs_set = make_labelled_set(cs_classes, cs_per_class, cs_len, 77);
-  std::vector<sca::TraceSet> cs_pops(cs_classes);
-  const std::int32_t cs_half = static_cast<std::int32_t>(cs_classes / 2);
-  for (const sca::Trace& t : cs_set) {
-    cs_pops[static_cast<std::size_t>(t.label + cs_half)].add(t);
-  }
-  const auto [cs_fast_ns, cs_ref_ns] = time_pair_ns(
-      [&](std::size_t) {
-        sca::ClassStats acc(cs_len);
-        acc.add_all(cs_set);
-        const auto pois = sca::select_pois(acc.sosd(), 12, 3);
-        sink += pois.size();
-        for (std::size_t a = 0; a < cs_classes; ++a) {
-          for (std::size_t b = a + 1; b < cs_classes; ++b) {
-            const auto t = acc.welch_t(static_cast<std::int32_t>(a) - cs_half,
-                                       static_cast<std::int32_t>(b) - cs_half);
-            fsink += t[0];
-          }
-        }
-      },
-      [&](std::size_t) {
-        const auto means = sca::class_means(cs_set);
-        const auto pois = sca::select_pois(sca::sosd_curve(means), 12, 3);
-        sink += pois.size();
-        for (std::size_t a = 0; a < cs_classes; ++a) {
-          for (std::size_t b = a + 1; b < cs_classes; ++b) {
-            const auto t = sca::welch_t_test(cs_pops[a], cs_pops[b]);
-            fsink += t[0];
-          }
-        }
-      },
-      smoke ? 2 : 10, smoke ? 5 : 1);
-  const double cs_speedup = cs_fast_ns > 0.0 ? cs_ref_ns / cs_fast_ns : 0.0;
-  sca::ClassStats cs_acc(cs_len);
-  cs_acc.add_all(cs_set);
-  const bool cs_means_identical = cs_acc.means() == sca::class_means(cs_set) &&
-                                  cs_acc.sosd() == sca::sosd_curve(sca::class_means(cs_set));
-  const bool cs_pois_identical =
-      sca::select_pois(cs_acc.sosd(), 12, 3) ==
-      sca::select_pois(sca::sosd_curve(sca::class_means(cs_set)), 12, 3);
-  double cs_t_delta = 0.0;
-  for (std::size_t a = 0; a < cs_classes; ++a) {
-    for (std::size_t b = a + 1; b < cs_classes; ++b) {
-      const auto fast = cs_acc.welch_t(static_cast<std::int32_t>(a) - cs_half,
-                                       static_cast<std::int32_t>(b) - cs_half);
-      const auto ref = sca::welch_t_test(cs_pops[a], cs_pops[b]);
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        cs_t_delta = std::max(cs_t_delta, std::fabs(fast[i] - ref[i]));
-      }
-    }
-  }
-  const bool cs_identical =
-      cs_means_identical && cs_pois_identical && cs_t_delta <= kTStatTolerance;
-
   // --- LLL: flat incremental GSO vs full recompute per perturbation ------
   const std::size_t lll_n = smoke ? 16 : 28;
   const lattice::Basis lll_basis = make_lll_basis(lll_n, 5);
@@ -644,11 +555,10 @@ int run_json_harness(bool smoke) {
   const bool victim_identical = victim_identity_gate();
   const bool golden_identical = golden_identity_gate();
   const bool identity_ok = victim_identical && golden_identical && capture_identical &&
-                           sweep_identical && cs_identical &&
-                           lll_identical && obs_identical;
+                           sweep_identical && lll_identical && obs_identical;
   const bool speedups_ok =
       capture_speedup >= kCaptureSpeedupGate && score_speedup >= kTemplateSpeedupGate &&
-      sweep_speedup >= kSegSweepSpeedupGate && cs_speedup >= kClassStatsSpeedupGate && lll_speedup >= kLllSpeedupGate &&
+      sweep_speedup >= kSegSweepSpeedupGate && lll_speedup >= kLllSpeedupGate &&
       obs_overhead <= kObsOverheadGate;
   const bool passed = identity_ok && (smoke || speedups_ok);
 
@@ -681,15 +591,6 @@ int run_json_harness(bool smoke) {
                sweep_fast_ns, sweep_ref_ns, sweep_speedup,
                sweep_identical ? "true" : "false");
   std::fprintf(out,
-               "  \"class_stats\": {\"classes\": %zu, \"traces\": %zu, "
-               "\"fast_ns_per_pass\": %.1f, \"baseline_ns_per_pass\": %.1f, "
-               "\"speedup\": %.2f, \"pois_identical\": %s, \"means_identical\": %s, "
-               "\"t_max_abs_delta\": %.3e, \"identical\": %s},\n",
-               cs_classes, cs_set.size(), cs_fast_ns, cs_ref_ns, cs_speedup,
-               cs_pois_identical ? "true" : "false",
-               cs_means_identical ? "true" : "false", cs_t_delta,
-               cs_identical ? "true" : "false");
-  std::fprintf(out,
                "  \"lll_flat\": {\"dimension\": %zu, \"fast_ns_per_reduce\": %.1f, "
                "\"baseline_ns_per_reduce\": %.1f, \"speedup\": %.2f, \"identical\": %s},\n",
                lll_n, lll_fast_ns, lll_ref_ns, lll_speedup,
@@ -706,13 +607,10 @@ int run_json_harness(bool smoke) {
   std::fprintf(out,
                "  \"gates\": {\"capture_speedup_min\": %.2f, \"template_speedup_min\": "
                "%.1f, \"segmentation_sweep_speedup_min\": %.1f, "
-               "\"class_stats_speedup_min\": %.1f, "
-               "\"lll_speedup_min\": %.1f, \"t_stat_tolerance\": %.1e, "
-               "\"obs_overhead_max\": %.2f, "
+               "\"lll_speedup_min\": %.1f, \"obs_overhead_max\": %.2f, "
                "\"enforced\": %s, \"passed\": %s},\n",
                kCaptureSpeedupGate, kTemplateSpeedupGate, kSegSweepSpeedupGate,
-               kClassStatsSpeedupGate, kLllSpeedupGate,
-               kTStatTolerance, kObsOverheadGate, smoke ? "false" : "true",
+               kLllSpeedupGate, kObsOverheadGate, smoke ? "false" : "true",
                passed ? "true" : "false");
   // Folding the sinks into the output keeps the timed work observable
   // (nothing for the optimizer to elide).
@@ -728,19 +626,16 @@ int run_json_harness(bool smoke) {
               score_fast_ns, score_ref_ns, score_speedup);
   std::printf("segmentation sweep: fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
               sweep_fast_ns, sweep_ref_ns, sweep_speedup);
-  std::printf("class stats:      fast %.0f ns  baseline %.0f ns  speedup %.2fx\n",
-              cs_fast_ns, cs_ref_ns, cs_speedup);
   std::printf("lll (n=%zu):      fast %.0f ns  baseline %.0f ns  speedup %.2fx\n", lll_n,
               lll_fast_ns, lll_ref_ns, lll_speedup);
   std::printf("observability:    off %.0f ns  on %.0f ns  overhead %.2f%% (max %.0f%%)\n",
               obs_off_ns, obs_on_ns, 100.0 * obs_overhead, 100.0 * kObsOverheadGate);
   std::printf("segmentation %.0f ns  ntt-1024 %.0f ns\n", segment_ns, ntt_ns);
   std::printf("identity: victim events %s, golden recovery %s, capture %s, sweep %s, "
-              "class stats %s, lll %s, observability %s\n",
+              "lll %s, observability %s\n",
               victim_identical ? "ok" : "MISMATCH", golden_identical ? "ok" : "MISMATCH",
               capture_identical ? "ok" : "MISMATCH", sweep_identical ? "ok" : "MISMATCH",
-              cs_identical ? "ok" : "MISMATCH", lll_identical ? "ok" : "MISMATCH",
-              obs_identical ? "ok" : "MISMATCH");
+              lll_identical ? "ok" : "MISMATCH", obs_identical ? "ok" : "MISMATCH");
   if (!passed) {
     std::fprintf(stderr, "bench_perf: gate FAILED (identity %s, speedups %s)\n",
                  identity_ok ? "ok" : "violated", speedups_ok ? "ok" : "below threshold");

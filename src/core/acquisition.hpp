@@ -38,12 +38,14 @@ struct CampaignConfig {
       .threshold = 10.0,
       .min_burst_length = 20,
   };
-  /// Worker threads for campaign-shaped sweeps (multi-trace acquisition,
-  /// template building, classification fan-out). kAutoWorkers resolves to
-  /// hardware_concurrency; 0 forces the single-threaded reference path.
-  /// Any setting produces bit-identical results — per-trace RNG streams are
-  /// derived from the capture seed alone, and all accumulations merge in
-  /// index order (pinned by tests/test_campaign_equivalence.cpp).
+  /// Worker threads for capture fan-out: collect_windows' profiling
+  /// captures, and the pool a caller sizes with resolved_num_workers for a
+  /// recovery campaign. Template building runs on the calling thread.
+  /// kAutoWorkers resolves to hardware_concurrency; 0 forces the
+  /// single-threaded reference path. Any setting produces bit-identical
+  /// results — per-trace RNG streams are derived from the capture seed
+  /// alone, and all accumulations merge in index order (pinned by
+  /// tests/test_campaign_equivalence.cpp).
   std::size_t num_workers = kAutoWorkers;
   /// Victim-simulator execution path used for every capture (DESIGN.md
   /// §6f). Both tiers capture bit-identical traces — kReference here means

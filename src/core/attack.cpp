@@ -38,9 +38,8 @@ RevealAttack::RevealAttack(AttackConfig config) : config_(config) {
     throw std::invalid_argument("RevealAttack: zero-sized configuration");
 }
 
-void RevealAttack::train(const std::vector<WindowRecord>& profiling, WorkerPool* pool) {
+void RevealAttack::train(const std::vector<WindowRecord>& profiling) {
   if (profiling.empty()) throw std::invalid_argument("RevealAttack::train: no windows");
-  const bool parallel = pool != nullptr && !pool->serial();
 
   // --- sign classifier (vulnerability 1) ---
   sca::TraceSet sign_set;
@@ -55,8 +54,7 @@ void RevealAttack::train(const std::vector<WindowRecord>& profiling, WorkerPool*
   sign_classifier_.fit(sign_set, config_.sign_prefix);
 
   // --- sign-conditioned value templates (vulnerabilities 2 + 3) ---
-  auto build_side = [this, &profiling, pool, parallel](
-                        int sign, std::vector<std::size_t>& pois_out)
+  auto build_side = [this, &profiling](int sign, std::vector<std::size_t>& pois_out)
       -> std::optional<sca::TemplateSet> {
     // Drop values too rare to template (outside the observed range).
     std::map<std::int32_t, std::size_t> counts;
@@ -81,25 +79,7 @@ void RevealAttack::train(const std::vector<WindowRecord>& profiling, WorkerPool*
     pois_out = sca::select_pois(sosd, config_.poi_count, config_.poi_min_spacing);
 
     sca::TemplateBuilder builder(pois_out.size());
-    if (parallel) {
-      // Fan the POI extraction out; each worker fills the slots of the
-      // window indices it ran. The pooled-covariance accumulation itself is
-      // then replayed in index order, which keeps the (order-sensitive)
-      // floating-point updates bit-identical to the serial fold below — an
-      // accumulator merged in any other order would drift in the last ulps
-      // and break the byte-identical equivalence guarantee.
-      std::vector<std::vector<double>> observations(side.size());
-      pool->run_indexed(side.size(), [&](std::size_t i, std::size_t) {
-        observations[i] = sca::extract_pois(side[i].samples, pois_out);
-      });
-      for (std::size_t i = 0; i < side.size(); ++i) {
-        builder.add(side[i].label, observations[i]);
-      }
-    } else {
-      for (const auto& t : side) {
-        builder.add(t.label, sca::extract_pois(t.samples, pois_out));
-      }
-    }
+    for (const auto& t : side) builder.add(t.label, sca::extract_pois(t.samples, pois_out));
     return builder.build();
   };
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/acquisition.hpp"
-#include "core/parallel.hpp"
 #include "obs/span_tracer.hpp"
 #include "sca/classifier.hpp"
 #include "sca/template_attack.hpp"
@@ -96,15 +95,10 @@ class RevealAttack {
   explicit RevealAttack(AttackConfig config = {});
 
   /// Trains the sign classifier and the sign-conditioned template sets from
-  /// labelled profiling windows. Throws if a sign class is missing or too
+  /// labelled profiling windows, adding them to the pooled-covariance
+  /// builders in window order. Throws if a sign class is missing or too
   /// small.
-  ///
-  /// With a non-serial `pool`, the per-window POI extraction fans out over
-  /// the workers into per-worker partial accumulators; the partials are then
-  /// folded into the pooled-covariance builder in window-index order, so the
-  /// built templates are bit-identical to the serial path regardless of
-  /// worker count or stealing schedule.
-  void train(const std::vector<WindowRecord>& profiling, WorkerPool* pool = nullptr);
+  void train(const std::vector<WindowRecord>& profiling);
 
   [[nodiscard]] bool trained() const noexcept { return sign_classifier_.fitted(); }
   [[nodiscard]] const AttackConfig& config() const noexcept { return config_; }

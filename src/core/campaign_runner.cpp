@@ -1,6 +1,5 @@
 #include "core/campaign_runner.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/campaign_checkpoint.hpp"
@@ -63,23 +62,6 @@ std::vector<WindowRecord> CampaignRunner::collect_windows(const CampaignConfig& 
     for (WindowRecord& w : slot.windows) out.push_back(std::move(w));
   }
   if (rejected != nullptr) *rejected = skipped;
-  return out;
-}
-
-sca::ClassStats CampaignRunner::class_stats(const sca::TraceSet& set,
-                                            std::size_t length) {
-  sca::ClassStats out(length);
-  const std::size_t n = set.size();
-  if (n == 0) return out;
-  const std::size_t blocks = (n + kClassStatsBlock - 1) / kClassStatsBlock;
-  std::vector<sca::ClassStats> partials(blocks, sca::ClassStats(length));
-  pool_.run_indexed(blocks, [&](std::size_t b, std::size_t) {
-    const std::size_t begin = b * kClassStatsBlock;
-    const std::size_t end = std::min(begin + kClassStatsBlock, n);
-    for (std::size_t i = begin; i < end; ++i)
-      partials[b].add(set[i].label, set[i].samples);
-  });
-  for (const sca::ClassStats& p : partials) out.merge(p);
   return out;
 }
 

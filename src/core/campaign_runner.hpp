@@ -12,8 +12,6 @@
 //     firmware PRNG, measurement-noise, and fault streams all derive from
 //     the capture seed. Each worker runs its own SamplerCampaign replica
 //     (captures are history-independent), and results land in index slots.
-//   * template building: POI extraction fans out; the pooled-covariance
-//     accumulation replays in window-index order (see RevealAttack::train).
 //   * hints: workers *route* their captures' guesses into HintRecord lists
 //     (a pure function); the estimator integration — whose floating-point
 //     state is order-sensitive — replays those records in capture order on
@@ -39,7 +37,6 @@
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
-#include "sca/class_stats.hpp"
 #include "sca/report.hpp"
 
 namespace reveal::core {
@@ -93,7 +90,7 @@ class CampaignRunner {
   [[nodiscard]] static std::vector<std::uint64_t> stream_seeds(std::uint64_t base_seed,
                                                                std::size_t count);
 
-  // --- (a) multi-trace acquisition ---------------------------------------
+  // --- multi-trace acquisition -------------------------------------------
 
   /// Captures seeds[i] for every i, in parallel; out[i] corresponds to
   /// seeds[i] regardless of scheduling.
@@ -107,21 +104,6 @@ class CampaignRunner {
                                                           std::size_t runs,
                                                           std::uint64_t seed_base,
                                                           std::size_t* rejected = nullptr);
-
-  // --- (b) streaming per-class statistics ---------------------------------
-
-  /// Traces per class_stats partial. Fixed (not derived from the worker
-  /// count) so the floating-point association of the merged result is the
-  /// same for every pool size, including the serial path.
-  static constexpr std::size_t kClassStatsBlock = 32;
-
-  /// Accumulates `set` into a ClassStats over the first `length` samples:
-  /// each fixed 32-trace index block fills its own partial on the workers
-  /// (traces added in index order), and the partials are Chan-merged in
-  /// block order on the calling thread. Byte-identical for every worker
-  /// count; not byte-identical to one streaming accumulator (merge fixes a
-  /// different — but schedule-independent — summation tree).
-  [[nodiscard]] sca::ClassStats class_stats(const sca::TraceSet& set, std::size_t length);
 
   // --- full campaign ------------------------------------------------------
 

@@ -2,8 +2,7 @@
 
 #include <stdexcept>
 
-#include "seal/biguint.hpp"
-#include "seal/crt.hpp"
+#include "seal/decryptor.hpp"
 #include "seal/modarith.hpp"
 #include "seal/poly.hpp"
 #include "seal/sampler.hpp"
@@ -71,21 +70,7 @@ std::optional<seal::Plaintext> recover_message(const seal::Context& context,
   Poly x;
   polyops::sub(ct[0], p0u, moduli, x);
 
-  // CRT-compose and round: m_i = floor((t*x_i + q/2) / q) mod t.
-  const BigUInt& q = context.total_coeff_modulus();
-  BigUInt half_q = q;
-  half_q >>= 1;
-  const std::uint64_t t = context.plain_modulus().value();
-  const CrtComposer crt(moduli);
-
-  std::vector<std::uint64_t> message(context.n(), 0);
-  for (std::size_t i = 0; i < context.n(); ++i) {
-    const BigUInt xi = crt.compose(x, i);
-    const BigUInt numerator = xi * t + half_q;
-    message[i] = BigUInt::divmod(numerator, q).quotient.mod_word(t);
-  }
-  while (!message.empty() && message.back() == 0) message.pop_back();
-  return Plaintext(std::move(message));
+  return decode_scaled(context, x);
 }
 
 }  // namespace reveal::core

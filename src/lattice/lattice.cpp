@@ -419,50 +419,6 @@ std::size_t bkz_reduce_reference(Basis& basis, const BkzParams& params) {
   return insertions;
 }
 
-std::vector<std::int64_t> babai_nearest_plane(const Basis& basis,
-                                              const std::vector<std::int64_t>& target) {
-  check_rectangular(basis);
-  if (target.size() != basis.front().size())
-    throw std::invalid_argument("babai_nearest_plane: target dimension mismatch");
-  const Gso gso = compute_gso(basis);
-
-  // Track the residual in long double; subtract the rounded projection onto
-  // each b*_i from last to first, accumulating the lattice point exactly in
-  // integers.
-  std::vector<long double> residual(target.size());
-  for (std::size_t c = 0; c < target.size(); ++c) {
-    residual[c] = static_cast<long double>(target[c]);
-  }
-  // Recompute b* once (compute_gso gives mu and norms; rebuild star vectors).
-  std::vector<std::vector<long double>> star(
-      basis.size(), std::vector<long double>(target.size(), 0.0L));
-  for (std::size_t i = 0; i < basis.size(); ++i) {
-    for (std::size_t c = 0; c < target.size(); ++c) {
-      star[i][c] = static_cast<long double>(basis[i][c]);
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      for (std::size_t c = 0; c < target.size(); ++c) {
-        star[i][c] -= gso.mu[i][j] * star[j][c];
-      }
-    }
-  }
-
-  std::vector<std::int64_t> lattice_point(target.size(), 0);
-  for (std::size_t ii = basis.size(); ii-- > 0;) {
-    if (gso.norms_sq[ii] <= 0.0L) continue;
-    long double proj = 0.0L;
-    for (std::size_t c = 0; c < target.size(); ++c) proj += residual[c] * star[ii][c];
-    const auto coeff = static_cast<std::int64_t>(llroundl(proj / gso.norms_sq[ii]));
-    if (coeff != 0) {
-      for (std::size_t c = 0; c < target.size(); ++c) {
-        lattice_point[c] += coeff * basis[ii][c];
-        residual[c] -= static_cast<long double>(coeff * basis[ii][c]);
-      }
-    }
-  }
-  return lattice_point;
-}
-
 std::vector<std::int64_t> shortest_row(const Basis& basis) {
   check_rectangular(basis);
   std::size_t best = 0;

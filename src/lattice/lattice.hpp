@@ -144,11 +144,4 @@ std::size_t bkz_reduce_reference(Basis& basis, const BkzParams& params);
 /// Shortest basis row after reduction (by Euclidean norm).
 [[nodiscard]] std::vector<std::int64_t> shortest_row(const Basis& basis);
 
-/// Babai's nearest-plane algorithm: the lattice vector close to `target`
-/// found by rounding along the (ideally LLL-reduced) basis's Gram-Schmidt
-/// directions. Succeeds exactly when the offset lies in the fundamental
-/// parallelepiped of the GSO — i.e. for errors below ~min ||b*_i||/2.
-[[nodiscard]] std::vector<std::int64_t> babai_nearest_plane(
-    const Basis& basis, const std::vector<std::int64_t>& target);
-
 }  // namespace reveal::lattice

@@ -170,44 +170,4 @@ std::optional<std::vector<std::int64_t>> primal_attack(const LweInstance& inst,
   return std::nullopt;
 }
 
-std::optional<std::vector<std::int64_t>> bdd_attack(const LweInstance& inst,
-                                                    std::size_t block_size,
-                                                    std::size_t max_tours) {
-  // q-ary lattice basis (d = m + n rows):
-  //   [ q I_m   | 0   ]
-  //   [ A_col_j | e_j ]
-  // The point closest to (b | 0) is (A s + q k | s) at distance ||(e | -s)||.
-  const std::size_t d = inst.m + inst.n;
-  lattice::Basis basis(d, std::vector<std::int64_t>(d, 0));
-  for (std::size_t i = 0; i < inst.m; ++i) basis[i][i] = static_cast<std::int64_t>(inst.q);
-  for (std::size_t j = 0; j < inst.n; ++j) {
-    auto& row = basis[inst.m + j];
-    for (std::size_t i = 0; i < inst.m; ++i) row[i] = center(inst.at(i, j), inst.q);
-    row[inst.m + j] = 1;
-  }
-  lattice::BkzParams params;
-  params.block_size = block_size;
-  params.max_tours = max_tours;
-  lattice::bkz_reduce(basis, params);
-
-  std::vector<std::int64_t> target(d, 0);
-  for (std::size_t i = 0; i < inst.m; ++i) target[i] = center(inst.b[i], inst.q);
-  const auto point = lattice::babai_nearest_plane(basis, target);
-
-  std::vector<std::int64_t> secret(point.begin() + static_cast<std::ptrdiff_t>(inst.m),
-                                   point.end());
-  // Verify: residuals b - A s must be small mod q.
-  for (std::size_t i = 0; i < inst.m; ++i) {
-    std::int64_t acc = 0;
-    for (std::size_t j = 0; j < inst.n; ++j) {
-      acc += center(inst.at(i, j), inst.q) * secret[j];
-      acc %= static_cast<std::int64_t>(inst.q);
-    }
-    const std::int64_t residual =
-        center(reduce_signed(static_cast<std::int64_t>(inst.b[i]) - acc, inst.q), inst.q);
-    if (std::llabs(residual) > static_cast<std::int64_t>(inst.q / 4)) return std::nullopt;
-  }
-  return secret;
-}
-
 }  // namespace reveal::lwe

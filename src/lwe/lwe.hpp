@@ -69,11 +69,4 @@ struct SampledLwe {
 [[nodiscard]] std::optional<std::vector<std::int64_t>> primal_attack(
     const LweInstance& instance, std::size_t block_size, std::size_t max_tours = 16);
 
-/// Decoding (BDD) attack: reduce the q-ary lattice {(x, y) : x ≡ y·A (mod q)}
-/// and run Babai's nearest-plane against the target (b | 0); the closest
-/// lattice point reveals s in its last n coordinates. Cheaper than the
-/// uSVP embedding when the reduction quality suffices.
-[[nodiscard]] std::optional<std::vector<std::int64_t>> bdd_attack(
-    const LweInstance& instance, std::size_t block_size, std::size_t max_tours = 8);
-
 }  // namespace reveal::lwe

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
-#include "numeric/binary_io.hpp"
-
 namespace reveal::num {
-
-namespace {
-// Section marker + plausibility cap for serialized accumulators. POI vectors
-// are tens of dimensions; 2^12 leaves ample slack while keeping a corrupt
-// dim field from sizing a dim^2 scatter allocation (<= 128 MiB of doubles).
-constexpr std::uint32_t kRunningCovarianceMarker = 0x52'43'4F'56;  // "VOCR"
-constexpr std::uint64_t kMaxSerializedDim = std::uint64_t{1} << 12;
-}  // namespace
 
 void RunningStats::add(double x) noexcept {
   if (count_ == 0) {
@@ -74,53 +62,6 @@ void RunningCovariance::add(const std::vector<double>& x) {
       scatter_(i, j) += delta_[j] * after_i;
     }
   }
-}
-
-void RunningCovariance::merge(const RunningCovariance& other) {
-  if (other.dim() != dim())
-    throw std::invalid_argument("RunningCovariance::merge: dimension mismatch");
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double total = na + nb;
-  // delta = mean_b - mean_a; scatter += scatter_b + (na*nb/total) delta delta^T
-  for (std::size_t i = 0; i < mean_.size(); ++i) delta_[i] = other.mean_[i] - mean_[i];
-  const double weight = na * nb / total;
-  for (std::size_t i = 0; i < mean_.size(); ++i) {
-    for (std::size_t j = 0; j < mean_.size(); ++j) {
-      scatter_(i, j) += other.scatter_(i, j) + weight * delta_[i] * delta_[j];
-    }
-  }
-  for (std::size_t i = 0; i < mean_.size(); ++i) mean_[i] += delta_[i] * nb / total;
-  count_ += other.count_;
-}
-
-void RunningCovariance::save(std::ostream& out) const {
-  io::write_pod<std::uint32_t>(out, kRunningCovarianceMarker);
-  io::write_pod<std::uint64_t>(out, mean_.size());
-  io::write_pod<std::uint64_t>(out, count_);
-  io::write_vec(out, mean_);
-  io::write_vec(out, scatter_.data());
-}
-
-RunningCovariance RunningCovariance::load(std::istream& in) {
-  io::expect_marker(in, kRunningCovarianceMarker, "RunningCovariance");
-  const auto dim = io::read_pod<std::uint64_t>(in);
-  if (dim > kMaxSerializedDim)
-    throw std::runtime_error("RunningCovariance::load: implausible dimension");
-  RunningCovariance acc(static_cast<std::size_t>(dim));
-  acc.count_ = static_cast<std::size_t>(io::read_pod<std::uint64_t>(in));
-  acc.mean_ = io::read_vec<double>(in, dim);
-  if (acc.mean_.size() != dim)
-    throw std::runtime_error("RunningCovariance::load: mean size mismatch");
-  acc.scatter_.data() = io::read_vec<double>(in, dim * dim);
-  if (acc.scatter_.data().size() != dim * dim)
-    throw std::runtime_error("RunningCovariance::load: scatter size mismatch");
-  return acc;
 }
 
 Matrix RunningCovariance::covariance() const {

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "numeric/matrix.hpp"
@@ -77,25 +76,6 @@ class RunningCovariance {
   [[nodiscard]] Matrix covariance() const;
   /// Sum of outer products of deviations (useful for pooled covariance).
   [[nodiscard]] const Matrix& scatter() const noexcept { return scatter_; }
-
-  /// Merges another accumulator into this one (pairwise/Chan update of mean
-  /// and scatter). Statistically exact, but *not* bit-identical to streaming
-  /// the same samples through add() — floating-point addition is not
-  /// associative — so merge() suits throughput-oriented reductions while the
-  /// byte-identical campaign paths replay add() in index order instead.
-  void merge(const RunningCovariance& other);
-
-  /// Exact binary snapshot of the accumulator state (count, mean, scatter).
-  /// load() restores a bit-identical accumulator: resuming a checkpointed
-  /// campaign continues the same floating-point trajectory as an unbroken
-  /// run. Reads are bounds-checked (see numeric/binary_io.hpp).
-  void save(std::ostream& out) const;
-  [[nodiscard]] static RunningCovariance load(std::istream& in);
-
-  friend bool operator==(const RunningCovariance& a, const RunningCovariance& b) {
-    return a.count_ == b.count_ && a.mean_ == b.mean_ &&
-           a.scatter_.data() == b.scatter_.data();
-  }
 
  private:
   std::size_t count_ = 0;

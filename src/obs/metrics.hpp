@@ -2,15 +2,15 @@
 // Campaign metrics registry.
 //
 // The observability layer follows the same determinism contract as every
-// other campaign accumulator (HintTally, RunningCovariance,
-// sca::ClassStats): each worker owns a private Registry, fills it while
-// processing its captures, and the campaign merges the per-worker partials
-// in worker-index order on the calling thread. Counters and histogram
-// bucket counts are integers, so the merged totals are *worker-count
-// invariant* — the same campaign yields identical values for any pool
-// size. Gauges carry max-merge semantics (the only order-independent
-// float reduction that needs no compensation), and histogram value sums
-// accumulate exactly through ExactSum, so they share the invariance.
+// other campaign accumulator (HintTally, sca::ConfusionMatrix): each worker
+// owns a private Registry, fills it while processing its captures, and the
+// campaign merges the per-worker partials in worker-index order on the
+// calling thread. Counters and histogram bucket counts are integers, so the
+// merged totals are *worker-count invariant* — the same campaign yields
+// identical values for any pool size. Gauges carry max-merge semantics (the
+// only order-independent float reduction that needs no compensation), and
+// histogram value sums accumulate exactly through ExactSum, so they share
+// the invariance.
 //
 // Metrics are identified by name; an Id is a cheap handle resolved once
 // (per worker) so hot loops do no string lookups. merge() matches entries

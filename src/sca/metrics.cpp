@@ -29,10 +29,6 @@ void RankAccumulator::add(std::size_t rank) {
   ranks_.push_back(rank);
 }
 
-void RankAccumulator::merge(const RankAccumulator& other) {
-  ranks_.insert(ranks_.end(), other.ranks_.begin(), other.ranks_.end());
-}
-
 double RankAccumulator::guessing_entropy() const {
   if (ranks_.empty()) return 0.0;
   double acc = 0.0;

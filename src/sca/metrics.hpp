@@ -20,12 +20,6 @@ class RankAccumulator {
  public:
   void add(std::size_t rank);
 
-  /// Appends another accumulator's ranks in its insertion order. Per-block
-  /// partials merged in block order reproduce the sequential accumulator's
-  /// rank list (and therefore every derived metric) exactly — ranks are
-  /// integers, so only the list order matters for the float reductions.
-  void merge(const RankAccumulator& other);
-
   [[nodiscard]] std::size_t count() const noexcept { return ranks_.size(); }
   /// Guessing entropy: the mean rank of the correct value.
   [[nodiscard]] double guessing_entropy() const;

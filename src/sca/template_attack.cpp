@@ -1,22 +1,12 @@
 #include "sca/template_attack.hpp"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
-#include "numeric/binary_io.hpp"
 #include "numeric/distributions.hpp"
 
 namespace reveal::sca {
-
-namespace {
-constexpr std::uint32_t kTemplateBuilderMarker = 0x54'42'4C'44;  // "DLBT"
-// Class labels are sampler coefficient values (tens of classes); the POI
-// dimension is of the same order. One generous shared cap.
-constexpr std::uint64_t kMaxSerializedClasses = std::uint64_t{1} << 12;
-}  // namespace
 
 TemplateSet::TemplateSet(std::vector<ClassTemplate> classes, num::Matrix pooled_covariance)
     : classes_(std::move(classes)) {
@@ -160,49 +150,6 @@ void TemplateBuilder::add(std::int32_t label, const std::vector<double>& observa
     throw std::invalid_argument("TemplateBuilder::add: dimension mismatch");
   auto [it, inserted] = per_class_.try_emplace(label, dim_);
   it->second.add(observation);
-  ++total_;
-}
-
-void TemplateBuilder::merge(const TemplateBuilder& other) {
-  if (other.dim_ != dim_)
-    throw std::invalid_argument("TemplateBuilder::merge: dimension mismatch");
-  for (const auto& [label, cov] : other.per_class_) {
-    auto [it, inserted] = per_class_.try_emplace(label, dim_);
-    it->second.merge(cov);
-  }
-  total_ += other.total_;
-}
-
-void TemplateBuilder::save(std::ostream& out) const {
-  num::io::write_pod<std::uint32_t>(out, kTemplateBuilderMarker);
-  num::io::write_pod<std::uint64_t>(out, dim_);
-  num::io::write_pod<std::uint64_t>(out, total_);
-  num::io::write_pod<std::uint64_t>(out, per_class_.size());
-  for (const auto& [label, cov] : per_class_) {
-    num::io::write_pod<std::int32_t>(out, label);
-    cov.save(out);
-  }
-}
-
-TemplateBuilder TemplateBuilder::load(std::istream& in) {
-  num::io::expect_marker(in, kTemplateBuilderMarker, "TemplateBuilder");
-  const auto dim = num::io::read_pod<std::uint64_t>(in);
-  if (dim == 0 || dim > kMaxSerializedClasses)
-    throw std::runtime_error("TemplateBuilder::load: implausible dimension");
-  TemplateBuilder builder(static_cast<std::size_t>(dim));
-  builder.total_ = static_cast<std::size_t>(num::io::read_pod<std::uint64_t>(in));
-  const auto classes = num::io::read_pod<std::uint64_t>(in);
-  if (classes > kMaxSerializedClasses)
-    throw std::runtime_error("TemplateBuilder::load: implausible class count");
-  for (std::uint64_t c = 0; c < classes; ++c) {
-    const auto label = num::io::read_pod<std::int32_t>(in);
-    auto cov = num::RunningCovariance::load(in);
-    if (cov.dim() != dim)
-      throw std::runtime_error("TemplateBuilder::load: class dimension mismatch");
-    if (!builder.per_class_.emplace(label, std::move(cov)).second)
-      throw std::runtime_error("TemplateBuilder::load: duplicate class label");
-  }
-  return builder;
 }
 
 TemplateSet TemplateBuilder::build(double ridge) const {

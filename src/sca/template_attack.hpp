@@ -23,7 +23,6 @@
 // the benchmark baseline.
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -102,32 +101,12 @@ class TemplateBuilder {
   /// Adds one profiling observation for `label`.
   void add(std::int32_t label, const std::vector<double>& observation);
 
-  [[nodiscard]] std::size_t total_count() const noexcept { return total_; }
-
-  /// Merges another builder's per-class accumulators into this one (Chan
-  /// covariance merge per class). Exact up to floating-point rounding but
-  /// not bit-identical to a single streaming pass, so the byte-identical
-  /// campaign path replays add() in window order instead; merge() is for
-  /// throughput-oriented profiling reductions where last-ulp drift is fine.
-  void merge(const TemplateBuilder& other);
-
   /// Builds the template set; `ridge` is added to the pooled covariance
   /// diagonal. Throws std::runtime_error if any class has < 2 observations.
   [[nodiscard]] TemplateSet build(double ridge = 1e-6) const;
 
-  /// Exact binary snapshot of every per-class accumulator. load() restores
-  /// a bit-identical builder (same floating-point trajectory on further
-  /// add() calls) — the checkpoint/resume path of the recovery campaign.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static TemplateBuilder load(std::istream& in);
-
-  friend bool operator==(const TemplateBuilder& a, const TemplateBuilder& b) {
-    return a.dim_ == b.dim_ && a.total_ == b.total_ && a.per_class_ == b.per_class_;
-  }
-
  private:
   std::size_t dim_;
-  std::size_t total_ = 0;
   std::map<std::int32_t, num::RunningCovariance> per_class_;
 };
 

@@ -1,7 +1,6 @@
 #include "seal/biguint.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace reveal::seal {
@@ -33,14 +32,6 @@ bool BigUInt::bit(std::size_t i) const noexcept {
   const std::size_t limb = i / 64;
   if (limb >= limbs_.size()) return false;
   return (limbs_[limb] >> (i % 64)) & 1;
-}
-
-double BigUInt::to_double() const noexcept {
-  double acc = 0.0;
-  for (auto it = limbs_.rbegin(); it != limbs_.rend(); ++it) {
-    acc = acc * 0x1.0p64 + static_cast<double>(*it);
-  }
-  return acc;
 }
 
 std::string BigUInt::to_string() const {

@@ -29,8 +29,6 @@ class BigUInt {
   [[nodiscard]] std::uint64_t low_word() const noexcept {
     return limbs_.empty() ? 0 : limbs_[0];
   }
-  /// Conversion to double (may lose precision; used for logs/diagnostics).
-  [[nodiscard]] double to_double() const noexcept;
   [[nodiscard]] std::string to_string() const;  // decimal
 
   BigUInt& operator+=(const BigUInt& rhs);

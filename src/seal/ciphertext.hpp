@@ -38,8 +38,7 @@ class Plaintext {
   std::vector<std::uint64_t> coeffs_;
 };
 
-/// BFV ciphertext: 2 polynomials after encryption, 3 after an
-/// un-relinearized multiplication.
+/// BFV ciphertext: the 2 polynomials (c0, c1) of an encryption.
 class Ciphertext {
  public:
   Ciphertext() = default;

@@ -10,8 +10,6 @@ CrtComposer::CrtComposer(const std::vector<Modulus>& moduli) : moduli_(moduli) {
   if (moduli_.empty()) throw std::invalid_argument("CrtComposer: no moduli");
   total_ = BigUInt(1);
   for (const auto& q : moduli_) total_ = total_ * q.value();
-  half_total_ = total_;
-  half_total_ >>= 1;
 
   punctured_.reserve(moduli_.size());
   inv_punctured_.reserve(moduli_.size());
@@ -43,11 +41,6 @@ BigUInt CrtComposer::compose(const Poly& poly, std::size_t i) const {
   std::vector<std::uint64_t> residues(moduli_.size());
   for (std::size_t j = 0; j < moduli_.size(); ++j) residues[j] = poly.at(i, j);
   return compose(residues);
-}
-
-BigUInt CrtComposer::centered_magnitude(const BigUInt& x) const {
-  if (x > half_total_) return total_ - x;
-  return x;
 }
 
 }  // namespace reveal::seal

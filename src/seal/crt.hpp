@@ -1,7 +1,7 @@
 #pragma once
 // CRT (residue number system) composition: maps per-modulus residues back
-// to the integer in [0, q1*...*qk). Shared by decryption, message recovery
-// and any code that needs exact multi-precision views of RNS values.
+// to the integer in [0, q1*...*qk). The BFV rounding step (decode_scaled,
+// seal/decryptor.hpp) composes through it.
 
 #include <cstdint>
 #include <vector>
@@ -20,7 +20,6 @@ class CrtComposer {
   explicit CrtComposer(const std::vector<Modulus>& moduli);
 
   [[nodiscard]] const BigUInt& total_modulus() const noexcept { return total_; }
-  [[nodiscard]] std::size_t modulus_count() const noexcept { return moduli_.size(); }
 
   /// Composes one residue vector (residues[j] mod q_j) into x in [0, q).
   [[nodiscard]] BigUInt compose(const std::vector<std::uint64_t>& residues) const;
@@ -28,13 +27,9 @@ class CrtComposer {
   /// Composes coefficient i of an RNS poly.
   [[nodiscard]] BigUInt compose(const Poly& poly, std::size_t i) const;
 
-  /// Centered magnitude |x|, folding values above q/2 to q - x.
-  [[nodiscard]] BigUInt centered_magnitude(const BigUInt& x) const;
-
  private:
   std::vector<Modulus> moduli_;
   BigUInt total_;
-  BigUInt half_total_;
   std::vector<BigUInt> punctured_;              // q / q_j
   std::vector<std::uint64_t> inv_punctured_;    // (q/q_j)^{-1} mod q_j
 };

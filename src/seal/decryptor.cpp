@@ -1,85 +1,45 @@
 #include "seal/decryptor.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "seal/modarith.hpp"
+#include "seal/crt.hpp"
 #include "seal/poly.hpp"
 
 namespace reveal::seal {
 
-Decryptor::Decryptor(const Context& context, const SecretKey& sk)
-    : context_(context), sk_(sk), crt_(context.coeff_modulus()) {
-  if (sk_.s.coeff_count() != context_.n())
-    throw std::invalid_argument("Decryptor: secret key does not match context");
-}
+Plaintext decode_scaled(const Context& context, const Poly& v) {
+  if (v.coeff_count() != context.n() || v.coeff_mod_count() != context.coeff_mod_count())
+    throw std::invalid_argument("decode_scaled: polynomial does not match context");
+  const std::uint64_t t = context.plain_modulus().value();
+  const BigUInt& q = context.total_coeff_modulus();
+  BigUInt half_q = q;
+  half_q >>= 1;
+  const CrtComposer crt(context.coeff_modulus());
 
-Poly Decryptor::dot_product_with_secret(const Ciphertext& ct) const {
-  if (ct.size() < 2 || ct.size() > 3)
-    throw std::invalid_argument("Decryptor: ciphertext must have 2 or 3 components");
-  const auto& tables = context_.fast_ntt_tables();
-  const auto& moduli = context_.coeff_modulus();
-
-  Poly v = ct[0];
-  Poly c1s;
-  polyops::multiply_ntt(ct[1], sk_.s, tables, c1s);
-  polyops::add(v, c1s, moduli, v);
-  if (ct.size() == 3) {
-    Poly s2;
-    polyops::multiply_ntt(sk_.s, sk_.s, tables, s2);
-    Poly c2s2;
-    polyops::multiply_ntt(ct[2], s2, tables, c2s2);
-    polyops::add(v, c2s2, moduli, v);
-  }
-  return v;
-}
-
-Plaintext Decryptor::decrypt(const Ciphertext& ct) const {
-  const Poly v = dot_product_with_secret(ct);
-  const std::uint64_t t = context_.plain_modulus().value();
-  const BigUInt& q = context_.total_coeff_modulus();
-  const BigUInt half_q = [&q] {
-    BigUInt h = q;
-    h >>= 1;
-    return h;
-  }();
-
-  std::vector<std::uint64_t> message(context_.n(), 0);
-  for (std::size_t i = 0; i < context_.n(); ++i) {
-    const BigUInt x = crt_.compose(v, i);
-    // m_i = floor((t*x + q/2) / q) mod t — exact rounded division.
-    const BigUInt numerator = x * t + half_q;
-    const BigUInt quotient = BigUInt::divmod(numerator, q).quotient;
-    message[i] = quotient.mod_word(t);
+  std::vector<std::uint64_t> message(context.n(), 0);
+  for (std::size_t i = 0; i < context.n(); ++i) {
+    const BigUInt numerator = crt.compose(v, i) * t + half_q;
+    message[i] = BigUInt::divmod(numerator, q).quotient.mod_word(t);
   }
   // Trim trailing zeros for a canonical representation.
   while (!message.empty() && message.back() == 0) message.pop_back();
   return Plaintext(std::move(message));
 }
 
-int Decryptor::invariant_noise_budget(const Ciphertext& ct) const {
-  const Poly v = dot_product_with_secret(ct);
-  const std::uint64_t t = context_.plain_modulus().value();
-  const BigUInt& q = context_.total_coeff_modulus();
-  const BigUInt half_q = [&q] {
-    BigUInt h = q;
-    h >>= 1;
-    return h;
-  }();
+Decryptor::Decryptor(const Context& context, const SecretKey& sk)
+    : context_(context), sk_(sk) {
+  if (sk_.s.coeff_count() != context_.n())
+    throw std::invalid_argument("Decryptor: secret key does not match context");
+}
 
-  // Invariant noise: w_i = [t * v_i]_q centered; budget =
-  // log2(q) - log2(2*max|w_i|). Decryption is correct while budget > 0.
-  BigUInt max_mag;
-  for (std::size_t i = 0; i < context_.n(); ++i) {
-    const BigUInt x = crt_.compose(v, i);
-    BigUInt w = BigUInt::divmod(x * t, q).remainder;
-    if (w > half_q) w = q - w;  // centered magnitude
-    if (w > max_mag) max_mag = w;
-  }
-  const double log_q = std::log2(q.to_double());
-  const double log_w = max_mag.is_zero() ? 0.0 : std::log2(max_mag.to_double());
-  const double budget = log_q - log_w - 1.0;
-  return budget < 0.0 ? 0 : static_cast<int>(budget);
+Plaintext Decryptor::decrypt(const Ciphertext& ct) const {
+  if (ct.size() != 2)
+    throw std::invalid_argument("Decryptor: ciphertext must have 2 components");
+  // v = c0 + c1 s (coefficient representation).
+  Poly v;
+  polyops::multiply_ntt(ct[1], sk_.s, context_.fast_ntt_tables(), v);
+  polyops::add(ct[0], v, context_.coeff_modulus(), v);
+  return decode_scaled(context_, v);
 }
 
 }  // namespace reveal::seal

@@ -1,37 +1,33 @@
 #pragma once
-// BFV decryption: m = [ round(t/q · [c0 + c1·s (+ c2·s²)]_q) ]_t.
+// BFV decryption: m = [ round(t/q · [c0 + c1·s]_q) ]_t.
 //
 // Works for any number of RNS components: the noisy inner product is
 // CRT-composed into a BigUInt per coefficient, then the exact rational
 // rounding is done with multi-precision arithmetic.
 
-#include <cstdint>
-
 #include "seal/ciphertext.hpp"
-#include "seal/crt.hpp"
 #include "seal/encryption_params.hpp"
 #include "seal/keys.hpp"
 
 namespace reveal::seal {
 
+/// The BFV rounding step shared by decryption and message recovery: for
+/// v = Δ·m + noise (mod q, RNS, coefficient representation), CRT-composes
+/// each coefficient x_i and returns m_i = ⌊(t·x_i + ⌊q/2⌋)/q⌋ mod t with
+/// trailing zeros trimmed.
+[[nodiscard]] Plaintext decode_scaled(const Context& context, const Poly& v);
+
 class Decryptor {
  public:
   Decryptor(const Context& context, const SecretKey& sk);
 
-  /// Decrypts a 2- or 3-component ciphertext.
+  /// Decrypts a fresh 2-component ciphertext; throws std::invalid_argument
+  /// for any other component count.
   [[nodiscard]] Plaintext decrypt(const Ciphertext& ct) const;
 
-  /// Remaining invariant-noise budget in bits (0 = decryption unreliable).
-  /// Mirrors SEAL's Decryptor::invariant_noise_budget.
-  [[nodiscard]] int invariant_noise_budget(const Ciphertext& ct) const;
-
  private:
-  /// v = c0 + c1 s + c2 s^2 per RNS component (coefficient representation).
-  [[nodiscard]] Poly dot_product_with_secret(const Ciphertext& ct) const;
-
   const Context& context_;
   SecretKey sk_;
-  CrtComposer crt_;
 };
 
 }  // namespace reveal::seal

@@ -32,26 +32,6 @@ EncryptionParameters EncryptionParameters::toy_256() {
   return parms;
 }
 
-EncryptionParameters EncryptionParameters::seal_128_4096() {
-  EncryptionParameters parms;
-  parms.set_poly_modulus_degree(4096);
-  parms.set_coeff_modulus(find_ntt_primes(36, 4096, 3));
-  parms.set_plain_modulus(65537);
-  parms.set_noise_standard_deviation(3.19);
-  parms.set_noise_max_deviation(41.0);
-  return parms;
-}
-
-EncryptionParameters EncryptionParameters::toy_mul_64() {
-  EncryptionParameters parms;
-  parms.set_poly_modulus_degree(64);
-  parms.set_coeff_modulus({find_ntt_prime(35, 64)});
-  parms.set_plain_modulus(64);
-  parms.set_noise_standard_deviation(3.19);
-  parms.set_noise_max_deviation(41.0);
-  return parms;
-}
-
 Context::Context(EncryptionParameters parms) : parms_(std::move(parms)) {
   const std::size_t n = parms_.poly_modulus_degree();
   if (!is_power_of_two(n) || n < 2)
@@ -71,12 +51,10 @@ Context::Context(EncryptionParameters parms) : parms_(std::move(parms)) {
       parms_.noise_max_deviation() < parms_.noise_standard_deviation())
     throw std::invalid_argument("Context: invalid noise distribution parameters");
 
-  ntt_tables_.reserve(moduli.size());
   fast_ntt_tables_.reserve(moduli.size());
   total_q_ = BigUInt(1);
   for (const auto& q : moduli) {
-    ntt_tables_.emplace_back(n, q);  // throws if q is not NTT-friendly
-    fast_ntt_tables_.emplace_back(n, q);
+    fast_ntt_tables_.emplace_back(n, q);  // throws if q is not NTT-friendly
     total_q_ = total_q_ * q.value();
   }
   if (BigUInt(t.value()) >= total_q_)

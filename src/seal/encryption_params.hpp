@@ -8,7 +8,6 @@
 
 #include "seal/biguint.hpp"
 #include "seal/modulus.hpp"
-#include "seal/ntt.hpp"
 #include "seal/ntt_fast.hpp"
 
 namespace reveal::seal {
@@ -45,13 +44,6 @@ class EncryptionParameters {
   /// Scaled-down parameters for fast tests: n = 256, 20-bit prime, t = 64.
   static EncryptionParameters toy_256();
 
-  /// Larger preset: n = 4096 with three 36-bit primes, t = 65537.
-  static EncryptionParameters seal_128_4096();
-
-  /// Multiplication-friendly toy parameters: n = 64, one 35-bit prime,
-  /// t = 64 — enough noise budget for one multiply + relinearization.
-  static EncryptionParameters toy_mul_64();
-
  private:
   std::size_t poly_modulus_degree_ = 0;
   std::vector<Modulus> coeff_modulus_;
@@ -62,8 +54,8 @@ class EncryptionParameters {
 };
 
 /// Validated parameters plus everything derived from them: NTT tables per
-/// modulus, the composite modulus q, Delta = floor(q/t) and its RNS
-/// residues, and decryption thresholds.
+/// modulus, the composite modulus q, and Delta = floor(q/t) with its RNS
+/// residues.
 class Context {
  public:
   /// Validates and precomputes; throws std::invalid_argument when the
@@ -82,10 +74,7 @@ class Context {
   [[nodiscard]] const Modulus& plain_modulus() const noexcept {
     return parms_.plain_modulus();
   }
-  [[nodiscard]] const std::vector<NttTables>& ntt_tables() const noexcept {
-    return ntt_tables_;
-  }
-  /// Shoup/Harvey tables — same transforms, ~6x faster; used on hot paths.
+  /// Shoup/Harvey NTT tables, one per modulus.
   [[nodiscard]] const std::vector<FastNttTables>& fast_ntt_tables() const noexcept {
     return fast_ntt_tables_;
   }
@@ -101,7 +90,6 @@ class Context {
 
  private:
   EncryptionParameters parms_;
-  std::vector<NttTables> ntt_tables_;
   std::vector<FastNttTables> fast_ntt_tables_;
   BigUInt total_q_;
   BigUInt delta_;

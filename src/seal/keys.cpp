@@ -1,118 +1,26 @@
 #include "seal/keys.hpp"
 
-#include <stdexcept>
-
-#include "seal/modarith.hpp"
 #include "seal/sampler.hpp"
 
 namespace reveal::seal {
 
-KeyGenerator::KeyGenerator(const Context& context, UniformRandomGenerator& random)
-    : context_(context), random_(random) {
+KeyGenerator::KeyGenerator(const Context& context, UniformRandomGenerator& random) {
   // SecretKeyGen: s <- R_2 (uniform ternary).
-  sample_poly_ternary(secret_key_.s, random_, context_);
+  sample_poly_ternary(secret_key_.s, random, context);
 
   // PublicKeyGen: a <- R_q uniform, e <- chi; pk = (-(a s + e), a).
   Poly a;
-  sample_poly_uniform(a, random_, context_);
-  Poly e = sample_error_poly(random_, context_);
+  sample_poly_uniform(a, random, context);
+  Poly e = sample_error_poly(random, context);
 
-  const auto& tables = context_.fast_ntt_tables();
-  const auto& moduli = context_.coeff_modulus();
+  const auto& tables = context.fast_ntt_tables();
+  const auto& moduli = context.coeff_modulus();
   Poly as;
   polyops::multiply_ntt(a, secret_key_.s, tables, as);
   Poly as_plus_e;
   polyops::add(as, e, moduli, as_plus_e);
   polyops::negate(as_plus_e, moduli, public_key_.p0);
   public_key_.p1 = std::move(a);
-}
-
-RelinKeys KeyGenerator::create_relin_keys(int decomposition_bit_count) {
-  if (context_.coeff_mod_count() != 1)
-    throw std::invalid_argument(
-        "create_relin_keys: only single-modulus contexts are supported");
-  if (decomposition_bit_count < 1 || decomposition_bit_count > 60)
-    throw std::invalid_argument("create_relin_keys: bad decomposition bit count");
-
-  const auto& tables = context_.fast_ntt_tables();
-  const auto& moduli = context_.coeff_modulus();
-  const Modulus& q = moduli[0];
-
-  // s^2 in coefficient representation.
-  Poly s_squared;
-  polyops::multiply_ntt(secret_key_.s, secret_key_.s, tables, s_squared);
-
-  RelinKeys rk;
-  rk.decomposition_bit_count = decomposition_bit_count;
-  const int q_bits = q.bit_count();
-  const int levels = (q_bits + decomposition_bit_count - 1) / decomposition_bit_count;
-
-  std::uint64_t factor = 1;  // w^l mod q
-  for (int l = 0; l < levels; ++l) {
-    Poly a;
-    sample_poly_uniform(a, random_, context_);
-    Poly e = sample_error_poly(random_, context_);
-
-    Poly as;
-    polyops::multiply_ntt(a, secret_key_.s, tables, as);
-    Poly body;  // -(a s + e) + w^l s^2
-    polyops::add(as, e, moduli, body);
-    polyops::negate(body, moduli, body);
-    Poly scaled_s2;
-    polyops::multiply_scalar(s_squared, factor, moduli, scaled_s2);
-    polyops::add(body, scaled_s2, moduli, body);
-
-    rk.keys.emplace_back(std::move(body), std::move(a));
-    // Advance w^l; the final level may overflow q, reduce as we go.
-    for (int b = 0; b < decomposition_bit_count; ++b) factor = add_mod(factor, factor, q);
-  }
-  return rk;
-}
-
-
-GaloisKeys KeyGenerator::create_galois_keys(const std::vector<std::uint32_t>& elements,
-                                            int decomposition_bit_count) {
-  if (context_.coeff_mod_count() != 1)
-    throw std::invalid_argument(
-        "create_galois_keys: only single-modulus contexts are supported");
-  if (decomposition_bit_count < 1 || decomposition_bit_count > 60)
-    throw std::invalid_argument("create_galois_keys: bad decomposition bit count");
-
-  const auto& tables = context_.fast_ntt_tables();
-  const auto& moduli = context_.coeff_modulus();
-  const Modulus& q = moduli[0];
-  const int q_bits = q.bit_count();
-  const int levels = (q_bits + decomposition_bit_count - 1) / decomposition_bit_count;
-
-  GaloisKeys gk;
-  gk.decomposition_bit_count = decomposition_bit_count;
-  for (const std::uint32_t element : elements) {
-    // s(x^g): the key the rotated c1 would decrypt under.
-    Poly s_g;
-    polyops::apply_galois(secret_key_.s, element, moduli, s_g);
-
-    std::vector<std::pair<Poly, Poly>> switch_keys;
-    std::uint64_t factor = 1;  // w^l mod q
-    for (int l = 0; l < levels; ++l) {
-      Poly a;
-      sample_poly_uniform(a, random_, context_);
-      Poly e = sample_error_poly(random_, context_);
-
-      Poly as;
-      polyops::multiply_ntt(a, secret_key_.s, tables, as);
-      Poly body;  // -(a s + e) + w^l s(x^g)
-      polyops::add(as, e, moduli, body);
-      polyops::negate(body, moduli, body);
-      Poly scaled;
-      polyops::multiply_scalar(s_g, factor, moduli, scaled);
-      polyops::add(body, scaled, moduli, body);
-
-      switch_keys.emplace_back(std::move(body), std::move(a));
-      for (int b = 0; b < decomposition_bit_count; ++b) factor = add_mod(factor, factor, q);
-    }
-    gk.keys.emplace(element, std::move(switch_keys));
-  }
-  return gk;
 }
 
 }  // namespace reveal::seal

@@ -1,10 +1,6 @@
 #pragma once
 // Key material and key generation for the BFV scheme.
 
-#include <cstdint>
-#include <map>
-#include <vector>
-
 #include "seal/encryption_params.hpp"
 #include "seal/poly.hpp"
 #include "seal/random.hpp"
@@ -22,46 +18,16 @@ struct PublicKey {
   Poly p1;
 };
 
-/// Relinearization keys: base-2^w decomposition of encryptions of s^2.
-/// rk[l] = (-(a_l s + e_l) + w^l s^2, a_l).
-struct RelinKeys {
-  std::vector<std::pair<Poly, Poly>> keys;
-  int decomposition_bit_count = 0;
-};
-
-/// Key-switching keys for Galois automorphisms x -> x^g: per element g, a
-/// base-2^w key-switch key encrypting s(x^g) under s.
-struct GaloisKeys {
-  /// keys[g][l] = (-(a_l s + e_l) + w^l s(x^g), a_l).
-  std::map<std::uint32_t, std::vector<std::pair<Poly, Poly>>> keys;
-  int decomposition_bit_count = 0;
-
-  [[nodiscard]] bool has(std::uint32_t galois_element) const {
-    return keys.find(galois_element) != keys.end();
-  }
-};
-
-/// Generates sk / pk / relin keys per the BFV KeyGen of §II-A.
+/// Generates sk / pk per the BFV KeyGen of §II-A.
 class KeyGenerator {
  public:
-  /// Draws the secret key immediately; `random` must outlive the generator.
+  /// Draws the secret key, then the public key, from `random`.
   KeyGenerator(const Context& context, UniformRandomGenerator& random);
 
   [[nodiscard]] const SecretKey& secret_key() const noexcept { return secret_key_; }
   [[nodiscard]] const PublicKey& public_key() const noexcept { return public_key_; }
 
-  /// Generates relinearization keys with the given decomposition bit count
-  /// (single-modulus contexts only; throws otherwise).
-  [[nodiscard]] RelinKeys create_relin_keys(int decomposition_bit_count = 16);
-
-  /// Generates Galois keys for the given elements (each odd, < 2n).
-  /// Single-modulus contexts only.
-  [[nodiscard]] GaloisKeys create_galois_keys(const std::vector<std::uint32_t>& elements,
-                                              int decomposition_bit_count = 8);
-
  private:
-  const Context& context_;
-  UniformRandomGenerator& random_;
   SecretKey secret_key_;
   PublicKey public_key_;
 };

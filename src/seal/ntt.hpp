@@ -22,7 +22,6 @@ class NttTables {
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] const Modulus& modulus() const noexcept { return q_; }
-  [[nodiscard]] std::uint64_t psi() const noexcept { return psi_; }
 
   /// In-place forward negacyclic NTT (coefficient order in, bit-reversed
   /// evaluation order out — consistent with inverse_transform).

@@ -57,19 +57,6 @@ void negate(const Poly& a, const std::vector<Modulus>& moduli, Poly& result) {
   }
 }
 
-void multiply_scalar(const Poly& a, std::uint64_t scalar, const std::vector<Modulus>& moduli,
-                     Poly& result) {
-  if (a.coeff_mod_count() != moduli.size())
-    throw std::invalid_argument("polyops::multiply_scalar: modulus count mismatch");
-  prepare_result(a, result);
-  for (std::size_t j = 0; j < moduli.size(); ++j) {
-    const std::uint64_t s = moduli[j].reduce(scalar);
-    for (std::size_t i = 0; i < a.coeff_count(); ++i) {
-      result.at(i, j) = mul_mod(a.at(i, j), s, moduli[j]);
-    }
-  }
-}
-
 void dyadic_product(const Poly& a, const Poly& b, const std::vector<Modulus>& moduli,
                     Poly& result) {
   check_shapes(a, b, moduli);
@@ -91,29 +78,6 @@ std::uint64_t infinity_norm_centered(const Poly& a, const Modulus& q) {
     worst = std::max(worst, mag);
   }
   return worst;
-}
-
-
-void apply_galois(const Poly& a, std::uint32_t galois_element,
-                  const std::vector<Modulus>& moduli, Poly& result) {
-  const std::size_t n = a.coeff_count();
-  if (a.coeff_mod_count() != moduli.size())
-    throw std::invalid_argument("polyops::apply_galois: modulus count mismatch");
-  if ((galois_element & 1u) == 0 || galois_element >= 2 * n)
-    throw std::invalid_argument(
-        "polyops::apply_galois: element must be odd and below 2n");
-  Poly out(n, moduli.size());
-  // x^i -> x^(i*g mod 2n); exponents >= n pick up a sign (x^n = -1).
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t exponent = (i * galois_element) % (2 * n);
-    const bool negate_term = exponent >= n;
-    const std::size_t target = negate_term ? exponent - n : exponent;
-    for (std::size_t j = 0; j < moduli.size(); ++j) {
-      const std::uint64_t v = a.at(i, j);
-      out.at(target, j) = negate_term ? negate_mod(v, moduli[j]) : v;
-    }
-  }
-  result = std::move(out);
 }
 
 }  // namespace reveal::seal::polyops

@@ -48,8 +48,6 @@ class Poly {
     return {data_.data() + j * coeff_count_, coeff_count_};
   }
 
-  void set_zero() noexcept { std::fill(data_.begin(), data_.end(), 0); }
-
   friend bool operator==(const Poly& a, const Poly& b) noexcept {
     return a.coeff_count_ == b.coeff_count_ && a.coeff_mod_count_ == b.coeff_mod_count_ &&
            a.data_ == b.data_;
@@ -73,10 +71,6 @@ void sub(const Poly& a, const Poly& b, const std::vector<Modulus>& moduli, Poly&
 
 /// result = -a.
 void negate(const Poly& a, const std::vector<Modulus>& moduli, Poly& result);
-
-/// result = a * scalar (scalar reduced per modulus).
-void multiply_scalar(const Poly& a, std::uint64_t scalar, const std::vector<Modulus>& moduli,
-                     Poly& result);
 
 /// Pointwise (Hadamard) product of NTT-domain polynomials.
 void dyadic_product(const Poly& a, const Poly& b, const std::vector<Modulus>& moduli,
@@ -127,11 +121,6 @@ void multiply_ntt(const Poly& a, const Poly& b, const std::vector<Tables>& table
 
 /// Infinity norm of the centered representation (single-modulus polys only).
 [[nodiscard]] std::uint64_t infinity_norm_centered(const Poly& a, const Modulus& q);
-
-/// Galois automorphism: result(x) = a(x^g) in R_q. `galois_element` must be
-/// odd and < 2n (the automorphism group of the 2n-th cyclotomic).
-void apply_galois(const Poly& a, std::uint32_t galois_element,
-                  const std::vector<Modulus>& moduli, Poly& result);
 
 }  // namespace polyops
 

@@ -1,10 +1,7 @@
 // Differential tests for the analysis-plane fast kernels: every optimized
-// path (shared-work segmentation sweep, streaming class statistics,
-// flat-GSO LLL) is fuzzed against its retained *_reference implementation.
-// The segmentation/LLL pairs must agree bit-for-bit; the Welford-track
-// statistics are tolerance-gated. Also covers the compensated-smoothing
-// drift bound and the deterministic merge contracts (ClassStats blocks,
-// RankAccumulator).
+// path (shared-work segmentation sweep, flat-GSO LLL) is fuzzed against its
+// retained *_reference implementation and must agree bit-for-bit. Also
+// covers the compensated-smoothing drift bound.
 
 #include <gtest/gtest.h>
 
@@ -12,15 +9,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/campaign_runner.hpp"
 #include "lattice/lattice.hpp"
 #include "numeric/rng.hpp"
-#include "sca/class_stats.hpp"
-#include "sca/metrics.hpp"
-#include "sca/poi.hpp"
 #include "sca/segmentation.hpp"
-#include "sca/trace.hpp"
-#include "sca/tvla.hpp"
 
 using namespace reveal;
 using namespace reveal::sca;
@@ -176,176 +167,6 @@ TEST(SmoothingDrift, CompensatedEqualsReferenceOnShortBenignTraces) {
     const std::size_t begin = i + 1 >= 5 ? i + 1 - 5 : 0;
     for (std::size_t j = begin; j <= i; ++j) acc += samples[j];
     EXPECT_NEAR(fast[i], acc / static_cast<double>(i - begin + 1), 1e-12);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming class statistics
-
-TraceSet labelled_set(std::size_t classes, std::size_t per_class, std::size_t min_len,
-                      std::size_t len_jitter, std::uint64_t seed) {
-  num::Xoshiro256StarStar rng(seed);
-  TraceSet set;
-  const std::int32_t half = static_cast<std::int32_t>(classes / 2);
-  for (std::size_t t = 0; t < per_class; ++t) {
-    for (std::size_t c = 0; c < classes; ++c) {
-      Trace trace;
-      trace.label = static_cast<std::int32_t>(c) - half;
-      trace.samples.resize(min_len + (len_jitter == 0 ? 0 : rng() % len_jitter));
-      for (std::size_t i = 0; i < trace.samples.size(); ++i) {
-        const double leak = i % 11 == 3 ? 0.1 * static_cast<double>(trace.label) : 0.0;
-        trace.samples[i] = leak + rng.gaussian(0.0, 1.0);
-      }
-      set.add(std::move(trace));
-    }
-  }
-  return set;
-}
-
-TEST(ClassStatsStreaming, MeansAndSosdBitIdenticalToReference) {
-  const TraceSet set = labelled_set(5, 7, 64, 7, 51);
-  ClassStats acc(64);
-  acc.add_all(set);
-  const ClassMeans ref_means = class_means(set);
-  EXPECT_EQ(acc.means(), ref_means);                 // bit-equal curves
-  EXPECT_EQ(acc.sosd(), sosd_curve(ref_means));      // bit-equal SOSD
-  EXPECT_EQ(select_pois(acc.sosd(), 8, 2), select_pois(sosd_curve(ref_means), 8, 2));
-  EXPECT_EQ(acc.num_classes(), 5u);
-  EXPECT_EQ(acc.total_count(), set.size());
-}
-
-TEST(ClassStatsStreaming, WelchTMatchesTwoPassReference) {
-  const TraceSet set = labelled_set(2, 40, 96, 0, 52);
-  ClassStats acc(96);
-  acc.add_all(set);
-  TraceSet pop_a, pop_b;
-  for (const Trace& t : set) (t.label == -1 ? pop_a : pop_b).add(t);
-  const std::vector<double> ref = welch_t_test(pop_a, pop_b);
-  const std::vector<double> fast = acc.welch_t(-1, 0);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], ref[i], 1e-9) << "point " << i;
-  }
-  const TvlaReport fast_report = acc.tvla(-1, 0);
-  const TvlaReport ref_report = tvla_assess(pop_a, pop_b);
-  EXPECT_EQ(fast_report.max_index, ref_report.max_index);
-  EXPECT_EQ(fast_report.leaking_points, ref_report.leaking_points);
-  EXPECT_NEAR(fast_report.max_abs_t, ref_report.max_abs_t, 1e-9);
-}
-
-TEST(ClassStatsStreaming, VarianceMatchesTwoPass) {
-  const TraceSet set = labelled_set(3, 9, 32, 0, 53);
-  ClassStats acc(32);
-  acc.add_all(set);
-  for (const std::int32_t label : acc.labels()) {
-    std::vector<const Trace*> members;
-    for (const Trace& t : set) {
-      if (t.label == label) members.push_back(&t);
-    }
-    const std::vector<double> var = acc.variance(label);
-    for (std::size_t i = 0; i < 32; ++i) {
-      double mean = 0.0;
-      for (const Trace* t : members) mean += t->samples[i];
-      mean /= static_cast<double>(members.size());
-      double m2 = 0.0;
-      for (const Trace* t : members) {
-        const double d = t->samples[i] - mean;
-        m2 += d * d;
-      }
-      EXPECT_NEAR(var[i], m2 / static_cast<double>(members.size() - 1), 1e-10);
-    }
-  }
-}
-
-TEST(ClassStatsStreaming, MergeMatchesStreamingWithinTolerance) {
-  const TraceSet set = labelled_set(4, 20, 48, 0, 54);
-  ClassStats whole(48);
-  whole.add_all(set);
-  // Partials over thirds, merged in order (the Chan path).
-  ClassStats merged(48);
-  for (std::size_t part = 0; part < 3; ++part) {
-    ClassStats partial(48);
-    for (std::size_t i = part * set.size() / 3; i < (part + 1) * set.size() / 3; ++i) {
-      partial.add(set[i].label, set[i].samples);
-    }
-    merged.merge(partial);
-  }
-  EXPECT_EQ(merged.total_count(), whole.total_count());
-  EXPECT_EQ(merged.labels(), whole.labels());
-  // The sum track merges by plain addition and the Welford track by Chan
-  // updates: both are statistically exact but associate differently, so the
-  // comparison is tolerance- not bit-gated.
-  for (const std::int32_t label : whole.labels()) {
-    const auto whole_means = whole.means();
-    const auto merged_means = merged.means();
-    const auto& wm = whole_means.at(label);
-    const auto& mm = merged_means.at(label);
-    const auto wv = whole.variance(label);
-    const auto mv = merged.variance(label);
-    for (std::size_t i = 0; i < 48; ++i) {
-      EXPECT_NEAR(mm[i], wm[i], 1e-12);
-      EXPECT_NEAR(mv[i], wv[i], 1e-10);
-    }
-  }
-}
-
-TEST(ClassStatsStreaming, CampaignRunnerIdenticalAcrossWorkerCounts) {
-  // Fixed 32-trace blocks merged in block order: the campaign-level
-  // accumulator must be byte-identical for every pool size, including the
-  // serial path.
-  const TraceSet set = labelled_set(5, 25, 40, 0, 55);
-  ClassStats baseline = core::CampaignRunner(0).class_stats(set, 40);
-  for (const std::size_t workers : {1u, 4u}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    core::CampaignRunner runner(workers);
-    const ClassStats parallel = runner.class_stats(set, 40);
-    EXPECT_EQ(parallel.total_count(), baseline.total_count());
-    EXPECT_EQ(parallel.means(), baseline.means());  // bit-equal
-    EXPECT_EQ(parallel.sosd(), baseline.sosd());
-    for (const std::int32_t label : baseline.labels()) {
-      EXPECT_EQ(parallel.variance(label), baseline.variance(label));
-    }
-    EXPECT_EQ(parallel.welch_t(-2, 2), baseline.welch_t(-2, 2));
-  }
-}
-
-TEST(ClassStatsStreaming, RejectsBadInput) {
-  EXPECT_THROW(ClassStats(0), std::invalid_argument);
-  ClassStats acc(16);
-  EXPECT_THROW(acc.add(Trace::kNoLabel, std::vector<double>(16, 0.0)),
-               std::invalid_argument);
-  EXPECT_THROW(acc.add(1, std::vector<double>(8, 0.0)), std::invalid_argument);
-  acc.add(1, std::vector<double>(16, 0.0));
-  EXPECT_THROW(acc.welch_t(1, 2), std::invalid_argument);  // unknown label
-  acc.add(2, std::vector<double>(16, 0.0));
-  EXPECT_THROW(acc.welch_t(1, 2), std::invalid_argument);  // < 2 per class
-  EXPECT_THROW(acc.variance(3), std::invalid_argument);
-  ClassStats other(32);
-  EXPECT_THROW(acc.merge(other), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// RankAccumulator merge
-
-TEST(RankAccumulatorMerge, BlockMergeReproducesSequentialAccumulator) {
-  num::Xoshiro256StarStar rng(61);
-  std::vector<std::size_t> ranks(100);
-  for (std::size_t& r : ranks) r = 1 + rng() % 25;
-
-  RankAccumulator sequential;
-  for (const std::size_t r : ranks) sequential.add(r);
-
-  RankAccumulator merged;
-  for (std::size_t part = 0; part < 4; ++part) {
-    RankAccumulator partial;
-    for (std::size_t i = part * 25; i < (part + 1) * 25; ++i) partial.add(ranks[i]);
-    merged.merge(partial);
-  }
-  EXPECT_EQ(merged.count(), sequential.count());
-  EXPECT_EQ(merged.guessing_entropy(), sequential.guessing_entropy());  // bit-equal
-  EXPECT_EQ(merged.median_rank(), sequential.median_rank());
-  for (const std::size_t k : {1u, 3u, 10u}) {
-    EXPECT_EQ(merged.success_rate_at(k), sequential.success_rate_at(k));
   }
 }
 

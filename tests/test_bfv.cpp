@@ -1,15 +1,13 @@
 // End-to-end BFV scheme tests: context validation, encrypt/decrypt
-// roundtrips, homomorphic operations, encoders, noise budget.
+// roundtrips, encryption witnesses.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdlib>
 
 #include "seal/decryptor.hpp"
-#include "seal/encoder.hpp"
 #include "seal/encryption_params.hpp"
 #include "seal/encryptor.hpp"
-#include "seal/evaluator.hpp"
 #include "seal/keys.hpp"
 
 namespace seal = reveal::seal;
@@ -119,282 +117,13 @@ TEST(Bfv, WitnessNoiseBounded) {
   for (const auto v : witness.e2) EXPECT_LE(std::llabs(v), 41);
 }
 
-TEST(Bfv, FreshNoiseBudgetPositiveAndDecreasing) {
-  BfvFixture f(seal::EncryptionParameters::seal_128_1024());
-  const seal::Plaintext m(std::vector<std::uint64_t>{1, 2, 3});
-  seal::Ciphertext ct = f.encryptor.encrypt(m, f.rng);
-  const int fresh = f.decryptor.invariant_noise_budget(ct);
-  EXPECT_GT(fresh, 0);
-
-  seal::Evaluator eval(f.ctx);
-  const seal::Ciphertext ct2 = f.encryptor.encrypt(m, f.rng);
-  eval.add_inplace(ct, ct2);
-  EXPECT_LE(f.decryptor.invariant_noise_budget(ct), fresh);
-}
-
-TEST(Evaluator, HomomorphicAddSubNegate) {
+TEST(Bfv, DecryptRejectsNonFreshCiphertext) {
   BfvFixture f(seal::EncryptionParameters::toy_256());
-  const seal::Plaintext a(std::vector<std::uint64_t>{10, 20});
-  const seal::Plaintext b(std::vector<std::uint64_t>{5, 7});
-  seal::Evaluator eval(f.ctx);
-
-  seal::Ciphertext ca = f.encryptor.encrypt(a, f.rng);
-  const seal::Ciphertext cb = f.encryptor.encrypt(b, f.rng);
-  eval.add_inplace(ca, cb);
-  EXPECT_EQ(f.decryptor.decrypt(ca), seal::Plaintext(std::vector<std::uint64_t>{15, 27}));
-
-  eval.sub_inplace(ca, cb);
-  EXPECT_EQ(f.decryptor.decrypt(ca), a);
-
-  eval.negate_inplace(ca);
-  // -10 mod 64 = 54, -20 mod 64 = 44.
-  EXPECT_EQ(f.decryptor.decrypt(ca), seal::Plaintext(std::vector<std::uint64_t>{54, 44}));
-}
-
-TEST(Evaluator, AddPlainAndMultiplyPlain) {
-  BfvFixture f(seal::EncryptionParameters::toy_256());
-  seal::Evaluator eval(f.ctx);
-  seal::Ciphertext ct = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{3}), f.rng);
-  eval.add_plain_inplace(ct, seal::Plaintext(std::uint64_t{4}));
-  EXPECT_EQ(f.decryptor.decrypt(ct), seal::Plaintext(std::uint64_t{7}));
-  eval.multiply_plain_inplace(ct, seal::Plaintext(std::uint64_t{5}));
-  EXPECT_EQ(f.decryptor.decrypt(ct), seal::Plaintext(std::uint64_t{35}));
-}
-
-TEST(Evaluator, MultiplyAndRelinearize) {
-  BfvFixture f(seal::EncryptionParameters::toy_mul_64(), 777);
-  seal::Evaluator eval(f.ctx);
-  const seal::Ciphertext ca = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{6}), f.rng);
-  const seal::Ciphertext cb = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{7}), f.rng);
-  seal::Ciphertext prod = eval.multiply(ca, cb);
-  EXPECT_EQ(prod.size(), 3u);
-  EXPECT_EQ(f.decryptor.decrypt(prod), seal::Plaintext(std::uint64_t{42}));
-
-  seal::RelinKeys rk = f.keygen.create_relin_keys(8);
-  eval.relinearize_inplace(prod, rk);
-  EXPECT_EQ(prod.size(), 2u);
-  EXPECT_EQ(f.decryptor.decrypt(prod), seal::Plaintext(std::uint64_t{42}));
-}
-
-TEST(Evaluator, MultiplyPolynomialMessages) {
-  BfvFixture f(seal::EncryptionParameters::toy_mul_64(), 778);
-  seal::Evaluator eval(f.ctx);
-  // (1 + 2x) * (3 + x) = 3 + 7x + 2x^2.
-  const seal::Plaintext a(std::vector<std::uint64_t>{1, 2});
-  const seal::Plaintext b(std::vector<std::uint64_t>{3, 1});
-  seal::Ciphertext prod =
-      eval.multiply(f.encryptor.encrypt(a, f.rng), f.encryptor.encrypt(b, f.rng));
-  EXPECT_EQ(f.decryptor.decrypt(prod),
-            seal::Plaintext(std::vector<std::uint64_t>{3, 7, 2}));
-}
-
-TEST(Evaluator, SmallMultiModulusMultiplySquares) {
-  seal::EncryptionParameters p;
-  p.set_poly_modulus_degree(64);
-  p.set_coeff_modulus(seal::find_ntt_primes(20, 64, 2));
-  p.set_plain_modulus(17);
-  BfvFixture f(std::move(p));
-  seal::Evaluator eval(f.ctx);
-  const seal::Ciphertext ct = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{4}), f.rng);
-  seal::Ciphertext sq = eval.multiply(ct, ct);
-  EXPECT_EQ(f.decryptor.decrypt(sq), seal::Plaintext(std::uint64_t{16}));
-}
-
-TEST(IntegerEncoder, Roundtrip) {
-  const seal::Context ctx(seal::EncryptionParameters::toy_256());
-  const seal::IntegerEncoder encoder(ctx);
-  for (const std::uint64_t v : {0ULL, 1ULL, 2ULL, 255ULL, 12345ULL}) {
-    EXPECT_EQ(encoder.decode(encoder.encode(v)), static_cast<std::int64_t>(v));
-  }
-}
-
-TEST(IntegerEncoder, HomomorphicAddOnEncodings) {
-  BfvFixture f(seal::EncryptionParameters::toy_256(), 555);
-  const seal::IntegerEncoder encoder(f.ctx);
-  seal::Evaluator eval(f.ctx);
-  seal::Ciphertext ca = f.encryptor.encrypt(encoder.encode(20), f.rng);
-  const seal::Ciphertext cb = f.encryptor.encrypt(encoder.encode(22), f.rng);
-  eval.add_inplace(ca, cb);
-  EXPECT_EQ(encoder.decode(f.decryptor.decrypt(ca)), 42);
-}
-
-TEST(BatchEncoder, RequiresCompatiblePlainModulus) {
-  const seal::Context bad(seal::EncryptionParameters::toy_256());  // t = 64 not prime ≡ 1
-  EXPECT_THROW(seal::BatchEncoder{bad}, std::invalid_argument);
-}
-
-TEST(BatchEncoder, SlotRoundtripAndSimdAdd) {
-  seal::EncryptionParameters p;
-  p.set_poly_modulus_degree(256);
-  p.set_coeff_modulus({seal::find_ntt_prime(32, 256)});
-  p.set_plain_modulus(12289);  // prime, 12288 = 24 * 512 => t ≡ 1 (mod 512)
-  BfvFixture f(std::move(p), 321);
-  const seal::BatchEncoder encoder(f.ctx);
-  ASSERT_EQ(encoder.slot_count(), 256u);
-
-  std::vector<std::uint64_t> va(256), vb(256);
-  for (std::size_t i = 0; i < 256; ++i) {
-    va[i] = (i * 7) % 12289;
-    vb[i] = (i * 13 + 5) % 12289;
-  }
-  EXPECT_EQ(encoder.decode(encoder.encode(va)), va);
-
-  seal::Evaluator eval(f.ctx);
-  seal::Ciphertext ca = f.encryptor.encrypt(encoder.encode(va), f.rng);
-  const seal::Ciphertext cb = f.encryptor.encrypt(encoder.encode(vb), f.rng);
-  eval.add_inplace(ca, cb);
-  const std::vector<std::uint64_t> sum = encoder.decode(f.decryptor.decrypt(ca));
-  for (std::size_t i = 0; i < 256; ++i) {
-    ASSERT_EQ(sum[i], (va[i] + vb[i]) % 12289) << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Galois automorphisms and homomorphic rotations.
-
-namespace {
-
-/// Plaintext-side reference: m(x^g) over R_t.
-seal::Plaintext apply_galois_plain(const seal::Plaintext& plain, std::uint32_t g,
-                                   std::size_t n, std::uint64_t t) {
-  std::vector<std::uint64_t> out(n, 0);
-  for (std::size_t i = 0; i < n && i < plain.coeff_count() + 0; ++i) {
-    const std::uint64_t v = plain[i];
-    if (v == 0) continue;
-    const std::size_t exponent = (i * g) % (2 * n);
-    if (exponent < n) out[exponent] = (out[exponent] + v) % t;
-    else out[exponent - n] = (out[exponent - n] + t - (v % t)) % t;
-  }
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return seal::Plaintext(out);
-}
-
-}  // namespace
-
-TEST(Galois, PolyAutomorphismBasics) {
-  const seal::Context ctx(seal::EncryptionParameters::toy_mul_64());
-  const auto& moduli = ctx.coeff_modulus();
-  seal::Poly p(64, 1);
-  p.at(1, 0) = 1;  // p = x
-  seal::Poly out;
-  seal::polyops::apply_galois(p, 3, moduli, out);
-  EXPECT_EQ(out.at(3, 0), 1u);  // x -> x^3
-  // x^{63} -> x^{189 mod 128} = x^{61} with sign: 189 >= 64... 189-128=61 <64
-  seal::Poly q(64, 1);
-  q.at(63, 0) = 1;
-  seal::polyops::apply_galois(q, 3, moduli, out);
-  // 63*3 = 189 = 128 + 61 -> exponent 61 mod 128 => 61 < 64, but the wrap
-  // through x^64 = -1 happened once (189 mod 128 = 61; 189 / 64 is odd).
-  // Verify via roundtrip instead: applying g then g^{-1} is the identity.
-  const std::uint32_t g = 3;
-  std::uint32_t g_inv = 1;
-  for (std::uint32_t k = 1; k < 128; k += 2) {
-    if ((k * g) % 128 == 1) g_inv = k;
-  }
-  seal::Poly back;
-  seal::polyops::apply_galois(out, g_inv, moduli, back);
-  EXPECT_EQ(back, q);
-}
-
-TEST(Galois, RejectsEvenElements) {
-  const seal::Context ctx(seal::EncryptionParameters::toy_mul_64());
-  seal::Poly p(64, 1);
-  seal::Poly out;
-  EXPECT_THROW(seal::polyops::apply_galois(p, 2, ctx.coeff_modulus(), out),
-               std::invalid_argument);
-  EXPECT_THROW(seal::polyops::apply_galois(p, 129, ctx.coeff_modulus(), out),
-               std::invalid_argument);
-}
-
-TEST(Galois, HomomorphicAutomorphismMatchesPlaintext) {
-  BfvFixture f(seal::EncryptionParameters::toy_mul_64(), 909);
-  seal::Evaluator eval(f.ctx);
-  const std::uint32_t g = 3;
-  const seal::GaloisKeys gk = f.keygen.create_galois_keys({g}, 8);
-
-  const seal::Plaintext m(std::vector<std::uint64_t>{5, 1, 2, 0, 7});
-  seal::Ciphertext ct = f.encryptor.encrypt(m, f.rng);
-  eval.apply_galois_inplace(ct, g, gk);
-  const seal::Plaintext expect =
-      apply_galois_plain(m, g, f.ctx.n(), f.ctx.plain_modulus().value());
-  EXPECT_EQ(f.decryptor.decrypt(ct), expect);
-}
-
-TEST(Galois, RotationStepsComposeAndPermuteSlots) {
-  // Batching-compatible parameters: t prime, t ≡ 1 (mod 2n).
-  seal::EncryptionParameters p;
-  p.set_poly_modulus_degree(64);
-  p.set_coeff_modulus({seal::find_ntt_prime(35, 64)});
-  p.set_plain_modulus(257);  // 257 ≡ 1 (mod 128), prime
-  BfvFixture f(std::move(p), 910);
-  seal::Evaluator eval(f.ctx);
-  const seal::BatchEncoder encoder(f.ctx);
-
-  std::vector<std::uint64_t> values(64);
-  for (std::size_t i = 0; i < 64; ++i) values[i] = i + 1;
-  const std::uint32_t g = eval.galois_element_for_step(1);
-  const seal::GaloisKeys gk = f.keygen.create_galois_keys({g}, 8);
-
-  seal::Ciphertext ct = f.encryptor.encrypt(encoder.encode(values), f.rng);
-  eval.apply_galois_inplace(ct, g, gk);
-  const std::vector<std::uint64_t> rotated = encoder.decode(f.decryptor.decrypt(ct));
-
-  // The automorphism permutes the slot values (a rotation in the standard
-  // slot ordering; a permutation in ours — verify multiset preservation and
-  // non-identity).
-  std::vector<std::uint64_t> sorted_in = values, sorted_out = rotated;
-  std::sort(sorted_in.begin(), sorted_in.end());
-  std::sort(sorted_out.begin(), sorted_out.end());
-  EXPECT_EQ(sorted_in, sorted_out);
-  EXPECT_NE(rotated, values);
-}
-
-TEST(Galois, MissingKeyRejected) {
-  BfvFixture f(seal::EncryptionParameters::toy_mul_64(), 911);
-  seal::Evaluator eval(f.ctx);
-  const seal::GaloisKeys gk = f.keygen.create_galois_keys({3}, 8);
   seal::Ciphertext ct = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{1}), f.rng);
-  EXPECT_THROW(eval.apply_galois_inplace(ct, 5, gk), std::invalid_argument);
-  EXPECT_TRUE(gk.has(3));
-  EXPECT_FALSE(gk.has(5));
-}
-
-TEST(Evaluator, MultiModulusMultiplyWorks) {
-  // Two 24-bit primes (q ~ 2^48): the CRT tensor path.
-  seal::EncryptionParameters p;
-  p.set_poly_modulus_degree(64);
-  p.set_coeff_modulus(seal::find_ntt_primes(24, 64, 2));
-  p.set_plain_modulus(16);
-  BfvFixture f(std::move(p), 1212);
-  seal::Evaluator eval(f.ctx);
-  const seal::Ciphertext ca = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{3}), f.rng);
-  const seal::Ciphertext cb = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{5}), f.rng);
-  seal::Ciphertext prod = eval.multiply(ca, cb);
-  EXPECT_EQ(prod.size(), 3u);
-  EXPECT_EQ(f.decryptor.decrypt(prod), seal::Plaintext(std::uint64_t{15}));
-}
-
-TEST(Evaluator, MultiModulusMultiplyPolynomials) {
-  seal::EncryptionParameters p;
-  p.set_poly_modulus_degree(64);
-  p.set_coeff_modulus(seal::find_ntt_primes(24, 64, 2));
-  p.set_plain_modulus(16);
-  BfvFixture f(std::move(p), 1313);
-  seal::Evaluator eval(f.ctx);
-  // (2 + x) * (3 + x) = 6 + 5x + x^2.
-  const seal::Plaintext a(std::vector<std::uint64_t>{2, 1});
-  const seal::Plaintext b(std::vector<std::uint64_t>{3, 1});
-  seal::Ciphertext prod =
-      eval.multiply(f.encryptor.encrypt(a, f.rng), f.encryptor.encrypt(b, f.rng));
-  EXPECT_EQ(f.decryptor.decrypt(prod),
-            seal::Plaintext(std::vector<std::uint64_t>{6, 5, 1}));
-}
-
-TEST(Evaluator, OversizedMultiplyStillRejected) {
-  // Three 36-bit primes: 2*108 + ... > 126 bits — must refuse loudly.
-  seal::EncryptionParameters p = seal::EncryptionParameters::seal_128_4096();
-  BfvFixture f(std::move(p), 1414);
-  seal::Evaluator eval(f.ctx);
-  const seal::Ciphertext ct = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{1}), f.rng);
-  EXPECT_THROW((void)eval.multiply(ct, ct), std::logic_error);
+  ct.push_back(seal::Poly(f.ctx.n(), f.ctx.coeff_mod_count()));
+  EXPECT_THROW((void)f.decryptor.decrypt(ct), std::invalid_argument);
+  EXPECT_THROW((void)f.decryptor.decrypt(seal::Ciphertext{}), std::invalid_argument);
+  // The shared rounding step rejects a polynomial of another shape.
+  EXPECT_THROW((void)seal::decode_scaled(f.ctx, seal::Poly(f.ctx.n() / 2, 1)),
+               std::invalid_argument);
 }

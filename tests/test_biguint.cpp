@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "numeric/rng.hpp"
 #include "seal/biguint.hpp"
 
@@ -117,12 +115,6 @@ TEST(BigUInt, ToStringKnownValues) {
   BigUInt v(1);
   v <<= 64;  // 2^64
   EXPECT_EQ(v.to_string(), "18446744073709551616");
-}
-
-TEST(BigUInt, ToDoubleApproximates) {
-  BigUInt v(1);
-  v <<= 80;
-  EXPECT_NEAR(v.to_double(), std::ldexp(1.0, 80), std::ldexp(1.0, 30));
 }
 
 TEST(BigUInt, CompositeChain) {

@@ -18,10 +18,8 @@
 #include "core/campaign_checkpoint.hpp"
 #include "corpus/trace_store.hpp"
 #include "numeric/binary_io.hpp"
-#include "numeric/stats.hpp"
 #include "obs/metrics.hpp"
 #include "sca/report.hpp"
-#include "sca/template_attack.hpp"
 #include "sca/trace.hpp"
 #include "seal/serialization.hpp"
 #include "temp_dir.hpp"
@@ -183,40 +181,7 @@ TEST(BinaryHardening, SealPolyDimensionProductCannotWrap) {
   EXPECT_THROW((void)seal::load_poly(in), std::runtime_error);
 }
 
-// --- numeric / sca / obs serialized state -----------------------------------
-
-TEST(BinaryHardening, RunningCovarianceLoadSurvivesCorruptStreams) {
-  num::RunningCovariance cov(5);
-  for (int s = 0; s < 9; ++s) {
-    std::vector<double> x(5);
-    for (std::size_t i = 0; i < 5; ++i) x[i] = 0.1 * s + 1.7 * static_cast<double>(i);
-    cov.add(x);
-  }
-  const std::string bytes = serialize([&](std::ostream& out) { cov.save(out); });
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    EXPECT_EQ(num::RunningCovariance::load(in), cov);  // exact round-trip
-  }
-  run_sweeps(bytes, [](std::istream& in) { (void)num::RunningCovariance::load(in); });
-}
-
-TEST(BinaryHardening, TemplateBuilderLoadSurvivesCorruptStreams) {
-  sca::TemplateBuilder builder(4);
-  for (int label = -2; label <= 2; ++label) {
-    for (int s = 0; s < 5; ++s) {
-      std::vector<double> obs(4);
-      for (std::size_t i = 0; i < 4; ++i)
-        obs[i] = label * 0.5 + s * 0.01 + static_cast<double>(i);
-      builder.add(label, obs);
-    }
-  }
-  const std::string bytes = serialize([&](std::ostream& out) { builder.save(out); });
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    EXPECT_EQ(sca::TemplateBuilder::load(in), builder);  // exact round-trip
-  }
-  run_sweeps(bytes, [](std::istream& in) { (void)sca::TemplateBuilder::load(in); });
-}
+// --- sca / obs serialized state ---------------------------------------------
 
 TEST(BinaryHardening, RegistryLoadSurvivesCorruptStreams) {
   obs::Registry reg;

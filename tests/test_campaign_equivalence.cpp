@@ -20,7 +20,6 @@
 #include "core/campaign_checkpoint.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/hints.hpp"
-#include "core/parallel.hpp"
 #include "core/shard_driver.hpp"
 #include "lwe/dbdd.hpp"
 #include "sca/report.hpp"
@@ -316,36 +315,6 @@ TEST_F(CampaignEquivalence, GroundTruthCountersMatchHandRecountInEveryDriver) {
   (void)run_sharded_campaign(*attack_, cfg, kBase, kCaptures, policy, params, options,
                              &sharded);
   expect_live_counters(sharded.registry);
-}
-
-TEST_F(CampaignEquivalence, TrainedTemplatesByteIdenticalAcrossWorkerCounts) {
-  CampaignConfig clean;
-  clean.n = 64;
-  clean.num_workers = 0;
-  SamplerCampaign profiler(clean);
-  const std::vector<WindowRecord> profiling = profiler.collect_windows(80, 1000);
-
-  RevealAttack serial(gated_attack_config());
-  serial.train(profiling);
-
-  // Same probe window classified by serially- and parallel-trained attacks
-  // must give bit-identical posteriors: training accumulates the pooled
-  // covariance in window-index order regardless of the pool.
-  const FullCapture probe = profiler.capture(31337);
-  const std::vector<CoefficientGuess> ref =
-      serial.attack_capture_robust(probe.trace, clean.n, clean.segmentation).guesses;
-  ASSERT_EQ(ref.size(), clean.n);
-
-  for (const std::size_t workers : {1u, 4u}) {
-    WorkerPool pool(workers);
-    RevealAttack parallel(gated_attack_config());
-    parallel.train(profiling, &pool);
-    const std::vector<CoefficientGuess> got =
-        parallel.attack_capture_robust(probe.trace, clean.n, clean.segmentation).guesses;
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) expect_guesses_identical(ref[i], got[i]);
-  }
 }
 
 TEST(CampaignEquivalenceNoFixture, CapturesAreHistoryIndependent) {

@@ -50,12 +50,6 @@ TEST(Crt, PolyComposition) {
   EXPECT_TRUE(crt.compose(p, 0).is_zero());
 }
 
-TEST(Crt, CenteredMagnitude) {
-  const seal::CrtComposer crt({seal::Modulus(101)});
-  EXPECT_EQ(crt.centered_magnitude(seal::BigUInt(5)).low_word(), 5u);
-  EXPECT_EQ(crt.centered_magnitude(seal::BigUInt(99)).low_word(), 2u);  // -2
-}
-
 TEST(Crt, Validation) {
   EXPECT_THROW(seal::CrtComposer({}), std::invalid_argument);
   // Non-coprime moduli have no CRT inverse.

@@ -193,35 +193,6 @@ TEST(Bkz, ParameterValidation) {
   EXPECT_THROW(bkz_reduce(basis, params), std::invalid_argument);
 }
 
-TEST(Babai, RecoversCloseLatticePoint) {
-  reveal::num::Xoshiro256StarStar rng(777);
-  for (int rep = 0; rep < 5; ++rep) {
-    Basis basis = random_basis(6, 20, rng);
-    lll_reduce(basis);
-    // Plant: lattice point + small error.
-    std::vector<std::int64_t> point(6, 0);
-    for (std::size_t i = 0; i < basis.size(); ++i) {
-      const std::int64_t c = rng.uniform_int(-3, 3);
-      for (std::size_t j = 0; j < 6; ++j) point[j] += c * basis[i][j];
-    }
-    std::vector<std::int64_t> target = point;
-    for (auto& v : target) v += rng.uniform_int(-2, 2);
-    const auto found = babai_nearest_plane(basis, target);
-    EXPECT_EQ(found, point) << "rep " << rep;
-  }
-}
-
-TEST(Babai, ExactLatticePointIsFixed) {
-  const Basis basis = {{7, 0}, {3, 5}};
-  const std::vector<std::int64_t> point = {10, 5};  // 1*b1 + 1*b2
-  EXPECT_EQ(babai_nearest_plane(basis, point), point);
-}
-
-TEST(Babai, DimensionMismatchThrows) {
-  const Basis basis = {{1, 0}, {0, 1}};
-  EXPECT_THROW(babai_nearest_plane(basis, {1, 2, 3}), std::invalid_argument);
-}
-
 TEST(Lll, HermiteFactorOnQaryLattices) {
   // LLL's root Hermite factor on random q-ary lattices is ~1.02 — the
   // constant the DBDD estimator's small-beta interpolation is anchored to.

@@ -299,19 +299,6 @@ TEST(Dbdd, BikzToBitsConvention) {
   EXPECT_NEAR(382.25 / kBikzPerBit, 128.0, 1e-9);
 }
 
-TEST(Lwe, BddAttackRecoversToySecret) {
-  reveal::num::Xoshiro256StarStar rng(8);
-  LweParams params;
-  params.n = 8;
-  params.m = 16;
-  params.q = 1009;
-  params.sigma = 1.5;
-  const SampledLwe s = sample_lwe(params, rng);
-  const auto recovered = bdd_attack(s.instance, /*block_size=*/10, /*max_tours=*/8);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(*recovered, s.secret);
-}
-
 TEST(Dbdd, ModularHintsReduceBeta) {
   const double baseline = estimate_lwe_security(seal128_params()).beta;
   double prev = baseline;

@@ -1,14 +1,12 @@
-// Worker-pool and seed-splitting properties, plus the accumulator-merge
-// utilities the parallel campaign engine relies on. The bit-identity of the
-// full pipeline at different worker counts is pinned separately in
+// Worker-pool and seed-splitting properties, plus the counter merge the
+// parallel campaign engine relies on. The bit-identity of the full pipeline
+// at different worker counts is pinned separately in
 // test_campaign_equivalence.cpp; this file covers the primitives:
 //
 //   * WorkerPool executes every index exactly once, reports worker ids in
 //     range, propagates task exceptions, and stays usable afterwards;
 //   * stream_seed never collides across trace indices and depends only on
 //     (base, index) — not on worker count or submission order;
-//   * RunningCovariance/TemplateBuilder merges match the streaming pass up
-//     to floating-point tolerance (they are *not* on the bit-exact path);
 //   * HintTally counters accumulated per worker and merged agree exactly
 //     with an ordered recount — the regression test for the summarize/
 //     HintPolicy counter fix (shared-mutation would lose updates).
@@ -26,8 +24,6 @@
 #include "core/hints.hpp"
 #include "core/parallel.hpp"
 #include "numeric/rng.hpp"
-#include "numeric/stats.hpp"
-#include "sca/template_attack.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -144,110 +140,6 @@ TEST(StreamSeed, StreamDependsOnlyOnBaseAndIndex) {
     got[perm[j]] = stream_for(perm[j]);
   });
   EXPECT_EQ(got, reference);
-}
-
-// --- accumulator merges ----------------------------------------------------
-
-std::vector<std::vector<double>> random_observations(std::size_t count, std::size_t dim,
-                                                     std::uint64_t seed) {
-  num::Xoshiro256StarStar rng(seed);
-  std::vector<std::vector<double>> out(count, std::vector<double>(dim));
-  for (auto& v : out) {
-    for (auto& x : v) x = rng.gaussian(1.5, 2.0);
-  }
-  return out;
-}
-
-TEST(RunningCovarianceMerge, MatchesSequentialWithinTolerance) {
-  constexpr std::size_t kDim = 4;
-  const auto obs = random_observations(200, kDim, 99);
-  num::RunningCovariance all(kDim);
-  for (const auto& v : obs) all.add(v);
-
-  for (const std::size_t split : {1u, 50u, 100u, 199u}) {
-    num::RunningCovariance a(kDim);
-    num::RunningCovariance b(kDim);
-    for (std::size_t i = 0; i < split; ++i) a.add(obs[i]);
-    for (std::size_t i = split; i < obs.size(); ++i) b.add(obs[i]);
-    a.merge(b);
-    ASSERT_EQ(a.count(), all.count());
-    for (std::size_t i = 0; i < kDim; ++i) {
-      EXPECT_NEAR(a.mean()[i], all.mean()[i], 1e-9) << "split=" << split;
-      for (std::size_t j = 0; j < kDim; ++j) {
-        EXPECT_NEAR(a.covariance()(i, j), all.covariance()(i, j), 1e-9)
-            << "split=" << split;
-      }
-    }
-  }
-}
-
-TEST(RunningCovarianceMerge, AssociativeAndEmptySafe) {
-  constexpr std::size_t kDim = 3;
-  const auto obs = random_observations(90, kDim, 5);
-  auto accumulate = [&](std::size_t lo, std::size_t hi) {
-    num::RunningCovariance c(kDim);
-    for (std::size_t i = lo; i < hi; ++i) c.add(obs[i]);
-    return c;
-  };
-  num::RunningCovariance left = accumulate(0, 30);
-  left.merge(accumulate(30, 60));
-  left.merge(accumulate(60, 90));
-
-  num::RunningCovariance tail = accumulate(30, 60);
-  tail.merge(accumulate(60, 90));
-  num::RunningCovariance right = accumulate(0, 30);
-  right.merge(tail);
-
-  ASSERT_EQ(left.count(), right.count());
-  for (std::size_t i = 0; i < kDim; ++i) {
-    EXPECT_NEAR(left.mean()[i], right.mean()[i], 1e-9);
-    for (std::size_t j = 0; j < kDim; ++j) {
-      EXPECT_NEAR(left.covariance()(i, j), right.covariance()(i, j), 1e-9);
-    }
-  }
-
-  num::RunningCovariance empty(kDim);
-  num::RunningCovariance into(kDim);
-  into.merge(empty);  // no-op
-  EXPECT_EQ(into.count(), 0u);
-  into.merge(left);  // empty.merge(x) adopts x
-  EXPECT_EQ(into.count(), left.count());
-  EXPECT_THROW(into.merge(num::RunningCovariance(kDim + 1)), std::invalid_argument);
-}
-
-TEST(TemplateBuilderMerge, MatchesSingleBuilderWithinTolerance) {
-  constexpr std::size_t kDim = 3;
-  num::Xoshiro256StarStar rng(11);
-  std::vector<std::pair<std::int32_t, std::vector<double>>> labelled;
-  for (std::int32_t label = -2; label <= 2; ++label) {
-    for (int k = 0; k < 20; ++k) {
-      std::vector<double> v(kDim);
-      for (auto& x : v) x = rng.gaussian(static_cast<double>(label), 0.5);
-      labelled.emplace_back(label, std::move(v));
-    }
-  }
-
-  sca::TemplateBuilder single(kDim);
-  for (const auto& [label, v] : labelled) single.add(label, v);
-
-  sca::TemplateBuilder part_a(kDim);
-  sca::TemplateBuilder part_b(kDim);
-  for (std::size_t i = 0; i < labelled.size(); ++i) {
-    (i % 2 == 0 ? part_a : part_b).add(labelled[i].first, labelled[i].second);
-  }
-  part_a.merge(part_b);
-  EXPECT_EQ(part_a.total_count(), single.total_count());
-
-  const sca::TemplateSet ref = single.build();
-  const sca::TemplateSet merged = part_a.build();
-  ASSERT_EQ(merged.labels(), ref.labels());
-  const std::vector<double> probe = {0.4, -0.1, 0.7};
-  const std::vector<double> ref_scores = ref.log_scores(probe);
-  const std::vector<double> merged_scores = merged.log_scores(probe);
-  for (std::size_t i = 0; i < ref_scores.size(); ++i) {
-    EXPECT_NEAR(merged_scores[i], ref_scores[i], 1e-6);
-  }
-  EXPECT_EQ(merged.classify(probe), ref.classify(probe));
 }
 
 // --- HintTally counter merge (regression) ----------------------------------

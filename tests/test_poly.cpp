@@ -62,15 +62,6 @@ TEST_F(PolyOpsTest, NegateTwiceIsIdentity) {
   EXPECT_EQ(sum, seal::Poly(kN, moduli_.size()));
 }
 
-TEST_F(PolyOpsTest, ScalarMultiplyMatchesRepeatedAdd) {
-  const seal::Poly a = random_poly(kN, moduli_, rng_);
-  seal::Poly three_a, acc;
-  seal::polyops::multiply_scalar(a, 3, moduli_, three_a);
-  seal::polyops::add(a, a, moduli_, acc);
-  seal::polyops::add(acc, a, moduli_, acc);
-  EXPECT_EQ(three_a, acc);
-}
-
 TEST_F(PolyOpsTest, MultiplyNttMatchesSchoolbookPerComponent) {
   const seal::Poly a = random_poly(kN, moduli_, rng_);
   const seal::Poly b = random_poly(kN, moduli_, rng_);
