@@ -46,7 +46,7 @@ namespace {
 constexpr double kMixedIntegrationGate = 5.0;   // blocked/batched vs dense ref
 constexpr double kSparseIntegrationGate = 20.0; // coordinate fast path
 constexpr double kBkzGsoGate = 1.5;             // maintained-GSO BKZ
-constexpr double kSimGate = 5.0;                // bisection sim vs linear scan
+constexpr double kSimGate = 5.0;                // bracketed beta search vs linear scan
 constexpr double kSweepGate = 3.0;              // WorkerPool sweep (>=4 cores)
 constexpr std::size_t kSweepGateMinWorkers = 4;
 constexpr double kCurveWallBudgetMs = 600000.0; // "minutes, not hours"
@@ -290,7 +290,7 @@ int run_json_harness(bool smoke) {
   const bool bkz_identical =
       bkz_fast_basis == bkz_ref_basis && bkz_fast_ins == bkz_ref_ins;
 
-  // ---- leg 4: BKZ-simulator bisection vs linear-scan anchor ------------
+  // ---- leg 4: BKZ-simulator beta search vs linear-scan anchor ----------
   // Overlapping-dimension anchor: moderate dim so the O(d^2)-per-tour
   // reference scan stays benchmarkable; q small enough that the intersect
   // lands mid-range.

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <string>
 
@@ -92,15 +93,28 @@ int do_capture(const std::string& dir, std::uint64_t seed) {
 
 int do_attack(const std::string& dir) {
   const seal::Context ctx(make_params());
-  const seal::PublicKey pk = seal::load_public_key_file(dir + "/pk.bin");
-  const seal::Ciphertext ct = seal::load_ciphertext_file(dir + "/ct.bin");
-  const sca::TraceSet traces = sca::TraceSet::load(dir + "/trace.bin");
+  seal::PublicKey pk;
+  seal::Ciphertext ct;
+  sca::TraceSet traces;
+  try {
+    pk = seal::load_public_key_file(dir + "/pk.bin");
+    ct = seal::load_ciphertext_file(dir + "/ct.bin");
+    traces = sca::TraceSet::load(dir + "/trace.bin");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "attack: cannot load the artifacts in %s: %s\n", dir.c_str(),
+                 e.what());
+    return 1;
+  }
   if (traces.empty()) {
     std::fprintf(stderr, "attack: no trace in %s\n", dir.c_str());
     return 1;
   }
   if (!seal::conforms_to(pk.p1, ctx)) {
     std::fprintf(stderr, "attack: public key does not match the parameters\n");
+    return 1;
+  }
+  if (ct.size() != 2 || !seal::conforms_to(ct[0], ctx) || !seal::conforms_to(ct[1], ctx)) {
+    std::fprintf(stderr, "attack: ciphertext does not match the parameters\n");
     return 1;
   }
 

@@ -3,17 +3,18 @@
 // over log Gram-Schmidt norms, and the "2016 estimate" intersect search
 // built on it.
 //
-// The closed-form GSA estimator in src/lwe/dbdd.cpp assumes a perfectly
-// geometric profile; the simulator instead evolves an explicit profile
-// l_i = ln ||b*_i|| tour by tour: position k is replaced by the Gaussian
-// heuristic log-radius of the projected block [k, k+b) whose volume is
-// what remains after the already-fixed prefix (so total log-volume is
-// conserved), the final position absorbing the exact remainder. The fast
-// path keeps per-tour prefix sums — O(d) per tour — and finds the smallest
-// successful block size by bisection with a walk-down verification; the
-// reference path recomputes every block volume naively and scans block
-// sizes linearly. Both share the same per-position update rule, so their
-// profiles agree to ~1e-12 and the returned block sizes match (fuzzed).
+// The closed-form GSA estimator (gsa_intersect_beta below, which
+// src/lwe/dbdd.cpp calls) assumes a perfectly geometric profile; the
+// simulator instead evolves an explicit profile l_i = ln ||b*_i|| tour by
+// tour: position k is replaced by the Gaussian heuristic log-radius of the
+// projected block [k, k+b) whose volume is what remains after the
+// already-fixed prefix (so total log-volume is conserved), the final
+// position absorbing the exact remainder. The fast path keeps per-tour
+// prefix sums (O(d) per tour), a per-call table of the rank constants of
+// the update, and runs each tour's untouched head as a loop of its own;
+// the reference path recomputes every block volume naively. Both evaluate
+// the same per-position update in the same order, so their profiles are
+// bit-identical (fuzzed).
 //
 // Success predicate (primal uSVP "2016 estimate", profile normalized so
 // the target has unit per-coordinate norm): BKZ-beta succeeds iff
@@ -40,6 +41,14 @@ struct BkzSimParams {
 /// single definition; lwe::bkz_delta forwards here.
 [[nodiscard]] double root_hermite_delta(double beta);
 
+/// GSA-intersect block size of a dim-dimensional instance with normalized
+/// log-volume `logvol`: the smallest beta in [2, dim] with
+///     (2*beta - dim - 1)*ln(delta(beta)) + logvol/dim - 0.5*ln(beta) >= 0,
+/// bisected to 1e-3. Returns 2 when beta = 2 already succeeds and dim when
+/// no beta does. The closed form behind lwe::estimate_from_dim_logvol, and
+/// the seed of simulated_intersect_beta's search.
+[[nodiscard]] double gsa_intersect_beta(std::size_t dim, double logvol);
+
 /// Natural-log Gaussian-heuristic radius of a rank-`b` lattice with
 /// log-volume `log_vol`: ln( (Gamma(b/2+1) e^{log_vol})^{1/b} / sqrt(pi) ).
 [[nodiscard]] double log_gaussian_heuristic(std::size_t b, double log_vol);
@@ -52,8 +61,9 @@ struct BkzSimParams {
 /// to ~1% at the b = 45 crossover).
 [[nodiscard]] double log_block_head(std::size_t b, double log_vol);
 
-/// Simulates `params.max_tours` BKZ-`beta` tours on `log_profile`
-/// (l_i = ln ||b*_i||). Fast path: prefix-summed block volumes.
+/// Simulates up to `params.max_tours` BKZ-`beta` tours on `log_profile`
+/// (l_i = ln ||b*_i||). Fast path: prefix-summed block volumes, tabulated
+/// rank constants and a separate loop over each tour's untouched head.
 [[nodiscard]] std::vector<double> simulate_bkz_profile(
     std::vector<double> log_profile, std::size_t beta,
     const BkzSimParams& params = {});
@@ -65,8 +75,12 @@ struct BkzSimParams {
     const BkzSimParams& params = {});
 
 /// Smallest integer block size beta in [2, d] whose simulated profile
-/// satisfies the success predicate above; returns d if none does. Fast
-/// path: bisection over beta plus a bounded walk-down re-verification.
+/// satisfies the success predicate above; returns d if none does. pred(2)
+/// is checked first. Then the search gallops outwards from the GSA closed
+/// form of the profile's dimension and volume (up by 8, down by 1, doubling
+/// the step) until it holds a failing and a succeeding beta, and bisects
+/// between them. The result equals the linear scan's wherever the predicate
+/// is monotone in beta above 2; the differential fuzz pins that equality.
 [[nodiscard]] double simulated_intersect_beta(
     const std::vector<double>& log_profile, const BkzSimParams& params = {});
 

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numbers>
 #include <stdexcept>
 
 namespace reveal::lwe {
-
-namespace {
-constexpr double kSmallBeta = 2.0;
-}  // namespace
 
 double bkz_delta(double beta) {
   // Single definition lives with the profile simulator (the two must agree
@@ -97,32 +92,9 @@ void DbddEstimator::integrate_modular_error_hints(double k, std::size_t count) {
 }
 
 SecurityEstimate estimate_from_dim_logvol(std::size_t dim, double logvol) {
-  const auto d = static_cast<double>(dim);
-  const double nu = logvol;
-
-  // f(beta) >= 0 iff BKZ-beta succeeds:
-  //   f = (2*beta - d - 1)*ln(delta) + nu/d - 0.5*ln(beta)
-  const auto f = [d, nu](double beta) {
-    return (2.0 * beta - d - 1.0) * std::log(bkz_delta(beta)) + nu / d -
-           0.5 * std::log(beta);
-  };
-
   SecurityEstimate out;
   out.dim = dim;
-  double lo = kSmallBeta;
-  double hi = d;
-  if (f(lo) >= 0.0) {
-    out.beta = lo;  // complete break: even (near-)LLL succeeds
-  } else if (f(hi) < 0.0) {
-    out.beta = hi;  // beyond full enumeration of the instance
-  } else {
-    for (int iter = 0; iter < 200 && hi - lo > 1e-3; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      if (f(mid) >= 0.0) hi = mid;
-      else lo = mid;
-    }
-    out.beta = 0.5 * (lo + hi);
-  }
+  out.beta = lattice::gsa_intersect_beta(dim, logvol);
   out.delta = bkz_delta(out.beta);
   out.bits = out.beta / kBikzPerBit;
   return out;

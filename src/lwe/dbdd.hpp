@@ -60,8 +60,9 @@ struct SecurityEstimate {
   std::size_t dim = 0; ///< dimension of the estimated uSVP instance
 };
 
-/// GSA-intersect bisection shared by the estimators: the smallest beta with
-/// (2*beta - dim - 1)*ln(delta(beta)) + logvol/dim - 0.5*ln(beta) >= 0.
+/// GSA-intersect estimate shared by the estimators: the smallest beta with
+/// (2*beta - dim - 1)*ln(delta(beta)) + logvol/dim - 0.5*ln(beta) >= 0
+/// (lattice::gsa_intersect_beta).
 [[nodiscard]] SecurityEstimate estimate_from_dim_logvol(std::size_t dim,
                                                         double logvol);
 

@@ -61,8 +61,8 @@ class RunningStats {
 };
 
 /// Streaming per-dimension mean plus full covariance accumulation.
-/// Feed vectors of identical dimension; query mean vector and the sample
-/// covariance matrix at the end. Used to build power-trace templates.
+/// Feed vectors of identical dimension; query the mean vector and the
+/// scatter matrix at the end. Used to build power-trace templates.
 class RunningCovariance {
  public:
   explicit RunningCovariance(std::size_t dim);
@@ -72,8 +72,6 @@ class RunningCovariance {
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] std::size_t dim() const noexcept { return mean_.size(); }
   [[nodiscard]] const std::vector<double>& mean() const noexcept { return mean_; }
-  /// Sample covariance (n-1 denominator); zero matrix for < 2 samples.
-  [[nodiscard]] Matrix covariance() const;
   /// Sum of outer products of deviations (useful for pooled covariance).
   [[nodiscard]] const Matrix& scatter() const noexcept { return scatter_; }
 
@@ -86,30 +84,5 @@ class RunningCovariance {
 
 /// Mean of a vector (0 for empty input).
 double mean_of(const std::vector<double>& xs) noexcept;
-
-/// Sample variance of a vector (0 for fewer than 2 samples).
-double variance_of(const std::vector<double>& xs) noexcept;
-
-/// Pearson correlation of two equally sized vectors; 0 if degenerate.
-double pearson_correlation(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// samples clamp into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace reveal::num

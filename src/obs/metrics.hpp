@@ -79,10 +79,9 @@ class ExactSum {
   std::uint32_t pending_ = 0;  ///< adds since last normalize (overflow guard)
 };
 
-/// Fixed-bucket histogram with integer bucket counts (the latency/quality
-/// companion of num::Histogram, extended with exact merging and a value
-/// sum). Out-of-range observations clamp into the first/last bucket, so
-/// every observation is counted.
+/// Fixed-bucket latency/quality histogram with integer bucket counts, exact
+/// merging and a value sum. Out-of-range observations clamp into the
+/// first/last bucket, so every observation is counted.
 class LatencyHistogram {
  public:
   LatencyHistogram() = default;

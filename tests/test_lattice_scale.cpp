@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numbers>
 #include <random>
 #include <vector>
 
@@ -339,6 +341,15 @@ TEST(BkzSimDifferential, ProfilesAreBitIdentical) {
     const auto fast = lattice::simulate_bkz_profile(profile, beta, params);
     const auto ref = lattice::simulate_bkz_profile_reference(profile, beta, params);
     ASSERT_EQ(fast, ref) << "d=" << d << " beta=" << beta;
+    // The rank table's crossover to the GH regime (44 | 45, 46) and its
+    // all-tail extreme (beta = d: every position's rank is d - k).
+    for (const std::size_t fixed : {std::size_t{2}, std::size_t{44}, std::size_t{45},
+                                    std::size_t{46}, d}) {
+      if (fixed > d) continue;
+      ASSERT_EQ(lattice::simulate_bkz_profile(profile, fixed, params),
+                lattice::simulate_bkz_profile_reference(profile, fixed, params))
+          << "d=" << d << " beta=" << fixed;
+    }
   }
 }
 
@@ -358,6 +369,74 @@ TEST(BkzSimDifferential, IntersectBetaMatchesReferenceFuzz) {
     EXPECT_EQ(lattice::simulated_intersect_beta(profile, params),
               lattice::simulated_intersect_beta_reference(profile, params))
         << "d=" << d;
+  }
+}
+
+TEST(BkzSimDifferential, IntersectBetaMatchesReferenceOnEstimatorProfiles) {
+  // DbddEstimator profiles at q = 3329, sigma = 3.2, on both sides of the
+  // GSA closed form the search starts from, at the default tour budget.
+  struct Case {
+    std::size_t n;
+    std::size_t perfect;
+  };
+  const Case cases[] = {
+      {64, 4}, {64, 8}, {80, 16},  // perfect hints: cliff-shaped profiles
+      {384, 384},  // every error known: closed form 23.8, simulated beta 2
+      {56, 0},     // closed form 2, simulated beta 16
+      {1, 0},      // d = 3
+      {1, 1},      // d = 2
+  };
+  for (const Case& c : cases) {
+    lwe::DbddParams p;
+    p.secret_dim = p.error_dim = c.n;
+    p.q = 3329.0;
+    p.secret_variance = p.error_variance = 3.2 * 3.2;
+    lwe::DbddEstimator est(p);
+    est.integrate_perfect_error_hints(c.perfect);
+    const std::vector<double> profile = est.normalized_log_profile();
+    EXPECT_EQ(lattice::simulated_intersect_beta(profile),
+              lattice::simulated_intersect_beta_reference(profile))
+        << "n=" << c.n << " perfect=" << c.perfect;
+  }
+}
+
+TEST(BkzSimDifferential, IntersectBetaMatchesReferenceBelowTheClosedForm) {
+  // Profiles with a steep tail under a flat body: the simulated beta (7 to
+  // 75) sits well below the closed form, so the search gallops downwards.
+  struct Case {
+    std::size_t d;
+    double slope, tail_slope;
+    std::size_t tail;
+    double top;
+  };
+  const Case cases[] = {
+      {152, 0.0103, 0.5326, 12, 3.021}, {157, 0.0068, 0.3182, 17, 3.496},
+      {139, 0.0066, 0.4223, 11, 2.707}, {120, 0.0062, 0.3353, 22, 3.782},
+      {133, 0.0121, 0.1666, 25, 4.099},
+  };
+  lattice::BkzSimParams params;
+  params.max_tours = 24;
+  for (const Case& c : cases) {
+    std::vector<double> profile(c.d);
+    const std::size_t knee = c.d - c.tail;
+    for (std::size_t i = 0; i < c.d; ++i)
+      profile[i] = i < knee ? c.top - c.slope * static_cast<double>(i)
+                            : c.top - c.slope * static_cast<double>(knee) -
+                                  c.tail_slope * static_cast<double>(i - knee);
+    EXPECT_EQ(lattice::simulated_intersect_beta(profile, params),
+              lattice::simulated_intersect_beta_reference(profile, params))
+        << "d=" << c.d;
+  }
+}
+
+TEST(BkzSimDifferential, IntersectBetaReturnsDimensionWhenNothingSucceeds) {
+  // A zero profile fails the predicate at every beta, so d = 2 and d = 3
+  // both land on the "no beta succeeds" answer d.
+  for (const std::size_t d : {std::size_t{2}, std::size_t{3}}) {
+    const std::vector<double> profile(d, 0.0);
+    EXPECT_EQ(lattice::simulated_intersect_beta(profile), static_cast<double>(d));
+    EXPECT_EQ(lattice::simulated_intersect_beta_reference(profile),
+              static_cast<double>(d));
   }
 }
 
@@ -406,6 +485,29 @@ TEST(BkzSimAnchor, PaperScaleCurveIsSane) {
   lwe::DbddEstimator full(p);
   full.integrate_perfect_error_hints(1024);
   EXPECT_LE(full.estimate_simulated().beta, 40.0);
+}
+
+TEST(BkzSimAnchor, PaperCurvesMatchTablesIIIAndIV) {
+  // The simulated Tables III/IV curves at n = m = 1024, q = 132120577,
+  // sigma = 3.2 (bench_lattice's paper_curves leg), value for value: a
+  // simulator or search change that moves any table entry fails here.
+  lwe::DbddParams p;
+  p.secret_dim = p.error_dim = 1024;
+  p.q = 132120577.0;
+  p.secret_variance = p.error_variance = 3.2 * 3.2;
+  const double sign_var = p.error_variance * (1.0 - 2.0 / std::numbers::pi);
+  const std::size_t counts[] = {0, 128, 256, 512, 768, 900, 1000, 1024};
+  const double full[] = {394, 326, 265, 161, 79, 36, 26, 2};
+  const double sign_only[] = {394, 392, 390, 386, 382, 380, 378, 378};
+  for (std::size_t i = 0; i < std::size(counts); ++i) {
+    lwe::DbddEstimator full_est(p);
+    full_est.integrate_perfect_error_hints(counts[i]);
+    EXPECT_EQ(full_est.estimate_simulated().beta, full[i]) << counts[i] << " hints";
+    lwe::DbddEstimator sign_est(p);
+    sign_est.integrate_posterior_error_hints(sign_var, counts[i]);
+    EXPECT_EQ(sign_est.estimate_simulated().beta, sign_only[i])
+        << counts[i] << " sign-only hints";
+  }
 }
 
 TEST(BkzSimAnchor, SmallDimensionActualReductionAnchor) {
