@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "cli_args.hpp"
 #include "core/acquisition.hpp"
@@ -70,18 +72,13 @@ int main(int argc, char** argv) {
   // Per-sign mean windows + SOSD.
   std::printf("collecting labelled windows for the POI analysis...\n");
   const auto windows = campaign.collect_windows(200, /*seed_base=*/10);
-  sca::TraceSet by_sign;
-  sca::TraceSet negatives;
+  std::vector<sca::WindowView> by_sign;
+  std::vector<sca::WindowView> negatives;
   for (const auto& w : windows) {
     if (w.samples.size() < 110) continue;
-    sca::Trace t;
-    t.samples.assign(w.samples.begin(), w.samples.begin() + 110);
-    t.label = w.true_value > 0 ? 1 : (w.true_value < 0 ? -1 : 0);
-    by_sign.add(t);
-    if (w.true_value < 0) {
-      t.label = w.true_value;
-      negatives.add(std::move(t));
-    }
+    const std::span<const double> prefix = std::span(w.samples).first(110);
+    by_sign.push_back({prefix, w.true_value > 0 ? 1 : (w.true_value < 0 ? -1 : 0)});
+    if (w.true_value < 0) negatives.push_back({prefix, w.true_value});
   }
   const auto sign_means = sca::class_means(by_sign);
   std::printf("\nmean window per sign (110 samples, '#' >5.5, '+' >4.5, '.' else):\n");

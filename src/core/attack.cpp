@@ -41,17 +41,21 @@ RevealAttack::RevealAttack(AttackConfig config) : config_(config) {
 void RevealAttack::train(const std::vector<WindowRecord>& profiling) {
   if (profiling.empty()) throw std::invalid_argument("RevealAttack::train: no windows");
 
+  // Both stages read window prefixes in place, in window order, so the
+  // classifier, POIs and templates match a fit on whole-window copies bit for
+  // bit. The sign prefix is clamped to the window: a window too short for the
+  // classifier still fails in PatternClassifier::fit, never read past its end.
+
   // --- sign classifier (vulnerability 1) ---
-  sca::TraceSet sign_set;
+  std::vector<sca::WindowView> sign_views;
+  sign_views.reserve(profiling.size());
   for (const auto& w : profiling) {
     if (w.samples.size() < config_.value_prefix)
       throw std::invalid_argument("RevealAttack::train: window shorter than value_prefix");
-    sca::Trace t;
-    t.samples = w.samples;
-    t.label = sign_of(w.true_value);
-    sign_set.add(std::move(t));
+    const std::size_t prefix = std::min(config_.sign_prefix, w.samples.size());
+    sign_views.push_back({std::span(w.samples).first(prefix), sign_of(w.true_value)});
   }
-  sign_classifier_.fit(sign_set, config_.sign_prefix);
+  sign_classifier_.fit(sign_views, config_.sign_prefix);
 
   // --- sign-conditioned value templates (vulnerabilities 2 + 3) ---
   auto build_side = [this, &profiling](int sign, std::vector<std::size_t>& pois_out)
@@ -61,16 +65,12 @@ void RevealAttack::train(const std::vector<WindowRecord>& profiling) {
     for (const auto& w : profiling) {
       if (sign_of(w.true_value) == sign) ++counts[w.true_value];
     }
-    sca::TraceSet side;
+    std::vector<sca::WindowView> side;
     for (const auto& w : profiling) {
       if (sign_of(w.true_value) != sign) continue;
       if (counts[w.true_value] < std::max<std::size_t>(config_.min_class_count, 2))
         continue;
-      sca::Trace t;
-      t.samples.assign(w.samples.begin(),
-                       w.samples.begin() + static_cast<std::ptrdiff_t>(config_.value_prefix));
-      t.label = w.true_value;
-      side.add(std::move(t));
+      side.push_back({std::span(w.samples).first(config_.value_prefix), w.true_value});
     }
     if (side.empty()) return std::nullopt;
     const sca::ClassMeans means = sca::class_means(side);
@@ -79,7 +79,7 @@ void RevealAttack::train(const std::vector<WindowRecord>& profiling) {
     pois_out = sca::select_pois(sosd, config_.poi_count, config_.poi_min_spacing);
 
     sca::TemplateBuilder builder(pois_out.size());
-    for (const auto& t : side) builder.add(t.label, sca::extract_pois(t.samples, pois_out));
+    for (const auto& v : side) builder.add(v.label, sca::extract_pois(v.samples, pois_out));
     return builder.build();
   };
 
@@ -90,7 +90,7 @@ void RevealAttack::train(const std::vector<WindowRecord>& profiling) {
         "RevealAttack::train: profiling set lacks positive or negative examples");
 }
 
-CoefficientGuess RevealAttack::attack_window(const std::vector<double>& window,
+CoefficientGuess RevealAttack::attack_window(std::span<const double> window,
                                              double window_quality) const {
   if (!trained()) throw std::logic_error("RevealAttack: train() first");
   CoefficientGuess guess;

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/acquisition.hpp"
@@ -96,8 +97,10 @@ class RevealAttack {
 
   /// Trains the sign classifier and the sign-conditioned template sets from
   /// labelled profiling windows, adding them to the pooled-covariance
-  /// builders in window order. Throws if a sign class is missing or too
-  /// small.
+  /// builders in window order. Reads only the first `sign_prefix` and
+  /// `value_prefix` samples of each window, in place: `profiling` is not
+  /// copied. Throws if a window is shorter than either prefix, or if a sign
+  /// class is missing or too small.
   void train(const std::vector<WindowRecord>& profiling);
 
   [[nodiscard]] bool trained() const noexcept { return sign_classifier_.fitted(); }
@@ -113,7 +116,7 @@ class RevealAttack {
   /// the guess quality; 1.0 means "trust the window fully". Degraded
   /// windows (too short for the classifier or the POIs) abstain instead of
   /// throwing.
-  [[nodiscard]] CoefficientGuess attack_window(const std::vector<double>& window,
+  [[nodiscard]] CoefficientGuess attack_window(std::span<const double> window,
                                                double window_quality = 1.0) const;
 
   /// The single-trace attack — the one capture-level entry point: robust
@@ -169,13 +172,13 @@ RobustCaptureResult RevealAttack::attack_capture_robust_traced(
   if (out.segmentation.status == sca::SegmentationStatus::kFailed) return out;
 
   [[maybe_unused]] auto span = tracer.span(obs::Stage::kClassification, capture_index);
+  const std::span<const double> samples(trace);
   out.guesses.reserve(out.segmentation.segments.size());
   for (std::size_t i = 0; i < out.segmentation.segments.size(); ++i) {
     const sca::Segment& seg = out.segmentation.segments[i];
-    const std::vector<double> window(
-        trace.begin() + static_cast<std::ptrdiff_t>(seg.window_begin),
-        trace.begin() + static_cast<std::ptrdiff_t>(seg.window_end));
-    out.guesses.push_back(attack_window(window, out.segmentation.window_quality[i]));
+    out.guesses.push_back(
+        attack_window(samples.subspan(seg.window_begin, seg.window_end - seg.window_begin),
+                      out.segmentation.window_quality[i]));
   }
   return out;
 }

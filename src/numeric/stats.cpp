@@ -64,11 +64,4 @@ void RunningCovariance::add(const std::vector<double>& x) {
   }
 }
 
-double mean_of(const std::vector<double>& xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += x;
-  return acc / static_cast<double>(xs.size());
-}
-
 }  // namespace reveal::num

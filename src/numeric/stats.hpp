@@ -82,7 +82,4 @@ class RunningCovariance {
   std::vector<double> delta_;  // scratch
 };
 
-/// Mean of a vector (0 for empty input).
-double mean_of(const std::vector<double>& xs) noexcept;
-
 }  // namespace reveal::num

@@ -6,17 +6,18 @@
 
 namespace reveal::sca {
 
-void PatternClassifier::fit(const TraceSet& labelled_windows, std::size_t prefix_length) {
+void PatternClassifier::fit(std::span<const WindowView> labelled_windows,
+                            std::size_t prefix_length) {
   if (labelled_windows.empty())
     throw std::invalid_argument("PatternClassifier::fit: empty training set");
-  const std::size_t common = labelled_windows.min_length();
+  const std::size_t common = min_length(labelled_windows);
   prefix_ = prefix_length == 0 ? common : prefix_length;
   if (prefix_ == 0 || prefix_ > common)
     throw std::invalid_argument("PatternClassifier::fit: prefix longer than windows");
 
   // Pass 1: per-class means.
   std::map<std::int32_t, std::pair<std::vector<double>, std::size_t>> acc;
-  for (const Trace& t : labelled_windows) {
+  for (const WindowView& t : labelled_windows) {
     if (t.label == Trace::kNoLabel)
       throw std::invalid_argument("PatternClassifier::fit: unlabelled window");
     auto& [sum, count] = acc[t.label];
@@ -34,7 +35,7 @@ void PatternClassifier::fit(const TraceSet& labelled_windows, std::size_t prefix
   // Pass 2: pooled within-class variance per sample point.
   std::vector<double> var(prefix_, 0.0);
   std::size_t total = 0;
-  for (const Trace& t : labelled_windows) {
+  for (const WindowView& t : labelled_windows) {
     const auto& mean = patterns_.at(t.label);
     for (std::size_t i = 0; i < prefix_; ++i) {
       const double d = t.samples[i] - mean[i];
@@ -53,7 +54,7 @@ void PatternClassifier::fit(const TraceSet& labelled_windows, std::size_t prefix
 }
 
 std::map<std::int32_t, double> PatternClassifier::distances(
-    const std::vector<double>& window) const {
+    std::span<const double> window) const {
   if (patterns_.empty()) throw std::logic_error("PatternClassifier: not fitted");
   if (window.size() < prefix_)
     throw std::invalid_argument("PatternClassifier: window shorter than prefix");
@@ -69,7 +70,7 @@ std::map<std::int32_t, double> PatternClassifier::distances(
   return out;
 }
 
-std::int32_t PatternClassifier::classify(const std::vector<double>& window) const {
+std::int32_t PatternClassifier::classify(std::span<const double> window) const {
   const auto dists = distances(window);
   std::int32_t best_label = 0;
   double best = std::numeric_limits<double>::infinity();

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "sca/trace.hpp"
@@ -22,7 +23,7 @@ class PatternClassifier {
   /// Fits mean patterns and the pooled per-sample within-class variance
   /// from labelled windows, using the first `prefix_length` samples
   /// (0 = common minimum length).
-  void fit(const TraceSet& labelled_windows, std::size_t prefix_length = 0);
+  void fit(std::span<const WindowView> labelled_windows, std::size_t prefix_length = 0);
 
   [[nodiscard]] bool fitted() const noexcept { return !patterns_.empty(); }
   [[nodiscard]] std::size_t prefix_length() const noexcept { return prefix_; }
@@ -30,11 +31,11 @@ class PatternClassifier {
   /// Classifies a window by minimal variance-weighted distance to the class
   /// means; throws std::logic_error if not fitted, std::invalid_argument if
   /// the window is shorter than the prefix.
-  [[nodiscard]] std::int32_t classify(const std::vector<double>& window) const;
+  [[nodiscard]] std::int32_t classify(std::span<const double> window) const;
 
   /// Weighted distances to every class mean (diagnostics / separation).
   [[nodiscard]] std::map<std::int32_t, double> distances(
-      const std::vector<double>& window) const;
+      std::span<const double> window) const;
 
  private:
   std::size_t prefix_ = 0;

@@ -6,14 +6,14 @@
 
 namespace reveal::sca {
 
-ClassMeans class_means(const TraceSet& traces, std::size_t min_length) {
-  if (traces.empty()) throw std::invalid_argument("class_means: empty trace set");
-  const std::size_t len = traces.min_length();
+ClassMeans class_means(std::span<const WindowView> windows, std::size_t min_length) {
+  if (windows.empty()) throw std::invalid_argument("class_means: empty trace set");
+  const std::size_t len = sca::min_length(windows);
   if (len == 0 || (min_length > 0 && len < min_length))
     throw std::invalid_argument("class_means: traces shorter than required window");
 
   std::map<std::int32_t, std::pair<std::vector<double>, std::size_t>> acc;
-  for (const Trace& t : traces) {
+  for (const WindowView& t : windows) {
     if (t.label == Trace::kNoLabel)
       throw std::invalid_argument("class_means: unlabelled trace in profiling set");
     auto& [sum, count] = acc[t.label];
@@ -72,7 +72,7 @@ std::vector<std::size_t> select_pois(const std::vector<double>& sosd, std::size_
   return chosen;
 }
 
-std::vector<double> extract_pois(const std::vector<double>& samples,
+std::vector<double> extract_pois(std::span<const double> samples,
                                  const std::vector<std::size_t>& pois) {
   std::vector<double> out;
   out.reserve(pois.size());

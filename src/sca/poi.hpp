@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "sca/trace.hpp"
@@ -17,10 +18,11 @@ namespace reveal::sca {
 /// Per-class mean traces over a fixed window length.
 using ClassMeans = std::map<std::int32_t, std::vector<double>>;
 
-/// Computes per-class means of the labelled traces, truncated to the
-/// shortest trace; throws std::invalid_argument on empty input or traces
+/// Computes per-class means of the labelled windows, truncated to the
+/// shortest window; throws std::invalid_argument on empty input or windows
 /// shorter than `min_length` (pass 0 to accept any).
-[[nodiscard]] ClassMeans class_means(const TraceSet& traces, std::size_t min_length = 0);
+[[nodiscard]] ClassMeans class_means(std::span<const WindowView> windows,
+                                     std::size_t min_length = 0);
 
 /// SOSD curve across all sample points of the class means.
 [[nodiscard]] std::vector<double> sosd_curve(const ClassMeans& means);
@@ -32,7 +34,7 @@ using ClassMeans = std::map<std::int32_t, std::vector<double>>;
                                                    std::size_t min_spacing = 1);
 
 /// Extracts the POI samples of one trace (throws if the trace is too short).
-[[nodiscard]] std::vector<double> extract_pois(const std::vector<double>& samples,
+[[nodiscard]] std::vector<double> extract_pois(std::span<const double> samples,
                                                const std::vector<std::size_t>& pois);
 
 }  // namespace reveal::sca

@@ -15,6 +15,13 @@ std::size_t TraceSet::min_length() const noexcept {
   return m;
 }
 
+std::size_t min_length(std::span<const WindowView> windows) noexcept {
+  if (windows.empty()) return 0;
+  std::size_t m = std::numeric_limits<std::size_t>::max();
+  for (const WindowView& w : windows) m = std::min(m, w.samples.size());
+  return m;
+}
+
 namespace {
 constexpr char kMagic[4] = {'R', 'V', 'L', 'T'};
 

@@ -2,6 +2,7 @@
 // Power-trace containers and binary I/O.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,17 @@ struct Trace {
 
   [[nodiscard]] std::size_t size() const noexcept { return samples.size(); }
 };
+
+/// A labelled window that does not own its samples: profiling reads window
+/// prefixes where the capture left them instead of copying them. The viewed
+/// storage must outlive the view.
+struct WindowView {
+  std::span<const double> samples;
+  std::int32_t label = Trace::kNoLabel;
+};
+
+/// Minimum sample count across views (0 if empty).
+[[nodiscard]] std::size_t min_length(std::span<const WindowView> windows) noexcept;
 
 /// A set of traces (not necessarily equal length).
 class TraceSet {

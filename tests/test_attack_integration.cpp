@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
 #include "core/hints.hpp"
@@ -242,6 +245,55 @@ TEST_F(AttackPipeline, RobustPathMatchesSeedPipelineBitIdentically) {
       EXPECT_TRUE(b.sign_trusted);
     }
   }
+}
+
+TEST(AttackTraining, ReadsOnlyConfiguredPrefixes) {
+  // Training reads the first sign_prefix and value_prefix samples of each
+  // profiling window and nothing after them: windows cut to the longer
+  // prefix must train the same POIs and produce bit-identical guesses.
+  SamplerCampaign campaign(small_campaign());
+  const std::vector<WindowRecord> whole = campaign.collect_windows(60, /*seed_base=*/1);
+  ASSERT_FALSE(whole.empty());
+  const AttackConfig config;
+  const std::size_t keep = std::max(config.sign_prefix, config.value_prefix);
+  std::vector<WindowRecord> cut = whole;
+  std::size_t shortest = whole.front().samples.size();
+  for (WindowRecord& w : cut) {
+    ASSERT_GT(w.samples.size(), keep);
+    shortest = std::min(shortest, w.samples.size());
+    w.samples.resize(keep);
+  }
+  RevealAttack from_whole(config);
+  from_whole.train(whole);
+  RevealAttack from_cut(config);
+  from_cut.train(cut);
+  EXPECT_EQ(from_cut.positive_pois(), from_whole.positive_pois());
+  EXPECT_EQ(from_cut.negative_pois(), from_whole.negative_pois());
+
+  for (std::uint64_t seed = 3000; seed < 3004; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const FullCapture cap = campaign.capture(seed);
+    const auto a = attack_guesses(from_whole, campaign.config(), cap);
+    const auto b = attack_guesses(from_cut, campaign.config(), cap);
+    ASSERT_EQ(a.size(), 64u);
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].sign, a[i].sign);
+      EXPECT_EQ(b[i].value, a[i].value);
+      EXPECT_EQ(b[i].support, a[i].support);
+      EXPECT_EQ(b[i].posterior, a[i].posterior);  // bit-identical doubles
+      EXPECT_EQ(b[i].sign_margin, a[i].sign_margin);
+      EXPECT_EQ(b[i].quality, a[i].quality);
+    }
+  }
+
+  // A sign prefix longer than the shortest window is rejected, not read past
+  // the window's end.
+  AttackConfig long_sign = config;
+  long_sign.sign_prefix = 1000;
+  ASSERT_LT(shortest, long_sign.sign_prefix);
+  RevealAttack too_long(long_sign);
+  EXPECT_THROW(too_long.train(whole), std::invalid_argument);
 }
 
 TEST(EndToEnd, SingleTraceMessageRecovery) {

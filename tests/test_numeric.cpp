@@ -286,9 +286,11 @@ TEST(Stats, RunningMatchesBatch) {
     xs.push_back(x);
     rs.add(x);
   }
-  EXPECT_NEAR(rs.mean(), num::mean_of(xs), 1e-9);
-  // Two-pass sample variance around the batch mean.
-  const double m = num::mean_of(xs);
+  // Two-pass batch mean and sample variance.
+  double sum = 0.0;
+  for (const double x : xs) sum += x;
+  const double m = sum / static_cast<double>(xs.size());
+  EXPECT_NEAR(rs.mean(), m, 1e-9);
   double sq = 0.0;
   for (const double x : xs) sq += (x - m) * (x - m);
   EXPECT_NEAR(rs.variance(), sq / static_cast<double>(xs.size() - 1), 1e-9);

@@ -351,11 +351,13 @@ TEST(RobustSegmentation, BurstConsistencyScore) {
 }
 
 TEST(Poi, ClassMeansAndSosd) {
-  TraceSet set;
   // Class 0: flat zero; class 1: bump at index 2.
+  const std::vector<double> flat = {0, 0, 0, 0};
+  const std::vector<double> bump = {0, 0, 5, 0};
+  std::vector<WindowView> set;
   for (int rep = 0; rep < 4; ++rep) {
-    set.add({{0, 0, 0, 0}, 0});
-    set.add({{0, 0, 5, 0}, 1});
+    set.push_back({flat, 0});
+    set.push_back({bump, 1});
   }
   const ClassMeans means = class_means(set);
   ASSERT_EQ(means.size(), 2u);
@@ -377,13 +379,14 @@ TEST(Poi, SelectRespectsSpacing) {
 }
 
 TEST(Poi, ExtractChecksLength) {
-  EXPECT_THROW(extract_pois({1.0, 2.0}, {5}), std::invalid_argument);
-  EXPECT_EQ(extract_pois({1.0, 2.0, 3.0}, {0, 2}), (std::vector<double>{1.0, 3.0}));
+  EXPECT_THROW(extract_pois(std::vector<double>{1.0, 2.0}, {5}), std::invalid_argument);
+  EXPECT_EQ(extract_pois(std::vector<double>{1.0, 2.0, 3.0}, {0, 2}),
+            (std::vector<double>{1.0, 3.0}));
 }
 
 TEST(Poi, UnlabelledTraceRejected) {
-  TraceSet set;
-  set.add({{1.0}, Trace::kNoLabel});
+  const std::vector<double> samples = {1.0};
+  const std::vector<WindowView> set = {{samples, Trace::kNoLabel}};
   EXPECT_THROW(class_means(set), std::invalid_argument);
 }
 
@@ -495,19 +498,21 @@ TEST(Templates, PosteriorStableAtExtremeMahalanobisDistance) {
 }
 
 TEST(Classifier, SeparatesPatternsAndValidates) {
-  TraceSet train;
+  std::vector<Trace> windows;
   num::Xoshiro256StarStar rng(11);
   for (int i = 0; i < 50; ++i) {
     Trace a;
     for (int k = 0; k < 20; ++k) a.samples.push_back(1.0 + 0.1 * rng.gaussian());
     a.label = -1;
-    train.add(std::move(a));
+    windows.push_back(std::move(a));
     Trace b;
     for (int k = 0; k < 20; ++k)
       b.samples.push_back((k < 10 ? 3.0 : 1.0) + 0.1 * rng.gaussian());
     b.label = 1;
-    train.add(std::move(b));
+    windows.push_back(std::move(b));
   }
+  std::vector<WindowView> train;
+  for (const Trace& t : windows) train.push_back({t.samples, t.label});
   PatternClassifier clf;
   clf.fit(train, 16);
   EXPECT_TRUE(clf.fitted());
@@ -515,7 +520,8 @@ TEST(Classifier, SeparatesPatternsAndValidates) {
   EXPECT_EQ(clf.classify(probe), -1);
   for (int k = 0; k < 10; ++k) probe[k] = 3.0;
   EXPECT_EQ(clf.classify(probe), 1);
-  EXPECT_THROW((void)clf.classify({1.0}), std::invalid_argument);  // too short
+  EXPECT_THROW((void)clf.classify(std::vector<double>{1.0}),
+               std::invalid_argument);  // too short
   PatternClassifier unfitted;
   EXPECT_THROW((void)unfitted.classify(probe), std::logic_error);
 }
