@@ -1,17 +1,14 @@
-// Paper-scale lattice-plane regression harness: the blocked/sparse/batched
-// DBDD matrix fast paths, the maintained-GSO BKZ, the BKZ-simulator bikz
-// estimator and the WorkerPool hint sweeps, each timed against its
-// pre-optimization reference with identity gates.
+// Paper-scale lattice-plane regression harness: the maintained-GSO BKZ and
+// the BKZ-simulator bikz estimator, each timed against its
+// pre-optimization reference with identity gates, plus the n = 1024 paper
+// curves.
 //
 // Modes:
 //   * default: one full run with human-readable output;
 //   * --json [--smoke]: emit BENCH_lattice.json and exit nonzero if an
 //     identity gate fails (always) or a speedup gate fails (full runs
 //     only; --smoke shrinks the instances below the regime where the
-//     asymptotic wins show). The parallel-sweep speedup gate additionally
-//     arms only on machines with >= 4 hardware workers — worker-count
-//     INVARIANCE is gated everywhere, wall-clock scaling only where there
-//     are cores to scale onto.
+//     asymptotic wins show).
 //
 // Paper anchor (RevEAL section V): n = m = 1024, q = 132120577,
 // sigma = 3.2 — the full-attack (Table III) and sign-only (Table IV)
@@ -24,18 +21,13 @@
 #include <cstdio>
 #include <limits>
 #include <numbers>
-#include <random>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/hint_sweep.hpp"
-#include "core/parallel.hpp"
 #include "lattice/bkz_sim.hpp"
 #include "lattice/lattice.hpp"
 #include "lwe/dbdd.hpp"
-#include "lwe/dbdd_matrix.hpp"
 #include "numeric/rng.hpp"
 
 using namespace reveal;
@@ -43,14 +35,9 @@ using namespace reveal;
 namespace {
 
 // Speedup floors, enforced in full (non-smoke) json runs.
-constexpr double kMixedIntegrationGate = 5.0;   // blocked/batched vs dense ref
-constexpr double kSparseIntegrationGate = 20.0; // coordinate fast path
 constexpr double kBkzGsoGate = 1.5;             // maintained-GSO BKZ
 constexpr double kSimGate = 5.0;                // bracketed beta search vs linear scan
-constexpr double kSweepGate = 3.0;              // WorkerPool sweep (>=4 cores)
-constexpr std::size_t kSweepGateMinWorkers = 4;
 constexpr double kCurveWallBudgetMs = 600000.0; // "minutes, not hours"
-constexpr double kRelTol = 1e-9;
 
 struct Timer {
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
@@ -60,10 +47,6 @@ struct Timer {
         .count();
   }
 };
-
-bool close_rel(double a, double b, double tol = kRelTol) {
-  return std::fabs(a - b) <= tol * std::max({1.0, std::fabs(a), std::fabs(b)});
-}
 
 /// Best-of-`passes` wall time of f() in milliseconds (first call doubles as
 /// warmup for the cheap, cold-start-sensitive legs).
@@ -104,36 +87,6 @@ lwe::DbddParams paper_params(std::size_t shrink = 1) {
   return p;
 }
 
-/// Mixed hint stream: `coord` coordinate hints interleaved with `dense`
-/// unit-norm dense directions, fixed seed.
-struct MixedStream {
-  std::vector<std::size_t> coords;
-  std::vector<std::vector<double>> dirs;
-};
-
-MixedStream make_mixed_stream(std::size_t ambient, std::size_t coord,
-                              std::size_t dense, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<double> gauss;
-  MixedStream s;
-  s.coords.reserve(coord);
-  for (std::size_t i = 0; i < coord; ++i)
-    s.coords.push_back(rng() % ambient);
-  s.dirs.reserve(dense);
-  for (std::size_t i = 0; i < dense; ++i) {
-    std::vector<double> v(ambient);
-    double nsq = 0.0;
-    for (double& x : v) {
-      x = gauss(rng);
-      nsq += x * x;
-    }
-    const double inv = 1.0 / std::sqrt(nsq);
-    for (double& x : v) x *= inv;
-    s.dirs.push_back(std::move(v));
-  }
-  return s;
-}
-
 /// Near-diagonal dense-noise basis (the DBDD-embedding shape).
 lattice::Basis make_basis(std::size_t n, std::uint64_t seed) {
   num::Xoshiro256StarStar rng(seed);
@@ -152,14 +105,6 @@ int run_json_harness(bool smoke) {
   // timed leg does not absorb cold-start costs (page faults, frequency
   // ramp, lazy dynamic linking).
   {
-    lwe::DbddParams w = paper_params(16);
-    lwe::DbddMatrixEstimator wf(w);
-    lwe::DbddMatrixEstimatorReference wr(w);
-    const MixedStream ws = make_mixed_stream(w.secret_dim + w.error_dim, 8, 4, 1);
-    (void)wf.integrate_perfect_coordinate_hints(ws.coords);
-    (void)wf.integrate_perfect_hints(ws.dirs);
-    (void)wr.integrate_perfect_coordinate_hints(ws.coords);
-    for (const auto& v : ws.dirs) (void)wr.integrate_perfect_hint(v);
     lattice::Basis wb = make_basis(12, 3);
     lattice::BkzParams wp;
     wp.block_size = 6;
@@ -168,102 +113,7 @@ int run_json_harness(bool smoke) {
     (void)lattice::bkz_reduce_reference(wb, wp);
   }
 
-  // ---- leg 1: mixed coordinate+dense hint integration ------------------
-  const std::size_t shrink = smoke ? 4 : 1;  // ambient 512 smoke / 2048 full
-  const lwe::DbddParams big = paper_params(shrink);
-  const std::size_t ambient = big.secret_dim + big.error_dim;
-  // The paper's hint stream is per-coefficient (coordinate) hints almost
-  // everywhere, with occasional combined directions — keep the mix ~90/10.
-  const std::size_t n_coord = smoke ? 56 : 232;
-  const std::size_t n_dense = smoke ? 8 : 24;
-  const MixedStream mixed = make_mixed_stream(ambient, n_coord, n_dense, 42);
-
-  // Session shape: the per-coefficient hints land in capture-sized runs,
-  // the combined (dense-direction) hints are integrated as one batch at
-  // the end — identical order on both estimators.
-  const int integ_passes = smoke ? 3 : 2;
-  const std::size_t coord_chunk = n_coord / 4;
-
-  double mixed_beta_fast = 0.0, mixed_logvol_fast = 0.0;
-  std::size_t mixed_dim_fast = 0;
-  double mixed_beta_ref = 0.0, mixed_logvol_ref = 0.0;
-  std::size_t mixed_dim_ref = 0;
-  const auto [mixed_fast_ms, mixed_ref_ms] = time_best_pair_ms(
-      [&] {
-        lwe::DbddMatrixEstimator est(big);
-        for (std::size_t ci = 0; ci < n_coord; ci += coord_chunk) {
-          std::vector<std::size_t> coords(
-              mixed.coords.begin() + static_cast<std::ptrdiff_t>(ci),
-              mixed.coords.begin() +
-                  static_cast<std::ptrdiff_t>(ci + coord_chunk));
-          (void)est.integrate_perfect_coordinate_hints(coords);
-        }
-        (void)est.integrate_perfect_hints(mixed.dirs);
-        mixed_beta_fast = est.estimate().beta;
-        mixed_logvol_fast = est.logvol();
-        mixed_dim_fast = est.dim();
-      },
-      integ_passes,
-      [&] {
-        lwe::DbddMatrixEstimatorReference est(big);
-        for (std::size_t ci = 0; ci < n_coord; ci += coord_chunk) {
-          std::vector<std::size_t> coords(
-              mixed.coords.begin() + static_cast<std::ptrdiff_t>(ci),
-              mixed.coords.begin() +
-                  static_cast<std::ptrdiff_t>(ci + coord_chunk));
-          (void)est.integrate_perfect_coordinate_hints(coords);
-        }
-        for (const auto& v : mixed.dirs) (void)est.integrate_perfect_hint(v);
-        mixed_beta_ref = est.estimate().beta;
-        mixed_logvol_ref = est.logvol();
-        mixed_dim_ref = est.dim();
-      },
-      integ_passes);
-
-  const double mixed_speedup =
-      mixed_fast_ms > 0.0 ? mixed_ref_ms / mixed_fast_ms : 0.0;
-  const bool mixed_identical = close_rel(mixed_logvol_fast, mixed_logvol_ref) &&
-                               close_rel(mixed_beta_fast, mixed_beta_ref) &&
-                               mixed_dim_fast == mixed_dim_ref;
-
-  // ---- leg 2: coordinate-only fast path (bit-exact) --------------------
-  const std::size_t n_sparse = smoke ? 256 : 900;
-  std::vector<std::size_t> sparse_coords;
-  {
-    std::mt19937_64 rng(7);
-    for (std::size_t i = 0; i < n_sparse; ++i)
-      sparse_coords.push_back(rng() % ambient);
-  }
-  double sparse_beta_fast = 0.0, sparse_logvol_fast = 0.0;
-  std::size_t sparse_rejects_fast = 0;
-  double sparse_beta_ref = 0.0, sparse_logvol_ref = 0.0;
-  std::size_t sparse_rejects_ref = 0;
-  const auto [sparse_fast_ms, sparse_ref_ms] = time_best_pair_ms(
-      [&] {
-        lwe::DbddMatrixEstimator est(big);
-        (void)est.integrate_perfect_coordinate_hints(sparse_coords);
-        sparse_beta_fast = est.estimate().beta;
-        sparse_logvol_fast = est.logvol();
-        sparse_rejects_fast = est.rejected_hints();
-      },
-      integ_passes,
-      [&] {
-        lwe::DbddMatrixEstimatorReference est(big);
-        (void)est.integrate_perfect_coordinate_hints(sparse_coords);
-        sparse_beta_ref = est.estimate().beta;
-        sparse_logvol_ref = est.logvol();
-        sparse_rejects_ref = est.rejected_hints();
-      },
-      smoke ? 3 : 1);
-
-  const double sparse_speedup =
-      sparse_fast_ms > 0.0 ? sparse_ref_ms / sparse_fast_ms : 0.0;
-  // Coordinate-only sequences are BIT-identical between the classes.
-  const bool sparse_identical = sparse_logvol_fast == sparse_logvol_ref &&
-                                sparse_beta_fast == sparse_beta_ref &&
-                                sparse_rejects_fast == sparse_rejects_ref;
-
-  // ---- leg 3: maintained-GSO BKZ vs per-position recompute -------------
+  // ---- leg 1: maintained-GSO BKZ vs per-position recompute -------------
   const std::size_t bkz_n = smoke ? 18 : 34;
   lattice::BkzParams bkz_params;
   bkz_params.block_size = smoke ? 8 : 12;
@@ -290,7 +140,7 @@ int run_json_harness(bool smoke) {
   const bool bkz_identical =
       bkz_fast_basis == bkz_ref_basis && bkz_fast_ins == bkz_ref_ins;
 
-  // ---- leg 4: BKZ-simulator beta search vs linear-scan anchor ----------
+  // ---- leg 2: BKZ-simulator beta search vs linear-scan anchor ----------
   // Overlapping-dimension anchor: moderate dim so the O(d^2)-per-tour
   // reference scan stays benchmarkable; q small enough that the intersect
   // lands mid-range.
@@ -324,45 +174,7 @@ int run_json_harness(bool smoke) {
   const bool sim_identical =
       sim_beta_fast == sim_beta_ref && prof_fast == prof_ref;
 
-  // ---- leg 5: WorkerPool hint sweep ------------------------------------
-  core::HintSweepConfig sweep_cfg;
-  sweep_cfg.params.secret_dim = sweep_cfg.params.error_dim = smoke ? 128 : 192;
-  sweep_cfg.params.q = 3329.0;
-  sweep_cfg.params.secret_variance = sweep_cfg.params.error_variance = 2.25;
-  sweep_cfg.counts = smoke ? std::vector<std::size_t>{16, 32}
-                           : std::vector<std::size_t>{24, 48, 96};
-  sweep_cfg.orders = 8;
-  std::vector<core::SweepHint> sweep_pool(sweep_cfg.params.error_dim);
-  for (std::size_t i = 0; i < sweep_pool.size(); ++i) {
-    sweep_pool[i].kind = i % 2 == 0 ? core::SweepHint::Kind::kPerfect
-                                    : core::SweepHint::Kind::kApproximate;
-    sweep_pool[i].variance = 0.5 + 0.05 * static_cast<double>(i % 8);
-  }
-
-  sweep_cfg.num_workers = 0;  // serial reference
-  core::HintSweepResult sweep_serial;
-  const double sweep_serial_ms = time_best_ms(
-      [&] { sweep_serial = core::run_matrix_hint_sweep(sweep_cfg, sweep_pool); },
-      2);
-
-  const std::size_t hw_workers = core::default_num_workers();
-  sweep_cfg.num_workers = hw_workers;
-  core::HintSweepResult sweep_par;
-  const double sweep_par_ms = time_best_ms(
-      [&] { sweep_par = core::run_matrix_hint_sweep(sweep_cfg, sweep_pool); }, 2);
-
-  bool sweep_invariant = sweep_serial.betas == sweep_par.betas;
-  for (const std::size_t w : {std::size_t{1}, std::size_t{2}}) {
-    sweep_cfg.num_workers = w;
-    sweep_invariant = sweep_invariant &&
-                      core::run_matrix_hint_sweep(sweep_cfg, sweep_pool).betas ==
-                          sweep_serial.betas;
-  }
-  const double sweep_speedup =
-      sweep_par_ms > 0.0 ? sweep_serial_ms / sweep_par_ms : 0.0;
-  const bool sweep_gate_armed = !smoke && hw_workers >= kSweepGateMinWorkers;
-
-  // ---- leg 6: paper curves (Tables III/IV shape at n = 1024) -----------
+  // ---- leg 3: paper curves (Tables III/IV shape at n = 1024) -----------
   const lwe::DbddParams paper = paper_params(smoke ? 8 : 1);
   const std::vector<std::size_t> curve_counts =
       smoke ? std::vector<std::size_t>{0, 64, 128}
@@ -402,14 +214,8 @@ int run_json_harness(bool smoke) {
   curve_sane = curve_sane && curve.back().sim_full <= 40.0;
 
   // ---- gates ------------------------------------------------------------
-  const bool identity_ok = mixed_identical && sparse_identical &&
-                           bkz_identical && sim_identical && sweep_invariant &&
-                           curve_sane;
-  const bool speedups_ok =
-      mixed_speedup >= kMixedIntegrationGate &&
-      sparse_speedup >= kSparseIntegrationGate && bkz_speedup >= kBkzGsoGate &&
-      sim_speedup >= kSimGate &&
-      (!sweep_gate_armed || sweep_speedup >= kSweepGate);
+  const bool identity_ok = bkz_identical && sim_identical && curve_sane;
+  const bool speedups_ok = bkz_speedup >= kBkzGsoGate && sim_speedup >= kSimGate;
   const bool passed = identity_ok && (smoke || speedups_ok);
 
   FILE* out = std::fopen(out_path, "w");
@@ -419,18 +225,6 @@ int run_json_harness(bool smoke) {
   }
   std::fprintf(out, "{\n  \"bench\": \"lattice\",\n  \"smoke\": %s,\n",
                smoke ? "true" : "false");
-  std::fprintf(out,
-               "  \"hint_integration\": {\"ambient_dim\": %zu, \"coord_hints\": %zu, "
-               "\"dense_hints\": %zu, \"fast_ms\": %.2f, \"baseline_ms\": %.2f, "
-               "\"speedup\": %.2f, \"identical\": %s},\n",
-               ambient, n_coord, n_dense, mixed_fast_ms, mixed_ref_ms,
-               mixed_speedup, mixed_identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"hint_integration_sparse\": {\"ambient_dim\": %zu, \"hints\": %zu, "
-               "\"fast_ms\": %.2f, \"baseline_ms\": %.2f, \"speedup\": %.2f, "
-               "\"identical\": %s},\n",
-               ambient, n_sparse, sparse_fast_ms, sparse_ref_ms, sparse_speedup,
-               sparse_identical ? "true" : "false");
   std::fprintf(out,
                "  \"bkz_gso\": {\"n\": %zu, \"block\": %zu, \"insertions\": %zu, "
                "\"fast_ms\": %.2f, \"baseline_ms\": %.2f, \"speedup\": %.2f, "
@@ -443,18 +237,6 @@ int run_json_harness(bool smoke) {
                "\"identical\": %s},\n",
                sim_profile.size(), sim_beta_fast, sim_fast_ms, sim_ref_ms,
                sim_speedup, sim_identical ? "true" : "false");
-  // The speedup key is only emitted when the gate is armed (>= 4 hardware
-  // workers, full run): on small machines the parallel/serial ratio is
-  // scheduling noise, and compare_bench.py must not treat it as a gated
-  // leg. Worker-count invariance is enforced by this binary's exit code.
-  std::fprintf(out,
-               "  \"hint_sweep\": {\"grid\": %zu, \"workers\": %zu, "
-               "\"serial_ms\": %.2f, \"parallel_ms\": %.2f, \"%s\": %.2f, "
-               "\"speedup_gated\": %s, \"identical\": %s},\n",
-               sweep_serial.betas.size(), hw_workers, sweep_serial_ms,
-               sweep_par_ms, sweep_gate_armed ? "speedup" : "speedup_unarmed",
-               sweep_speedup, sweep_gate_armed ? "true" : "false",
-               sweep_invariant ? "true" : "false");
   std::fprintf(out, "  \"paper_curves\": {\"dim\": %zu, \"wall_ms\": %.1f, "
                "\"sane\": %s, \"points\": [\n",
                lwe::DbddEstimator(paper).dim(), curve_wall_ms,
@@ -469,24 +251,12 @@ int run_json_harness(bool smoke) {
   }
   std::fprintf(out, "  ]},\n");
   std::fprintf(out,
-               "  \"gates\": {\"mixed_speedup_min\": %.1f, "
-               "\"sparse_speedup_min\": %.1f, \"bkz_gso_speedup_min\": %.1f, "
-               "\"sim_speedup_min\": %.1f, \"sweep_speedup_min\": %.1f, "
-               "\"sweep_gate_armed\": %s, \"enforced\": %s},\n",
-               kMixedIntegrationGate, kSparseIntegrationGate, kBkzGsoGate,
-               kSimGate, kSweepGate, sweep_gate_armed ? "true" : "false",
-               smoke ? "false" : "true");
+               "  \"gates\": {\"bkz_gso_speedup_min\": %.1f, "
+               "\"sim_speedup_min\": %.1f, \"enforced\": %s},\n",
+               kBkzGsoGate, kSimGate, smoke ? "false" : "true");
   std::fprintf(out, "  \"passed\": %s\n}\n", passed ? "true" : "false");
   std::fclose(out);
 
-  std::printf("hint integration (d=%zu, %zu coord + %zu dense): fast %.1f ms  "
-              "baseline %.1f ms  speedup %.2fx  identical %d\n",
-              ambient, n_coord, n_dense, mixed_fast_ms, mixed_ref_ms,
-              mixed_speedup, mixed_identical);
-  std::printf("sparse integration (%zu coords): fast %.1f ms  baseline %.1f ms  "
-              "speedup %.2fx  bit-identical %d\n",
-              n_sparse, sparse_fast_ms, sparse_ref_ms, sparse_speedup,
-              sparse_identical);
   std::printf("bkz (n=%zu, b=%zu): fast %.1f ms  baseline %.1f ms  speedup "
               "%.2fx  identical %d\n",
               bkz_n, bkz_params.block_size, bkz_fast_ms, bkz_ref_ms,
@@ -495,11 +265,6 @@ int run_json_harness(bool smoke) {
               "speedup %.2fx  identical %d\n",
               sim_profile.size(), sim_beta_fast, sim_fast_ms, sim_ref_ms,
               sim_speedup, sim_identical);
-  std::printf("hint sweep (%zu tasks, %zu workers): serial %.1f ms  parallel "
-              "%.1f ms  speedup %.2fx  invariant %d (gate %s)\n",
-              sweep_serial.betas.size(), hw_workers, sweep_serial_ms,
-              sweep_par_ms, sweep_speedup, sweep_invariant,
-              sweep_gate_armed ? "armed" : "off");
   std::printf("paper curves (dim %zu, %zu points x 2 adversaries): %.1f ms, "
               "sane %d\n",
               lwe::DbddEstimator(paper).dim(), curve.size(), curve_wall_ms,

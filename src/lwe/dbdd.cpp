@@ -34,7 +34,6 @@ double DbddEstimator::logvol() const noexcept {
 }
 
 std::size_t DbddEstimator::live_error_coords() const noexcept { return error_vars_.size(); }
-std::size_t DbddEstimator::live_secret_coords() const noexcept { return secret_vars_.size(); }
 
 std::span<double> DbddEstimator::take_fresh_error_coords(std::size_t count) {
   if (count > error_vars_.size() - hinted_errors_)
@@ -56,39 +55,11 @@ void DbddEstimator::integrate_perfect_error_hints(std::size_t count) {
   hinted_errors_ = std::min(hinted_errors_, error_vars_.size());
 }
 
-void DbddEstimator::integrate_perfect_secret_hints(std::size_t count) {
-  for (std::size_t k = 0; k < count; ++k) {
-    if (secret_vars_.empty())
-      throw std::logic_error("DbddEstimator: no secret coordinates left to hint");
-    secret_vars_.pop_back();
-  }
-}
-
-void DbddEstimator::integrate_approximate_error_hints(double eps_variance,
-                                                      std::size_t count) {
-  if (eps_variance <= 0.0)
-    throw std::invalid_argument(
-        "DbddEstimator: approximate hint needs positive measurement variance "
-        "(use a perfect hint for exact knowledge)");
-  for (double& v : take_fresh_error_coords(count))
-    v = v * eps_variance / (v + eps_variance);  // Gaussian conditioning
-}
-
 void DbddEstimator::integrate_posterior_error_hints(double new_variance,
                                                     std::size_t count) {
   if (new_variance <= 0.0)
     throw std::invalid_argument("DbddEstimator: posterior variance must be positive");
   for (double& v : take_fresh_error_coords(count)) v = new_variance;
-}
-
-void DbddEstimator::integrate_modular_error_hints(double k, std::size_t count) {
-  if (k < 2.0)
-    throw std::invalid_argument("DbddEstimator: modular hint needs k >= 2");
-  if (count > error_vars_.size())
-    throw std::logic_error("DbddEstimator: not enough error coordinates for hints");
-  // Lambda' = Lambda ∩ {x : x_i ≡ l (mod k)}: Vol' = Vol * k; the prior
-  // variance is (approximately, for k below a few sigma) unchanged.
-  log_vol_lattice_ += static_cast<double>(count) * std::log(k);
 }
 
 SecurityEstimate estimate_from_dim_logvol(std::size_t dim, double logvol) {

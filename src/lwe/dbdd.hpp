@@ -13,19 +13,22 @@
 //     sqrt(beta) <= delta(beta)^(2*beta - dim - 1) * Vol^(1/dim)
 //
 // with Vol the Sigma-normalized volume. Hint rules (DDGR20 §4, specialized
-// to coordinate hints v = e_i, which is all the side-channel produces):
+// to coordinate hints v = e_i on the error, which is all the side channel
+// produces and all core/hints.cpp routes):
 //   perfect hint      : coordinate removed; dim -= 1; volume gains
 //                       sqrt(var_i) (normalization loses the coordinate)
-//   approximate hint  : conditioning with measurement variance eps:
-//                       var_i -> var_i*eps/(var_i + eps)
-//   posterior hint    : distribution replacement var_i -> new_var
-//                       (used for sign-only information: the half-Gaussian
-//                        conditional variance)
+//   posterior hint    : distribution replacement var_i -> new_var (a value
+//                       posterior's variance, or for sign-only information
+//                       the half-Gaussian conditional variance)
 //
-// Every approximate or posterior hint lands on its own, still-unhinted
-// ("fresh") error coordinate, so n single-hint calls equal one n-count call.
-// A perfect hint removes a fresh coordinate while one is left, and a hinted
-// one after that (guessing a coordinate that already carries a hint).
+// Every posterior hint lands on its own, still-unhinted ("fresh") error
+// coordinate, so n single-hint calls equal one n-count call. A perfect hint
+// removes a fresh coordinate while one is left, and a hinted one after that
+// (guessing a coordinate that already carries a hint).
+//
+// Hints along arbitrary directions need the full covariance; the dense
+// DbddMatrixEstimatorReference (dbdd_matrix.hpp) does that and is the
+// anchor these rules are tested against.
 //
 // bikz -> bits uses the paper's footnote 3 anchor: 382.25 bikz = 128 bits.
 
@@ -75,30 +78,18 @@ class DbddEstimator {
   /// Normalized log-volume ln Vol - 1/2 ln det Sigma over live coordinates.
   [[nodiscard]] double logvol() const noexcept;
 
-  /// Number of error/secret coordinates not yet eliminated.
+  /// Number of error coordinates not yet eliminated.
   [[nodiscard]] std::size_t live_error_coords() const noexcept;
-  [[nodiscard]] std::size_t live_secret_coords() const noexcept;
 
   /// Integrates `count` perfect hints on error coordinates (e_i known):
   /// fresh coordinates first, then hinted ones. Throws std::logic_error
   /// when fewer than `count` live coordinates are left.
   void integrate_perfect_error_hints(std::size_t count);
-  /// Perfect hints on secret coordinates.
-  void integrate_perfect_secret_hints(std::size_t count);
-  /// Approximate hints: e_i measured with additive noise variance `eps`,
-  /// one fresh coordinate each. Throws std::logic_error when fewer than
-  /// `count` fresh coordinates are left.
-  void integrate_approximate_error_hints(double eps_variance, std::size_t count);
   /// A-posteriori replacement: e_i's distribution replaced by one with
   /// variance `new_variance` (e.g. sign-conditioned half-Gaussian), one
   /// fresh coordinate each. Throws std::logic_error when fewer than `count`
   /// fresh coordinates are left.
   void integrate_posterior_error_hints(double new_variance, std::size_t count);
-
-  /// Modular hints (paper §IV-C list): e_i known mod k. Following DDGR20,
-  /// the sub-lattice volume grows by k per hint while dimension and (for
-  /// k ≲ sigma) the variance profile stay unchanged. k must be >= 2.
-  void integrate_modular_error_hints(double k, std::size_t count);
 
   /// Solves the GSA-intersect condition for the smallest viable beta.
   [[nodiscard]] SecurityEstimate estimate() const;
@@ -128,7 +119,7 @@ class DbddEstimator {
   /// The next `count` fresh error coordinates (throws if there are fewer).
   std::span<double> take_fresh_error_coords(std::size_t count);
 
-  double log_vol_lattice_;              // ln Vol(Lambda) = m ln q (+ modular hints)
+  double log_vol_lattice_;              // ln Vol(Lambda) = m ln q
   std::vector<double> secret_vars_;     // live secret coordinate variances
   std::vector<double> error_vars_;      // live error coordinate variances:
                                         // [hinted | fresh (at the prior)]

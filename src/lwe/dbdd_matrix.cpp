@@ -1,6 +1,5 @@
 #include "lwe/dbdd_matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,28 +7,6 @@ namespace reveal::lwe {
 
 namespace {
 constexpr double kDegenerate = 1e-12;
-/// Pending rank-1 downdates are flushed in fused blocks of this size.
-constexpr std::size_t kMaxPending = 32;
-/// Directions with at most this many nonzeros take the row-read path.
-constexpr std::size_t kSparseMax = 8;
-
-/// Mirrors the canonical upper triangle into the lower one, tile-blocked so
-/// the strided writes stay cache-resident.
-void mirror_full(double* sig, std::size_t d) {
-  constexpr std::size_t kTile = 64;
-  for (std::size_t ib = 0; ib < d; ib += kTile) {
-    const std::size_t ie = std::min(ib + kTile, d);
-    for (std::size_t jb = ib; jb < d; jb += kTile) {
-      const std::size_t je = std::min(jb + kTile, d);
-      for (std::size_t i = ib; i < ie; ++i) {
-        const double* row = sig + i * d;
-        for (std::size_t j = std::max(jb, i + 1); j < je; ++j) {
-          sig[j * d + i] = row[j];
-        }
-      }
-    }
-  }
-}
 
 double init_logvol(const DbddParams& params, std::size_t d) {
   double half_log_det = 0.0;
@@ -47,302 +24,6 @@ void validate_params(const DbddParams& params) {
     throw std::invalid_argument("DbddMatrixEstimator: invalid parameters");
 }
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Fast path
-// ---------------------------------------------------------------------------
-
-DbddMatrixEstimator::DbddMatrixEstimator(const DbddParams& params)
-    : error_dim_(params.error_dim),
-      d_(params.error_dim + params.secret_dim),
-      logvol_(0.0) {
-  validate_params(params);
-  sigma_.assign(d_ * d_, 0.0);
-  for (std::size_t i = 0; i < d_; ++i) {
-    sigma_[i * d_ + i] =
-        i < params.error_dim ? params.error_variance : params.secret_variance;
-  }
-  logvol_ = num::NeumaierSum(init_logvol(params, d_));
-  pending_.reserve(kMaxPending);
-}
-
-double DbddMatrixEstimator::apply_logical(const std::vector<double>& v,
-                                          std::vector<double>& out) const {
-  if (v.size() != d_)
-    throw std::invalid_argument("DbddMatrixEstimator: direction dimension mismatch");
-  // Sparse screen: few-nonzero directions read Sigma rows directly (rows
-  // equal columns — the lower triangle is mirrored at every flush).
-  std::size_t nnz_idx[kSparseMax];
-  std::size_t nnz = 0;
-  bool sparse = true;
-  for (std::size_t i = 0; i < d_; ++i) {
-    if (v[i] == 0.0) continue;
-    if (nnz == kSparseMax) {
-      sparse = false;
-      break;
-    }
-    nnz_idx[nnz++] = i;
-  }
-  out.assign(d_, 0.0);
-  if (sparse) {
-    for (std::size_t k = 0; k < nnz; ++k) {
-      const std::size_t m = nnz_idx[k];
-      const double c = v[m];
-      const double* row = sigma_.data() + m * d_;
-      if (c == 1.0) {
-        // Unit coordinate: a plain row copy is bit-identical to the dense
-        // matvec (every other term of the reference's dot is a signed zero).
-        if (nnz == 1) {
-          std::copy(row, row + d_, out.begin());
-        } else {
-          for (std::size_t i = 0; i < d_; ++i) out[i] += row[i];
-        }
-      } else {
-        for (std::size_t i = 0; i < d_; ++i) out[i] += c * row[i];
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < d_; ++i) {
-      const double* row = sigma_.data() + i * d_;
-      double acc = 0.0;
-      for (std::size_t j = 0; j < d_; ++j) acc += row[j] * v[j];
-      out[i] = acc;
-    }
-  }
-  // Deferred downdates: Sigma_logical = Sigma_stored - sum_s u_s u_s^T / c_s,
-  // so Sigma v picks up -(u_s^T v / c_s) u_s per pending hint, applied in
-  // hint order with the reference's scale == 0 skip (preserves signed
-  // zeros, and makes coordinate-hint corrections O(live) per pending row).
-  for (const auto& p : pending_) {
-    double w;
-    if (sparse) {
-      w = 0.0;
-      for (std::size_t k = 0; k < nnz; ++k) {
-        w += p.sigma_v[nnz_idx[k]] * v[nnz_idx[k]];
-      }
-    } else {
-      w = 0.0;
-      for (std::size_t j = 0; j < d_; ++j) w += p.sigma_v[j] * v[j];
-    }
-    for (std::size_t i = 0; i < d_; ++i) {
-      const double s = p.sigma_v[i] / p.denom;
-      if (s == 0.0) continue;
-      out[i] -= s * w;
-    }
-  }
-  if (sparse) {
-    double q = 0.0;
-    for (std::size_t k = 0; k < nnz; ++k) q += v[nnz_idx[k]] * out[nnz_idx[k]];
-    return q;
-  }
-  double q = 0.0;
-  for (std::size_t i = 0; i < d_; ++i) q += v[i] * out[i];
-  return q;
-}
-
-HintOutcome DbddMatrixEstimator::admit(std::vector<double> sigma_v, double q,
-                                       bool perfect, double eps) {
-  if (q <= kDegenerate) {
-    ++rejected_;
-    return HintOutcome::kDegenerate;
-  }
-  if (perfect) {
-    if (removed_ + 1 >= d_) {
-      ++rejected_;
-      return HintOutcome::kExhausted;
-    }
-    logvol_.add(0.5 * std::log(q));
-    pending_.push_back({std::move(sigma_v), q});
-    ++removed_;
-  } else {
-    logvol_.add(0.5 * std::log((q + eps) / eps));
-    pending_.push_back({std::move(sigma_v), q + eps});
-  }
-  if (pending_.size() >= kMaxPending) flush();
-  return HintOutcome::kApplied;
-}
-
-HintOutcome DbddMatrixEstimator::integrate_direction(const std::vector<double>& v,
-                                                     bool perfect, double eps) {
-  std::vector<double> sigma_v;
-  const double q = apply_logical(v, sigma_v);
-  return admit(std::move(sigma_v), q, perfect, eps);
-}
-
-HintOutcome DbddMatrixEstimator::integrate_perfect_hint(const std::vector<double>& v) {
-  return integrate_direction(v, /*perfect=*/true, 0.0);
-}
-
-HintOutcome DbddMatrixEstimator::integrate_approximate_hint(
-    const std::vector<double>& v, double eps) {
-  if (eps <= 0.0)
-    throw std::invalid_argument("DbddMatrixEstimator: eps must be positive");
-  return integrate_direction(v, /*perfect=*/false, eps);
-}
-
-HintOutcome DbddMatrixEstimator::integrate_perfect_error_hint(std::size_t i) {
-  if (i >= error_dim_)
-    throw std::invalid_argument("DbddMatrixEstimator: error coordinate out of range");
-  std::vector<double> v(d_, 0.0);
-  v[i] = 1.0;
-  return integrate_perfect_hint(v);
-}
-
-std::vector<HintOutcome> DbddMatrixEstimator::integrate_perfect_coordinate_hints(
-    const std::vector<std::size_t>& coords) {
-  std::vector<HintOutcome> out;
-  out.reserve(coords.size());
-  std::vector<double> v(d_, 0.0);
-  for (const std::size_t c : coords) {
-    if (c >= d_)
-      throw std::invalid_argument("DbddMatrixEstimator: coordinate out of range");
-    v[c] = 1.0;
-    out.push_back(integrate_perfect_hint(v));
-    v[c] = 0.0;
-  }
-  return out;
-}
-
-std::vector<HintOutcome> DbddMatrixEstimator::integrate_perfect_hints(
-    const std::vector<std::vector<double>>& dirs) {
-  std::vector<HintOutcome> out;
-  out.reserve(dirs.size());
-  std::vector<std::vector<double>> raws;
-  for (std::size_t base = 0; base < dirs.size(); base += kMaxPending) {
-    const std::size_t chunk = std::min(kMaxPending, dirs.size() - base);
-    // The shared matvec pass below reads the stored buffer, so it must hold
-    // every previously admitted downdate.
-    flush();
-    for (std::size_t t = 0; t < chunk; ++t) {
-      if (dirs[base + t].size() != d_)
-        throw std::invalid_argument(
-            "DbddMatrixEstimator: direction dimension mismatch");
-    }
-    // One blocked pass over Sigma serves every direction in the chunk:
-    // directions are tiled in groups of four so each row of Sigma streams
-    // through once per group instead of once per hint.
-    raws.assign(chunk, std::vector<double>(d_, 0.0));
-    for (std::size_t t0 = 0; t0 < chunk; t0 += 4) {
-      const std::size_t tn = std::min<std::size_t>(4, chunk - t0);
-      const double* v0 = dirs[base + t0].data();
-      const double* v1 = tn > 1 ? dirs[base + t0 + 1].data() : v0;
-      const double* v2 = tn > 2 ? dirs[base + t0 + 2].data() : v0;
-      const double* v3 = tn > 3 ? dirs[base + t0 + 3].data() : v0;
-      for (std::size_t i = 0; i < d_; ++i) {
-        const double* row = sigma_.data() + i * d_;
-        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-        for (std::size_t j = 0; j < d_; ++j) {
-          const double r = row[j];
-          a0 += r * v0[j];
-          a1 += r * v1[j];
-          a2 += r * v2[j];
-          a3 += r * v3[j];
-        }
-        raws[t0][i] = a0;
-        if (tn > 1) raws[t0 + 1][i] = a1;
-        if (tn > 2) raws[t0 + 2][i] = a2;
-        if (tn > 3) raws[t0 + 3][i] = a3;
-      }
-    }
-    // Sequential admission: hint t sees the in-chunk downdates of hints
-    // s < t through the pending corrections (apply_logical's rule, inlined
-    // here against the precomputed raw matvecs).
-    for (std::size_t t = 0; t < chunk; ++t) {
-      const std::vector<double>& v = dirs[base + t];
-      std::vector<double>& sv = raws[t];
-      for (const auto& p : pending_) {
-        double w = 0.0;
-        for (std::size_t j = 0; j < d_; ++j) w += p.sigma_v[j] * v[j];
-        for (std::size_t i = 0; i < d_; ++i) {
-          const double s = p.sigma_v[i] / p.denom;
-          if (s == 0.0) continue;
-          sv[i] -= s * w;
-        }
-      }
-      double q = 0.0;
-      for (std::size_t i = 0; i < d_; ++i) q += v[i] * sv[i];
-      out.push_back(admit(std::move(sv), q, /*perfect=*/true, 0.0));
-    }
-    flush();
-  }
-  return out;
-}
-
-void DbddMatrixEstimator::flush() {
-  const std::size_t k = pending_.size();
-  if (k == 0) return;
-  // Fused rank-k pass over the upper triangle. The per-row/per-hint scale
-  // and its == 0 skip replay the reference downdate's row loop; running the
-  // active hints t-outer over the row tail keeps every element's update
-  // sequence in hint order, so per-element arithmetic matches a sequence of
-  // reference downdates exactly. Rows with no active hint are untouched —
-  // a flush of coordinate hints costs O(k*d), not O(k*d^2).
-  std::vector<double> scales(k);
-  std::vector<std::size_t> active(k);
-  std::vector<std::size_t> touched;
-  touched.reserve(std::min(d_, std::size_t{256}));
-  for (std::size_t i = 0; i < d_; ++i) {
-    std::size_t na = 0;
-    for (std::size_t t = 0; t < k; ++t) {
-      const double s = pending_[t].sigma_v[i] / pending_[t].denom;
-      if (s == 0.0) continue;
-      scales[na] = s;
-      active[na] = t;
-      ++na;
-    }
-    if (na == 0) continue;
-    touched.push_back(i);
-    double* row = sigma_.data() + i * d_;
-    for (std::size_t a = 0; a < na; ++a) {
-      const double s = scales[a];
-      const double* u = pending_[active[a]].sigma_v.data();
-      for (std::size_t j = i; j < d_; ++j) row[j] -= s * u[j];
-    }
-  }
-  // Periodic re-symmetrization: the lower triangle is refreshed from the
-  // canonical upper one at every flush boundary.
-  if (touched.size() * 8 >= d_) {
-    mirror_full(sigma_.data(), d_);
-  } else {
-    for (const std::size_t i : touched) {
-      const double* row = sigma_.data() + i * d_;
-      for (std::size_t j = i + 1; j < d_; ++j) sigma_[j * d_ + i] = row[j];
-    }
-  }
-  pending_.clear();
-}
-
-num::Matrix DbddMatrixEstimator::sigma() const {
-  num::Matrix m(d_, d_);
-  m.data() = sigma_;
-  if (!pending_.empty()) {
-    // Replay flush() on the copy (same per-element arithmetic) without
-    // mutating the estimator.
-    double* sig = m.data().data();
-    for (std::size_t i = 0; i < d_; ++i) {
-      double* row = sig + i * d_;
-      bool any = false;
-      for (const auto& p : pending_) {
-        const double s = p.sigma_v[i] / p.denom;
-        if (s == 0.0) continue;
-        any = true;
-        const double* u = p.sigma_v.data();
-        for (std::size_t j = i; j < d_; ++j) row[j] -= s * u[j];
-      }
-      (void)any;
-    }
-    mirror_full(sig, d_);
-  }
-  return m;
-}
-
-SecurityEstimate DbddMatrixEstimator::estimate() const {
-  return estimate_from_dim_logvol(dim(), logvol());
-}
-
-// ---------------------------------------------------------------------------
-// Reference path (the pre-optimization implementation)
-// ---------------------------------------------------------------------------
 
 DbddMatrixEstimatorReference::DbddMatrixEstimatorReference(const DbddParams& params)
     : error_dim_(params.error_dim), logvol_(0.0) {

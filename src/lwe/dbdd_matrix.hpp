@@ -1,5 +1,5 @@
 #pragma once
-// Full-covariance DBDD estimator (the "full Sigma" companion of the
+// Full-covariance DBDD estimator (the dense "full Sigma" companion of the
 // lightweight dim/log-vol tracker in dbdd.hpp).
 //
 // Maintains the ellipsoid covariance Sigma over all secret+error
@@ -13,22 +13,10 @@
 //     nu    += 1/2 ln((v^T Sigma v + eps) / eps)
 //     Sigma -= Sigma v v^T Sigma / (v^T Sigma v + eps)
 //
-// Paper-scale fast path: Sigma lives in a flat row-major buffer whose upper
-// triangle is canonical — rank-1 downdates touch only row tails and are
-// mirrored into the lower triangle at flush boundaries (the periodic
-// re-symmetrization). Hints are applied lazily: each integrate call records
-// its (Sigma v, denom) pair in a pending block and the accumulated rank-k
-// downdate is flushed in one fused, t-in-order pass, so k hints cost one
-// traversal of Sigma instead of k. Coordinate and few-nonzero directions
-// skip the dense matvec entirely and read Sigma rows directly (rows equal
-// columns by symmetry), and a flush whose pending scales vanish on a row
-// skips that row — a run of coordinate hints is O(k*d), not O(k*d^2).
-//
-// DbddMatrixEstimatorReference keeps the original per-hint dense
-// implementation as the differential anchor. Coordinate-hint-only
-// sequences are bit-identical between the two (the live block of Sigma
-// stays exactly diagonal, every per-element update replays the reference's
-// arithmetic); arbitrary directions agree to 1e-9 (tested).
+// This is the dense anchor the lightweight estimator in dbdd.hpp is tested
+// against: one dense matvec and one full-row rank-1 downdate per hint on a
+// num::Matrix, O(d^2) per hint. No pipeline stage runs it; every hint the
+// attack routes is a coordinate hint and goes to lwe::DbddEstimator.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,78 +30,16 @@ namespace reveal::lwe {
 
 /// Typed result of a hint integration (mirrors the HintPolicy routing
 /// idea from core/hints.hpp: degrade gracefully instead of aborting a
-/// paper-scale sweep on a redundant hint).
+/// hint sequence on a redundant hint).
 enum class HintOutcome : std::uint8_t {
   kApplied,     ///< integrated; dim/log-volume updated
   kDegenerate,  ///< direction already (numerically) determined — rejected
   kExhausted,   ///< would eliminate the last live coordinate — rejected
 };
 
-class DbddMatrixEstimator {
- public:
-  explicit DbddMatrixEstimator(const DbddParams& params);
-
-  /// Coordinate layout: [error_0 .. error_{m-1} | secret_0 .. secret_{n-1}].
-  [[nodiscard]] std::size_t ambient_dim() const noexcept { return d_; }
-  /// DBDD dimension (live coordinates + homogenization).
-  [[nodiscard]] std::size_t dim() const noexcept { return d_ - removed_ + 1; }
-  [[nodiscard]] double logvol() const noexcept { return logvol_.value(); }
-  /// Hints rejected as kDegenerate or kExhausted so far.
-  [[nodiscard]] std::size_t rejected_hints() const noexcept { return rejected_; }
-
-  /// Materializes the current Sigma (pending downdates applied; the
-  /// internal state is not mutated).
-  [[nodiscard]] num::Matrix sigma() const;
-
-  /// Perfect hint along direction `v` (ambient_dim entries).
-  HintOutcome integrate_perfect_hint(const std::vector<double>& v);
-
-  /// Approximate hint with measurement variance `eps` > 0.
-  HintOutcome integrate_approximate_hint(const std::vector<double>& v, double eps);
-
-  /// Convenience: perfect hint on error coordinate i (sparse fast path).
-  HintOutcome integrate_perfect_error_hint(std::size_t i);
-
-  /// Batched perfect hints along arbitrary directions: all matvecs share
-  /// one blocked pass over Sigma and the downdates land as a single fused
-  /// rank-k flush. Results match the one-at-a-time sequence to 1e-9.
-  std::vector<HintOutcome> integrate_perfect_hints(
-      const std::vector<std::vector<double>>& dirs);
-
-  /// Batched perfect hints on ambient coordinates (error or secret index
-  /// into the layout above). Bit-identical to the one-at-a-time sequence.
-  std::vector<HintOutcome> integrate_perfect_coordinate_hints(
-      const std::vector<std::size_t>& coords);
-
-  [[nodiscard]] SecurityEstimate estimate() const;
-
- private:
-  struct PendingHint {
-    std::vector<double> sigma_v;  ///< Sigma v at integration time
-    double denom = 0.0;           ///< v^T Sigma v (+ eps)
-  };
-
-  /// Sigma v under the logical Sigma (stored buffer minus pending
-  /// downdates); returns v^T Sigma v.
-  double apply_logical(const std::vector<double>& v, std::vector<double>& out) const;
-  HintOutcome integrate_direction(const std::vector<double>& v, bool perfect,
-                                  double eps);
-  HintOutcome admit(std::vector<double> sigma_v, double q, bool perfect, double eps);
-  void flush();
-
-  std::size_t error_dim_;
-  std::size_t d_;
-  std::size_t removed_ = 0;
-  std::size_t rejected_ = 0;
-  num::NeumaierSum logvol_;  // normalized: ln Vol(Lambda) - 1/2 ln det Sigma
-  std::vector<double> sigma_;  ///< flat row-major d_*d_, canonical upper triangle
-  std::vector<PendingHint> pending_;
-};
-
-/// The pre-optimization implementation: one dense matvec and one full-row
-/// rank-1 downdate per hint on a num::Matrix. Kept as the differential
-/// anchor for the blocked/sparse/batched fast paths above (same public
-/// surface, so fuzz drivers run both classes through identical sequences).
+/// Coordinate layout: [error_0 .. error_{m-1} | secret_0 .. secret_{n-1}].
+/// Degenerate and exhausting hints are rejected with a typed HintOutcome
+/// and counted in rejected_hints().
 class DbddMatrixEstimatorReference {
  public:
   explicit DbddMatrixEstimatorReference(const DbddParams& params);

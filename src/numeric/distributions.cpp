@@ -4,13 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
-#include <stdexcept>
 
 namespace reveal::num {
 
 namespace {
-
-constexpr double kInvSqrt2Pi = 0.3989422804014327;  // 1/sqrt(2*pi)
 
 /// P(lo < N(0,sigma) <= hi).
 double normal_interval(double lo, double hi, double sigma) noexcept {
@@ -23,13 +20,6 @@ double clip_mass(double sigma, double max_dev) noexcept {
 }
 
 }  // namespace
-
-double normal_pdf(double x) noexcept { return kInvSqrt2Pi * std::exp(-0.5 * x * x); }
-
-double normal_pdf(double x, double mu, double sigma) noexcept {
-  const double z = (x - mu) / sigma;
-  return kInvSqrt2Pi / sigma * std::exp(-0.5 * z * z);
-}
 
 double normal_cdf(double x) noexcept {
   return 0.5 * std::erfc(-x * std::numbers::sqrt2 / 2.0);
@@ -70,25 +60,6 @@ double positive_tail_variance(double sigma, double max_dev) noexcept {
     acc += p * (k - mu) * (k - mu);
   }
   return mass > 0.0 ? acc / mass : 0.0;
-}
-
-double zero_probability(double sigma, double max_dev) noexcept {
-  return rounded_clipped_normal_pmf(0, sigma, max_dev);
-}
-
-std::vector<double> normalize_probabilities(std::vector<double> scores) {
-  double total = 0.0;
-  for (double s : scores) {
-    if (s < 0.0) throw std::invalid_argument("normalize_probabilities: negative score");
-    total += s;
-  }
-  if (total <= 0.0) {
-    const double u = scores.empty() ? 0.0 : 1.0 / static_cast<double>(scores.size());
-    std::fill(scores.begin(), scores.end(), u);
-    return scores;
-  }
-  for (double& s : scores) s /= total;
-  return scores;
 }
 
 std::vector<double> log_scores_to_posterior(const std::vector<double>& log_scores) {
@@ -132,34 +103,6 @@ std::vector<double> log_scores_to_posterior(const std::vector<double>& log_score
   // can never be 0/0 here.
   for (double& p : probs) p /= total;
   return probs;
-}
-
-double entropy_bits(const std::vector<double>& probs) noexcept {
-  double h = 0.0;
-  for (double p : probs) {
-    if (p > 0.0) h -= p * std::log2(p);
-  }
-  return h;
-}
-
-double distribution_variance(const std::vector<int>& support,
-                             const std::vector<double>& probs) {
-  const double mu = distribution_mean(support, probs);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < support.size(); ++i) {
-    const double d = support[i] - mu;
-    acc += probs[i] * d * d;
-  }
-  return acc;
-}
-
-double distribution_mean(const std::vector<int>& support,
-                         const std::vector<double>& probs) {
-  if (support.size() != probs.size())
-    throw std::invalid_argument("distribution_mean: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < support.size(); ++i) acc += probs[i] * support[i];
-  return acc;
 }
 
 }  // namespace reveal::num

@@ -7,12 +7,6 @@
 
 namespace reveal::num {
 
-/// Standard normal probability density at x.
-double normal_pdf(double x) noexcept;
-
-/// Normal density with mean mu and standard deviation sigma.
-double normal_pdf(double x, double mu, double sigma) noexcept;
-
 /// Standard normal cumulative distribution function.
 double normal_cdf(double x) noexcept;
 
@@ -28,27 +22,8 @@ double positive_tail_mean(double sigma, double max_dev) noexcept;
 /// Variance of X conditioned on X > 0 for the rounded clipped normal.
 double positive_tail_variance(double sigma, double max_dev) noexcept;
 
-/// Probability that the rounded clipped normal equals zero.
-double zero_probability(double sigma, double max_dev) noexcept;
-
-/// Normalizes a vector of non-negative scores into probabilities.
-/// All-zero input yields the uniform distribution.
-std::vector<double> normalize_probabilities(std::vector<double> scores);
-
 /// Converts log-likelihood scores to posterior probabilities with a
 /// numerically stable softmax (uniform prior).
 std::vector<double> log_scores_to_posterior(const std::vector<double>& log_scores);
-
-/// Shannon entropy (bits) of a probability vector.
-double entropy_bits(const std::vector<double>& probs) noexcept;
-
-/// Variance of an integer-supported distribution given probabilities
-/// aligned with `support`.
-double distribution_variance(const std::vector<int>& support,
-                             const std::vector<double>& probs);
-
-/// Mean of an integer-supported distribution.
-double distribution_mean(const std::vector<int>& support,
-                         const std::vector<double>& probs);
 
 }  // namespace reveal::num

@@ -27,13 +27,6 @@ Matrix Matrix::diagonal(const std::vector<double>& diag) {
   return m;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
 Matrix Matrix::operator*(const Matrix& rhs) const {
   if (cols_ != rhs.rows_) throw std::invalid_argument("Matrix multiply: shape mismatch");
   Matrix out(rows_, rhs.cols_);
@@ -52,14 +45,6 @@ Matrix Matrix::operator+(const Matrix& rhs) const {
     throw std::invalid_argument("Matrix add: shape mismatch");
   Matrix out = *this;
   for (std::size_t i = 0; i < out.data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
-    throw std::invalid_argument("Matrix sub: shape mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < out.data_.size(); ++i) out.data_[i] -= rhs.data_[i];
   return out;
 }
 
@@ -147,14 +132,5 @@ void add_ridge(Matrix& a, double value) {
   const std::size_t n = a.rows() < a.cols() ? a.rows() : a.cols();
   for (std::size_t i = 0; i < n; ++i) a(i, i) += value;
 }
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double norm(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
 }  // namespace reveal::num

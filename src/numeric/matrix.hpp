@@ -49,10 +49,8 @@ class Matrix {
   /// Square matrix with `diag` on the diagonal.
   static Matrix diagonal(const std::vector<double>& diag);
 
-  Matrix transposed() const;
   Matrix operator*(const Matrix& rhs) const;
   Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
   Matrix& operator*=(double scalar);
 
   /// Matrix-vector product (v.size() must equal cols()).
@@ -85,11 +83,5 @@ Matrix invert_spd(const Matrix& a);
 /// Adds `value` to every diagonal entry — ridge regularization for nearly
 /// singular pooled covariance matrices.
 void add_ridge(Matrix& a, double value);
-
-/// Dot product (sizes must match).
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Euclidean norm.
-double norm(const std::vector<double>& a);
 
 }  // namespace reveal::num

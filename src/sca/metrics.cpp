@@ -1,6 +1,5 @@
 #include "sca/metrics.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace reveal::sca {
@@ -41,13 +40,6 @@ double RankAccumulator::success_rate_at(std::size_t k) const {
   std::size_t hits = 0;
   for (const std::size_t r : ranks_) hits += (r <= k);
   return static_cast<double>(hits) / static_cast<double>(ranks_.size());
-}
-
-std::size_t RankAccumulator::median_rank() const {
-  if (ranks_.empty()) return 0;
-  std::vector<std::size_t> sorted = ranks_;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted[sorted.size() / 2];
 }
 
 }  // namespace reveal::sca

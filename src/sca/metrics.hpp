@@ -25,8 +25,6 @@ class RankAccumulator {
   [[nodiscard]] double guessing_entropy() const;
   /// Fraction (0..1) of measurements whose true value ranked <= k.
   [[nodiscard]] double success_rate_at(std::size_t k) const;
-  /// Median rank.
-  [[nodiscard]] std::size_t median_rank() const;
 
  private:
   std::vector<std::size_t> ranks_;

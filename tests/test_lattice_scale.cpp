@@ -1,13 +1,12 @@
-// Differential suite for the paper-scale lattice plane: the blocked /
-// sparse / batched DBDD matrix fast paths vs the dense per-hint reference,
-// the maintained FlatGso vs compute_gso, the fast BKZ loop vs the
-// per-position-recompute reference, the CN11-style BKZ simulator vs its
-// naive anchor, and the WorkerPool hint sweeps' worker-count invariance.
+// Differential suite for the paper-scale lattice plane: the dense full-Sigma
+// DBDD reference's typed exhaustion and its agreement with the lightweight
+// estimator at the paper's dimensions, the maintained FlatGso vs
+// compute_gso, the fast BKZ loop vs the per-position-recompute reference,
+// and the CN11-style BKZ simulator vs its naive anchor.
 //
 // Registered under both the ASan/UBSan and TSan configs (see
-// tests/CMakeLists.txt): the flat Sigma/GSO buffers are the riskiest
-// pointer arithmetic in the analysis plane, and the sweep fans out over
-// the work-stealing pool.
+// tests/CMakeLists.txt): the flat GSO buffers and the simulator's prefix
+// sums are the riskiest pointer arithmetic in the analysis plane.
 
 #include <gtest/gtest.h>
 
@@ -18,14 +17,12 @@
 #include <random>
 #include <vector>
 
-#include "core/hint_sweep.hpp"
 #include "lattice/bkz_sim.hpp"
 #include "lattice/lattice.hpp"
 #include "lwe/dbdd.hpp"
 #include "lwe/dbdd_matrix.hpp"
 
 using namespace reveal;
-using lwe::DbddMatrixEstimator;
 using lwe::DbddMatrixEstimatorReference;
 using lwe::HintOutcome;
 
@@ -42,27 +39,6 @@ lwe::DbddParams tight_params(std::size_t n) {
   return p;
 }
 
-double max_sigma_diff(const num::Matrix& a, const num::Matrix& b) {
-  double md = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      md = std::max(md, std::fabs(a(i, j) - b(i, j)));
-  return md;
-}
-
-std::vector<double> random_unit_dir(std::mt19937_64& rng, std::size_t dim) {
-  std::normal_distribution<double> gauss;
-  std::vector<double> v(dim);
-  double nsq = 0.0;
-  for (double& x : v) {
-    x = gauss(rng);
-    nsq += x * x;
-  }
-  const double inv = 1.0 / std::sqrt(nsq);
-  for (double& x : v) x *= inv;
-  return v;
-}
-
 lattice::Basis random_basis(std::mt19937_64& rng, std::size_t n, int spread,
                             int diag) {
   lattice::Basis basis(n, std::vector<std::int64_t>(n, 0));
@@ -77,117 +53,11 @@ lattice::Basis random_basis(std::mt19937_64& rng, std::size_t n, int spread,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Matrix estimator: fast vs reference differential fuzz.
-
-TEST(MatrixDifferential, MixedSequencesAgreeWithReference) {
-  std::mt19937_64 rng(0xfeedULL);
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 12 + 10 * static_cast<std::size_t>(trial % 3);
-    const auto params = tight_params(n);
-    const std::size_t ambient = 2 * n;
-    DbddMatrixEstimator fast(params);
-    DbddMatrixEstimatorReference ref(params);
-
-    std::uniform_int_distribution<int> op_pick(0, 4);
-    std::uniform_int_distribution<std::size_t> coord_pick(0, ambient - 1);
-    std::uniform_real_distribution<double> eps_pick(0.3, 2.0);
-    std::vector<double> last_dir;
-    for (int step = 0; step < 40; ++step) {
-      switch (op_pick(rng)) {
-        case 0: {  // coordinate perfect hint
-          const std::size_t c = coord_pick(rng);
-          EXPECT_EQ(fast.integrate_perfect_coordinate_hints({c}),
-                    ref.integrate_perfect_coordinate_hints({c}));
-          break;
-        }
-        case 1: {  // dense perfect hint
-          last_dir = random_unit_dir(rng, ambient);
-          EXPECT_EQ(fast.integrate_perfect_hint(last_dir),
-                    ref.integrate_perfect_hint(last_dir));
-          break;
-        }
-        case 2: {  // dense approximate hint
-          const auto v = random_unit_dir(rng, ambient);
-          const double eps = eps_pick(rng);
-          EXPECT_EQ(fast.integrate_approximate_hint(v, eps),
-                    ref.integrate_approximate_hint(v, eps));
-          break;
-        }
-        case 3: {  // batched dense perfect hints
-          std::vector<std::vector<double>> dirs;
-          for (int k = 0; k < 3; ++k) dirs.push_back(random_unit_dir(rng, ambient));
-          EXPECT_EQ(fast.integrate_perfect_hints(dirs),
-                    ref.integrate_perfect_hints(dirs));
-          break;
-        }
-        default: {  // repeated direction: exercise the degenerate path
-          if (last_dir.empty()) break;
-          EXPECT_EQ(fast.integrate_perfect_hint(last_dir),
-                    ref.integrate_perfect_hint(last_dir));
-          break;
-        }
-      }
-    }
-    EXPECT_EQ(fast.dim(), ref.dim());
-    EXPECT_EQ(fast.rejected_hints(), ref.rejected_hints());
-    EXPECT_NEAR(fast.logvol(), ref.logvol(),
-                1e-9 * std::max(1.0, std::fabs(ref.logvol())));
-    EXPECT_NEAR(fast.estimate().beta, ref.estimate().beta, 1e-9);
-    EXPECT_LE(max_sigma_diff(fast.sigma(), ref.sigma()), 1e-9);
-  }
-}
-
-TEST(MatrixDifferential, CoordinateSequencesAreBitIdentical) {
-  std::mt19937_64 rng(0xc0ffeeULL);
-  for (int trial = 0; trial < 4; ++trial) {
-    const auto params = tight_params(24);
-    DbddMatrixEstimator fast(params);
-    DbddMatrixEstimatorReference ref(params);
-    std::uniform_int_distribution<std::size_t> coord_pick(0, 47);
-    for (int step = 0; step < 40; ++step) {
-      const std::size_t c = coord_pick(rng);
-      ASSERT_EQ(fast.integrate_perfect_coordinate_hints({c}),
-                ref.integrate_perfect_coordinate_hints({c}));
-    }
-    // Coordinate-only sequences replay the reference arithmetic exactly.
-    EXPECT_EQ(fast.logvol(), ref.logvol());
-    EXPECT_EQ(fast.estimate().beta, ref.estimate().beta);
-    EXPECT_EQ(max_sigma_diff(fast.sigma(), ref.sigma()), 0.0);
-  }
-}
-
-TEST(MatrixDifferential, BatchedCoordinateHintsMatchSequentialBitExactly) {
-  const auto params = tight_params(24);
-  std::vector<std::size_t> coords = {3, 17, 40, 3, 9, 47, 22, 9, 31, 0};
-  DbddMatrixEstimator batched(params);
-  DbddMatrixEstimator sequential(params);
-  const auto batch_out = batched.integrate_perfect_coordinate_hints(coords);
-  std::vector<HintOutcome> seq_out;
-  for (const std::size_t c : coords)
-    seq_out.push_back(sequential.integrate_perfect_coordinate_hints({c})[0]);
-  EXPECT_EQ(batch_out, seq_out);
-  EXPECT_EQ(batched.logvol(), sequential.logvol());
-  EXPECT_EQ(max_sigma_diff(batched.sigma(), sequential.sigma()), 0.0);
-}
-
-TEST(MatrixDifferential, BatchedDenseHintsMatchSequential) {
-  std::mt19937_64 rng(99);
-  const auto params = tight_params(20);
-  std::vector<std::vector<double>> dirs;
-  for (int k = 0; k < 9; ++k) dirs.push_back(random_unit_dir(rng, 40));
-  DbddMatrixEstimator batched(params);
-  DbddMatrixEstimator sequential(params);
-  const auto batch_out = batched.integrate_perfect_hints(dirs);
-  std::vector<HintOutcome> seq_out;
-  for (const auto& v : dirs) seq_out.push_back(sequential.integrate_perfect_hint(v));
-  EXPECT_EQ(batch_out, seq_out);
-  EXPECT_NEAR(batched.logvol(), sequential.logvol(), 1e-9);
-  EXPECT_LE(max_sigma_diff(batched.sigma(), sequential.sigma()), 1e-9);
-}
+// Full-Sigma reference estimator.
 
 TEST(MatrixOutcomes, ExhaustionIsTypedNotThrown) {
   lwe::DbddParams p = tight_params(3);  // ambient dim 6
-  DbddMatrixEstimator est(p);
+  DbddMatrixEstimatorReference est(p);
   std::size_t applied = 0;
   std::vector<HintOutcome> tail;
   for (std::size_t c = 0; c < 6; ++c) {
@@ -196,7 +66,7 @@ TEST(MatrixOutcomes, ExhaustionIsTypedNotThrown) {
     tail.push_back(out);
   }
   // d - 1 = 5 coordinates can be eliminated; the sixth must be a typed
-  // rejection (never a throw mid-sweep).
+  // rejection (never a throw mid-sequence).
   EXPECT_EQ(applied, 5u);
   EXPECT_EQ(tail.back(), HintOutcome::kExhausted);
   EXPECT_EQ(est.dim(), 2u);
@@ -204,38 +74,6 @@ TEST(MatrixOutcomes, ExhaustionIsTypedNotThrown) {
   std::vector<double> v(6, 0.0);
   v[5] = 1.0;
   EXPECT_EQ(est.integrate_approximate_hint(v, 1.0), HintOutcome::kApplied);
-}
-
-TEST(MatrixNeumaier, TenThousandHintLogvolStaysTight) {
-  // Satellite regression: 10k approximate hints accumulate the log-volume
-  // through the Neumaier-compensated sum; fast and reference must agree to
-  // ~1e-9 ABSOLUTE after the whole sequence (a naive double accumulator
-  // drifts well past that across 10k heterogeneous contributions), and the
-  // periodically re-symmetrized Sigma must stay symmetric and close to the
-  // reference's.
-  const auto params = tight_params(24);
-  DbddMatrixEstimator fast(params);
-  DbddMatrixEstimatorReference ref(params);
-  std::mt19937_64 rng(2024);
-  std::uniform_int_distribution<std::size_t> coord_pick(0, 47);
-  std::uniform_real_distribution<double> eps_pick(0.8, 40.0);
-  std::vector<double> v(48, 0.0);
-  for (int step = 0; step < 10000; ++step) {
-    const std::size_t c = coord_pick(rng);
-    const double eps = eps_pick(rng);
-    v[c] = 1.0;
-    ASSERT_EQ(fast.integrate_approximate_hint(v, eps),
-              ref.integrate_approximate_hint(v, eps));
-    v[c] = 0.0;
-  }
-  EXPECT_NEAR(fast.logvol(), ref.logvol(), 1e-9);
-  const num::Matrix sf = fast.sigma();
-  double max_asym = 0.0;
-  for (std::size_t i = 0; i < sf.rows(); ++i)
-    for (std::size_t j = i + 1; j < sf.cols(); ++j)
-      max_asym = std::max(max_asym, std::fabs(sf(i, j) - sf(j, i)));
-  EXPECT_EQ(max_asym, 0.0);  // mirrored upper triangle is canonical
-  EXPECT_LE(max_sigma_diff(sf, ref.sigma()), 1e-9);
 }
 
 TEST(MatrixLite, AgreesWithLightweightAtPaperDims) {
@@ -246,7 +84,7 @@ TEST(MatrixLite, AgreesWithLightweightAtPaperDims) {
   p.secret_dim = p.error_dim = 1024;
   p.q = 132120577.0;
   p.secret_variance = p.error_variance = 3.2 * 3.2;
-  DbddMatrixEstimator full(p);
+  DbddMatrixEstimatorReference full(p);
   lwe::DbddEstimator lite(p);
   std::vector<std::size_t> coords;
   for (std::size_t i = 0; i < 200; ++i) coords.push_back(i);
@@ -532,77 +370,4 @@ TEST(BkzSimAnchor, SmallDimensionActualReductionAnchor) {
   const double gh_log = lattice::log_gaussian_heuristic(
       basis.size(), static_cast<double>(det_proxy));
   EXPECT_LE(found_log, gh_log + 1.5);  // within e^1.5 of the GH radius
-}
-
-// ---------------------------------------------------------------------------
-// Hint sweeps: worker-count invariance and statistics.
-
-TEST(HintSweep, WorkerCountInvariance) {
-  core::HintSweepConfig cfg;
-  cfg.params = tight_params(96);
-  cfg.counts = {16, 48, 80};
-  cfg.orders = 5;
-  cfg.base_seed = 7;
-  std::vector<core::SweepHint> pool(96);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    pool[i].kind = i % 3 == 0 ? core::SweepHint::Kind::kPerfect
-                 : i % 3 == 1 ? core::SweepHint::Kind::kApproximate
-                              : core::SweepHint::Kind::kPosterior;
-    pool[i].variance = 0.4 + 0.2 * static_cast<double>(i % 4);
-  }
-  cfg.num_workers = 0;
-  const auto lite0 = core::run_hint_sweep(cfg, pool);
-  const auto mat0 = core::run_matrix_hint_sweep(cfg, pool);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    cfg.num_workers = workers;
-    EXPECT_EQ(core::run_hint_sweep(cfg, pool).betas, lite0.betas)
-        << workers << " workers";
-    EXPECT_EQ(core::run_matrix_hint_sweep(cfg, pool).betas, mat0.betas)
-        << workers << " workers (matrix)";
-  }
-  // Cell statistics are a pure function of the beta grid.
-  ASSERT_EQ(lite0.cells.size(), cfg.counts.size());
-  std::size_t total = 0;
-  for (std::size_t ci = 0; ci < lite0.cells.size(); ++ci) {
-    const auto& cell = lite0.cells[ci];
-    EXPECT_EQ(cell.count, cfg.counts[ci]);
-    EXPECT_EQ(cell.beta.count(), cfg.orders);
-    double lo = 1e300, hi = -1e300;
-    for (std::size_t oi = 0; oi < cfg.orders; ++oi) {
-      lo = std::min(lo, lite0.betas[ci * cfg.orders + oi]);
-      hi = std::max(hi, lite0.betas[ci * cfg.orders + oi]);
-    }
-    EXPECT_EQ(cell.beta.min(), lo);
-    EXPECT_EQ(cell.beta.max(), hi);
-    total += cfg.orders;
-  }
-  EXPECT_EQ(lite0.overall_beta.count(), total);
-}
-
-TEST(HintSweep, MoreHintsLowerTheCurve) {
-  core::HintSweepConfig cfg;
-  cfg.params = tight_params(96);
-  cfg.counts = {0, 16, 48};
-  cfg.orders = 4;
-  std::vector<core::SweepHint> pool(96);  // all perfect
-  cfg.num_workers = 2;
-  const auto r = core::run_hint_sweep(cfg, pool);
-  EXPECT_GE(r.cells[0].beta.mean(), r.cells[1].beta.mean());
-  EXPECT_GT(r.cells[1].beta.mean(), r.cells[2].beta.mean());
-}
-
-TEST(HintSweep, Validation) {
-  core::HintSweepConfig cfg;
-  cfg.params = tight_params(8);
-  cfg.counts = {4};
-  std::vector<core::SweepHint> pool(8);
-  cfg.orders = 0;
-  EXPECT_THROW((void)core::run_hint_sweep(cfg, pool), std::invalid_argument);
-  cfg.orders = 2;
-  cfg.counts = {};
-  EXPECT_THROW((void)core::run_hint_sweep(cfg, pool), std::invalid_argument);
-  cfg.counts = {9};  // exceeds pool
-  EXPECT_THROW((void)core::run_hint_sweep(cfg, pool), std::invalid_argument);
-  cfg.counts = {4};
-  EXPECT_NO_THROW((void)core::run_hint_sweep(cfg, pool));
 }

@@ -191,26 +191,6 @@ TEST(Dbdd, HintsMonotonicallyReduceBeta) {
   }
 }
 
-TEST(Dbdd, ApproximateHintStrengthIsMonotoneInMeasurementNoise) {
-  // Smaller measurement variance => stronger hint => smaller beta. (For
-  // near-exact measurements the DDGR20 framework — and our hint bridge in
-  // core/hints.cpp — promotes the hint to a *perfect* one, which also
-  // shrinks the dimension; the raw conditioning update keeps the
-  // coordinate, so it is strictly weaker than a perfect hint.)
-  const double baseline = estimate_lwe_security(seal128_params()).beta;
-  double prev = baseline;
-  for (const double eps : {100.0, 10.0, 1.0, 0.01}) {
-    DbddEstimator est(seal128_params());
-    est.integrate_approximate_error_hints(eps, 512);
-    const double beta = est.estimate().beta;
-    EXPECT_LT(beta, prev + 1e-9) << eps;
-    prev = beta;
-  }
-  DbddEstimator perfect(seal128_params());
-  perfect.integrate_perfect_error_hints(512);
-  EXPECT_LE(perfect.estimate().beta, prev + 1e-9);
-}
-
 TEST(Dbdd, PosteriorHintsReduceSecurity) {
   const double baseline = estimate_lwe_security(seal128_params()).beta;
   DbddEstimator est(seal128_params());
@@ -228,21 +208,18 @@ TEST(Dbdd, DimensionTracking) {
   est.integrate_perfect_error_hints(10);
   EXPECT_EQ(est.dim(), 2039u);
   EXPECT_EQ(est.live_error_coords(), 1014u);
-  est.integrate_perfect_secret_hints(4);
-  EXPECT_EQ(est.live_secret_coords(), 1020u);
 }
 
 TEST(Dbdd, ParameterValidation) {
   DbddParams bad;
   EXPECT_THROW(DbddEstimator{bad}, std::invalid_argument);
   DbddEstimator est(seal128_params());
-  EXPECT_THROW(est.integrate_approximate_error_hints(-1.0, 1), std::invalid_argument);
   EXPECT_THROW(est.integrate_posterior_error_hints(0.0, 1), std::invalid_argument);
   EXPECT_THROW(est.integrate_perfect_error_hints(5000), std::logic_error);
 }
 
 TEST(Dbdd, SingleHintCallsEqualOneBatchedCall) {
-  // Every approximate or posterior hint lands on its own fresh coordinate,
+  // Every posterior hint lands on its own fresh coordinate,
   // so the per-guess loops (one call per hint) integrate exactly what one
   // batched call does — down to the last bit of the estimate.
   const auto expect_same = [](const DbddEstimator& a, const DbddEstimator& b) {
@@ -257,12 +234,6 @@ TEST(Dbdd, SingleHintCallsEqualOneBatchedCall) {
   expect_same(single, batched);
   EXPECT_LT(single.estimate().beta, estimate_lwe_security(seal128_params()).beta - 10.0);
 
-  DbddEstimator approx_single(seal128_params());
-  DbddEstimator approx_batched(seal128_params());
-  for (int i = 0; i < 300; ++i) approx_single.integrate_approximate_error_hints(0.5, 1);
-  approx_batched.integrate_approximate_error_hints(0.5, 300);
-  expect_same(approx_single, approx_batched);
-
   // Interleaved with perfect hints (the campaign engine's mix): perfect
   // hints take fresh coordinates too, so order does not matter.
   DbddEstimator mixed(seal128_params());
@@ -270,10 +241,8 @@ TEST(Dbdd, SingleHintCallsEqualOneBatchedCall) {
   for (int i = 0; i < 200; ++i) {
     mixed.integrate_posterior_error_hints(2.0, 1);
     mixed.integrate_perfect_error_hints(1);
-    mixed.integrate_approximate_error_hints(0.5, 1);
   }
   grouped.integrate_posterior_error_hints(2.0, 200);
-  grouped.integrate_approximate_error_hints(0.5, 200);
   grouped.integrate_perfect_error_hints(200);
   expect_same(mixed, grouped);
   EXPECT_EQ(mixed.live_error_coords(), 1024u - 200u);
@@ -285,7 +254,6 @@ TEST(Dbdd, PerfectHintsTakeFreshCoordinatesFirst) {
   est.integrate_perfect_error_hints(24);  // the 24 fresh coordinates
   EXPECT_EQ(est.live_error_coords(), 1000u);
   EXPECT_THROW(est.integrate_posterior_error_hints(3.0, 1), std::logic_error);
-  EXPECT_THROW(est.integrate_approximate_error_hints(3.0, 1), std::logic_error);
   // A guess on an already sign-hinted coordinate (Table IV's "1 guess").
   const double before = est.estimate().beta;
   est.integrate_perfect_error_hints(1);
@@ -297,29 +265,6 @@ TEST(Dbdd, PerfectHintsTakeFreshCoordinatesFirst) {
 TEST(Dbdd, BikzToBitsConvention) {
   // Footnote 3: 382.25 bikz corresponds to 128 bits.
   EXPECT_NEAR(382.25 / kBikzPerBit, 128.0, 1e-9);
-}
-
-TEST(Dbdd, ModularHintsReduceBeta) {
-  const double baseline = estimate_lwe_security(seal128_params()).beta;
-  double prev = baseline;
-  for (const double k : {2.0, 4.0, 16.0}) {
-    DbddEstimator est(seal128_params());
-    est.integrate_modular_error_hints(k, 1024);
-    const double beta = est.estimate().beta;
-    EXPECT_LT(beta, prev) << k;
-    prev = beta;
-  }
-  DbddEstimator bad(seal128_params());
-  EXPECT_THROW(bad.integrate_modular_error_hints(1.5, 1), std::invalid_argument);
-  EXPECT_THROW(bad.integrate_modular_error_hints(2.0, 5000), std::logic_error);
-}
-
-TEST(Dbdd, ModularHintWeakerThanPerfect) {
-  DbddEstimator modular(seal128_params());
-  modular.integrate_modular_error_hints(4.0, 1024);
-  DbddEstimator perfect(seal128_params());
-  perfect.integrate_perfect_error_hints(1024);
-  EXPECT_GT(modular.estimate().beta, perfect.estimate().beta);
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +287,7 @@ DbddParams small_params() {
 }  // namespace
 
 TEST(DbddMatrix, AgreesWithLiteOnNoHints) {
-  const DbddMatrixEstimator full(small_params());
+  const DbddMatrixEstimatorReference full(small_params());
   const DbddEstimator lite(small_params());
   EXPECT_EQ(full.dim(), lite.dim());
   EXPECT_NEAR(full.logvol(), lite.logvol(), 1e-9);
@@ -350,7 +295,7 @@ TEST(DbddMatrix, AgreesWithLiteOnNoHints) {
 }
 
 TEST(DbddMatrix, AgreesWithLiteOnCoordinateHints) {
-  DbddMatrixEstimator full(small_params());
+  DbddMatrixEstimatorReference full(small_params());
   DbddEstimator lite(small_params());
   for (std::size_t i = 0; i < 16; ++i) full.integrate_perfect_error_hint(i);
   lite.integrate_perfect_error_hints(16);
@@ -359,26 +304,12 @@ TEST(DbddMatrix, AgreesWithLiteOnCoordinateHints) {
   EXPECT_NEAR(full.estimate().beta, lite.estimate().beta, 0.1);
 }
 
-TEST(DbddMatrix, ApproximateCoordinateHintsAgreeWithLite) {
-  DbddMatrixEstimator full(small_params());
-  DbddEstimator lite(small_params());
-  const double eps = 0.5;
-  for (std::size_t i = 0; i < 8; ++i) {
-    std::vector<double> v(96, 0.0);
-    v[i] = 1.0;
-    full.integrate_approximate_hint(v, eps);
-  }
-  lite.integrate_approximate_error_hints(eps, 8);
-  EXPECT_NEAR(full.logvol(), lite.logvol(), 1e-6);
-  EXPECT_NEAR(full.estimate().beta, lite.estimate().beta, 0.1);
-}
-
 TEST(DbddMatrix, AgreesWithLiteOnSingleHintsAtDistinctIndices) {
   // One call per hint, each on the next error coordinate of the full
-  // estimator: approximate hints directly, posterior replacements as the
-  // approximate hint that conditions the prior to the same variance, and
-  // perfect hints in between.
-  DbddMatrixEstimator full(small_params());
+  // estimator: posterior replacements as the approximate hint that
+  // conditions the prior to the same variance, and perfect hints in
+  // between.
+  DbddMatrixEstimatorReference full(small_params());
   DbddEstimator lite(small_params());
   const double prior = small_params().error_variance;
   std::size_t next = 0;
@@ -388,10 +319,6 @@ TEST(DbddMatrix, AgreesWithLiteOnSingleHintsAtDistinctIndices) {
     return v;
   };
   for (std::size_t k = 0; k < 10; ++k) {
-    const double eps = 0.25 + 0.1 * static_cast<double>(k);
-    ASSERT_EQ(full.integrate_approximate_hint(coordinate(), eps), HintOutcome::kApplied);
-    lite.integrate_approximate_error_hints(eps, 1);
-
     const double posterior = 0.5 + 0.05 * static_cast<double>(k);
     ASSERT_EQ(full.integrate_approximate_hint(coordinate(),
                                               prior * posterior / (prior - posterior)),
@@ -408,8 +335,31 @@ TEST(DbddMatrix, AgreesWithLiteOnSingleHintsAtDistinctIndices) {
   EXPECT_NEAR(full.estimate().beta, lite.estimate().beta, 0.1);
 }
 
+TEST(DbddMatrix, PerfectHintOnHintedCoordinateAgreesWithLite) {
+  // Table IV's "+1 guess": a perfect hint that lands after the fresh
+  // coordinates ran out, on a coordinate that already carries a posterior
+  // hint. The lite estimator drops its last hinted coordinate (47); the
+  // full estimator conditions that same coordinate away.
+  DbddMatrixEstimatorReference full(small_params());
+  DbddEstimator lite(small_params());
+  const double prior = small_params().error_variance;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const double posterior = 0.5 + 0.02 * static_cast<double>(i);
+    std::vector<double> v(96, 0.0);
+    v[i] = 1.0;
+    ASSERT_EQ(full.integrate_approximate_hint(v, prior * posterior / (prior - posterior)),
+              HintOutcome::kApplied);
+    lite.integrate_posterior_error_hints(posterior, 1);
+  }
+  ASSERT_EQ(full.integrate_perfect_error_hint(47), HintOutcome::kApplied);
+  lite.integrate_perfect_error_hints(1);
+  EXPECT_EQ(full.dim(), lite.dim());
+  EXPECT_NEAR(full.logvol(), lite.logvol(), 1e-9);
+  EXPECT_EQ(full.estimate().beta, lite.estimate().beta);
+}
+
 TEST(DbddMatrix, GeneralDirectionHintsReduceBeta) {
-  DbddMatrixEstimator est(small_params());
+  DbddMatrixEstimatorReference est(small_params());
   const double baseline = est.estimate().beta;
   // Aggregate hints: <e, v> with v = e_i + e_{i+1} (e.g. a leakage of the
   // SUM of two coefficients — inexpressible in the coordinate-only lite
@@ -424,14 +374,14 @@ TEST(DbddMatrix, GeneralDirectionHintsReduceBeta) {
 }
 
 TEST(DbddMatrix, RepeatedDirectionIsDegenerate) {
-  DbddMatrixEstimator est(small_params());
+  DbddMatrixEstimatorReference est(small_params());
   std::vector<double> v(96, 0.0);
   v[3] = 1.0;
   EXPECT_EQ(est.integrate_perfect_hint(v), HintOutcome::kApplied);
   const double logvol = est.logvol();
   const std::size_t dim = est.dim();
   // Regression (used to throw std::logic_error): a repeated hint sequence
-  // must be survivable mid-sweep — typed rejection, state untouched.
+  // must be survivable mid-sequence — typed rejection, state untouched.
   for (int rep = 0; rep < 3; ++rep) {
     EXPECT_EQ(est.integrate_perfect_hint(v), HintOutcome::kDegenerate);
     EXPECT_EQ(est.logvol(), logvol);
@@ -449,8 +399,8 @@ TEST(DbddMatrix, RepeatedDirectionIsDegenerate) {
 
 TEST(DbddMatrix, Validation) {
   DbddParams bad;
-  EXPECT_THROW(DbddMatrixEstimator{bad}, std::invalid_argument);
-  DbddMatrixEstimator est(small_params());
+  EXPECT_THROW(DbddMatrixEstimatorReference{bad}, std::invalid_argument);
+  DbddMatrixEstimatorReference est(small_params());
   EXPECT_THROW(est.integrate_perfect_hint(std::vector<double>(3, 1.0)),
                std::invalid_argument);
   EXPECT_THROW(est.integrate_approximate_hint(std::vector<double>(96, 1.0), 0.0),
