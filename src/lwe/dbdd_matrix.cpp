@@ -100,14 +100,6 @@ HintOutcome DbddMatrixEstimatorReference::integrate_perfect_error_hint(std::size
   return integrate_perfect_hint(v);
 }
 
-std::vector<HintOutcome> DbddMatrixEstimatorReference::integrate_perfect_hints(
-    const std::vector<std::vector<double>>& dirs) {
-  std::vector<HintOutcome> out;
-  out.reserve(dirs.size());
-  for (const auto& v : dirs) out.push_back(integrate_perfect_hint(v));
-  return out;
-}
-
 std::vector<HintOutcome>
 DbddMatrixEstimatorReference::integrate_perfect_coordinate_hints(
     const std::vector<std::size_t>& coords) {

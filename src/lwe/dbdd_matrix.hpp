@@ -44,17 +44,13 @@ class DbddMatrixEstimatorReference {
  public:
   explicit DbddMatrixEstimatorReference(const DbddParams& params);
 
-  [[nodiscard]] std::size_t ambient_dim() const noexcept { return sigma_.rows(); }
   [[nodiscard]] std::size_t dim() const noexcept { return sigma_.rows() - removed_ + 1; }
   [[nodiscard]] double logvol() const noexcept { return logvol_.value(); }
   [[nodiscard]] std::size_t rejected_hints() const noexcept { return rejected_; }
-  [[nodiscard]] num::Matrix sigma() const { return sigma_; }
 
   HintOutcome integrate_perfect_hint(const std::vector<double>& v);
   HintOutcome integrate_approximate_hint(const std::vector<double>& v, double eps);
   HintOutcome integrate_perfect_error_hint(std::size_t i);
-  std::vector<HintOutcome> integrate_perfect_hints(
-      const std::vector<std::vector<double>>& dirs);
   std::vector<HintOutcome> integrate_perfect_coordinate_hints(
       const std::vector<std::size_t>& coords);
 

@@ -9,11 +9,10 @@
 
 namespace reveal::num {
 
-/// Neumaier-compensated scalar accumulator: the compensation idiom of the
-/// smoothing kernel in sca::smooth, packaged for reuse wherever a long
-/// running sum must not drift (e.g. the DBDD log-volume over 10k+ hint
-/// contributions). The running error term absorbs whichever addend loses
-/// low bits; value() folds it back in.
+/// Neumaier-compensated scalar accumulator, for a long running sum that
+/// must not drift (e.g. the DBDD log-volume over 10k+ hint contributions).
+/// The running error term absorbs whichever addend loses low bits; value()
+/// folds it back in.
 class NeumaierSum {
  public:
   NeumaierSum() = default;

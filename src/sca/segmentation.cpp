@@ -19,19 +19,16 @@ struct Run {
 
 std::vector<Run> runs_above(const std::vector<double>& s, double threshold) {
   std::vector<Run> runs;
-  std::size_t run_start = 0;
-  bool in_run = false;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    const bool above = i < s.size() && s[i] > threshold;
-    if (above && !in_run) {
-      run_start = i;
-      in_run = true;
-    } else if (!above && in_run) {
-      runs.push_back({run_start, i});
-      in_run = false;
-    }
+  const std::size_t n = s.size();
+  std::size_t i = 0;
+  while (true) {
+    // `!(x > t)` rather than `x <= t`: NaN samples count as below.
+    while (i < n && !(s[i] > threshold)) ++i;
+    if (i == n) return runs;
+    const std::size_t begin = i;
+    while (i < n && s[i] > threshold) ++i;
+    runs.push_back({begin, i});
   }
-  return runs;
 }
 
 /// Keeps runs of at least `min_burst_length` samples and turns them into
@@ -60,26 +57,37 @@ std::vector<Segment> segments_from_runs(const std::vector<Run>& runs,
 std::vector<double> smooth(const std::vector<double>& samples, std::size_t window) {
   if (window == 0) throw std::invalid_argument("smooth: window must be >= 1");
   if (window == 1) return samples;
-  std::vector<double> out(samples.size());
-  // Neumaier-compensated sliding sum: the compensation term captures the
-  // low-order bits lost by each add/subtract, so the error per output is
-  // bounded by the window content, not by how many samples have streamed
-  // through the accumulator.
-  double acc = 0.0;
-  double comp = 0.0;
-  const auto accumulate = [&](double v) noexcept {
-    const double t = acc + v;
-    if (std::abs(acc) >= std::abs(v))
-      comp += (acc - t) + v;
-    else
-      comp += (v - t) + acc;
-    acc = t;
+  const std::size_t n = samples.size();
+  const double* x = samples.data();
+  std::vector<double> out(n);
+  // Every output is the oldest-first sum of its own window divided by the
+  // number of samples summed: no state carries from one output to the next,
+  // so there is no drift to compensate. Four outputs at a time keep four
+  // independent add chains in flight; each chain's order is fixed, so
+  // vectorizing them cannot change a bit.
+  const auto window_mean = [x](std::size_t begin, std::size_t end) {
+    double acc = x[begin];
+    for (std::size_t j = begin + 1; j < end; ++j) acc += x[j];
+    return acc / static_cast<double>(end - begin);
   };
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    accumulate(samples[i]);
-    if (i >= window) accumulate(-samples[i - window]);
-    out[i] = (acc + comp) / static_cast<double>(std::min(i + 1, window));
+  std::size_t i = 0;
+  for (; i < n && i + 1 < window; ++i) out[i] = window_mean(0, i + 1);
+  const double w = static_cast<double>(window);
+  for (; i + 4 <= n; i += 4) {
+    const double* p = x + (i + 1 - window);
+    double s0 = p[0], s1 = p[1], s2 = p[2], s3 = p[3];
+    for (std::size_t k = 1; k < window; ++k) {
+      s0 += p[k];
+      s1 += p[k + 1];
+      s2 += p[k + 2];
+      s3 += p[k + 3];
+    }
+    out[i] = s0 / w;
+    out[i + 1] = s1 / w;
+    out[i + 2] = s2 / w;
+    out[i + 3] = s3 / w;
   }
+  for (; i < n; ++i) out[i] = window_mean(i + 1 - window, i + 1);
   return out;
 }
 
@@ -99,10 +107,17 @@ std::vector<double> smooth_reference(const std::vector<double>& samples,
 
 double auto_threshold(const std::vector<double>& samples) {
   if (samples.empty()) throw std::invalid_argument("auto_threshold: empty trace");
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  const double lo = sorted[sorted.size() * 20 / 100];
-  const double hi = sorted[std::min(sorted.size() - 1, sorted.size() * 95 / 100)];
+  // The two order statistics by selection: after the first nth_element
+  // every element before `hi_at` is <= it, so the second selects within
+  // that prefix. The values equal those of a full sort.
+  std::vector<double> v = samples;
+  const auto lo_at = v.begin() + static_cast<std::ptrdiff_t>(v.size() * 20 / 100);
+  const auto hi_at =
+      v.begin() + static_cast<std::ptrdiff_t>(std::min(v.size() - 1, v.size() * 95 / 100));
+  std::nth_element(v.begin(), hi_at, v.end());
+  std::nth_element(v.begin(), lo_at, hi_at);
+  const double lo = *lo_at;
+  const double hi = *hi_at;
   // Flat / near-constant trace: the percentile midpoint would sit inside
   // the numerical-noise band and turn the whole trace into one bogus
   // burst. Signal "no separable burst level" instead.
@@ -251,7 +266,8 @@ SegmentationResult segment_trace_robust(const std::vector<double>& samples,
 
   // Pass 1: the caller's config, untouched — when the capture is clean this
   // reproduces segment_trace bit-for-bit. The smoothed trace is kept: the
-  // sweep reuses it for every candidate that shares the base window.
+  // sweep moves it into its cache for every candidate that shares the base
+  // window.
   std::vector<double> base_smoothed = smooth(samples, base.smooth_window);
   const double pass1_threshold =
       base.threshold > 0.0 ? base.threshold : auto_threshold(base_smoothed);
@@ -316,7 +332,7 @@ SegmentationResult segment_trace_robust(const std::vector<double>& samples,
     if (sm == nullptr) {
       SmoothedEntry e;
       e.window = sw;
-      e.values = sw == base.smooth_window ? base_smoothed : smooth(samples, sw);
+      e.values = sw == base.smooth_window ? std::move(base_smoothed) : smooth(samples, sw);
       smoothed.push_back(std::move(e));
       sm = &smoothed.back();
     }

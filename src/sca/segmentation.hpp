@@ -36,17 +36,19 @@ struct Segment {
 [[nodiscard]] std::vector<Segment> segment_trace(const std::vector<double>& samples,
                                                  const SegmentationConfig& config = {});
 
-/// Moving average smoothing (window >= 1; window 1 copies). Uses a
-/// Neumaier-compensated sliding accumulator, so the rounding error per
-/// output stays O(window * eps) instead of growing with the trace length
-/// (the plain add/subtract accumulator drifts O(length * eps) on traces of
-/// millions of samples — see smooth_reference).
+/// Moving average smoothing (window >= 1; window 1 copies). Output i is the
+/// oldest-first sum of samples max(0, i - window + 1) .. i, divided by the
+/// number of samples summed. Each output is a pure function of its own
+/// window, so its rounding error is O(window * eps) however long the trace
+/// (a sliding add/subtract accumulator drifts O(length * eps) on traces of
+/// millions of samples — see smooth_reference), and the summation order is
+/// fixed, so every build produces the same bits.
 [[nodiscard]] std::vector<double> smooth(const std::vector<double>& samples,
                                          std::size_t window);
 
-/// The pre-hardening smoothing kernel: a plain (uncompensated) sliding
-/// accumulator. Kept as the differential anchor for the drift regression
-/// tests; new code should call smooth().
+/// The plain sliding-accumulator kernel, whose error grows with the trace
+/// length. Kept as the drift anchor for the regression tests; new code
+/// should call smooth().
 [[nodiscard]] std::vector<double> smooth_reference(const std::vector<double>& samples,
                                                    std::size_t window);
 

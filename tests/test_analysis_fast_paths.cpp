@@ -1,7 +1,8 @@
 // Differential tests for the analysis-plane fast kernels: every optimized
 // path (shared-work segmentation sweep, flat-GSO LLL) is fuzzed against its
 // retained *_reference implementation and must agree bit-for-bit. Also
-// covers the compensated-smoothing drift bound.
+// covers the smoothing kernel's contract: the oldest-first window mean, its
+// drift bound and its threshold decisions on real captures.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/acquisition.hpp"
 #include "lattice/lattice.hpp"
 #include "numeric/rng.hpp"
 #include "sca/segmentation.hpp"
@@ -120,12 +122,31 @@ TEST(SegmentationSweepFastPath, DedupCountsDistinctSegmentationsOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Compensated smoothing drift
+// Smoothing: a direct window mean
 
-TEST(SmoothingDrift, CompensatedSmoothingTracksExactWindowedMeans) {
+/// The definition smooth() implements: output i is the oldest-first sum of
+/// samples max(0, i - w + 1) .. i, divided by the number of samples summed.
+double oldest_first_window_mean(const std::vector<double>& x, std::size_t i,
+                                std::size_t window) {
+  const std::size_t begin = i + 1 >= window ? i + 1 - window : 0;
+  double acc = x[begin];
+  for (std::size_t j = begin + 1; j <= i; ++j) acc += x[j];
+  return acc / static_cast<double>(i - begin + 1);
+}
+
+/// The same window mean, summed in long double.
+long double exact_window_mean(const std::vector<double>& x, std::size_t i,
+                              std::size_t window) {
+  const std::size_t begin = i + 1 >= window ? i + 1 - window : 0;
+  long double acc = 0.0L;
+  for (std::size_t j = begin; j <= i; ++j) acc += x[j];
+  return acc / static_cast<long double>(i - begin + 1);
+}
+
+TEST(SmoothingDrift, DirectSumTracksExactWindowedMeans) {
   // A large common-mode offset makes the plain sliding accumulator lose the
   // per-sample noise bits: after 2^20 adds/subtracts its output drifts from
-  // the true windowed mean. The compensated kernel must stay within a few
+  // the true windowed mean. The direct window sum must stay within a few
   // ulps of the exact (recomputed per window, long double) value across the
   // whole trace.
   const std::size_t length = (1u << 20) + 37;
@@ -140,34 +161,97 @@ TEST(SmoothingDrift, CompensatedSmoothingTracksExactWindowedMeans) {
   double fast_err = 0.0;
   double plain_err = 0.0;
   for (std::size_t i = 0; i < length; ++i) {
-    long double acc = 0.0L;
-    const std::size_t begin = i + 1 >= window ? i + 1 - window : 0;
-    for (std::size_t j = begin; j <= i; ++j) acc += samples[j];
-    const double exact =
-        static_cast<double>(acc / static_cast<long double>(i - begin + 1));
+    const double exact = static_cast<double>(exact_window_mean(samples, i, window));
     fast_err = std::max(fast_err, std::fabs(fast[i] - exact));
     plain_err = std::max(plain_err, std::fabs(plain[i] - exact));
   }
-  // The compensated error is bounded by the window content (~1e8 * eps);
+  // The direct sum's error is bounded by the window content (~1e8 * eps);
   // the plain accumulator's drift grows with the stream and must be
-  // observably worse — that gap is what the hardening buys.
+  // observably worse.
   EXPECT_LT(fast_err, 1e-6);
   EXPECT_GT(plain_err, fast_err * 4.0);
 }
 
-TEST(SmoothingDrift, CompensatedEqualsReferenceOnShortBenignTraces) {
-  // On short traces both kernels are exact to the ulp against the direct
-  // mean; this pins the behavior segment_trace depends on.
+TEST(SmoothingDrift, EqualsOldestFirstWindowSum) {
+  // Exact equality with the definition, at every length around the window
+  // edges: windows longer than the trace (lengths 0, 1, w - 1), the partial
+  // head, blocks of four and the scalar tail.
   num::Xoshiro256StarStar rng(5);
-  std::vector<double> samples(257);
-  for (double& v : samples) v = rng.gaussian(0.0, 1.0);
-  const std::vector<double> fast = smooth(samples, 5);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    double acc = 0.0;
-    const std::size_t begin = i + 1 >= 5 ? i + 1 - 5 : 0;
-    for (std::size_t j = begin; j <= i; ++j) acc += samples[j];
-    EXPECT_NEAR(fast[i], acc / static_cast<double>(i - begin + 1), 1e-12);
+  for (const std::size_t window : {2u, 3u, 5u, 7u, 11u}) {
+    for (const std::size_t length :
+         {std::size_t{0}, std::size_t{1}, window - 1, window, window + 3, std::size_t{257}}) {
+      SCOPED_TRACE("window " + std::to_string(window) + ", length " +
+                   std::to_string(length));
+      std::vector<double> samples(length);
+      for (double& v : samples) v = rng.gaussian(0.0, 1.0);
+      const std::vector<double> out = smooth(samples, window);
+      ASSERT_EQ(out.size(), length);
+      for (std::size_t i = 0; i < length; ++i)
+        EXPECT_EQ(out[i], oldest_first_window_mean(samples, i, window)) << "i " << i;
+    }
   }
+}
+
+TEST(SmoothingDrift, FullWindowOutputIgnoresEarlierSamples) {
+  // Each full-window output is a pure function of its own window: smoothing
+  // `prefix ++ x` gives exactly smooth(x) at every full-window position of
+  // x, whatever the prefix held. At a 1e16 offset even a compensated sliding
+  // accumulator's correction term loses bits, and it carries them into x.
+  num::Xoshiro256StarStar rng(17);
+  std::vector<double> x(600);
+  for (double& v : x) v = 10.0 + rng.gaussian(0.0, 3.0);
+  std::vector<double> prefix(1000);
+  for (double& v : prefix) v = 1.0e16 + rng.gaussian(0.0, 1.0e11);
+  std::vector<double> joined = prefix;
+  joined.insert(joined.end(), x.begin(), x.end());
+  for (const std::size_t window : {3u, 5u, 7u, 11u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    const std::vector<double> alone = smooth(x, window);
+    const std::vector<double> shifted = smooth(joined, window);
+    for (std::size_t i = window - 1; i < x.size(); ++i)
+      ASSERT_EQ(shifted[prefix.size() + i], alone[i]) << "i " << i;
+  }
+}
+
+TEST(SmoothingDrift, ThresholdDecisionsMatchExactMeansOnCaptures) {
+  // Segmentation reads only `smooth(x, w)[i] > t`. On real captures (clean,
+  // lab-grade and L3-degraded) every decision of the degraded sweep's grid
+  // (its four windows around the campaign's 5, its five thresholds around
+  // the campaign's 10) must equal the same comparison on the exact mean.
+  core::CampaignConfig clean;
+  clean.num_workers = 0;
+  core::CampaignConfig lab = clean;
+  lab.leakage.noise_sigma = 0.01;
+  lab.leakage.bit_deviation = 0.35;
+  core::CampaignConfig l3 = clean;
+  l3.faults.jitter_sigma = 1.0;
+  l3.faults.dropout_rate = 0.05;
+  l3.faults.glitch_count = 4;
+  l3.faults.seed = 31;
+  const std::size_t windows[] = {3, 5, 7, 11};
+  const double scales[] = {0.7, 0.85, 1.0, 1.15, 1.3};
+  std::size_t decisions = 0;
+  for (const core::CampaignConfig& cfg : {clean, lab, l3}) {
+    core::SamplerCampaign campaign(cfg);
+    core::FullCapture capture;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      campaign.capture_into(seed, capture);
+      const std::vector<double>& x = capture.trace;
+      for (const std::size_t w : windows) {
+        const std::vector<double> s = smooth(x, w);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          const long double exact = exact_window_mean(x, i, w);
+          for (const double scale : scales) {
+            const double t = cfg.segmentation.threshold * scale;
+            ASSERT_EQ(s[i] > t, exact > t)
+                << "seed " << seed << ", window " << w << ", t " << t << ", i " << i;
+            ++decisions;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(decisions, 24u * 4u * 5u * 40000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <utility>
 
 #include "core/acquisition.hpp"
 #include "numeric/rng.hpp"
@@ -197,6 +201,78 @@ TEST(Segmentation, NearConstantTraceYieldsNoBogusBurst) {
   cfg.smooth_window = 1;
   cfg.min_burst_length = 16;
   EXPECT_TRUE(segment_trace(trace, cfg).empty());
+}
+
+TEST(Segmentation, AutoThresholdMatchesSortDefinition) {
+  // auto_threshold selects its two percentiles; the definition sorts. The
+  // results must agree bit for bit, the flat-trace sentinel included.
+  const auto by_sort = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const double lo = v[v.size() * 20 / 100];
+    const double hi = v[std::min(v.size() - 1, v.size() * 95 / 100)];
+    if (hi - lo < 1e-9 * std::max(1.0, std::abs(hi)))
+      return std::numeric_limits<double>::infinity();
+    return 0.5 * (lo + hi);
+  };
+  const auto expect_same = [&](const std::vector<double>& v) {
+    const double got = auto_threshold(v);
+    const double want = by_sort(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "size " << v.size() << ": " << got << " vs " << want;
+  };
+  num::Xoshiro256StarStar rng(23);
+  for (std::size_t size = 1; size <= 64; ++size) {
+    std::vector<double> random(size), ties(size);
+    for (double& v : random) v = rng.gaussian(5.0, 3.0);
+    for (double& v : ties) v = static_cast<double>(rng() % 3);  // tie-heavy
+    expect_same(random);
+    expect_same(ties);
+  }
+  std::vector<double> random(49000), ties(49000);
+  for (double& v : random) v = rng.gaussian(5.0, 3.0);
+  for (double& v : ties) v = static_cast<double>(rng() % 4);
+  expect_same(random);
+  expect_same(ties);
+  const std::vector<double> flat(49000, 2.5);
+  EXPECT_EQ(auto_threshold(flat), std::numeric_limits<double>::infinity());
+  expect_same(flat);
+}
+
+TEST(Segmentation, BurstScanEdges) {
+  // With no smoothing and no length filter, segment_trace returns exactly
+  // the maximal runs strictly above the threshold. NaN samples count as
+  // below it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* name;
+    std::vector<double> trace;
+    std::vector<std::pair<std::size_t, std::size_t>> bursts;  // [begin, end)
+  };
+  const Case cases[] = {
+      {"burst at sample 0", {1, 1, 0, 0, 0}, {{0, 2}}},
+      {"burst ending at the last sample", {0, 0, 0, 1, 1}, {{3, 5}}},
+      {"single-sample runs", {1, 0, 1, 0, 0, 1}, {{0, 1}, {2, 3}, {5, 6}}},
+      {"all above", {1, 2, 3}, {{0, 3}}},
+      {"all below", {0, 0.5, 0}, {}},
+      {"NaN samples", {nan, 1, nan, 1, 1, nan, 0, 1}, {{1, 2}, {3, 5}, {7, 8}}},
+  };
+  SegmentationConfig cfg;
+  cfg.smooth_window = 1;
+  cfg.threshold = 0.5;
+  cfg.min_burst_length = 1;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<Segment> segments = segment_trace(c.trace, cfg);
+    ASSERT_EQ(segments.size(), c.bursts.size());
+    for (std::size_t k = 0; k < segments.size(); ++k) {
+      EXPECT_EQ(segments[k].burst_begin, c.bursts[k].first);
+      EXPECT_EQ(segments[k].burst_end, c.bursts[k].second);
+      EXPECT_EQ(segments[k].window_begin, c.bursts[k].second);
+      const std::size_t next =
+          k + 1 < c.bursts.size() ? c.bursts[k + 1].first : c.trace.size();
+      EXPECT_EQ(segments[k].window_end, next);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
