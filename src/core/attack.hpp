@@ -111,6 +111,15 @@ class RevealAttack {
   [[nodiscard]] const std::vector<std::size_t>& negative_pois() const noexcept {
     return neg_pois_;
   }
+  [[nodiscard]] const sca::PatternClassifier& sign_classifier() const noexcept {
+    return sign_classifier_;
+  }
+  [[nodiscard]] const std::optional<sca::TemplateSet>& positive_templates() const noexcept {
+    return pos_templates_;
+  }
+  [[nodiscard]] const std::optional<sca::TemplateSet>& negative_templates() const noexcept {
+    return neg_templates_;
+  }
 
   /// Attacks one window. `window_quality` (from robust segmentation) caps
   /// the guess quality; 1.0 means "trust the window fully". Degraded

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -17,9 +18,10 @@ namespace {
 
 constexpr std::uint32_t kCheckpointMarker = 0x52'56'43'50;  // "PCVR"
 constexpr std::uint32_t kCheckpointEndMarker = 0x50'43'56'52;
-// Version 3: captures carry ziggurat measurement noise. A version-2 file
-// holds Box-Muller captures, and resuming it would mix the two kernels.
-constexpr std::uint32_t kCheckpointVersion = 3;
+// Version 4: the digest in the file header also covers the trained attack,
+// the hint policy and the estimator parameters. A version-3 file was
+// checked against the schedule and the capture config only.
+constexpr std::uint32_t kCheckpointVersion = 4;
 constexpr std::uint64_t kMaxCheckpointCaptures = std::uint64_t{1} << 32;
 constexpr std::uint64_t kMaxHintsPerCapture = std::uint64_t{1} << 20;
 
@@ -35,6 +37,60 @@ std::uint64_t fnv1a(std::uint64_t h, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return fnv1a(h, bits);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const double> values) {
+  h = fnv1a(h, std::uint64_t{values.size()});
+  for (const double v : values) h = fnv1a(h, v);
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::optional<sca::TemplateSet>& templates) {
+  h = fnv1a(h, std::uint64_t{templates.has_value()});
+  if (!templates) return h;
+  h = fnv1a(h, std::uint64_t{templates->classes().size()});
+  for (const auto& [label, mean, count] : templates->classes()) {
+    h = fnv1a(h, static_cast<std::uint64_t>(label));
+    h = fnv1a(h, mean);
+    h = fnv1a(h, std::uint64_t{count});
+  }
+  h = fnv1a(h, templates->inv_covariance().data());
+  return fnv1a(h, templates->log_det());
+}
+
+// What RevealAttack holds after training: its config, the sign classifier
+// and, per sign class, the POIs and the template set. The templates'
+// factored scoring terms are functions of the means and the inverse
+// covariance, so they are covered without being hashed.
+std::uint64_t fnv1a(std::uint64_t h, const RevealAttack& attack) {
+  const auto& [sign_prefix, value_prefix, poi_count, poi_min_spacing, min_class_count,
+               abstain_margin, low_confidence_margin, value_commit_threshold,
+               min_window_quality, sign_fit_threshold, value_fit_threshold] = attack.config();
+  for (const std::uint64_t v : {std::uint64_t{sign_prefix}, std::uint64_t{value_prefix},
+                                std::uint64_t{poi_count}, std::uint64_t{poi_min_spacing},
+                                std::uint64_t{min_class_count}}) {
+    h = fnv1a(h, v);
+  }
+  for (const double v : {abstain_margin, low_confidence_margin, value_commit_threshold,
+                         min_window_quality, sign_fit_threshold, value_fit_threshold}) {
+    h = fnv1a(h, v);
+  }
+
+  const sca::PatternClassifier& sign = attack.sign_classifier();
+  h = fnv1a(h, std::uint64_t{sign.prefix_length()});
+  h = fnv1a(h, std::uint64_t{sign.patterns().size()});
+  for (const auto& [label, pattern] : sign.patterns()) {
+    h = fnv1a(h, static_cast<std::uint64_t>(label));
+    h = fnv1a(h, pattern);
+  }
+  h = fnv1a(h, sign.inv_variance());
+
+  for (const std::vector<std::size_t>* pois : {&attack.positive_pois(), &attack.negative_pois()}) {
+    h = fnv1a(h, std::uint64_t{pois->size()});
+    for (const std::size_t p : *pois) h = fnv1a(h, std::uint64_t{p});
+  }
+  h = fnv1a(h, attack.positive_templates());
+  return fnv1a(h, attack.negative_templates());
 }
 
 // Only the tally's counts are written: its variance sum adds up in the
@@ -80,14 +136,25 @@ HintRecord read_hint(std::istream& in) {
 // hashed struct is unpacked with a structured binding, which stops
 // compiling when the struct gains or loses a field, and pinned by size as
 // a second guard: a new knob cannot slip past the stale-checkpoint check.
+// The trained classes have private members, so their size is the guard.
 static_assert(sizeof(power::LeakageParams) == 136, "LeakageParams changed: update campaign_digest");
 static_assert(sizeof(power::FaultSpec) == 104, "FaultSpec changed: update campaign_digest");
 static_assert(sizeof(sca::SegmentationConfig) == 24,
               "SegmentationConfig changed: update campaign_digest");
 static_assert(sizeof(CampaignConfig) == 320, "CampaignConfig changed: update campaign_digest");
+static_assert(sizeof(AttackConfig) == 88, "AttackConfig changed: update campaign_digest");
+static_assert(sizeof(sca::PatternClassifier) == 80,
+              "PatternClassifier changed: update campaign_digest");
+static_assert(sizeof(sca::TemplateSet::ClassTemplate) == 40,
+              "TemplateSet::ClassTemplate changed: update campaign_digest");
+static_assert(sizeof(sca::TemplateSet) == 128, "TemplateSet changed: update campaign_digest");
+static_assert(sizeof(RevealAttack) == 488, "RevealAttack changed: update campaign_digest");
+static_assert(sizeof(HintPolicy) == 56, "HintPolicy changed: update campaign_digest");
+static_assert(sizeof(lwe::DbddParams) == 40, "DbddParams changed: update campaign_digest");
 
 std::uint64_t campaign_digest(std::uint64_t base_seed, std::uint64_t total_captures,
-                              const CampaignConfig& config) {
+                              const CampaignConfig& config, const RevealAttack& attack,
+                              const HintPolicy& policy, const lwe::DbddParams& params) {
   // num_workers is the one field left out: every worker count produces
   // the same output bytes, so a run may resume with a different one.
   const auto& [n, moduli, patched_firmware, shuffled_firmware, masked_firmware, leakage,
@@ -130,6 +197,20 @@ std::uint64_t campaign_digest(std::uint64_t base_seed, std::uint64_t total_captu
   h = fnv1a(h, std::uint64_t{smooth_window});
   h = fnv1a(h, threshold);
   h = fnv1a(h, std::uint64_t{min_burst_length});
+
+  h = fnv1a(h, attack);
+
+  const auto& [perfect_threshold, low_confidence_inflation, min_inflated_variance, sigma,
+               max_deviation, abstained_zero_variance, zero_hint_variance] = policy;
+  for (const double v : {perfect_threshold, low_confidence_inflation, min_inflated_variance,
+                         sigma, max_deviation, abstained_zero_variance, zero_hint_variance}) {
+    h = fnv1a(h, v);
+  }
+
+  const auto& [secret_dim, error_dim, q, secret_variance, error_variance] = params;
+  h = fnv1a(h, std::uint64_t{secret_dim});
+  h = fnv1a(h, std::uint64_t{error_dim});
+  for (const double v : {q, secret_variance, error_variance}) h = fnv1a(h, v);
   return h;
 }
 
@@ -145,23 +226,6 @@ void CampaignAccumulator::fold_capture(const RobustCaptureResult& res) {
       case GuessQuality::kAbstained: ++abstained_guesses; break;
     }
   }
-}
-
-void CampaignAccumulator::append(CampaignAccumulator&& next) {
-  next_index += next.next_index;
-  for (auto& records : next.hints) hints.push_back(std::move(records));
-  capture_consistency.insert(capture_consistency.end(),
-                             next.capture_consistency.begin(),
-                             next.capture_consistency.end());
-  worker_tally.merge(next.worker_tally);
-  recovered_windows += next.recovered_windows;
-  segmentation_attempts += next.segmentation_attempts;
-  worst_status = std::max(worst_status, next.worst_status);
-  ok_guesses += next.ok_guesses;
-  low_confidence_guesses += next.low_confidence_guesses;
-  abstained_guesses += next.abstained_guesses;
-  registry.merge(next.registry);
-  confusion.merge(next.confusion);
 }
 
 void CampaignAccumulator::save(std::ostream& out) const {
@@ -231,20 +295,18 @@ namespace {
 /// "observability off changes nothing" holds by construction; kDiag=true
 /// only ever reads pipeline outputs.
 template <bool kDiag>
-void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource& source,
-                std::size_t begin, std::size_t count, const HintPolicy& policy,
-                CampaignAccumulator& acc, obs::SpanTracer* spans) {
-  const CampaignConfig& config = source.config;
+void fold_range(WorkerPool& pool, const RevealAttack& attack, const CampaignConfig& config,
+                std::span<const std::uint64_t> seeds, std::size_t begin, std::size_t count,
+                const HintPolicy& policy, CampaignAccumulator& acc, obs::SpanTracer* spans) {
   const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
   std::vector<RobustCaptureResult> captures(count);
   std::vector<std::vector<HintRecord>> hints(count);
-  std::vector<std::vector<std::int64_t>> truth(
-      acc.keep_captures && source.corpus == nullptr ? count : 0);
+  std::vector<std::vector<std::int64_t>> truth(acc.keep_captures ? count : 0);
   std::vector<HintTally> tallies(worker_slots);
   std::vector<detail::WorkerObs> worker_obs(kDiag ? worker_slots : 0);
   // Fresh replicas per range: their fault stats then cover exactly these
-  // captures, so the fold below is resume- and shard-correct (a replica
-  // reused across ranges would double-count on every fold).
+  // captures, so the fold below is resume-correct (a replica reused across
+  // ranges would double-count on every fold).
   detail::CampaignReplicas replicas(config, pool.num_workers());
 
   // Each capture is one task whose windows are attacked in order inside it:
@@ -253,16 +315,6 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
   pool.run_indexed(count, [&](std::size_t i, std::size_t w) {
     const std::size_t index = begin + i;
     FullCapture& cap = replicas.scratch_for(w);
-    auto load = [&] {
-      if (source.corpus == nullptr) {
-        replicas.for_worker(w).capture_into(source.seeds[index], cap);
-      } else {
-        // The zero-copy view is copied once into the worker's reusable
-        // buffer because the analysis APIs take vectors.
-        const std::span<const double> samples = (*source.corpus)[index].samples;
-        cap.trace.assign(samples.begin(), samples.end());
-      }
-    };
     RobustCaptureResult res;
     std::vector<HintRecord> records;
     auto route = [&] {
@@ -278,7 +330,7 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
       const auto span_index = static_cast<std::uint32_t>(index);
       {
         auto span = o.tracer.span(obs::Stage::kCapture, span_index);
-        load();
+        replicas.for_worker(w).capture_into(seeds[index], cap);
       }
       res = attack.attack_capture_robust_traced(cap.trace, config.n, config.segmentation,
                                                 o.tracer, span_index);
@@ -288,7 +340,7 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
       }
       detail::count_capture(o, config, cap, res, records);
     } else {
-      load();
+      replicas.for_worker(w).capture_into(seeds[index], cap);
       res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
       route();
     }
@@ -329,23 +381,22 @@ void fold_range(WorkerPool& pool, const RevealAttack& attack, const TraceSource&
 }  // namespace
 
 void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
-                               const TraceSource& source, std::uint64_t begin,
+                               const CampaignConfig& config,
+                               std::span<const std::uint64_t> seeds, std::uint64_t begin,
                                std::uint64_t end, const HintPolicy& policy,
                                CampaignAccumulator& acc, obs::SpanTracer* spans) {
-  const std::size_t available =
-      source.corpus != nullptr ? source.corpus->size() : source.seeds.size();
-  if (end < begin || end > available)
-    throw std::invalid_argument("accumulate_campaign_range: range outside the trace source");
-  if (source.config.shuffled_firmware)
+  if (end < begin || end > seeds.size())
+    throw std::invalid_argument("accumulate_campaign_range: range outside the seed schedule");
+  if (config.shuffled_firmware)
     throw std::invalid_argument(
         "accumulate_campaign_range: shuffled firmware hides the coefficient order "
         "(2n - 1 bursts, no positional hints)");
   const auto first = static_cast<std::size_t>(begin);
   const auto count = static_cast<std::size_t>(end - begin);
   if (spans != nullptr) {
-    fold_range<true>(pool, attack, source, first, count, policy, acc, spans);
+    fold_range<true>(pool, attack, config, seeds, first, count, policy, acc, spans);
   } else {
-    fold_range<false>(pool, attack, source, first, count, policy, acc, nullptr);
+    fold_range<false>(pool, attack, config, seeds, first, count, policy, acc, nullptr);
   }
 }
 
@@ -367,7 +418,7 @@ RecoveryCampaignResult finalize_campaign(CampaignAccumulator&& acc,
         "(lost update in shared accumulation)");
   }
   // The float sum is taken from the recount: capture order is the one order
-  // that exists for every worker count, batch size and shard partition.
+  // that exists for every worker count and batch size.
   out.hint_totals = recount.summary();
 
   // Estimator integration replays the routed hints in capture order on this
@@ -454,7 +505,7 @@ bool load_checkpoint(const std::string& path, std::uint64_t digest,
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   if (num::io::read_pod<std::uint64_t>(in) != digest)
-    throw std::runtime_error("campaign checkpoint: schedule digest mismatch in " + path);
+    throw std::runtime_error("campaign checkpoint: campaign digest mismatch in " + path);
   if (num::io::read_pod<std::uint64_t>(in) != total)
     throw std::runtime_error("campaign checkpoint: capture count mismatch in " + path);
   acc = CampaignAccumulator::load(in);
@@ -475,21 +526,21 @@ CheckpointedCampaignResult run_recovery_campaign_checkpointed(
     throw std::invalid_argument("run_recovery_campaign_checkpointed: zero batch size");
   require_hint_capacity(total_captures, config.n, params);
 
-  const std::uint64_t digest = campaign_digest(base_seed, total_captures, config);
+  const std::uint64_t digest =
+      campaign_digest(base_seed, total_captures, config, attack, policy, params);
   CheckpointedCampaignResult result;
   CampaignAccumulator acc;
   result.resumed = load_checkpoint(options.path, digest, total_captures, acc);
 
   const std::vector<std::uint64_t> seeds =
       CampaignRunner::stream_seeds(base_seed, total_captures);
-  const TraceSource source{config, seeds};
   std::size_t batches = 0;
   while (acc.next_index < total_captures &&
          (options.max_batches_per_call == 0 || batches < options.max_batches_per_call)) {
     const std::uint64_t begin = acc.next_index;
     const std::uint64_t end =
         std::min<std::uint64_t>(begin + options.batch_size, total_captures);
-    accumulate_campaign_range(runner.pool(), attack, source, begin, end, policy, acc,
+    accumulate_campaign_range(runner.pool(), attack, config, seeds, begin, end, policy, acc,
                               &result.diagnostics.tracer);
     result.processed_this_call += end - begin;
     save_checkpoint(options.path, digest, total_captures, acc);

@@ -3,19 +3,20 @@
 //
 // Every recovery campaign is one fold plus one tail:
 // accumulate_campaign_range runs capture -> robust attack -> hint routing
-// over an index range of a TraceSource (live captures or corpus traces)
-// and folds the outcomes into a CampaignAccumulator; finalize_campaign
-// cross-checks the tallies, replays the estimator and assembles the report.
-// The four drivers differ only in how they split the range: the live
-// CampaignRunner::run_recovery_campaign and run_recovery_campaign_on_corpus
-// fold it in one call, run_recovery_campaign_checkpointed batch by batch,
-// run_sharded_campaign (shard_driver.hpp) one partition per process.
+// over an index range of a seed schedule and folds the outcomes into a
+// CampaignAccumulator; finalize_campaign cross-checks the tallies, replays
+// the estimator and assembles the report. The two drivers differ only in
+// how they split the range: CampaignRunner::run_recovery_campaign folds it
+// in one call, run_recovery_campaign_checkpointed batch by batch.
 //
 // run_recovery_campaign_checkpointed persists the accumulator after every
 // batch with an atomic write-to-temp + rename. A killed campaign restarts
 // from the last completed batch and finishes with a *byte-identical* final
 // RecoveryReport, hint set, and diagnostics JSON — identical both to an
-// uninterrupted checkpointed run and to the live campaign.
+// uninterrupted checkpointed run and to the live campaign. A checkpoint
+// resumes only the campaign that wrote it: its digest covers the schedule,
+// the capture config, the trained attack, the hint policy and the
+// estimator parameters.
 //
 // Why this works (the determinism ledger):
 //   * Every per-capture output is a pure function of (config, seed); batch
@@ -33,8 +34,8 @@
 //     reports the spans of the batches it ran itself.
 //
 // The accumulator and its binary snapshot are exposed because the
-// multi-process shard driver serializes the same state per shard and folds
-// the partials in shard order.
+// checkpoint file is that snapshot, and the binary-hardening suite fuzzes
+// its loader directly.
 
 #include <cstdint>
 #include <iosfwd>
@@ -43,22 +44,8 @@
 #include <vector>
 
 #include "core/campaign_runner.hpp"
-#include "corpus/trace_store.hpp"
 
 namespace reveal::core {
-
-/// The traces a campaign attacks, by schedule index: live captures of
-/// seeds[i] under `config`, or — when `corpus` is set — its stored trace i
-/// (no ground truth, so no confusion or accuracy counters). `config.n` and
-/// `config.segmentation` are the expected window count and the robust
-/// segmentation settings either way. Shuffled firmware is not a campaign
-/// target: its trace holds 2n - 1 bursts, and positional hints mean nothing
-/// for a victim that hides the coefficient order.
-struct TraceSource {
-  CampaignConfig config;
-  std::span<const std::uint64_t> seeds;
-  const corpus::CorpusReader* corpus = nullptr;
-};
 
 /// Running partial state of a campaign: everything needed to continue from
 /// capture `next_index` and later finalize a report that is byte-identical
@@ -80,7 +67,7 @@ struct CampaignAccumulator {
   // Report partials, accumulated in capture order. The burst-consistency
   // values stay per-capture (not pre-summed): finalize sums them in capture
   // order, so the one float reduction in the report is identical for every
-  // batch size *and* every shard partition of the schedule.
+  // batch size.
   std::uint64_t recovered_windows = 0;
   std::uint64_t segmentation_attempts = 0;
   sca::SegmentationStatus worst_status = sca::SegmentationStatus::kOk;
@@ -93,10 +80,9 @@ struct CampaignAccumulator {
   obs::Registry registry;
   sca::ConfusionMatrix confusion;
 
-  /// Per-capture attack results — and, for live captures, their ground
-  /// truth — in capture order, collected only when keep_captures is set
-  /// (the in-memory drivers return them). Never saved or appended:
-  /// checkpoints and shard partials do without them.
+  /// Per-capture attack results and their ground truth, in capture order,
+  /// collected only when keep_captures is set (the live driver returns
+  /// them). Never saved: checkpoints do without them.
   bool keep_captures = false;
   std::vector<RobustCaptureResult> captures;
   std::vector<std::vector<std::int64_t>> truth;
@@ -104,27 +90,25 @@ struct CampaignAccumulator {
   /// Folds one capture's report-feeding outcome (call in capture order).
   void fold_capture(const RobustCaptureResult& res);
 
-  /// Concatenates another accumulator covering the captures immediately
-  /// after this one (fixed shard-order merge): hints and consistency values
-  /// append, integer partials add, statuses max, observability merges.
-  void append(CampaignAccumulator&& next);
-
   /// Bounds-checked binary snapshot (numeric/binary_io framing).
   void save(std::ostream& out) const;
   [[nodiscard]] static CampaignAccumulator load(std::istream& in);
 };
 
-/// The campaign fold: runs capture -> robust attack -> hint routing for
-/// source indices [begin, end) on the pool's workers and folds every output
-/// into `acc` in capture order. With `spans` null it runs the
+/// The campaign fold: captures seeds[i] under `config` for i in
+/// [begin, end), runs the robust attack (config.n windows,
+/// config.segmentation) and hint routing on the pool's workers, and folds
+/// every output into `acc` in capture order. With `spans` null it runs the
 /// NullSpanTracer instantiation and no counter code at all; otherwise it
 /// counts into acc.registry / acc.confusion and records the capture,
 /// segmentation, classification and hints spans into *spans. Increments
 /// acc.next_index by end - begin; throws std::invalid_argument when the
-/// range is inverted or runs past the source, or when the source runs
-/// shuffled firmware.
+/// range is inverted or runs past the seeds, or when `config` runs
+/// shuffled firmware: its trace holds 2n - 1 bursts, and positional hints
+/// mean nothing for a victim that hides the coefficient order.
 void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
-                               const TraceSource& source, std::uint64_t begin,
+                               const CampaignConfig& config,
+                               std::span<const std::uint64_t> seeds, std::uint64_t begin,
                                std::uint64_t end, const HintPolicy& policy,
                                CampaignAccumulator& acc, obs::SpanTracer* spans);
 
@@ -143,7 +127,7 @@ void accumulate_campaign_range(WorkerPool& pool, const RevealAttack& attack,
 /// Throws std::invalid_argument when `captures` captures of
 /// `windows_per_capture` windows each could route more hints than `params`
 /// has error coordinates — finalize_campaign gives every hint a coordinate
-/// of its own. The four campaign drivers call it before their first capture.
+/// of its own. Both campaign drivers call it before their first capture.
 void require_hint_capacity(std::uint64_t captures, std::size_t windows_per_capture,
                            const lwe::DbddParams& params);
 
@@ -176,20 +160,26 @@ struct CheckpointedCampaignResult {
 /// Batched, checkpointed counterpart of CampaignRunner::run_recovery_campaign
 /// over the schedule {stream_seed(base_seed, i) : i < total_captures}.
 /// Resumes from `options.path` when it exists (throws std::runtime_error if
-/// that checkpoint belongs to a different schedule); deletes the file after
-/// completion unless options.keep_checkpoint. Throws std::invalid_argument,
-/// before any batch, when total_captures x config.n exceeds params.error_dim.
+/// that checkpoint belongs to a different campaign: see campaign_digest);
+/// deletes the file after completion unless options.keep_checkpoint.
+/// Throws std::invalid_argument, before any batch, when
+/// total_captures x config.n exceeds params.error_dim.
 [[nodiscard]] CheckpointedCampaignResult run_recovery_campaign_checkpointed(
     CampaignRunner& runner, const RevealAttack& attack, const CampaignConfig& config,
     std::uint64_t base_seed, std::size_t total_captures, const HintPolicy& policy,
     const lwe::DbddParams& params, const CheckpointOptions& options);
 
-/// The schedule digest stored in checkpoint files: mixes base_seed,
-/// total_captures and every config field that shapes an output (all but
-/// num_workers) so a stale file from a different campaign fails loudly
-/// instead of corrupting a resume.
+/// The campaign digest stored in checkpoint files. It mixes every input
+/// that shapes an output byte: base_seed, total_captures, every config
+/// field but num_workers, the trained attack (its AttackConfig, the sign
+/// classifier, both POI lists and both template sets), the hint policy and
+/// the estimator parameters. A stale file from a different campaign then
+/// fails loudly instead of folding two campaigns into one report.
 [[nodiscard]] std::uint64_t campaign_digest(std::uint64_t base_seed,
                                             std::uint64_t total_captures,
-                                            const CampaignConfig& config);
+                                            const CampaignConfig& config,
+                                            const RevealAttack& attack,
+                                            const HintPolicy& policy,
+                                            const lwe::DbddParams& params);
 
 }  // namespace reveal::core

@@ -1,8 +1,8 @@
 #pragma once
 // Shared internals of the campaign engine (core::detail).
 //
-// Every campaign driver — live, checkpointed, sharded, corpus replay — runs
-// the one campaign fold (accumulate_campaign_range, campaign_checkpoint.hpp).
+// Both campaign drivers — live and checkpointed — run the one campaign fold
+// (accumulate_campaign_range, campaign_checkpoint.hpp).
 // This header holds the pieces the fold and CampaignRunner's acquisition
 // helpers share: per-worker SamplerCampaign replicas and the per-worker
 // counter schema. Everything here preserves the campaign determinism

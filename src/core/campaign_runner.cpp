@@ -18,17 +18,6 @@ std::vector<std::uint64_t> CampaignRunner::stream_seeds(std::uint64_t base_seed,
   return seeds;
 }
 
-std::vector<FullCapture> CampaignRunner::capture_many(
-    const CampaignConfig& config, const std::vector<std::uint64_t>& seeds) {
-  std::vector<FullCapture> out(seeds.size());
-  CampaignReplicas replicas(config, pool_.num_workers());
-  pool_.run_indexed(seeds.size(), [&](std::size_t i, std::size_t w) {
-    // out[i] is the caller-owned slot — capture straight into it.
-    replicas.for_worker(w).capture_into(seeds[i], out[i]);
-  });
-  return out;
-}
-
 std::vector<WindowRecord> CampaignRunner::collect_windows(const CampaignConfig& config,
                                                           std::size_t runs,
                                                           std::uint64_t seed_base,
@@ -73,8 +62,7 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
   obs::SpanTracer* spans = diag != nullptr ? &diag->tracer : nullptr;
   CampaignAccumulator acc;
   acc.keep_captures = true;
-  accumulate_campaign_range(pool_, attack, TraceSource{config, seeds}, 0, seeds.size(), policy,
-                            acc, spans);
+  accumulate_campaign_range(pool_, attack, config, seeds, 0, seeds.size(), policy, acc, spans);
   return finalize_campaign(std::move(acc), config.n, params, diag, spans);
 }
 

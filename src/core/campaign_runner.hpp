@@ -21,10 +21,11 @@
 //     silently reported.
 //
 // run_recovery_campaign is the campaign fold (accumulate_campaign_range)
-// over the whole seed list plus finalize_campaign — the same two steps
-// every other driver runs (campaign_checkpoint.hpp). With num_workers == 0
-// the pool spawns no threads; tests/test_campaign_equivalence.cpp pins
-// workers ∈ {0, 1, 4} to byte-identical RecoveryReports and hint sets.
+// over the whole seed list plus finalize_campaign — the same two steps the
+// checkpointed driver runs batch by batch (campaign_checkpoint.hpp). With
+// num_workers == 0 the pool spawns no threads;
+// tests/test_campaign_equivalence.cpp pins workers ∈ {0, 1, 4} to
+// byte-identical RecoveryReports and hint sets.
 
 #include <cstdint>
 #include <vector>
@@ -43,12 +44,11 @@ namespace reveal::core {
 
 /// Everything a recovery campaign produced, in deterministic order.
 struct RecoveryCampaignResult {
-  /// One per capture, in capture order (live and corpus runs; checkpointed
-  /// and sharded runs do not keep them).
+  /// One per capture, in capture order (the live driver keeps them; the
+  /// checkpointed driver does not).
   std::vector<RobustCaptureResult> captures;
-  /// Ground truth of each live capture — the sampled coefficients, one per
-  /// window — in capture order, kept alongside `captures` (empty for corpus
-  /// replays, which carry no truth).
+  /// Ground truth of each capture — the sampled coefficients, one per
+  /// window — in capture order, kept alongside `captures`.
   std::vector<std::vector<std::int64_t>> truth;
   std::vector<std::vector<HintRecord>> hints;  ///< per capture, in window order
   HintSummary hint_totals;                     ///< over all captures
@@ -90,12 +90,7 @@ class CampaignRunner {
   [[nodiscard]] static std::vector<std::uint64_t> stream_seeds(std::uint64_t base_seed,
                                                                std::size_t count);
 
-  // --- multi-trace acquisition -------------------------------------------
-
-  /// Captures seeds[i] for every i, in parallel; out[i] corresponds to
-  /// seeds[i] regardless of scheduling.
-  [[nodiscard]] std::vector<FullCapture> capture_many(const CampaignConfig& config,
-                                                      const std::vector<std::uint64_t>& seeds);
+  // --- profiling acquisition ---------------------------------------------
 
   /// Parallel counterpart of SamplerCampaign::collect_windows: capture r
   /// uses seed `seed_base + r` (the legacy profiling schedule), captures

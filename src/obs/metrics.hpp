@@ -61,7 +61,7 @@ class ExactSum {
 
   /// Serializes the *normalized* limb vector: two accumulators holding the
   /// same exact sum (by any add/merge history) save identical bytes, which
-  /// is what makes checkpoint and shard-merge outputs byte-comparable.
+  /// is what makes a resumed checkpoint byte-comparable to an unbroken run.
   void save(std::ostream& out) const;
   [[nodiscard]] static ExactSum load(std::istream& in);
 

@@ -27,6 +27,12 @@ class PatternClassifier {
 
   [[nodiscard]] bool fitted() const noexcept { return !patterns_.empty(); }
   [[nodiscard]] std::size_t prefix_length() const noexcept { return prefix_; }
+  [[nodiscard]] const std::map<std::int32_t, std::vector<double>>& patterns() const noexcept {
+    return patterns_;
+  }
+  [[nodiscard]] const std::vector<double>& inv_variance() const noexcept {
+    return inv_variance_;
+  }
 
   /// Classifies a window by minimal variance-weighted distance to the class
   /// means; throws std::logic_error if not fitted, std::invalid_argument if

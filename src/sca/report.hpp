@@ -90,7 +90,7 @@ struct RecoveryReport {
   [[nodiscard]] std::string to_string() const;
 
   /// Field-wise equality (bitwise for the doubles): the oracle the
-  /// checkpoint/resume and shard-merge byte-identity tests compare against.
+  /// checkpoint/resume byte-identity tests compare against.
   friend bool operator==(const RecoveryReport&, const RecoveryReport&) = default;
 };
 

@@ -46,6 +46,8 @@ class TemplateSet {
     return classes_;
   }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  [[nodiscard]] const num::Matrix& inv_covariance() const noexcept { return inv_covariance_; }
+  [[nodiscard]] double log_det() const noexcept { return log_det_; }
 
   /// Log-likelihood of `observation` under each class template (same order
   /// as classes()).

@@ -28,7 +28,7 @@ constexpr char kMagic[4] = {'R', 'V', 'L', 'T'};
 // Plausibility caps for on-disk counts, mirroring the kMaxElements guard in
 // seal/serialization.cpp: a corrupt or hostile file must produce a clean
 // parse error, never an unbounded allocation. Both caps are far above any
-// corpus this toolkit produces (captures run ~64 windows of ~34k samples).
+// trace set this toolkit writes (captures run ~64 windows of ~34k samples).
 constexpr std::uint64_t kMaxTraceSamples = std::uint64_t{1} << 28;  // 2 GiB of doubles
 // Every serialized trace costs at least its record header (label + count),
 // so a declared trace count beyond remaining_bytes / kMinTraceRecordBytes

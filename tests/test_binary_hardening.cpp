@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/campaign_checkpoint.hpp"
-#include "corpus/trace_store.hpp"
 #include "numeric/binary_io.hpp"
 #include "obs/metrics.hpp"
 #include "sca/report.hpp"
@@ -252,60 +251,6 @@ TEST(BinaryHardening, CampaignAccumulatorLoadSurvivesCorruptStreams) {
     EXPECT_EQ(loaded.confusion, acc.confusion);
   }
   run_sweeps(bytes, [](std::istream& in) { (void)core::CampaignAccumulator::load(in); });
-}
-
-// --- corpus reader (file-based) ---------------------------------------------
-
-TEST(BinaryHardening, CorpusReaderSurvivesCorruptFiles) {
-  const std::string path = temp_path("corpus.rvlc");
-  {
-    corpus::WriterOptions options;
-    options.traces_per_chunk = 4;
-    corpus::CorpusWriter writer = corpus::CorpusWriter::create(path, options);
-    std::vector<double> samples;
-    for (int i = 0; i < 10; ++i) {
-      samples.assign(static_cast<std::size_t>(12 + i), 1.5 * i);
-      writer.add(i, samples);
-    }
-    writer.close();
-  }
-  const std::string bytes = read_file(path);
-  const std::string probe = temp_path("corpus_probe.rvlc");
-
-  // Truncations: the commit pointer covers the whole file, so every strict
-  // prefix is a torn file and must be rejected.
-  const std::size_t stride = bytes.size() > 4096 ? 31 : 1;
-  for (std::size_t len = 0; len < bytes.size(); len += stride) {
-    write_file(probe, bytes.substr(0, len));
-    EXPECT_THROW(corpus::CorpusReader reader(probe), std::runtime_error)
-        << "prefix of " << len << " bytes opened";
-  }
-
-  // Single-byte corruption: the reader either rejects the file or serves a
-  // committed prefix of the original traces, bit-exact. (A flip in the
-  // newest commit slot legitimately falls back to the previous commit; a
-  // flip in unchecked reserved/padding bytes changes nothing.)
-  for (const unsigned char pattern : {0xFFu, 0x01u, 0x80u}) {
-    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-      std::string mutated = bytes;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ static_cast<char>(pattern));
-      write_file(probe, mutated);
-      try {
-        corpus::CorpusReader reader(probe);
-        ASSERT_LE(reader.size(), 10u) << "pos " << pos;
-        for (std::size_t i = 0; i < reader.size(); ++i) {
-          const corpus::TraceView view = reader[i];
-          ASSERT_EQ(view.label, static_cast<std::int32_t>(i)) << "pos " << pos;
-          ASSERT_EQ(view.samples.size(), static_cast<std::size_t>(12 + i))
-              << "pos " << pos;
-          for (const double v : view.samples)
-            ASSERT_EQ(v, 1.5 * static_cast<double>(i)) << "pos " << pos;
-        }
-      } catch (const std::exception&) {
-        // rejected — fine
-      }
-    }
-  }
 }
 
 }  // namespace

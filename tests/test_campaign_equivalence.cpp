@@ -20,7 +20,6 @@
 #include "core/campaign_checkpoint.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/hints.hpp"
-#include "core/shard_driver.hpp"
 #include "lwe/dbdd.hpp"
 #include "sca/report.hpp"
 #include "temp_dir.hpp"
@@ -307,14 +306,6 @@ TEST_F(CampaignEquivalence, GroundTruthCountersMatchHandRecountInEveryDriver) {
     ASSERT_TRUE(checkpointed.complete);
     expect_live_counters(checkpointed.diagnostics.registry);
   }
-  ShardOptions options;
-  options.shards = 2;
-  options.work_dir = reveal::test::process_temp_dir();
-  options.in_process = true;
-  CampaignDiagnostics sharded;
-  (void)run_sharded_campaign(*attack_, cfg, kBase, kCaptures, policy, params, options,
-                             &sharded);
-  expect_live_counters(sharded.registry);
 }
 
 TEST(CampaignEquivalenceNoFixture, CapturesAreHistoryIndependent) {
