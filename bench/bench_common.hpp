@@ -9,6 +9,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <numeric>
 #include <string>
@@ -21,6 +22,7 @@
 #include "core/campaign_runner.hpp"
 #include "core/hints.hpp"
 #include "lwe/dbdd.hpp"
+#include "obs/diagnostics.hpp"
 
 namespace reveal::bench {
 
@@ -201,6 +203,19 @@ class Cli {
   std::map<std::string, std::string> values_;
   std::vector<char*> passthrough_;
 };
+
+/// Writes a --diag report to `path` and prints "wrote <path>"; on an I/O
+/// error prints one line naming the path instead and returns false.
+inline bool write_diag(const obs::DiagnosticsReport& report, const std::string& path) {
+  try {
+    obs::write_json_file(report, path);
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
 
 inline void print_header(const char* experiment, const char* description) {
   std::printf("==============================================================\n");

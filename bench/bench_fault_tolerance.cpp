@@ -24,7 +24,6 @@
 #include "core/hints.hpp"
 #include "core/parallel.hpp"
 #include "lwe/dbdd.hpp"
-#include "obs/diagnostics.hpp"
 #include "power/fault_injector.hpp"
 #include "sca/report.hpp"
 
@@ -256,8 +255,7 @@ int main(int argc, char** argv) {
       merged.tracer.merge(d.tracer);
       merged.confusion.merge(d.confusion);
     }
-    obs::write_json_file(merged.report(), diag_path);
-    std::printf("wrote %s\n", diag_path.c_str());
+    if (!bench::write_diag(merged.report(), diag_path)) return 1;
   }
 
   return (monotone && wrong_total == 0) ? 0 : 1;

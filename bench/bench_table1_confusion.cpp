@@ -9,7 +9,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "obs/diagnostics.hpp"
 #include "sca/metrics.hpp"
 
 using namespace reveal;
@@ -89,9 +88,6 @@ int main(int argc, char** argv) {
   // spans, counters and the exact confusion tallies this table was printed
   // from (same seeds => same counts).
   const std::string diag_path = cli.string("--diag");
-  if (!diag_path.empty()) {
-    obs::write_json_file(run.diag.report(), diag_path);
-    std::printf("wrote %s\n", diag_path.c_str());
-  }
+  if (!diag_path.empty() && !bench::write_diag(run.diag.report(), diag_path)) return 1;
   return 0;
 }

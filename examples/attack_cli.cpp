@@ -14,6 +14,7 @@
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
@@ -49,8 +50,16 @@ CampaignConfig lab_config() {
   return cfg;
 }
 
+// Returns 0 on success, 1 when the artifacts cannot be written and 2 when
+// the capture did not segment (another capture may).
 int do_capture(const std::string& dir, std::uint64_t seed) {
-  std::filesystem::create_directories(dir);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "capture: cannot create the directory %s: %s\n", dir.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
   const seal::Context ctx(make_params());
   seal::StandardRandomGenerator rng(seed);
   const seal::KeyGenerator keygen(ctx, rng);
@@ -61,7 +70,7 @@ int do_capture(const std::string& dir, std::uint64_t seed) {
   if (cap.segments.size() != kN) {
     std::fprintf(stderr, "capture: segmentation failed (%zu windows)\n",
                  cap.segments.size());
-    return 1;
+    return 2;
   }
 
   // The victim message (kept out of the artifact directory, of course).
@@ -77,13 +86,19 @@ int do_capture(const std::string& dir, std::uint64_t seed) {
   const seal::Ciphertext ct =
       encryptor.encrypt_with_witness(seal::Plaintext(msg), witness);
 
-  seal::save_public_key_file(keygen.public_key(), dir + "/pk.bin");
-  seal::save_ciphertext_file(ct, dir + "/ct.bin");
   sca::TraceSet traces;
   sca::Trace t;
   t.samples = cap.trace;
   traces.add(std::move(t));
-  traces.save(dir + "/trace.bin");
+  try {
+    seal::save_public_key_file(keygen.public_key(), dir + "/pk.bin");
+    seal::save_ciphertext_file(ct, dir + "/ct.bin");
+    traces.save(dir + "/trace.bin");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "capture: cannot write the artifacts in %s: %s\n", dir.c_str(),
+                 e.what());
+    return 1;
+  }
 
   std::printf("capture: wrote %s/{pk.bin, ct.bin, trace.bin} (%zu samples)\n",
               dir.c_str(), cap.trace.size());
@@ -173,7 +188,9 @@ int main(int argc, char** argv) {
   // both: retry with fresh captures until the residual search lands
   // (roughly one in two lab-grade traces is within budget).
   for (std::uint64_t seed = 20260706; seed < 20260712; ++seed) {
-    if (do_capture(dir, seed) != 0) continue;
+    const int captured = do_capture(dir, seed);
+    if (captured == 2) continue;
+    if (captured != 0) return captured;
     const int rc = do_attack(dir);
     if (rc != 2) return rc;
     std::printf("(trace too noisy for the budget; trying another capture)\n\n");

@@ -23,8 +23,9 @@ int main(int argc, char** argv) {
   std::size_t n = 16;
   double sigma = 0.15;
   if (argc > 3 || (argc > 1 && !examples::parse_arg<std::size_t>(argv[1], 1, 1024, n)) ||
-      (argc > 2 && !examples::parse_arg(argv[2], 0.0, 100.0, sigma))) {
-    std::fprintf(stderr, "usage: %s [n 1..1024] [noise_sigma 0..100]\n", argv[0]);
+      (n & (n - 1)) != 0 || (argc > 2 && !examples::parse_arg(argv[2], 0.0, 100.0, sigma))) {
+    std::fprintf(stderr, "usage: %s [n 1..1024, a power of two] [noise_sigma 0..100]\n",
+                 argv[0]);
     return 64;
   }
 
@@ -33,9 +34,18 @@ int main(int argc, char** argv) {
   cfg.leakage.noise_sigma = sigma;
   SamplerCampaign campaign(cfg);
 
+  // The rendering below walks the first windows of the capture. Too much
+  // noise shorts the segmentation: say so instead of indexing past it.
+  const FullCapture cap = campaign.capture(1);
+  if (cap.segments.size() != n) {
+    std::fprintf(stderr,
+                 "leakage_explorer: the capture segments into %zu of %zu windows at noise "
+                 "sigma %.2f; lower the noise\n",
+                 cap.segments.size(), n, sigma);
+    return 1;
+  }
   std::printf("== leakage explorer: n = %zu coefficients, noise sigma = %.2f ==\n\n", n,
               sigma);
-  const FullCapture cap = campaign.capture(1);
   std::printf("trace: %zu samples, %zu/%zu windows segmented\n", cap.trace.size(),
               cap.segments.size(), n);
   std::printf("sampled coefficients:");
@@ -71,7 +81,8 @@ int main(int argc, char** argv) {
 
   // Per-sign mean windows + SOSD.
   std::printf("collecting labelled windows for the POI analysis...\n");
-  const auto windows = campaign.collect_windows(200, /*seed_base=*/10);
+  std::size_t rejected = 0;
+  const auto windows = campaign.collect_windows(200, /*seed_base=*/10, &rejected);
   std::vector<sca::WindowView> by_sign;
   std::vector<sca::WindowView> negatives;
   for (const auto& w : windows) {
@@ -79,6 +90,15 @@ int main(int argc, char** argv) {
     const std::span<const double> prefix = std::span(w.samples).first(110);
     by_sign.push_back({prefix, w.true_value > 0 ? 1 : (w.true_value < 0 ? -1 : 0)});
     if (w.true_value < 0) negatives.push_back({prefix, w.true_value});
+  }
+  // The SOSD curve compares two negative values at least.
+  const auto neg_means = negatives.empty() ? sca::ClassMeans{} : sca::class_means(negatives);
+  if (neg_means.size() < 2) {
+    std::fprintf(stderr,
+                 "leakage_explorer: too few profiling windows survive for the POI analysis "
+                 "(%zu of 200 captures segmented into %zu windows)\n",
+                 200 - rejected, n);
+    return 1;
   }
   const auto sign_means = sca::class_means(by_sign);
   std::printf("\nmean window per sign (110 samples, '#' >5.5, '+' >4.5, '.' else):\n");
@@ -88,7 +108,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const auto neg_means = sca::class_means(negatives);
   const auto sosd = sca::sosd_curve(neg_means);
   const auto pois = sca::select_pois(sosd, 12, 2);
   const double sosd_max = *std::max_element(sosd.begin(), sosd.end());

@@ -1,13 +1,220 @@
 #include "core/campaign_runner.hpp"
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "core/campaign_checkpoint.hpp"
-#include "core/campaign_obs.hpp"
 
 namespace reveal::core {
 
-using detail::CampaignReplicas;
+namespace {
+
+/// Lazily constructed per-worker SamplerCampaign replicas. Captures are
+/// history-independent (run_victim resets the machine and reloads the
+/// firmware), so a replica produces bit-identical captures to a shared
+/// sequential campaign; each worker touches only its own slot.
+class CampaignReplicas {
+ public:
+  CampaignReplicas(const CampaignConfig& config, std::size_t workers)
+      : config_(config),
+        replicas_(std::max<std::size_t>(workers, 1)),
+        scratch_(replicas_.size()) {}
+
+  SamplerCampaign& for_worker(std::size_t w) {
+    if (!replicas_[w]) replicas_[w] = std::make_unique<SamplerCampaign>(config_);
+    return *replicas_[w];
+  }
+
+  /// Per-worker capture scratch: capture_into() reuses its buffers, so a
+  /// worker's acquisition stops allocating after its first few captures.
+  FullCapture& scratch_for(std::size_t w) { return scratch_[w]; }
+
+  /// Replica-level fault activation counts folded in worker-index order.
+  [[nodiscard]] power::FaultStats merged_fault_stats() const noexcept {
+    power::FaultStats faults;
+    for (const auto& replica : replicas_) {
+      if (replica) faults.merge(replica->fault_stats());
+    }
+    return faults;
+  }
+
+ private:
+  CampaignConfig config_;
+  std::vector<std::unique_ptr<SamplerCampaign>> replicas_;
+  std::vector<FullCapture> scratch_;
+};
+
+/// One worker's private observability partial (merged in worker order).
+/// The metric handles are resolved once, right after `registry` is built,
+/// so the capture loop never does string lookups; resolving them registers
+/// the full counter schema, so even idle workers contribute stable
+/// (zero-valued) names to the merged report.
+struct WorkerObs {
+  obs::Registry registry;
+  obs::SpanTracer tracer;
+  sca::ConfusionMatrix confusion;
+
+  obs::Registry::Id capture_count = registry.counter("capture.count");
+  obs::Registry::Id capture_faulted = registry.counter("capture.faulted");
+  obs::Registry::Id seg_attempts = registry.counter("segmentation.attempts");
+  obs::Registry::Id seg_retries = registry.counter("segmentation.retries");
+  obs::Registry::Id seg_ok = registry.counter("segmentation.ok");
+  obs::Registry::Id seg_recovered = registry.counter("segmentation.recovered");
+  obs::Registry::Id seg_degraded = registry.counter("segmentation.degraded");
+  obs::Registry::Id seg_failed = registry.counter("segmentation.failed");
+  obs::Registry::Id guess_ok = registry.counter("classify.ok");
+  obs::Registry::Id guess_low = registry.counter("classify.low_confidence");
+  obs::Registry::Id guess_abstained = registry.counter("classify.abstained");
+  obs::Registry::Id sign_correct = registry.counter("classify.sign_correct");
+  obs::Registry::Id hints_perfect = registry.counter("hints.perfect");
+  obs::Registry::Id hints_approximate = registry.counter("hints.approximate");
+  obs::Registry::Id hints_sign_only = registry.counter("hints.sign_only");
+  obs::Registry::Id hints_skipped = registry.counter("hints.skipped");
+  obs::Registry::Id wrong_perfect = registry.counter("hints.wrong_perfect");
+  obs::Registry::Id trace_samples_max = registry.gauge("capture.trace_samples.max");
+  obs::Registry::Id window_quality =
+      registry.histogram("segmentation.window_quality", 0.0, 1.0, 20);
+};
+
+/// Folds one finished capture's outcome into the worker's counters.
+void count_capture(WorkerObs& o, const CampaignConfig& config, const FullCapture& cap,
+                   const RobustCaptureResult& res, const std::vector<HintRecord>& records) {
+  obs::Registry& reg = o.registry;
+  reg.add(o.capture_count);
+  if (config.faults.any()) reg.add(o.capture_faulted);
+  reg.set_max(o.trace_samples_max, static_cast<double>(cap.trace.size()));
+
+  reg.add(o.seg_attempts, res.segmentation.attempts);
+  if (res.segmentation.attempts > 1)
+    reg.add(o.seg_retries, res.segmentation.attempts - 1);
+  switch (res.segmentation.status) {
+    case sca::SegmentationStatus::kOk: reg.add(o.seg_ok); break;
+    case sca::SegmentationStatus::kRecovered: reg.add(o.seg_recovered); break;
+    case sca::SegmentationStatus::kDegraded: reg.add(o.seg_degraded); break;
+    case sca::SegmentationStatus::kFailed: reg.add(o.seg_failed); break;
+  }
+  for (const double q : res.segmentation.window_quality) reg.observe(o.window_quality, q);
+
+  for (const CoefficientGuess& g : res.guesses) {
+    switch (g.quality) {
+      case GuessQuality::kOk: reg.add(o.guess_ok); break;
+      case GuessQuality::kLowConfidence: reg.add(o.guess_low); break;
+      case GuessQuality::kAbstained: reg.add(o.guess_abstained); break;
+    }
+  }
+  for (const HintRecord& r : records) {
+    switch (r.kind) {
+      case HintRecord::Kind::kPerfect: reg.add(o.hints_perfect); break;
+      case HintRecord::Kind::kApproximate: reg.add(o.hints_approximate); break;
+      case HintRecord::Kind::kSignOnly: reg.add(o.hints_sign_only); break;
+      case HintRecord::Kind::kSkipped: reg.add(o.hints_skipped); break;
+    }
+  }
+
+  // Ground truth travels with every capture, so the per-class confusion of
+  // the paper's Table I, the sign accuracy and the wrong-perfect-hint count
+  // (the invariant the degradation-aware routing must hold at zero) fall
+  // out of the campaign for free — but only when every window produced a
+  // guess (a shorted segmentation loses the window <-> coefficient
+  // correspondence). A guess exists only when segmentation did not fail,
+  // so records[j] is guess j's hint.
+  if (!res.guesses.empty() && res.guesses.size() == cap.noise.size()) {
+    std::uint64_t sign_correct = 0;
+    std::uint64_t wrong_perfect = 0;
+    for (std::size_t j = 0; j < res.guesses.size(); ++j) {
+      const CoefficientGuess& g = res.guesses[j];
+      const std::int64_t truth = cap.noise[j];
+      o.confusion.add(static_cast<std::int32_t>(truth), g.value);
+      sign_correct += g.sign == (truth > 0) - (truth < 0);
+      wrong_perfect += records[j].kind == HintRecord::Kind::kPerfect && g.value != truth;
+    }
+    reg.add(o.sign_correct, sign_correct);
+    reg.add(o.wrong_perfect, wrong_perfect);
+  }
+}
+
+/// The per-capture stage of a campaign, templated on whether anything
+/// observes it: kDiag=false instantiates with obs::NullSpanTracer and no
+/// counter code at all, so "observability off changes nothing" holds by
+/// construction; kDiag=true only ever reads pipeline outputs. Captures
+/// seeds[i], runs the robust attack and routes its guesses on the pool's
+/// workers, writing out.captures, out.truth and out.hints into index slots.
+/// Returns the per-worker hint tallies merged in worker-index order.
+template <bool kDiag>
+HintTally capture_attack_route(WorkerPool& pool, const RevealAttack& attack,
+                               const CampaignConfig& config,
+                               const std::vector<std::uint64_t>& seeds,
+                               const HintPolicy& policy, RecoveryCampaignResult& out,
+                               CampaignDiagnostics* diag) {
+  const std::size_t count = seeds.size();
+  const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
+  out.captures.resize(count);
+  out.truth.resize(count);
+  out.hints.resize(count);
+  std::vector<HintTally> tallies(worker_slots);
+  std::vector<WorkerObs> worker_obs(kDiag ? worker_slots : 0);
+  CampaignReplicas replicas(config, pool.num_workers());
+
+  // Each capture is one task whose windows are attacked in order inside it:
+  // captures outnumber workers in every campaign-shaped sweep.
+  pool.run_indexed(count, [&](std::size_t i, std::size_t w) {
+    FullCapture& cap = replicas.scratch_for(w);
+    RobustCaptureResult& res = out.captures[i];
+    std::vector<HintRecord>& records = out.hints[i];
+    auto route = [&] {
+      if (res.segmentation.status == sca::SegmentationStatus::kFailed) return;
+      records.reserve(res.guesses.size());
+      for (const CoefficientGuess& g : res.guesses) {
+        records.push_back(route_guess(g, policy));
+        tallies[w].add(records.back());
+      }
+    };
+    if constexpr (kDiag) {
+      WorkerObs& o = worker_obs[w];
+      const auto span_index = static_cast<std::uint32_t>(i);
+      {
+        auto span = o.tracer.span(obs::Stage::kCapture, span_index);
+        replicas.for_worker(w).capture_into(seeds[i], cap);
+      }
+      res = attack.attack_capture_robust_traced(cap.trace, config.n, config.segmentation,
+                                                o.tracer, span_index);
+      {
+        auto span = o.tracer.span(obs::Stage::kHints, span_index);
+        route();
+      }
+      count_capture(o, config, cap, res, records);
+    } else {
+      replicas.for_worker(w).capture_into(seeds[i], cap);
+      res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
+      route();
+    }
+    out.truth[i] = cap.noise;
+  });
+
+  HintTally merged;
+  for (const HintTally& t : tallies) merged.merge(t);
+  if constexpr (kDiag) {
+    for (const WorkerObs& o : worker_obs) {
+      diag->registry.merge(o.registry);
+      diag->confusion.merge(o.confusion);
+      diag->tracer.merge(o.tracer);
+    }
+    const power::FaultStats faults = replicas.merged_fault_stats();
+    obs::Registry& reg = diag->registry;
+    reg.add(reg.counter("faults.captures"), faults.captures);
+    reg.add(reg.counter("faults.dropped_samples"), faults.dropped_samples);
+    reg.add(reg.counter("faults.glitch_samples"), faults.glitch_samples);
+    reg.add(reg.counter("faults.burst_windows"), faults.burst_windows);
+    reg.add(reg.counter("faults.drifted_captures"), faults.drifted_captures);
+    reg.add(reg.counter("faults.clipped_samples"), faults.clipped_samples);
+    reg.add(reg.counter("faults.misaligned_captures"), faults.misaligned_captures);
+    reg.add(reg.counter("faults.warped_captures"), faults.warped_captures);
+  }
+  return merged;
+}
+
+}  // namespace
 
 CampaignRunner::CampaignRunner(std::size_t num_workers) : pool_(num_workers) {}
 
@@ -58,12 +265,83 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
     const RevealAttack& attack, const CampaignConfig& config,
     const std::vector<std::uint64_t>& seeds, const HintPolicy& policy,
     const lwe::DbddParams& params, CampaignDiagnostics* diag) {
-  require_hint_capacity(seeds.size(), config.n, params);
-  obs::SpanTracer* spans = diag != nullptr ? &diag->tracer : nullptr;
-  CampaignAccumulator acc;
-  acc.keep_captures = true;
-  accumulate_campaign_range(pool_, attack, config, seeds, 0, seeds.size(), policy, acc, spans);
-  return finalize_campaign(std::move(acc), config.n, params, diag, spans);
+  // Every hint takes an error coordinate of its own in the estimator
+  // replay: captures x windows > error_dim, without the product overflowing.
+  if (config.n != 0 && seeds.size() > params.error_dim / config.n)
+    throw std::invalid_argument(
+        "campaign: " + std::to_string(seeds.size()) + " captures x " +
+        std::to_string(config.n) + " windows can route more hints than the " +
+        std::to_string(params.error_dim) + " error coordinates of the estimator");
+  if (config.shuffled_firmware)
+    throw std::invalid_argument(
+        "run_recovery_campaign: shuffled firmware hides the coefficient order "
+        "(2n - 1 bursts, no positional hints)");
+
+  RecoveryCampaignResult out;
+  const HintTally worker_tally =
+      diag != nullptr
+          ? capture_attack_route<true>(pool_, attack, config, seeds, policy, out, diag)
+          : capture_attack_route<false>(pool_, attack, config, seeds, policy, out, nullptr);
+
+  // Everything below runs in capture order on this thread: the one order
+  // that exists for every worker count.
+  HintTally recount;
+  for (const auto& records : out.hints) {
+    for (const HintRecord& r : records) recount.add(r);
+  }
+  if (recount.perfect != worker_tally.perfect ||
+      recount.approximate != worker_tally.approximate ||
+      recount.sign_only != worker_tally.sign_only || recount.skipped != worker_tally.skipped) {
+    throw std::logic_error(
+        "run_recovery_campaign: merged worker tallies diverge from the ordered recount "
+        "(lost update in shared accumulation)");
+  }
+  // The variance sum is taken from the recount: the worker tallies add it
+  // up in schedule order.
+  out.hint_totals = recount.summary();
+
+  // Estimator integration replays the routed hints — its state update is
+  // floating-point order-sensitive.
+  auto integrate = [&] {
+    lwe::DbddEstimator estimator(params);
+    for (const auto& records : out.hints) {
+      for (const HintRecord& r : records) apply_hint(estimator, r);
+    }
+    return estimator.estimate();
+  };
+  lwe::SecurityEstimate estimate;
+  if (diag != nullptr) {
+    auto span = diag->tracer.span(obs::Stage::kEstimation);
+    estimate = integrate();
+  } else {
+    estimate = integrate();
+  }
+
+  sca::RecoveryReport& rep = out.report;
+  rep.expected_windows = seeds.size() * config.n;
+  rep.segmentation_status = sca::SegmentationStatus::kOk;
+  double consistency_sum = 0.0;
+  for (const RobustCaptureResult& res : out.captures) {
+    rep.recovered_windows += res.segmentation.segments.size();
+    rep.segmentation_attempts += res.segmentation.attempts;
+    rep.segmentation_status = std::max(rep.segmentation_status, res.segmentation.status);
+    consistency_sum += res.segmentation.burst_consistency;
+    for (const CoefficientGuess& g : res.guesses) {
+      switch (g.quality) {
+        case GuessQuality::kOk: ++rep.ok_guesses; break;
+        case GuessQuality::kLowConfidence: ++rep.low_confidence_guesses; break;
+        case GuessQuality::kAbstained: ++rep.abstained_guesses; break;
+      }
+    }
+  }
+  if (!seeds.empty()) rep.burst_consistency = consistency_sum / static_cast<double>(seeds.size());
+  rep.perfect_hints = out.hint_totals.perfect;
+  rep.approximate_hints = out.hint_totals.approximate;
+  rep.sign_only_hints = out.hint_totals.sign_only;
+  rep.dropped_hints = out.hint_totals.skipped;
+  rep.bikz = estimate.beta;
+  rep.bits = estimate.bits;
+  return out;
 }
 
 }  // namespace reveal::core

@@ -19,12 +19,13 @@
 //     partials merged in worker-index order, then are cross-checked against
 //     an ordered recount: a data race that loses an update is detected, not
 //     silently reported.
+//   * report: every RecoveryReport field is recounted from the per-capture
+//     results in capture order, so its one float sum (burst consistency)
+//     adds up the same way for every worker count.
 //
-// run_recovery_campaign is the campaign fold (accumulate_campaign_range)
-// over the whole seed list plus finalize_campaign — the same two steps the
-// checkpointed driver runs batch by batch (campaign_checkpoint.hpp). With
-// num_workers == 0 the pool spawns no threads;
-// tests/test_campaign_equivalence.cpp pins workers ∈ {0, 1, 4} to
+// run_recovery_campaign is the one campaign driver: every bench, example
+// and e2ebench workload runs it. With num_workers == 0 the pool spawns no
+// threads; tests/test_campaign_equivalence.cpp pins workers ∈ {0, 1, 4} to
 // byte-identical RecoveryReports and hint sets.
 
 #include <cstdint>
@@ -44,9 +45,7 @@ namespace reveal::core {
 
 /// Everything a recovery campaign produced, in deterministic order.
 struct RecoveryCampaignResult {
-  /// One per capture, in capture order (the live driver keeps them; the
-  /// checkpointed driver does not).
-  std::vector<RobustCaptureResult> captures;
+  std::vector<RobustCaptureResult> captures;  ///< one per capture, in capture order
   /// Ground truth of each capture — the sampled coefficients, one per
   /// window — in capture order, kept alongside `captures`.
   std::vector<std::vector<std::int64_t>> truth;
@@ -55,7 +54,7 @@ struct RecoveryCampaignResult {
   sca::RecoveryReport report;  ///< aggregate stage counters + residual estimate
 };
 
-/// Observability sink of the campaign drivers. Passing one enables the
+/// Observability sink of the campaign driver. Passing one enables the
 /// instrumented pipeline instantiation: per-stage spans land in `tracer`,
 /// retry/abstention/downgrade/fault counters in `registry`, and — when the
 /// ground-truth noise is available — per-class confusion tallies in
@@ -84,8 +83,6 @@ class CampaignRunner {
   /// uses every hardware thread.
   explicit CampaignRunner(std::size_t num_workers = default_num_workers());
 
-  [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
-
   /// Counter-split per-capture seeds: {stream_seed(base_seed, 0..count)}.
   [[nodiscard]] static std::vector<std::uint64_t> stream_seeds(std::uint64_t base_seed,
                                                                std::size_t count);
@@ -105,11 +102,13 @@ class CampaignRunner {
   /// Runs the complete degradation-aware campaign over `seeds`: capture ->
   /// robust segmentation -> classification -> hint routing per capture on
   /// the workers, then ordered hint integration and the security estimate
-  /// on the calling thread — accumulate_campaign_range over [0, N) plus
-  /// finalize_campaign. Throws std::invalid_argument, before any capture,
-  /// when seeds.size() x config.n exceeds params.error_dim
-  /// (require_hint_capacity), and std::logic_error if the merged per-worker
-  /// tallies disagree with the ordered recount (a lost-update symptom).
+  /// on the calling thread. Throws std::invalid_argument, before any
+  /// capture, when seeds.size() x config.n exceeds params.error_dim (every
+  /// hint takes an estimator coordinate of its own) or when `config` runs
+  /// shuffled firmware (its trace holds 2n - 1 bursts, and positional hints
+  /// mean nothing for a victim that hides the coefficient order); throws
+  /// std::logic_error if the merged per-worker tallies disagree with the
+  /// ordered recount (a lost-update symptom).
   ///
   /// `diag` (optional) collects observability data — spans, counters,
   /// confusion — without changing a single output byte; when null, the

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -58,12 +57,6 @@ class ExactSum {
   [[nodiscard]] friend bool operator==(const ExactSum& a, const ExactSum& b) noexcept {
     return a.normalized().limbs_ == b.normalized().limbs_;
   }
-
-  /// Serializes the *normalized* limb vector: two accumulators holding the
-  /// same exact sum (by any add/merge history) save identical bytes, which
-  /// is what makes a resumed checkpoint byte-comparable to an unbroken run.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static ExactSum load(std::istream& in);
 
  private:
   // 70 x 32-bit limbs span weights 2^-1152 .. 2^1088: every finite double
@@ -109,11 +102,6 @@ class LatencyHistogram {
   /// incompatible bucket layouts.
   void merge(const LatencyHistogram& other);
 
-  /// Binary snapshot (layout, counts, exact sum); load() bounds-checks the
-  /// bucket count and cross-checks total() against the bucket counts.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static LatencyHistogram load(std::istream& in);
-
   friend bool operator==(const LatencyHistogram&, const LatencyHistogram&) = default;
 
  private:
@@ -158,15 +146,6 @@ class Registry {
   /// histogram buckets add exactly; gauges take the max. A name registered
   /// with different kinds (or incompatible histogram layouts) throws.
   void merge(const Registry& other);
-
-  /// Binary snapshot of every entry, written in sorted-name order so the
-  /// bytes are independent of registration order (merge() matches by name,
-  /// so a reload round-trips exactly). Reads are bounds-checked.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static Registry load(std::istream& in);
-
-  /// Same metrics with same values (by name; Ids may differ).
-  [[nodiscard]] bool same_metrics(const Registry& other) const;
 
  private:
   struct Entry {

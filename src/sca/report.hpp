@@ -3,7 +3,6 @@
 // the format of the paper's Table I.
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,11 +42,6 @@ class ConfusionMatrix {
   /// [col_lo, col_hi] and rows in [row_lo, row_hi].
   [[nodiscard]] std::string to_table(std::int32_t row_lo, std::int32_t row_hi,
                                      std::int32_t col_lo, std::int32_t col_hi) const;
-
-  /// Binary snapshot of the (truth, predicted) counts; load() rebuilds the
-  /// marginals from them and bounds-checks the cell count before allocating.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static ConfusionMatrix load(std::istream& in);
 
  private:
   std::map<std::pair<std::int32_t, std::int32_t>, std::size_t> counts_;  // (truth, pred)
@@ -89,8 +83,8 @@ struct RecoveryReport {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Field-wise equality (bitwise for the doubles): the oracle the
-  /// checkpoint/resume byte-identity tests compare against.
+  /// Field-wise equality (bitwise for the doubles): two campaigns over the
+  /// same seeds report equal for every worker count.
   friend bool operator==(const RecoveryReport&, const RecoveryReport&) = default;
 };
 

@@ -15,10 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign_checkpoint.hpp"
-#include "numeric/binary_io.hpp"
-#include "obs/metrics.hpp"
-#include "sca/report.hpp"
 #include "sca/trace.hpp"
 #include "seal/serialization.hpp"
 #include "temp_dir.hpp"
@@ -86,22 +82,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-// --- numeric/binary_io primitives ------------------------------------------
-
-TEST(BinaryHardening, ReadVecRejectsImplausibleCounts) {
-  std::ostringstream out(std::ios::binary);
-  num::io::write_pod<std::uint64_t>(out, std::uint64_t{1} << 60);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_THROW((void)num::io::read_vec<double>(in, 1 << 20), std::runtime_error);
-}
-
-TEST(BinaryHardening, ReadStringRejectsOversizedLength) {
-  std::ostringstream out(std::ios::binary);
-  num::io::write_pod<std::uint64_t>(out, std::uint64_t{1} << 40);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_THROW((void)num::io::read_string(in), std::runtime_error);
 }
 
 // --- sca::TraceSet (file-based) --------------------------------------------
@@ -178,79 +158,6 @@ TEST(BinaryHardening, SealPolyDimensionProductCannotWrap) {
   std::memcpy(bytes.data() + 16, &wrap, sizeof(wrap));
   std::istringstream in(bytes, std::ios::binary);
   EXPECT_THROW((void)seal::load_poly(in), std::runtime_error);
-}
-
-// --- sca / obs serialized state ---------------------------------------------
-
-TEST(BinaryHardening, RegistryLoadSurvivesCorruptStreams) {
-  obs::Registry reg;
-  const auto c = reg.counter("capture.count");
-  reg.add(c, 41);
-  reg.set_max(reg.gauge("queue.depth.max"), 17.5);
-  const auto h = reg.histogram("segmentation.quality", 0.0, 1.0, 16);
-  for (int i = 0; i < 50; ++i) reg.observe(h, 0.02 * i);
-  const std::string bytes = serialize([&](std::ostream& out) { reg.save(out); });
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    EXPECT_TRUE(obs::Registry::load(in).same_metrics(reg));  // exact round-trip
-  }
-  run_sweeps(bytes, [](std::istream& in) { (void)obs::Registry::load(in); });
-}
-
-TEST(BinaryHardening, ConfusionMatrixLoadSurvivesCorruptStreams) {
-  sca::ConfusionMatrix confusion;
-  for (int t = -3; t <= 3; ++t)
-    for (int p = -3; p <= 3; ++p)
-      for (int reps = 0; reps <= (t == p ? 6 : 1); ++reps) confusion.add(t, p);
-  const std::string bytes = serialize([&](std::ostream& out) { confusion.save(out); });
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    EXPECT_EQ(sca::ConfusionMatrix::load(in), confusion);  // exact round-trip
-  }
-  run_sweeps(bytes, [](std::istream& in) { (void)sca::ConfusionMatrix::load(in); });
-}
-
-TEST(BinaryHardening, CampaignAccumulatorLoadSurvivesCorruptStreams) {
-  core::CampaignAccumulator acc;
-  acc.next_index = 3;
-  acc.hints.resize(3);
-  for (std::size_t c = 0; c < 3; ++c) {
-    for (std::size_t g = 0; g < 2 + c; ++g) {
-      core::HintRecord r;
-      r.kind = static_cast<core::HintRecord::Kind>((c + g) % 4);
-      r.variance = 0.125 * static_cast<double>(g + 1);
-      acc.hints[c].push_back(r);
-      acc.worker_tally.add(r);
-    }
-    acc.capture_consistency.push_back(0.5 + 0.1 * static_cast<double>(c));
-  }
-  acc.recovered_windows = 180;
-  acc.segmentation_attempts = 4;
-  acc.worst_status = sca::SegmentationStatus::kRecovered;
-  acc.ok_guesses = 150;
-  acc.low_confidence_guesses = 20;
-  acc.abstained_guesses = 10;
-  acc.registry.add(acc.registry.counter("capture.count"), 3);
-  acc.confusion.add(1, 1);
-  acc.confusion.add(1, -1);
-
-  const std::string bytes = serialize([&](std::ostream& out) { acc.save(out); });
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    const core::CampaignAccumulator loaded = core::CampaignAccumulator::load(in);
-    EXPECT_EQ(loaded.next_index, acc.next_index);
-    EXPECT_EQ(loaded.hints, acc.hints);
-    EXPECT_EQ(loaded.capture_consistency, acc.capture_consistency);
-    // Only the tally's counts persist (its variance sum is schedule-dependent).
-    EXPECT_EQ(loaded.worker_tally.perfect, acc.worker_tally.perfect);
-    EXPECT_EQ(loaded.worker_tally.approximate, acc.worker_tally.approximate);
-    EXPECT_EQ(loaded.worker_tally.sign_only, acc.worker_tally.sign_only);
-    EXPECT_EQ(loaded.worker_tally.skipped, acc.worker_tally.skipped);
-    EXPECT_EQ(loaded.worst_status, acc.worst_status);
-    EXPECT_TRUE(loaded.registry.same_metrics(acc.registry));
-    EXPECT_EQ(loaded.confusion, acc.confusion);
-  }
-  run_sweeps(bytes, [](std::istream& in) { (void)core::CampaignAccumulator::load(in); });
 }
 
 }  // namespace

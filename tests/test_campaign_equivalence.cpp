@@ -7,22 +7,23 @@
 // field (doubles compared with ==, not tolerances), every CoefficientGuess,
 // and every routed HintRecord. It also pins the two pillars the engine
 // stands on: capture history-independence (per-worker campaign replicas are
-// sound) and collect_windows parallel/serial identity.
+// sound) and collect_windows parallel/serial identity; and the driver's
+// contract around them: the two rejections before the first capture, and
+// the ground truth that travels with each capture.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
-#include "core/campaign_checkpoint.hpp"
 #include "core/campaign_runner.hpp"
 #include "core/hints.hpp"
 #include "lwe/dbdd.hpp"
 #include "sca/report.hpp"
-#include "temp_dir.hpp"
 
 using namespace reveal;
 using namespace reveal::core;
@@ -39,6 +40,16 @@ CampaignConfig degraded_config() {
   cfg.faults.dropout_rate = 0.02;
   cfg.faults.glitch_count = 2;
   return cfg;
+}
+
+lwe::DbddParams paper_params() {
+  lwe::DbddParams params;
+  params.secret_dim = 1024;
+  params.error_dim = 1024;
+  params.q = 132120577.0;
+  params.secret_variance = 3.2 * 3.2;
+  params.error_variance = 3.2 * 3.2;
+  return params;
 }
 
 AttackConfig gated_attack_config() {
@@ -125,12 +136,7 @@ RevealAttack* CampaignEquivalence::attack_ = nullptr;
 
 TEST_F(CampaignEquivalence, FullCampaignByteIdenticalAcrossWorkerCounts) {
   const CampaignConfig cfg = degraded_config();
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = paper_params();
   const HintPolicy policy;
   const std::uint64_t seed_bases[] = {11, 222, 3333, 44444, 555555};
   constexpr std::size_t kCaptures = 4;
@@ -161,12 +167,7 @@ TEST_F(CampaignEquivalence, DiagnosticsSinkDoesNotChangeAnyOutputByte) {
   // outputs of the NullSpanTracer instantiation — for the serial path and
   // for a parallel pool.
   const CampaignConfig cfg = degraded_config();
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = paper_params();
   const HintPolicy policy;
   const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(8080, 4);
 
@@ -196,12 +197,7 @@ TEST_F(CampaignEquivalence, DiagnosticsCountersInvariantAcrossWorkerCounts) {
   // observations and are exempt — the comparison goes through a report
   // built without the tracer.
   const CampaignConfig cfg = degraded_config();
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
+  const lwe::DbddParams params = paper_params();
   const HintPolicy policy;
   const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(4321, 6);
 
@@ -239,21 +235,14 @@ TEST_F(CampaignEquivalence, GroundTruthCountersMatchHandRecountInEveryDriver) {
   HintPolicy policy;
   policy.perfect_threshold = 1e9;
   policy.zero_hint_variance = 0.0;
-  lwe::DbddParams params;
-  params.secret_dim = 1024;
-  params.error_dim = 1024;
-  params.q = 132120577.0;
-  params.secret_variance = 3.2 * 3.2;
-  params.error_variance = 3.2 * 3.2;
-  constexpr std::uint64_t kBase = 9090;
-  constexpr std::size_t kCaptures = 6;
-  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(kBase, kCaptures);
+  const lwe::DbddParams params = paper_params();
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(9090, 6);
 
   struct Recount {
     std::uint64_t sign_correct = 0, sign_wrong = 0, wrong_perfect = 0, wrong_other = 0;
   };
-  // Runs the live driver on `cfg`, recounts by hand and checks the counters.
-  auto live_recount = [&](const CampaignConfig& cfg, CampaignDiagnostics& diag) {
+  // Runs the campaign on `cfg`, recounts by hand and checks the counters.
+  auto recount = [&](const CampaignConfig& cfg, CampaignDiagnostics& diag) {
     CampaignRunner runner(2);
     const RecoveryCampaignResult result =
         runner.run_recovery_campaign(*attack_, cfg, seeds, policy, params, &diag);
@@ -279,32 +268,73 @@ TEST_F(CampaignEquivalence, GroundTruthCountersMatchHandRecountInEveryDriver) {
 
   CampaignConfig cfg;
   cfg.n = 64;
-  CampaignDiagnostics live;
-  const Recount clean = live_recount(cfg, live);
+  CampaignDiagnostics clean_diag;
+  const Recount clean = recount(cfg, clean_diag);
   ASSERT_GT(clean.wrong_perfect, 0u) << "the policy should let wrong perfect hints through";
   // Faulted captures add wrong signs and wrong values that route below
   // perfect, so neither counter can pass as a plain tally of aligned or
   // wrong windows.
   CampaignDiagnostics faulted_diag;
-  const Recount faulted = live_recount(degraded_config(), faulted_diag);
+  const Recount faulted = recount(degraded_config(), faulted_diag);
   EXPECT_GT(faulted.sign_wrong, 0u);
   EXPECT_GT(faulted.wrong_other, 0u);
+}
 
-  // Every other driver reports the live values.
-  auto expect_live_counters = [&](const obs::Registry& registry) {
-    EXPECT_EQ(registry.counter_value("classify.sign_correct"), clean.sign_correct);
-    EXPECT_EQ(registry.counter_value("hints.wrong_perfect"), clean.wrong_perfect);
-  };
-  for (const std::size_t batch : {1u, 4u}) {
-    SCOPED_TRACE("checkpointed batch=" + std::to_string(batch));
-    CampaignRunner runner(batch == 1 ? 0 : 2);
-    CheckpointOptions options;
-    options.path = reveal::test::temp_path("counters_b" + std::to_string(batch) + ".ckpt");
-    options.batch_size = batch;
-    const CheckpointedCampaignResult checkpointed = run_recovery_campaign_checkpointed(
-        runner, *attack_, cfg, kBase, kCaptures, policy, params, options);
-    ASSERT_TRUE(checkpointed.complete);
-    expect_live_counters(checkpointed.diagnostics.registry);
+TEST_F(CampaignEquivalence, ShuffledFirmwareIsRejectedUpFront) {
+  // A shuffled trace holds 2n - 1 bursts and hides which coefficient each
+  // window sampled, so positional hints from it would be wrong: the driver
+  // refuses the config before any capture runs.
+  CampaignConfig cfg;
+  cfg.n = 64;
+  cfg.shuffled_firmware = true;
+  CampaignRunner runner(2);
+  CampaignDiagnostics diag;
+  EXPECT_THROW((void)runner.run_recovery_campaign(*attack_, cfg,
+                                                  CampaignRunner::stream_seeds(20260808, 4),
+                                                  HintPolicy{}, paper_params(), &diag),
+               std::invalid_argument);
+  EXPECT_TRUE(diag.tracer.events().empty());  // no capture ran
+}
+
+TEST_F(CampaignEquivalence, CampaignWithMoreWindowsThanErrorCoordinatesIsRejectedUpFront) {
+  // Every hint takes an estimator coordinate of its own, so 17 clean
+  // captures x 64 windows (up to 1088 hints) do not fit the 1024 error
+  // coordinates of paper_params(): the driver refuses the campaign before
+  // its first capture instead of failing in the estimator replay after the
+  // last one. With one coordinate per window the same campaign completes.
+  constexpr std::size_t kTooMany = 17;
+  CampaignConfig cfg;
+  cfg.n = 64;
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(20260808, kTooMany);
+  CampaignRunner runner(2);
+  CampaignDiagnostics diag;
+  EXPECT_THROW((void)runner.run_recovery_campaign(*attack_, cfg, seeds, HintPolicy{},
+                                                  paper_params(), &diag),
+               std::invalid_argument);
+  EXPECT_TRUE(diag.tracer.events().empty());  // no capture ran
+
+  lwe::DbddParams sized = paper_params();
+  sized.error_dim = kTooMany * cfg.n;
+  const RecoveryCampaignResult result =
+      runner.run_recovery_campaign(*attack_, cfg, seeds, HintPolicy{}, sized);
+  const HintSummary& h = result.hint_totals;
+  EXPECT_GT(h.perfect + h.approximate + h.sign_only, 1024u);  // would not have fit
+  EXPECT_LT(result.report.bikz, lwe::estimate_lwe_security(sized).beta);
+}
+
+TEST_F(CampaignEquivalence, ResultCarriesGroundTruthInCaptureOrder) {
+  // The campaign keeps each capture's sampled coefficients next to its
+  // guesses, in capture order.
+  const CampaignConfig cfg = degraded_config();
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(20260808, 8);
+  CampaignRunner runner(2);
+  const RecoveryCampaignResult result =
+      runner.run_recovery_campaign(*attack_, cfg, seeds, HintPolicy{}, paper_params());
+  ASSERT_EQ(result.captures.size(), seeds.size());
+  ASSERT_EQ(result.truth.size(), seeds.size());
+  SamplerCampaign campaign(cfg);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(result.truth[i], campaign.capture(seeds[i]).noise) << i;
   }
 }
 

@@ -12,7 +12,7 @@
 
 #include "core/acquisition.hpp"
 #include "core/attack.hpp"
-#include "core/campaign_checkpoint.hpp"
+#include "core/campaign_runner.hpp"
 #include "core/hints.hpp"
 #include "lwe/dbdd.hpp"
 #include "power/fault_injector.hpp"
@@ -350,38 +350,84 @@ TEST(HintRouting, DegradedHintsCostBikzMonotonically) {
 }
 
 TEST(HintRouting, RecoveryReportCollatesStages) {
-  RobustCaptureResult result;
-  result.segmentation.status = sca::SegmentationStatus::kRecovered;
-  result.segmentation.attempts = 12;
-  result.segmentation.burst_consistency = 0.91;
-  result.segmentation.segments.resize(4);
-  result.guesses.push_back(make_guess(GuessQuality::kOk, true, 1, 1.0));
-  result.guesses.push_back(make_guess(GuessQuality::kLowConfidence, true, 1, 0.6));
-  result.guesses.push_back(make_guess(GuessQuality::kAbstained, true, 0, 1.0));
-  result.guesses.push_back(make_guess(GuessQuality::kAbstained, false, 1, 1.0));
+  // Every report field, recounted by hand from the campaign's per-capture
+  // results: the guess mix from the guesses, the hint mix and the estimate
+  // by routing those guesses again through integrate_guess_hints. A gated
+  // attack on lightly faulted captures (bench_fault_tolerance's L1) makes
+  // every guess quality and every hint kind occur.
+  CampaignConfig clean;
+  clean.n = 64;
+  clean.num_workers = 0;
+  SamplerCampaign profiler(clean);
+  AttackConfig gated;
+  gated.abstain_margin = 0.30;
+  gated.low_confidence_margin = 0.45;
+  gated.value_commit_threshold = 0.05;
+  gated.sign_fit_threshold = 2.5;
+  gated.value_fit_threshold = 4.0;
+  RevealAttack attack(gated);
+  attack.train(profiler.collect_windows(120, /*seed_base=*/1));
 
-  // One capture of four windows through the campaign tail, the one place a
-  // RecoveryReport is assembled.
-  CampaignAccumulator acc;
-  acc.next_index = 1;
-  acc.fold_capture(result);
-  acc.hints.emplace_back();
-  for (const CoefficientGuess& g : result.guesses) {
-    acc.hints.back().push_back(route_guess(g, HintPolicy{}));
-    acc.worker_tally.add(acc.hints.back().back());
+  CampaignConfig cfg;
+  cfg.n = 64;
+  cfg.faults.jitter_sigma = 0.1;
+  cfg.faults.dropout_rate = 0.01;
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(31337, 8);
+  const HintPolicy policy;
+  CampaignRunner runner(2);
+  const RecoveryCampaignResult result =
+      runner.run_recovery_campaign(attack, cfg, seeds, policy, seal_params());
+  ASSERT_EQ(result.captures.size(), seeds.size());
+
+  sca::RecoveryReport expected;
+  expected.expected_windows = seeds.size() * cfg.n;
+  expected.segmentation_status = sca::SegmentationStatus::kOk;
+  double consistency_sum = 0.0;
+  lwe::DbddEstimator estimator(seal_params());
+  std::size_t routed = 0;
+  for (const RobustCaptureResult& capture : result.captures) {
+    expected.recovered_windows += capture.segmentation.segments.size();
+    expected.segmentation_attempts += capture.segmentation.attempts;
+    expected.segmentation_status =
+        std::max(expected.segmentation_status, capture.segmentation.status);
+    consistency_sum += capture.segmentation.burst_consistency;
+    for (const CoefficientGuess& g : capture.guesses) {
+      expected.ok_guesses += g.quality == GuessQuality::kOk;
+      expected.low_confidence_guesses += g.quality == GuessQuality::kLowConfidence;
+      expected.abstained_guesses += g.quality == GuessQuality::kAbstained;
+    }
+    const HintSummary h = integrate_guess_hints(estimator, capture.guesses, policy);
+    expected.perfect_hints += h.perfect;
+    expected.approximate_hints += h.approximate;
+    expected.sign_only_hints += h.sign_only;
+    expected.dropped_hints += h.skipped;
+    routed += capture.guesses.size();
   }
-  const sca::RecoveryReport report =
-      finalize_campaign(std::move(acc), 4, seal_params(), nullptr, nullptr).report;
-  EXPECT_EQ(report.expected_windows, 4u);
-  EXPECT_EQ(report.recovered_windows, 4u);
-  EXPECT_EQ(report.ok_guesses, 1u);
-  EXPECT_EQ(report.low_confidence_guesses, 1u);
-  EXPECT_EQ(report.abstained_guesses, 2u);
-  EXPECT_EQ(report.perfect_hints + report.approximate_hints, 2u);
-  EXPECT_EQ(report.sign_only_hints, 1u);
-  EXPECT_EQ(report.dropped_hints, 1u);
-  EXPECT_GT(report.bikz, 0.0);
-  const std::string text = report.to_string();
-  EXPECT_NE(text.find("recovered"), std::string::npos);
+  expected.burst_consistency = consistency_sum / static_cast<double>(seeds.size());
+  const lwe::SecurityEstimate estimate = estimator.estimate();
+  expected.bikz = estimate.beta;
+  expected.bits = estimate.bits;
+
+  EXPECT_EQ(result.report, expected) << "campaign:\n"
+                                     << result.report.to_string() << "\nby hand:\n"
+                                     << expected.to_string();
+  std::size_t hints = 0;
+  for (const auto& records : result.hints) hints += records.size();
+  EXPECT_EQ(hints, routed);  // one routed hint per guess
+  EXPECT_EQ(result.hint_totals.perfect, expected.perfect_hints);
+  EXPECT_EQ(result.hint_totals.approximate, expected.approximate_hints);
+  EXPECT_EQ(result.hint_totals.sign_only, expected.sign_only_hints);
+  EXPECT_EQ(result.hint_totals.skipped, expected.dropped_hints);
+
+  // The recount covers every branch of the collation.
+  EXPECT_GT(expected.ok_guesses, 0u);
+  EXPECT_GT(expected.low_confidence_guesses, 0u);
+  EXPECT_GT(expected.abstained_guesses, 0u);
+  EXPECT_GT(expected.perfect_hints, 0u);
+  EXPECT_GT(expected.approximate_hints, 0u);
+  EXPECT_GT(expected.sign_only_hints, 0u);
+  EXPECT_GT(expected.dropped_hints, 0u);
+  const std::string text = result.report.to_string();
+  EXPECT_NE(text.find(sca::to_string(result.report.segmentation_status)), std::string::npos);
   EXPECT_NE(text.find("sign-only"), std::string::npos);
 }

@@ -129,8 +129,7 @@ TEST(Rng, GaussianMatchesStandardNormal) {
 
 TEST(Rng, GaussianStreamIsPinned) {
   // The measurement-noise kernel's output for one seed, bit for bit: a
-  // change here moves every capture, every golden fixture and every
-  // checkpoint (bump the checkpoint format with it).
+  // change here moves every capture and every golden fixture.
   constexpr double kExpected[] = {
       -0x1.b93c3f928ef7ap-3, 0x1.2c8cd6d008acep-1,  -0x1.c978a68362547p-1,
       0x1.37064cee8dd3dp+0,  0x1.b7b487499e927p+0,  0x1.9e7f1b2747d3p+0,
