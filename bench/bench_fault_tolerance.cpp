@@ -78,8 +78,9 @@ std::vector<Level> severity_levels() {
 }
 
 // One severity leg's numbers, all read off the campaign engine's outputs:
-// the report, the per-capture results, the diagnostics counters and the
-// confusion tally (whose windows are the ground-truth-aligned ones).
+// the report, the per-capture results, and what the level added to the
+// sweep's diagnostics sink — its counters and its confusion tally, whose
+// windows are the ground-truth-aligned ones.
 struct LevelResult {
   std::string name;
   double severity = 0.0;
@@ -100,8 +101,30 @@ struct LevelResult {
   }
 };
 
+/// The sink totals a level's numbers are read from: a level's share is the
+/// difference of the snapshots taken before and after its campaign.
+struct SinkTotals {
+  std::size_t aligned_windows = 0;
+  std::size_t value_correct = 0;
+  std::size_t sign_correct = 0;
+  std::size_t wrong_perfect = 0;
+};
+
+SinkTotals sink_totals(const CampaignDiagnostics& diag) {
+  const auto counter = [&](const char* name) -> std::size_t {
+    return diag.registry.contains(name) ? diag.registry.counter_value(name) : 0;
+  };
+  SinkTotals t;
+  t.aligned_windows = diag.confusion.total();
+  for (const std::int32_t v : diag.confusion.truths())
+    t.value_correct += diag.confusion.count(v, v);
+  t.sign_correct = counter("classify.sign_correct");
+  t.wrong_perfect = counter("hints.wrong_perfect");
+  return t;
+}
+
 LevelResult summarize(const Level& level, const RecoveryCampaignResult& campaign,
-                      const CampaignDiagnostics& diag, std::size_t n) {
+                      const SinkTotals& before, const SinkTotals& after, std::size_t n) {
   LevelResult r;
   r.name = level.name;
   r.severity = level.faults.severity();
@@ -111,11 +134,10 @@ LevelResult summarize(const Level& level, const RecoveryCampaignResult& campaign
     r.segmentation_ok += c.guesses.size() == n;
   r.none_hints = r.report.expected_windows - r.report.perfect_hints -
                  r.report.approximate_hints - r.report.sign_only_hints;
-  r.aligned_windows = diag.confusion.total();
-  for (const std::int32_t v : diag.confusion.truths())
-    r.value_correct += diag.confusion.count(v, v);
-  r.sign_correct = diag.registry.counter_value("classify.sign_correct");
-  r.wrong_perfect_hints = diag.registry.counter_value("hints.wrong_perfect");
+  r.aligned_windows = after.aligned_windows - before.aligned_windows;
+  r.value_correct = after.value_correct - before.value_correct;
+  r.sign_correct = after.sign_correct - before.sign_correct;
+  r.wrong_perfect_hints = after.wrong_perfect - before.wrong_perfect;
   return r;
 }
 
@@ -158,7 +180,8 @@ int main(int argc, char** argv) {
   // Every level attacks the same firmware runs (seeds 40000+k), so
   // differences come from the faults alone; a capture whose segmentation
   // fails outright consumes its hint slots with no hints. Each level is
-  // one engine campaign, and its diagnostics feed the table below.
+  // one engine campaign adding into one diagnostics sink, and what it adds
+  // feeds the table below.
   const HintPolicy policy;
   const std::vector<Level> levels = severity_levels();
   const long workers_flag = cli.integer("--workers", -1, 0, 4096);  // -1: auto
@@ -166,14 +189,15 @@ int main(int argc, char** argv) {
                                          : static_cast<std::size_t>(workers_flag));
   std::vector<std::uint64_t> seeds(captures_per_level);
   for (std::size_t k = 0; k < seeds.size(); ++k) seeds[k] = 40000 + k;
-  std::vector<CampaignDiagnostics> diags(levels.size());
+  CampaignDiagnostics diag;
   std::vector<LevelResult> results;
-  for (std::size_t i = 0; i < levels.size(); ++i) {
+  for (const Level& level : levels) {
     CampaignConfig cfg = clean;
-    cfg.faults = levels[i].faults;
+    cfg.faults = level.faults;
+    const SinkTotals before = sink_totals(diag);
     const RecoveryCampaignResult campaign =
-        runner.run_recovery_campaign(attack, cfg, seeds, policy, params, &diags[i]);
-    results.push_back(summarize(levels[i], campaign, diags[i], cfg.n));
+        runner.run_recovery_campaign(attack, cfg, seeds, policy, params, &diag);
+    results.push_back(summarize(level, campaign, before, sink_totals(diag), cfg.n));
   }
 
   for (const LevelResult& r : results) {
@@ -245,18 +269,9 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
 
-  // --diag=<path>: the engine's per-level diagnostics, merged in severity
-  // order.
+  // --diag=<path>: the engine's diagnostics over all six levels.
   const std::string diag_path = cli.string("--diag");
-  if (!diag_path.empty()) {
-    CampaignDiagnostics merged;
-    for (const CampaignDiagnostics& d : diags) {
-      merged.registry.merge(d.registry);
-      merged.tracer.merge(d.tracer);
-      merged.confusion.merge(d.confusion);
-    }
-    if (!bench::write_diag(merged.report(), diag_path)) return 1;
-  }
+  if (!diag_path.empty() && !bench::write_diag(diag.report(), diag_path)) return 1;
 
   return (monotone && wrong_total == 0) ? 0 : 1;
 }

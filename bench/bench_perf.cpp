@@ -84,6 +84,13 @@ std::pair<double, double> time_pair_ns(F&& fast, G&& ref, std::size_t iters, int
   return {fast_ns, ref_ns};
 }
 
+/// Median of `v` (the mean of the two middle values for an even count).
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
 /// Records every InstrEvent for field-by-field stream comparison.
 struct EventCollector final : riscv::ExecutionObserver {
   std::vector<riscv::InstrEvent> events;
@@ -494,12 +501,12 @@ int run_json_harness(bool smoke) {
   const std::vector<std::uint64_t> obs_seeds =
       core::CampaignRunner::stream_seeds(777, smoke ? 3 : 8);
   core::CampaignRunner obs_runner(0);
-  // Min over many short alternating windows: the overhead gate compares two
-  // legs of identical work, so scheduler noise — not the instrumentation —
-  // is the main source of spread. The block execution tier cut campaign
-  // wall-time enough that a single noisy long window moves the ratio by
-  // several percent, so each window times exactly one campaign and the min
-  // per leg converges on the true floor regardless of when the noise lands.
+  // Paired estimator: each pass times one campaign per leg back to back,
+  // alternating which leg runs first, and the gate reads the median of the
+  // per-pass on/off ratios. A noisy stretch of the host then moves the one
+  // ratio whose pair it hit, not the gate; a ratio of two per-leg minima let
+  // each minimum come from a different stretch, and at a 2% bound failed
+  // about half of the full runs on an unchanged tree.
   const int obs_passes = smoke ? 4 : 24;
   const auto run_obs_off = [&] {
     const auto r = obs_runner.run_recovery_campaign(obs_attack, obs_cfg, obs_seeds,
@@ -522,13 +529,26 @@ int run_json_harness(bool smoke) {
   };
   run_obs_off();  // warm both instantiations before the timed windows
   run_obs_on();
-  double obs_off_ns = std::numeric_limits<double>::infinity();
-  double obs_on_ns = std::numeric_limits<double>::infinity();
+  std::vector<double> off_times;
+  std::vector<double> on_times;
+  std::vector<double> ratios;
   for (int pass = 0; pass < obs_passes; ++pass) {
-    obs_off_ns = std::min(obs_off_ns, time_once(run_obs_off));
-    obs_on_ns = std::min(obs_on_ns, time_once(run_obs_on));
+    double off_ns = 0.0;
+    double on_ns = 0.0;
+    if (pass % 2 == 0) {
+      off_ns = time_once(run_obs_off);
+      on_ns = time_once(run_obs_on);
+    } else {
+      on_ns = time_once(run_obs_on);
+      off_ns = time_once(run_obs_off);
+    }
+    off_times.push_back(off_ns);
+    on_times.push_back(on_ns);
+    ratios.push_back(on_ns / off_ns);
   }
-  const double obs_overhead = obs_off_ns > 0.0 ? obs_on_ns / obs_off_ns - 1.0 : 0.0;
+  const double obs_off_ns = median(off_times);
+  const double obs_on_ns = median(on_times);
+  const double obs_overhead = median(ratios) - 1.0;
   core::CampaignDiagnostics obs_diag;
   const core::RecoveryCampaignResult obs_plain = obs_runner.run_recovery_campaign(
       obs_attack, obs_cfg, obs_seeds, obs_policy, obs_params);

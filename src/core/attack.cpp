@@ -34,7 +34,7 @@ double CoefficientGuess::posterior_variance() const {
 }
 
 RevealAttack::RevealAttack(AttackConfig config) : config_(config) {
-  if (config_.sign_prefix == 0 || config_.value_prefix == 0 || config_.poi_count == 0)
+  if (config_.sign_prefix == 0)
     throw std::invalid_argument("RevealAttack: zero-sized configuration");
 }
 

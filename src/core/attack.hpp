@@ -25,14 +25,15 @@ namespace reveal::core {
 struct AttackConfig {
   std::size_t sign_prefix = 60;   ///< samples used by the branch classifier (must end
                                   ///< before the loop-exit branch diverges)
-  std::size_t value_prefix = 110; ///< window region searched for value POIs
-                                  ///< (covers the whole negative branch body)
-  std::size_t poi_count = 12;
-  std::size_t poi_min_spacing = 2;
+  /// Window region searched for value POIs (covers the whole negative
+  /// branch body).
+  static constexpr std::size_t value_prefix = 110;
+  static constexpr std::size_t poi_count = 12;
+  static constexpr std::size_t poi_min_spacing = 2;
   /// Values seen fewer than this many times during profiling get no
   /// template (they fall outside the observed range, like the paper's
   /// "values between -14 and 14 with 220,000 tests").
-  std::size_t min_class_count = 5;
+  static constexpr std::size_t min_class_count = 5;
 
   // --- degradation awareness (all 0 = disabled: exact seed behaviour) ---
   /// Relative Fisher-distance margin (d2 - d1) / d1 between the two closest
@@ -48,7 +49,7 @@ struct AttackConfig {
   /// Segmentation window quality below which a guess is capped at
   /// low-confidence; below half of it the window is abstained untrusted.
   /// Only consulted when a quality score is supplied (robust pipeline).
-  double min_window_quality = 0.5;
+  static constexpr double min_window_quality = 0.5;
   /// Absolute goodness-of-fit gates. The margin gates above are *relative*
   /// (distance gap between the two closest classes) and miss corrupted
   /// windows that drift far from every class but closer to a wrong one —

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,15 +46,11 @@ class CampaignReplicas {
   std::vector<FullCapture> scratch_;
 };
 
-/// One worker's private observability partial (merged in worker order).
-/// The metric handles are resolved once, right after `registry` is built,
-/// so the capture loop never does string lookups; resolving them registers
-/// the full counter schema, so even idle workers contribute stable
-/// (zero-valued) names to the merged report.
-struct WorkerObs {
-  obs::Registry registry;
-  obs::SpanTracer tracer;
-  sca::ConfusionMatrix confusion;
+/// The diagnostics sink's metric handles, resolved once per campaign so the
+/// recount pass does no string lookups. Resolving them registers the whole
+/// schema, so a stage no capture reached still reports its counters at zero.
+struct SinkIds {
+  obs::Registry& registry;
 
   obs::Registry::Id capture_count = registry.counter("capture.count");
   obs::Registry::Id capture_faulted = registry.counter("capture.faulted");
@@ -77,40 +74,27 @@ struct WorkerObs {
       registry.histogram("segmentation.window_quality", 0.0, 1.0, 20);
 };
 
-/// Folds one finished capture's outcome into the worker's counters.
-void count_capture(WorkerObs& o, const CampaignConfig& config, const FullCapture& cap,
-                   const RobustCaptureResult& res, const std::vector<HintRecord>& records) {
-  obs::Registry& reg = o.registry;
-  reg.add(o.capture_count);
-  if (config.faults.any()) reg.add(o.capture_faulted);
-  reg.set_max(o.trace_samples_max, static_cast<double>(cap.trace.size()));
+/// Adds what capture i tells the sink beyond the report's fields: its
+/// segmentation outcome, window qualities and trace length, and its
+/// ground-truth confusion.
+void count_capture(const SinkIds& ids, sca::ConfusionMatrix& confusion,
+                   const CampaignConfig& config, std::size_t trace_samples,
+                   const std::vector<std::int64_t>& truth, const RobustCaptureResult& res,
+                   const std::vector<HintRecord>& records) {
+  obs::Registry& reg = ids.registry;
+  reg.add(ids.capture_count);
+  if (config.faults.any()) reg.add(ids.capture_faulted);
+  reg.set_max(ids.trace_samples_max, static_cast<double>(trace_samples));
 
-  reg.add(o.seg_attempts, res.segmentation.attempts);
   if (res.segmentation.attempts > 1)
-    reg.add(o.seg_retries, res.segmentation.attempts - 1);
+    reg.add(ids.seg_retries, res.segmentation.attempts - 1);
   switch (res.segmentation.status) {
-    case sca::SegmentationStatus::kOk: reg.add(o.seg_ok); break;
-    case sca::SegmentationStatus::kRecovered: reg.add(o.seg_recovered); break;
-    case sca::SegmentationStatus::kDegraded: reg.add(o.seg_degraded); break;
-    case sca::SegmentationStatus::kFailed: reg.add(o.seg_failed); break;
+    case sca::SegmentationStatus::kOk: reg.add(ids.seg_ok); break;
+    case sca::SegmentationStatus::kRecovered: reg.add(ids.seg_recovered); break;
+    case sca::SegmentationStatus::kDegraded: reg.add(ids.seg_degraded); break;
+    case sca::SegmentationStatus::kFailed: reg.add(ids.seg_failed); break;
   }
-  for (const double q : res.segmentation.window_quality) reg.observe(o.window_quality, q);
-
-  for (const CoefficientGuess& g : res.guesses) {
-    switch (g.quality) {
-      case GuessQuality::kOk: reg.add(o.guess_ok); break;
-      case GuessQuality::kLowConfidence: reg.add(o.guess_low); break;
-      case GuessQuality::kAbstained: reg.add(o.guess_abstained); break;
-    }
-  }
-  for (const HintRecord& r : records) {
-    switch (r.kind) {
-      case HintRecord::Kind::kPerfect: reg.add(o.hints_perfect); break;
-      case HintRecord::Kind::kApproximate: reg.add(o.hints_approximate); break;
-      case HintRecord::Kind::kSignOnly: reg.add(o.hints_sign_only); break;
-      case HintRecord::Kind::kSkipped: reg.add(o.hints_skipped); break;
-    }
-  }
+  for (const double q : res.segmentation.window_quality) reg.observe(ids.window_quality, q);
 
   // Ground truth travels with every capture, so the per-class confusion of
   // the paper's Table I, the sign accuracy and the wrong-perfect-hint count
@@ -119,33 +103,33 @@ void count_capture(WorkerObs& o, const CampaignConfig& config, const FullCapture
   // guess (a shorted segmentation loses the window <-> coefficient
   // correspondence). A guess exists only when segmentation did not fail,
   // so records[j] is guess j's hint.
-  if (!res.guesses.empty() && res.guesses.size() == cap.noise.size()) {
-    std::uint64_t sign_correct = 0;
-    std::uint64_t wrong_perfect = 0;
-    for (std::size_t j = 0; j < res.guesses.size(); ++j) {
-      const CoefficientGuess& g = res.guesses[j];
-      const std::int64_t truth = cap.noise[j];
-      o.confusion.add(static_cast<std::int32_t>(truth), g.value);
-      sign_correct += g.sign == (truth > 0) - (truth < 0);
-      wrong_perfect += records[j].kind == HintRecord::Kind::kPerfect && g.value != truth;
-    }
-    reg.add(o.sign_correct, sign_correct);
-    reg.add(o.wrong_perfect, wrong_perfect);
+  if (res.guesses.empty() || res.guesses.size() != truth.size()) return;
+  std::uint64_t sign_correct = 0;
+  std::uint64_t wrong_perfect = 0;
+  for (std::size_t j = 0; j < res.guesses.size(); ++j) {
+    const CoefficientGuess& g = res.guesses[j];
+    confusion.add(static_cast<std::int32_t>(truth[j]), g.value);
+    sign_correct += g.sign == (truth[j] > 0) - (truth[j] < 0);
+    wrong_perfect += records[j].kind == HintRecord::Kind::kPerfect && g.value != truth[j];
   }
+  reg.add(ids.sign_correct, sign_correct);
+  reg.add(ids.wrong_perfect, wrong_perfect);
 }
 
 /// The per-capture stage of a campaign, templated on whether anything
 /// observes it: kDiag=false instantiates with obs::NullSpanTracer and no
-/// counter code at all, so "observability off changes nothing" holds by
-/// construction; kDiag=true only ever reads pipeline outputs. Captures
-/// seeds[i], runs the robust attack and routes its guesses on the pool's
-/// workers, writing out.captures, out.truth and out.hints into index slots.
-/// Returns the per-worker hint tallies merged in worker-index order.
+/// instrumentation code at all, so "observability off changes nothing"
+/// holds by construction; kDiag=true adds spans on per-worker tracers and
+/// each capture's trace length in `trace_samples[i]`. Captures seeds[i],
+/// runs the robust attack and routes its guesses on the pool's workers,
+/// writing out.captures, out.truth and out.hints into index slots. Returns
+/// the per-worker hint tallies merged in worker-index order.
 template <bool kDiag>
 HintTally capture_attack_route(WorkerPool& pool, const RevealAttack& attack,
                                const CampaignConfig& config,
                                const std::vector<std::uint64_t>& seeds,
                                const HintPolicy& policy, RecoveryCampaignResult& out,
+                               std::vector<std::size_t>& trace_samples,
                                CampaignDiagnostics* diag) {
   const std::size_t count = seeds.size();
   const std::size_t worker_slots = std::max<std::size_t>(pool.num_workers(), 1);
@@ -153,7 +137,8 @@ HintTally capture_attack_route(WorkerPool& pool, const RevealAttack& attack,
   out.truth.resize(count);
   out.hints.resize(count);
   std::vector<HintTally> tallies(worker_slots);
-  std::vector<WorkerObs> worker_obs(kDiag ? worker_slots : 0);
+  std::vector<obs::SpanTracer> tracers(kDiag ? worker_slots : 0);
+  if constexpr (kDiag) trace_samples.resize(count);
   CampaignReplicas replicas(config, pool.num_workers());
 
   // Each capture is one task whose windows are attacked in order inside it:
@@ -171,19 +156,19 @@ HintTally capture_attack_route(WorkerPool& pool, const RevealAttack& attack,
       }
     };
     if constexpr (kDiag) {
-      WorkerObs& o = worker_obs[w];
+      obs::SpanTracer& tracer = tracers[w];
       const auto span_index = static_cast<std::uint32_t>(i);
       {
-        auto span = o.tracer.span(obs::Stage::kCapture, span_index);
+        auto span = tracer.span(obs::Stage::kCapture, span_index);
         replicas.for_worker(w).capture_into(seeds[i], cap);
       }
       res = attack.attack_capture_robust_traced(cap.trace, config.n, config.segmentation,
-                                                o.tracer, span_index);
+                                                tracer, span_index);
       {
-        auto span = o.tracer.span(obs::Stage::kHints, span_index);
+        auto span = tracer.span(obs::Stage::kHints, span_index);
         route();
       }
-      count_capture(o, config, cap, res, records);
+      trace_samples[i] = cap.trace.size();
     } else {
       replicas.for_worker(w).capture_into(seeds[i], cap);
       res = attack.attack_capture_robust(cap.trace, config.n, config.segmentation);
@@ -195,11 +180,7 @@ HintTally capture_attack_route(WorkerPool& pool, const RevealAttack& attack,
   HintTally merged;
   for (const HintTally& t : tallies) merged.merge(t);
   if constexpr (kDiag) {
-    for (const WorkerObs& o : worker_obs) {
-      diag->registry.merge(o.registry);
-      diag->confusion.merge(o.confusion);
-      diag->tracer.merge(o.tracer);
-    }
+    for (const obs::SpanTracer& t : tracers) diag->tracer.merge(t);
     const power::FaultStats faults = replicas.merged_fault_stats();
     obs::Registry& reg = diag->registry;
     reg.add(reg.counter("faults.captures"), faults.captures);
@@ -278,16 +259,40 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
         "(2n - 1 bursts, no positional hints)");
 
   RecoveryCampaignResult out;
+  std::vector<std::size_t> trace_samples;  // filled by instrumented workers only
   const HintTally worker_tally =
-      diag != nullptr
-          ? capture_attack_route<true>(pool_, attack, config, seeds, policy, out, diag)
-          : capture_attack_route<false>(pool_, attack, config, seeds, policy, out, nullptr);
+      diag != nullptr ? capture_attack_route<true>(pool_, attack, config, seeds, policy, out,
+                                                   trace_samples, diag)
+                      : capture_attack_route<false>(pool_, attack, config, seeds, policy, out,
+                                                    trace_samples, nullptr);
 
   // Everything below runs in capture order on this thread: the one order
-  // that exists for every worker count.
+  // that exists for every worker count. One pass recounts the report, the
+  // hint tally and, with a sink, its counters, histogram and confusion.
+  sca::RecoveryReport& rep = out.report;
+  rep.expected_windows = seeds.size() * config.n;
+  rep.segmentation_status = sca::SegmentationStatus::kOk;
+  double consistency_sum = 0.0;
   HintTally recount;
-  for (const auto& records : out.hints) {
-    for (const HintRecord& r : records) recount.add(r);
+  std::optional<SinkIds> ids;
+  if (diag != nullptr) ids.emplace(SinkIds{diag->registry});
+  for (std::size_t i = 0; i < out.captures.size(); ++i) {
+    const RobustCaptureResult& res = out.captures[i];
+    rep.recovered_windows += res.segmentation.segments.size();
+    rep.segmentation_attempts += res.segmentation.attempts;
+    rep.segmentation_status = std::max(rep.segmentation_status, res.segmentation.status);
+    consistency_sum += res.segmentation.burst_consistency;
+    for (const CoefficientGuess& g : res.guesses) {
+      switch (g.quality) {
+        case GuessQuality::kOk: ++rep.ok_guesses; break;
+        case GuessQuality::kLowConfidence: ++rep.low_confidence_guesses; break;
+        case GuessQuality::kAbstained: ++rep.abstained_guesses; break;
+      }
+    }
+    for (const HintRecord& r : out.hints[i]) recount.add(r);
+    if (ids)
+      count_capture(*ids, diag->confusion, config, trace_samples[i], out.truth[i], res,
+                    out.hints[i]);
   }
   if (recount.perfect != worker_tally.perfect ||
       recount.approximate != worker_tally.approximate ||
@@ -299,6 +304,23 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
   // The variance sum is taken from the recount: the worker tallies add it
   // up in schedule order.
   out.hint_totals = recount.summary();
+  if (!seeds.empty()) rep.burst_consistency = consistency_sum / static_cast<double>(seeds.size());
+  rep.perfect_hints = out.hint_totals.perfect;
+  rep.approximate_hints = out.hint_totals.approximate;
+  rep.sign_only_hints = out.hint_totals.sign_only;
+  rep.dropped_hints = out.hint_totals.skipped;
+  if (ids) {
+    // The counters that duplicate report fields take the report's totals.
+    obs::Registry& reg = diag->registry;
+    reg.add(ids->seg_attempts, rep.segmentation_attempts);
+    reg.add(ids->guess_ok, rep.ok_guesses);
+    reg.add(ids->guess_low, rep.low_confidence_guesses);
+    reg.add(ids->guess_abstained, rep.abstained_guesses);
+    reg.add(ids->hints_perfect, rep.perfect_hints);
+    reg.add(ids->hints_approximate, rep.approximate_hints);
+    reg.add(ids->hints_sign_only, rep.sign_only_hints);
+    reg.add(ids->hints_skipped, rep.dropped_hints);
+  }
 
   // Estimator integration replays the routed hints — its state update is
   // floating-point order-sensitive.
@@ -316,29 +338,6 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
   } else {
     estimate = integrate();
   }
-
-  sca::RecoveryReport& rep = out.report;
-  rep.expected_windows = seeds.size() * config.n;
-  rep.segmentation_status = sca::SegmentationStatus::kOk;
-  double consistency_sum = 0.0;
-  for (const RobustCaptureResult& res : out.captures) {
-    rep.recovered_windows += res.segmentation.segments.size();
-    rep.segmentation_attempts += res.segmentation.attempts;
-    rep.segmentation_status = std::max(rep.segmentation_status, res.segmentation.status);
-    consistency_sum += res.segmentation.burst_consistency;
-    for (const CoefficientGuess& g : res.guesses) {
-      switch (g.quality) {
-        case GuessQuality::kOk: ++rep.ok_guesses; break;
-        case GuessQuality::kLowConfidence: ++rep.low_confidence_guesses; break;
-        case GuessQuality::kAbstained: ++rep.abstained_guesses; break;
-      }
-    }
-  }
-  if (!seeds.empty()) rep.burst_consistency = consistency_sum / static_cast<double>(seeds.size());
-  rep.perfect_hints = out.hint_totals.perfect;
-  rep.approximate_hints = out.hint_totals.approximate;
-  rep.sign_only_hints = out.hint_totals.sign_only;
-  rep.dropped_hints = out.hint_totals.skipped;
   rep.bikz = estimate.beta;
   rep.bits = estimate.bits;
   return out;

@@ -19,9 +19,13 @@
 //     partials merged in worker-index order, then are cross-checked against
 //     an ordered recount: a data race that loses an update is detected, not
 //     silently reported.
-//   * report: every RecoveryReport field is recounted from the per-capture
-//     results in capture order, so its one float sum (burst consistency)
-//     adds up the same way for every worker count.
+//   * report and diagnostics: after the workers finish, one pass over the
+//     per-capture slots in capture order on the calling thread fills every
+//     RecoveryReport field and, when a CampaignDiagnostics sink is attached,
+//     its counters, histogram and confusion tally. The float sums (burst
+//     consistency, the window-quality histogram's sum) therefore add up the
+//     same way for every worker count. Workers keep only their replica,
+//     capture scratch, HintTally and SpanTracer.
 //
 // run_recovery_campaign is the one campaign driver: every bench, example
 // and e2ebench workload runs it. With num_workers == 0 the pool spawns no
@@ -63,10 +67,11 @@ struct RecoveryCampaignResult {
 /// `hints.wrong_perfect` counters over the same aligned windows.
 /// Everything here is *derived* from the campaign's outputs: the
 /// RecoveryCampaignResult is byte-identical with or without a sink,
-/// enforced by tests/test_campaign_equivalence.cpp. Counters,
-/// histogram buckets and confusion counts are integers accumulated per
-/// worker and merged in worker-index order, so they are worker-count
-/// invariant; span timings are wall-clock observations and are not.
+/// enforced by tests/test_campaign_equivalence.cpp. Counters, the gauge,
+/// the histogram and the confusion tally are filled once, in capture order,
+/// on the calling thread, so they are worker-count invariant; span timings
+/// are wall-clock observations and are not. The driver adds into the sink,
+/// so one sink passed to several campaigns holds their sum.
 struct CampaignDiagnostics {
   obs::Registry registry;
   obs::SpanTracer tracer;

@@ -34,14 +34,14 @@ struct HintPolicy {
   double perfect_threshold = 1e-6;
   /// Low-confidence guesses keep their posterior but the hint variance is
   /// inflated: max(variance * inflation, min_inflated_variance).
-  double low_confidence_inflation = 4.0;
-  double min_inflated_variance = 0.25;
+  static constexpr double low_confidence_inflation = 4.0;
+  static constexpr double min_inflated_variance = 0.25;
   /// Sampler parameters for the sign-only fallback (half-Gaussian variance).
-  double sigma = 3.19;
-  double max_deviation = 41.0;
+  static constexpr double sigma = 3.19;
+  static constexpr double max_deviation = 41.0;
   /// Residual variance of an abstained-value "zero" detection (the branch
   /// said zero but the window was degraded: close to exact, never perfect).
-  double abstained_zero_variance = 0.25;
+  static constexpr double abstained_zero_variance = 0.25;
   /// Variance assigned to full-confidence zero detections. Zeros are decided
   /// by the branch classifier alone — the template stage (whose absolute
   /// Mahalanobis fit exposes corrupted windows) never sees them — so under

@@ -1,8 +1,8 @@
 #include "core/parallel.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <condition_variable>
-#include <deque>
+#include <exception>
 #include <mutex>
 
 #include "numeric/rng.hpp"
@@ -22,34 +22,22 @@ std::uint64_t stream_seed(std::uint64_t base_seed, std::uint64_t stream_index) n
   return num::splitmix64(state);
 }
 
-namespace {
-
-/// Half-open index range; the unit of work stealing. Owners pop from the
-/// front of their deque, thieves from the back, so an owner works through
-/// its contiguous range cache-friendly while thieves take the far end.
-struct Block {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
-};
-
-}  // namespace
-
 struct WorkerPool::Shared {
-  std::mutex mu;                    // guards everything below; tasks run unlocked
+  std::mutex mu;                    // guards the plain fields below; tasks run unlocked
   std::condition_variable work_cv;  // workers: a new job or shutdown
-  std::condition_variable done_cv;  // caller: remaining reached zero
+  std::condition_variable done_cv;  // caller: the last worker left the job
   std::uint64_t generation = 0;
   bool shutdown = false;
 
   const std::function<void(std::size_t, std::size_t)>* task = nullptr;
-  std::vector<std::deque<Block>> queues;  // one per worker
-  std::size_t remaining = 0;              // indices not yet finished
+  std::size_t count = 0;
+  std::size_t busy = 0;              // workers that have not yet left the job
   std::exception_ptr error;
+  std::atomic<std::size_t> next{0};  // the next index to hand out
+  std::atomic<bool> failed{false};   // a task threw: hand out no more indices
 };
 
 WorkerPool::WorkerPool(std::size_t num_workers) : shared_(std::make_unique<Shared>()) {
-  shared_->queues.resize(std::max<std::size_t>(num_workers, 1));
   workers_.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -69,44 +57,27 @@ void WorkerPool::worker_loop(std::size_t worker) {
   Shared& s = *shared_;
   std::uint64_t seen = 0;
   for (;;) {
-    std::unique_lock<std::mutex> lock(s.mu);
-    s.work_cv.wait(lock, [&] { return s.shutdown || s.generation != seen; });
-    if (s.shutdown) return;
-    seen = s.generation;
-
-    for (;;) {
-      // Own queue first (front), then steal from the back of the others.
-      Block block;
-      if (!s.queues[worker].empty()) {
-        block = s.queues[worker].front();
-        s.queues[worker].pop_front();
-      } else {
-        bool stolen = false;
-        for (std::size_t off = 1; off < s.queues.size() && !stolen; ++off) {
-          auto& victim = s.queues[(worker + off) % s.queues.size()];
-          if (!victim.empty()) {
-            block = victim.back();
-            victim.pop_back();
-            stolen = true;
-          }
-        }
-        if (!stolen) break;  // job drained (for this worker)
-      }
-
-      const bool skip = s.error != nullptr;  // failed job: drain without running
-      lock.unlock();
-      if (!skip) {
-        try {
-          for (std::size_t i = block.begin; i < block.end; ++i) (*s.task)(i, worker);
-        } catch (...) {
-          std::lock_guard<std::mutex> elock(s.mu);
-          if (!s.error) s.error = std::current_exception();
-        }
-      }
-      lock.lock();
-      s.remaining -= block.size();
-      if (s.remaining == 0) s.done_cv.notify_all();
+    {
+      std::unique_lock<std::mutex> lock(s.mu);
+      s.work_cv.wait(lock, [&] { return s.shutdown || s.generation != seen; });
+      if (s.shutdown) return;
+      seen = s.generation;
     }
+    // Every worker claims the next unclaimed index until the cursor passes
+    // the end. A campaign task is a whole capture, so one atomic add per
+    // index costs nothing next to it.
+    std::size_t i = 0;
+    while (!s.failed.load() && (i = s.next.fetch_add(1)) < s.count) {
+      try {
+        (*s.task)(i, worker);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(s.mu);
+        if (!s.error) s.error = std::current_exception();
+        s.failed.store(true);
+      }
+    }
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (--s.busy == 0) s.done_cv.notify_all();
   }
 }
 
@@ -121,23 +92,14 @@ void WorkerPool::run_indexed(std::size_t count,
   Shared& s = *shared_;
   std::unique_lock<std::mutex> lock(s.mu);
   s.task = &task;
-  s.remaining = count;
+  s.count = count;
+  s.busy = workers_.size();
   s.error = nullptr;
-  // Contiguous per-worker ranges, each subdivided so idle workers have
-  // something to steal without the owner taking the lock per index.
-  const std::size_t workers = workers_.size();
-  const std::size_t per_worker = (count + workers - 1) / workers;
-  const std::size_t block_size = std::max<std::size_t>(1, per_worker / 4);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = std::min(w * per_worker, count);
-    const std::size_t hi = std::min(lo + per_worker, count);
-    for (std::size_t b = lo; b < hi; b += block_size) {
-      s.queues[w].push_back({b, std::min(b + block_size, hi)});
-    }
-  }
+  s.next.store(0);
+  s.failed.store(false);
   ++s.generation;
   s.work_cv.notify_all();
-  s.done_cv.wait(lock, [&] { return s.remaining == 0; });
+  s.done_cv.wait(lock, [&] { return s.busy == 0; });
   s.task = nullptr;
   std::exception_ptr error = s.error;
   s.error = nullptr;

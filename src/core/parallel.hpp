@@ -13,10 +13,10 @@
 //     index -> seed is a bijection on uint64, so distinct trace indices can
 //     never collide.
 //
-//   * WorkerPool: a fixed-size pool with per-worker work-stealing queues.
-//     Tasks are addressed by index; a task may only write to its own index
-//     slot (or to per-worker state that the caller later merges in a fixed
-//     order), so the output is independent of the stealing schedule.
+//   * WorkerPool: a fixed-size pool whose workers claim task indices from
+//     one shared atomic cursor. A task may only write to its own index slot
+//     (or to per-worker state that the caller later merges in a fixed
+//     order), so the output is independent of which worker ran what.
 //
 // A pool constructed with 0 workers runs every task inline on the calling
 // thread in index order — the serial reference path.
@@ -57,18 +57,18 @@ class WorkerPool {
   [[nodiscard]] std::size_t num_workers() const noexcept { return workers_.size(); }
   [[nodiscard]] bool serial() const noexcept { return workers_.empty(); }
 
-  /// Runs `task(index, worker)` for every index in [0, count), distributing
-  /// the indices over the pool (work-stealing) and blocking until all are
-  /// done. `worker` is in [0, num_workers()) — or 0 in serial mode — and
-  /// identifies the executing worker for per-worker accumulators.
+  /// Runs `task(index, worker)` for every index in [0, count), each worker
+  /// claiming the next unclaimed index, and returns only after every worker
+  /// has left the job. `worker` is in [0, num_workers()) — or 0 in serial
+  /// mode — and identifies the executing worker for per-worker accumulators.
   ///
   /// Determinism contract: a task must write only to state addressed by its
   /// `index` (or to per-worker state merged afterwards in a fixed order);
   /// under that contract the result is independent of scheduling.
   ///
   /// If tasks throw, the first recorded exception is rethrown on the
-  /// calling thread after every worker has drained; the remaining blocks of
-  /// a failed job are skipped, not executed.
+  /// calling thread after every worker has left the job; indices not yet
+  /// claimed when a task threw are skipped, not executed.
   ///
   /// Must not be called from inside a task running on the same pool.
   void run_indexed(std::size_t count,

@@ -2,14 +2,13 @@
 // Campaign diagnostics report: a plain-struct snapshot of everything the
 // observability layer collected (per-stage timings, counters, gauges,
 // histograms, per-class confusion tallies) with a JSON emitter for the
-// bench `--diag <path>` flag and a strict parser for round-trip tests.
+// bench `--diag <path>` flag.
 //
 // The report is *derived* data: building one reads the registry / tracer /
 // confusion matrix and never feeds anything back into the pipeline, so a
 // campaign's outputs are identical whether or not a report is produced.
-// Doubles are printed with %.17g and parsed with strtod, which round-trips
-// every finite IEEE double bit-exactly — report equality is well-defined
-// across a serialize/parse cycle.
+// Doubles are printed with %.17g, which any JSON reader parses back to the
+// same IEEE double.
 
 #include <cstdint>
 #include <string>
@@ -66,13 +65,9 @@ struct DiagnosticsReport {
 
   /// Serializes the full report as a deterministic JSON document.
   [[nodiscard]] std::string to_json() const;
-
-  /// Parses a document produced by to_json(). Throws std::runtime_error on
-  /// malformed input or unknown keys (strict: the schema *is* the test).
-  [[nodiscard]] static DiagnosticsReport from_json(const std::string& json);
 };
 
-/// Assembles a report from the merged campaign accumulators. `tracer` and
+/// Assembles a report from a campaign's accumulators. `tracer` and
 /// `confusion` may be null (the corresponding sections stay empty).
 [[nodiscard]] DiagnosticsReport make_report(const Registry& registry,
                                             const SpanTracer* tracer,

@@ -4,9 +4,9 @@
 // SpanTracer times the attack pipeline's stages (capture -> segmentation
 // -> classification -> hint routing -> DBDD estimation) with RAII spans:
 // per-stage aggregate timings (count / total / min / max) plus a bounded
-// ring buffer of the most recent raw SpanEvents for postmortems. Like
-// every campaign accumulator, workers fill private tracers that the
-// campaign merges in worker-index order.
+// ring buffer of the most recent raw SpanEvents for postmortems. Spans
+// are timed where the work runs, so each campaign worker fills a private
+// tracer that the campaign merges in worker-index order.
 //
 // The zero-cost-off half of the design mirrors riscv's
 // NullExecutionObserver: pipeline code is templated over a TracerT and

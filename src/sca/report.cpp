@@ -12,13 +12,6 @@ void ConfusionMatrix::add(std::int32_t truth, std::int32_t predicted) {
   ++total_;
 }
 
-void ConfusionMatrix::merge(const ConfusionMatrix& other) {
-  for (const auto& [key, c] : other.counts_) counts_[key] += c;
-  for (const auto& [t, c] : other.truth_totals_) truth_totals_[t] += c;
-  for (const auto& [p, c] : other.pred_totals_) pred_totals_[p] += c;
-  total_ += other.total_;
-}
-
 std::size_t ConfusionMatrix::count(std::int32_t truth, std::int32_t predicted) const {
   const auto it = counts_.find({truth, predicted});
   return it == counts_.end() ? 0 : it->second;

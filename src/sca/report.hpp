@@ -17,11 +17,6 @@ class ConfusionMatrix {
  public:
   void add(std::int32_t truth, std::int32_t predicted);
 
-  /// Adds another matrix's counts into this one. Counts are integers, so
-  /// merging per-worker partials in any order equals the sequential tally
-  /// — the same worker-count-invariance contract as HintTally.
-  void merge(const ConfusionMatrix& other);
-
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] std::size_t count(std::int32_t truth, std::int32_t predicted) const;
   [[nodiscard]] std::size_t truth_count(std::int32_t truth) const;

@@ -242,13 +242,12 @@ struct BestCandidate {
 };
 
 SegmentationResult finish_robust(SegmentationResult& result, std::vector<Segment> segments,
-                                 const SegmentationConfig& cfg, SegmentationStatus status,
-                                 double degraded_consistency) {
+                                 const SegmentationConfig& cfg, SegmentationStatus status) {
   result.segments = std::move(segments);
   result.config = cfg;
   result.burst_consistency = burst_length_consistency(result.segments);
   if (status != SegmentationStatus::kFailed &&
-      result.burst_consistency < degraded_consistency)
+      result.burst_consistency < kDegradedConsistency)
     status = SegmentationStatus::kDegraded;
   result.status = status;
   result.window_quality = score_windows(result.segments);
@@ -259,8 +258,7 @@ SegmentationResult finish_robust(SegmentationResult& result, std::vector<Segment
 
 SegmentationResult segment_trace_robust(const std::vector<double>& samples,
                                         std::size_t expected_windows,
-                                        const SegmentationConfig& base,
-                                        double degraded_consistency) {
+                                        const SegmentationConfig& base) {
   SegmentationResult result;
   if (samples.empty() || expected_windows == 0) return result;
 
@@ -275,8 +273,7 @@ SegmentationResult segment_trace_robust(const std::vector<double>& samples,
       runs_above(base_smoothed, pass1_threshold), base.min_burst_length, samples.size());
   ++result.attempts;
   if (first.size() == expected_windows)
-    return finish_robust(result, std::move(first), base, SegmentationStatus::kOk,
-                         degraded_consistency);
+    return finish_robust(result, std::move(first), base, SegmentationStatus::kOk);
 
   // Pass 2: adaptive sweep over {smooth_window, threshold_scale,
   // min_burst_length}. All the per-candidate O(L) work is shared:
@@ -404,14 +401,12 @@ SegmentationResult segment_trace_robust(const std::vector<double>& samples,
 
   return finish_robust(result, std::move(best.segments), best.config,
                        best.match ? SegmentationStatus::kRecovered
-                                  : SegmentationStatus::kFailed,
-                       degraded_consistency);
+                                  : SegmentationStatus::kFailed);
 }
 
 SegmentationResult segment_trace_robust_reference(const std::vector<double>& samples,
                                                   std::size_t expected_windows,
-                                                  const SegmentationConfig& base,
-                                                  double degraded_consistency) {
+                                                  const SegmentationConfig& base) {
   SegmentationResult result;
   if (samples.empty() || expected_windows == 0) return result;
 
@@ -419,8 +414,7 @@ SegmentationResult segment_trace_robust_reference(const std::vector<double>& sam
   std::vector<Segment> first = segment_trace(samples, base);
   ++result.attempts;
   if (first.size() == expected_windows)
-    return finish_robust(result, std::move(first), base, SegmentationStatus::kOk,
-                         degraded_consistency);
+    return finish_robust(result, std::move(first), base, SegmentationStatus::kOk);
 
   // Pass 2: the pre-optimization sweep — every candidate re-smooths and
   // re-segments the full trace, duplicates included. Kept verbatim as the
@@ -454,8 +448,7 @@ SegmentationResult segment_trace_robust_reference(const std::vector<double>& sam
 
   return finish_robust(result, std::move(best.segments), best.config,
                        best.match ? SegmentationStatus::kRecovered
-                                  : SegmentationStatus::kFailed,
-                       degraded_consistency);
+                                  : SegmentationStatus::kFailed);
 }
 
 }  // namespace reveal::sca

@@ -84,6 +84,10 @@ struct SegmentationResult {
   double burst_consistency = 0.0;     ///< 1 - cv(burst lengths), clamped to [0,1]
 };
 
+/// Burst consistency below which a segmentation that reached the expected
+/// window count is reported kDegraded instead of kOk/kRecovered.
+inline constexpr double kDegradedConsistency = 0.75;
+
 /// Burst-length consistency of a segmentation: 1 - coefficient of variation
 /// of the burst lengths, clamped to [0,1] (1 = identical bursts; 0 = wild).
 [[nodiscard]] double burst_length_consistency(const std::vector<Segment>& segments);
@@ -108,13 +112,13 @@ struct SegmentationResult {
 /// segment_trace_robust_reference; only `attempts` may be lower.
 [[nodiscard]] SegmentationResult segment_trace_robust(
     const std::vector<double>& samples, std::size_t expected_windows,
-    const SegmentationConfig& base = {}, double degraded_consistency = 0.75);
+    const SegmentationConfig& base = {});
 
 /// The pre-optimization sweep: re-smooths and re-segments the full trace for
 /// every candidate, duplicates included (`attempts` counts every candidate).
 /// Kept as the differential anchor for segment_trace_robust.
 [[nodiscard]] SegmentationResult segment_trace_robust_reference(
     const std::vector<double>& samples, std::size_t expected_windows,
-    const SegmentationConfig& base = {}, double degraded_consistency = 0.75);
+    const SegmentationConfig& base = {});
 
 }  // namespace reveal::sca

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -184,16 +185,27 @@ TEST_F(CampaignEquivalence, DiagnosticsSinkDoesNotChangeAnyOutputByte) {
         runner.run_recovery_campaign(*attack_, cfg, seeds, policy, params, &diag);
     expect_results_identical(reference, instrumented);
     // The sink actually collected: every capture was counted and timed.
-    EXPECT_EQ(diag.registry.counter_value("capture.count"), seeds.size());
+    const obs::Registry& reg = diag.registry;
+    EXPECT_EQ(reg.counter_value("capture.count"), seeds.size());
     EXPECT_EQ(diag.tracer.timing(obs::Stage::kCapture).count, seeds.size());
     EXPECT_EQ(diag.tracer.timing(obs::Stage::kEstimation).count, 1u);
+    // The counters that duplicate report fields agree with them.
+    const sca::RecoveryReport& rep = instrumented.report;
+    EXPECT_EQ(reg.counter_value("classify.ok"), rep.ok_guesses);
+    EXPECT_EQ(reg.counter_value("classify.low_confidence"), rep.low_confidence_guesses);
+    EXPECT_EQ(reg.counter_value("classify.abstained"), rep.abstained_guesses);
+    EXPECT_EQ(reg.counter_value("segmentation.attempts"), rep.segmentation_attempts);
+    EXPECT_EQ(reg.counter_value("hints.perfect"), rep.perfect_hints);
+    EXPECT_EQ(reg.counter_value("hints.approximate"), rep.approximate_hints);
+    EXPECT_EQ(reg.counter_value("hints.sign_only"), rep.sign_only_hints);
+    EXPECT_EQ(reg.counter_value("hints.skipped"), rep.dropped_hints);
   }
 }
 
 TEST_F(CampaignEquivalence, DiagnosticsCountersInvariantAcrossWorkerCounts) {
-  // Counters, histogram buckets, gauges and confusion tallies are integers
-  // (or max-merged) accumulated per worker and merged in worker-index
-  // order, so they are worker-count invariant. Span timings are wall-clock
+  // Counters, the gauge, the histogram (its float sum included) and the
+  // confusion tally are filled in capture order on the calling thread, so
+  // they are worker-count invariant. Span timings are wall-clock
   // observations and are exempt — the comparison goes through a report
   // built without the tracer.
   const CampaignConfig cfg = degraded_config();
@@ -219,10 +231,59 @@ TEST_F(CampaignEquivalence, DiagnosticsCountersInvariantAcrossWorkerCounts) {
     EXPECT_EQ(report, reference)
         << "report:    " << report.to_json() << "\nreference: " << reference.to_json();
     EXPECT_EQ(diag.confusion, serial_diag.confusion);
-    // The full report (with timings) must survive a JSON round trip exactly.
-    const obs::DiagnosticsReport full = diag.report();
-    EXPECT_EQ(obs::DiagnosticsReport::from_json(full.to_json()), full);
   }
+}
+
+TEST_F(CampaignEquivalence, OneSinkAccumulatesCampaigns) {
+  // The driver adds into its sink, so one sink passed to two campaigns holds
+  // the sum of what two fresh sinks collect: bench_fault_tolerance reads
+  // each severity level as the change in one shared sink.
+  CampaignConfig clean;
+  clean.n = 64;
+  const CampaignConfig faulted = degraded_config();
+  const lwe::DbddParams params = paper_params();
+  const HintPolicy policy;
+  const std::vector<std::uint64_t> seeds = CampaignRunner::stream_seeds(5150, 4);
+  CampaignRunner runner(2);
+  CampaignDiagnostics first;
+  CampaignDiagnostics second;
+  CampaignDiagnostics shared;
+  (void)runner.run_recovery_campaign(*attack_, clean, seeds, policy, params, &first);
+  (void)runner.run_recovery_campaign(*attack_, faulted, seeds, policy, params, &second);
+  (void)runner.run_recovery_campaign(*attack_, clean, seeds, policy, params, &shared);
+  (void)runner.run_recovery_campaign(*attack_, faulted, seeds, policy, params, &shared);
+
+  const obs::Registry& sum = shared.registry;
+  const std::vector<std::string> counters = sum.names(obs::MetricKind::kCounter);
+  ASSERT_EQ(counters, first.registry.names(obs::MetricKind::kCounter));
+  for (const std::string& name : counters) {
+    EXPECT_EQ(sum.counter_value(name),
+              first.registry.counter_value(name) + second.registry.counter_value(name))
+        << name;
+  }
+  EXPECT_GT(sum.counter_value("faults.captures"), 0u);
+  const std::string quality = "segmentation.window_quality";
+  const obs::LatencyHistogram& h = sum.histogram_values(quality);
+  const obs::LatencyHistogram& h1 = first.registry.histogram_values(quality);
+  const obs::LatencyHistogram& h2 = second.registry.histogram_values(quality);
+  ASSERT_EQ(h.bin_count(), h1.bin_count());
+  for (std::size_t b = 0; b < h.bin_count(); ++b) EXPECT_EQ(h.count(b), h1.count(b) + h2.count(b));
+  EXPECT_EQ(h.total(), h1.total() + h2.total());
+  EXPECT_EQ(sum.gauge_value("capture.trace_samples.max"),
+            std::max(first.registry.gauge_value("capture.trace_samples.max"),
+                     second.registry.gauge_value("capture.trace_samples.max")));
+
+  ASSERT_GT(first.confusion.total(), 0u);
+  EXPECT_EQ(shared.confusion.total(), first.confusion.total() + second.confusion.total());
+  for (const std::int32_t truth : shared.confusion.truths()) {
+    for (const std::int32_t predicted : shared.confusion.predictions()) {
+      EXPECT_EQ(shared.confusion.count(truth, predicted),
+                first.confusion.count(truth, predicted) +
+                    second.confusion.count(truth, predicted))
+          << truth << " -> " << predicted;
+    }
+  }
+  EXPECT_EQ(shared.tracer.timing(obs::Stage::kCapture).count, 2 * seeds.size());
 }
 
 TEST_F(CampaignEquivalence, GroundTruthCountersMatchHandRecountInEveryDriver) {

@@ -4,7 +4,8 @@
 // test_campaign_equivalence.cpp; this file covers the primitives:
 //
 //   * WorkerPool executes every index exactly once, reports worker ids in
-//     range, propagates task exceptions, and stays usable afterwards;
+//     range, propagates task exceptions, skips the indices a failed job has
+//     not handed out yet, and stays usable afterwards;
 //   * stream_seed never collides across trace indices and depends only on
 //     (base, index) — not on worker count or submission order;
 //   * HintTally counters accumulated per worker and merged agree exactly
@@ -85,6 +86,23 @@ TEST(WorkerPool, PropagatesTaskExceptionAndStaysUsable) {
     pool.run_indexed(32, [&](std::size_t i, std::size_t) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
   }
+}
+
+TEST(WorkerPool, FailedJobSkipsLaterIndices) {
+  // One worker claims the indices in order, so once index 5 throws no later
+  // index may run: a failed job stops, it does not drain.
+  WorkerPool pool(1);
+  std::vector<std::size_t> ran;
+  EXPECT_THROW(pool.run_indexed(64,
+                                [&](std::size_t i, std::size_t) {
+                                  ran.push_back(i);
+                                  if (i == 5) throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  std::vector<std::atomic<int>> hits(32);
+  pool.run_indexed(32, [&](std::size_t i, std::size_t) { ++hits[i]; });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 // --- stream_seed properties ------------------------------------------------
