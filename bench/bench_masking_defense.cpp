@@ -25,7 +25,7 @@ struct Outcome {
 
 Outcome evaluate(bool masked, std::size_t profile_runs, std::size_t attack_runs) {
   CampaignConfig cfg = bench::default_campaign(64);
-  cfg.masked_firmware = masked;
+  cfg.firmware = masked ? Firmware::kMasked : Firmware::kSampler;
   SamplerCampaign campaign(cfg);
   RevealAttack attack;
   attack.train(campaign.collect_windows(profile_runs, /*seed_base=*/1));

@@ -27,7 +27,7 @@ struct Outcome {
 
 Outcome evaluate(bool patched, std::size_t profile_runs, std::size_t attack_runs) {
   CampaignConfig cfg = bench::default_campaign(64);
-  cfg.patched_firmware = patched;
+  cfg.firmware = patched ? Firmware::kPatched : Firmware::kSampler;
   SamplerCampaign campaign(cfg);
   RevealAttack attack;
   attack.train(campaign.collect_windows(profile_runs, /*seed_base=*/1));

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   // available and the templates are as strong as against the unshuffled
   // firmware.
   CampaignConfig cfg = bench::default_campaign(kN);
-  cfg.shuffled_firmware = true;
+  cfg.firmware = Firmware::kShuffled;
   SamplerCampaign campaign(cfg);
   RevealAttack attack;
   std::printf("\nprofiling on the (attacker-controlled) shuffled clone...\n");

@@ -18,8 +18,8 @@ int main() {
 
   // The paper's parameter set: n = 1024, q = 132120577 (SEAL-128 smallest).
   const Context ctx(EncryptionParameters::seal_128_1024());
-  std::printf("parameters: n = %zu, q = %s, t = %llu, sigma = %.2f\n", ctx.n(),
-              ctx.total_coeff_modulus().to_string().c_str(),
+  std::printf("parameters: n = %zu, q = %llu, t = %llu, sigma = %.2f\n", ctx.n(),
+              static_cast<unsigned long long>(ctx.coeff_modulus().value()),
               static_cast<unsigned long long>(ctx.plain_modulus().value()),
               ctx.parms().noise_standard_deviation());
 

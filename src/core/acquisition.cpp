@@ -10,15 +10,16 @@ namespace reveal::core {
 namespace {
 
 VictimProgram build_campaign_firmware(const CampaignConfig& config) {
-  const int variants = static_cast<int>(config.patched_firmware) +
-                       static_cast<int>(config.shuffled_firmware) +
-                       static_cast<int>(config.masked_firmware);
-  if (variants > 1)
-    throw std::invalid_argument(
-        "SamplerCampaign: firmware variant combinations not implemented");
-  if (config.shuffled_firmware) return build_shuffled_firmware(config.n, config.moduli);
-  if (config.patched_firmware) return build_patched_firmware(config.n, config.moduli);
-  if (config.masked_firmware) return build_masked_firmware(config.n, config.moduli);
+  switch (config.firmware) {
+    case Firmware::kPatched:
+      return build_patched_firmware(config.n, config.moduli);
+    case Firmware::kShuffled:
+      return build_shuffled_firmware(config.n, config.moduli);
+    case Firmware::kMasked:
+      return build_masked_firmware(config.n, config.moduli);
+    case Firmware::kSampler:
+      break;
+  }
   return build_sampler_firmware(config.n, config.moduli);
 }
 

@@ -17,15 +17,21 @@
 
 namespace reveal::core {
 
+/// The victim firmware a campaign captures (core/victim.hpp).
+enum class Firmware {
+  kSampler,   ///< the SEAL v3.2 sampler (paper Fig. 2)
+  kPatched,   ///< the v3.6-style branch-free sampler
+  kShuffled,  ///< the shuffling countermeasure
+  kMasked,    ///< the share-masked store
+};
+
 struct CampaignConfig {
   /// Sentinel for num_workers: resolve to hardware_concurrency at use.
   static constexpr std::size_t kAutoWorkers = static_cast<std::size_t>(-1);
 
   std::size_t n = 64;  ///< coefficients sampled per firmware run
   std::vector<std::uint64_t> moduli = {132120577ULL};
-  bool patched_firmware = false;   ///< run the v3.6-style branch-free victim
-  bool shuffled_firmware = false;  ///< run the shuffling-countermeasure victim
-  bool masked_firmware = false;    ///< run the share-masked-store victim
+  Firmware firmware = Firmware::kSampler;
   power::LeakageParams leakage{};
   /// Acquisition faults injected into every captured trace (default: none —
   /// bit-identical to the clean pipeline). Fault randomness derives from

@@ -253,7 +253,7 @@ RecoveryCampaignResult CampaignRunner::run_recovery_campaign(
         "campaign: " + std::to_string(seeds.size()) + " captures x " +
         std::to_string(config.n) + " windows can route more hints than the " +
         std::to_string(params.error_dim) + " error coordinates of the estimator");
-  if (config.shuffled_firmware)
+  if (config.firmware == Firmware::kShuffled)
     throw std::invalid_argument(
         "run_recovery_campaign: shuffled firmware hides the coefficient order "
         "(2n - 1 bursts, no positional hints)");

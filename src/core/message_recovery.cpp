@@ -18,37 +18,30 @@ std::optional<seal::Poly> recover_u(const seal::Context& context, const seal::Pu
     throw std::invalid_argument("recover_u: e2 size does not match context");
 
   const auto& tables = context.fast_ntt_tables();
-  const auto& moduli = context.coeff_modulus();
+  const auto& q = context.coeff_modulus();
 
   Poly e2_poly;
   encode_noise_values(e2, context, e2_poly);
 
   // numerator = c1 - e2, then divide by p1 pointwise in the NTT domain.
   Poly numerator;
-  polyops::sub(ct[1], e2_poly, moduli, numerator);
+  polyops::sub(ct[1], e2_poly, q, numerator);
   polyops::ntt_forward(numerator, tables);
 
   Poly p1 = pk.p1;
   polyops::ntt_forward(p1, tables);
 
-  Poly u(context.n(), context.coeff_mod_count());
-  for (std::size_t j = 0; j < moduli.size(); ++j) {
-    for (std::size_t i = 0; i < context.n(); ++i) {
-      const std::uint64_t denom = p1.at(i, j);
-      if (denom == 0) return std::nullopt;  // p1 not invertible
-      u.at(i, j) = mul_mod(numerator.at(i, j), inverse_mod(denom, moduli[j]), moduli[j]);
-    }
+  Poly u(context.n());
+  for (std::size_t i = 0; i < context.n(); ++i) {
+    if (p1[i] == 0) return std::nullopt;  // p1 not invertible
+    u[i] = mul_mod(numerator[i], inverse_mod(p1[i], q), q);
   }
   polyops::ntt_inverse(u, tables);
 
-  // Consistency: u must be ternary in every RNS component.
+  // Consistency: u must be ternary.
   for (std::size_t i = 0; i < context.n(); ++i) {
-    const std::uint64_t v0 = u.at(i, 0);
-    const std::int64_t centered = center_mod(v0, moduli[0]);
+    const std::int64_t centered = center_mod(u[i], q);
     if (centered < -1 || centered > 1) return std::nullopt;
-    for (std::size_t j = 1; j < moduli.size(); ++j) {
-      if (center_mod(u.at(i, j), moduli[j]) != centered) return std::nullopt;
-    }
   }
   return u;
 }
@@ -61,14 +54,11 @@ std::optional<seal::Plaintext> recover_message(const seal::Context& context,
   const std::optional<Poly> u = recover_u(context, pk, ct, e2);
   if (!u.has_value()) return std::nullopt;
 
-  const auto& tables = context.fast_ntt_tables();
-  const auto& moduli = context.coeff_modulus();
-
   // x = c0 - p0*u = Delta*m + e1 (mod q).
   Poly p0u;
-  polyops::multiply_ntt(pk.p0, *u, tables, p0u);
+  polyops::multiply_ntt(pk.p0, *u, context.fast_ntt_tables(), p0u);
   Poly x;
-  polyops::sub(ct[0], p0u, moduli, x);
+  polyops::sub(ct[0], p0u, context.coeff_modulus(), x);
 
   return decode_scaled(context, x);
 }

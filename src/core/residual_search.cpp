@@ -19,7 +19,7 @@ struct CandidateList {
   std::size_t coeff_index = 0;
   std::vector<std::int64_t> values;
   std::vector<double> log_probs;  // aligned, non-increasing
-  /// (values[r] - values[0]) mod q_j at [r * moduli + j]; searched lists only.
+  /// (values[r] - values[0]) mod q; searched lists only.
   std::vector<std::uint64_t> deltas;
 };
 
@@ -105,45 +105,32 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
   // check is then one forward + one inverse transform.
   const double max_dev = context.parms().noise_max_deviation();
   const auto& tables = context.fast_ntt_tables();
-  const auto& moduli = context.coeff_modulus();
+  const Modulus& q = context.coeff_modulus();
   const std::size_t n = context.n();
 
   Poly c1_ntt = ct[1];
   polyops::ntt_forward(c1_ntt, tables);
-  Poly p1_ntt = pk.p1;
-  polyops::ntt_forward(p1_ntt, tables);
-  Poly p1_inv_ntt(n, moduli.size());
-  bool p1_invertible = true;
-  for (std::size_t j = 0; j < moduli.size() && p1_invertible; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t denom = p1_ntt.at(i, j);
-      if (denom == 0) {
-        p1_invertible = false;
-        break;
-      }
-      p1_inv_ntt.at(i, j) = inverse_mod(denom, moduli[j]);
-    }
+  Poly p1_inv_ntt = pk.p1;
+  polyops::ntt_forward(p1_inv_ntt, tables);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (p1_inv_ntt[i] == 0) return result;  // p1 not invertible: no unique u
+    p1_inv_ntt[i] = inverse_mod(p1_inv_ntt[i], q);
   }
-  if (!p1_invertible) return result;  // no unique u: cannot search
   Poly p0_ntt = pk.p0;
   polyops::ntt_forward(p0_ntt, tables);
 
-  const std::uint64_t delta = context.delta().low_word();
+  const std::uint64_t delta = context.delta();
   const std::uint64_t t = context.plain_modulus().value();
-  const std::uint64_t q0 = moduli[0].value();
-  const double slack = max_dev + static_cast<double>(q0 % t) + 1.0;
+  const double slack = max_dev + static_cast<double>(q.value() % t) + 1.0;
 
-  Poly scratch(n, moduli.size());
-  Poly u_ntt(n, moduli.size());
+  Poly scratch(n);
+  Poly u_ntt(n);
   // u = (c1 - e2) * p1^{-1} in the NTT domain.
   auto u_ntt_of = [&](const std::vector<std::int64_t>& candidate_e2) {
     encode_noise_values(candidate_e2, context, scratch);
     polyops::ntt_forward(scratch, tables);
-    for (std::size_t j = 0; j < moduli.size(); ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t num = seal::sub_mod(c1_ntt.at(i, j), scratch.at(i, j), moduli[j]);
-        u_ntt.at(i, j) = seal::mul_mod(num, p1_inv_ntt.at(i, j), moduli[j]);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      u_ntt[i] = seal::mul_mod(seal::sub_mod(c1_ntt[i], scratch[i], q), p1_inv_ntt[i], q);
     }
   };
   auto consistent = [&](const std::vector<std::int64_t>& candidate_e2) -> bool {
@@ -153,24 +140,19 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
     Poly u = u_ntt;
     polyops::ntt_inverse(u, tables);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t centered = seal::center_mod(u.at(i, 0), moduli[0]);
+      const std::int64_t centered = seal::center_mod(u[i], q);
       if (centered < -1 || centered > 1) return false;
-      for (std::size_t j = 1; j < moduli.size(); ++j) {
-        if (seal::center_mod(u.at(i, j), moduli[j]) != centered) return false;
-      }
     }
     // e1 bound: x = c0 - p0*u must sit near a multiple of Delta.
     Poly p0u = u_ntt;
-    polyops::dyadic_product(p0u, p0_ntt, moduli, p0u);
+    polyops::dyadic_product(p0u, p0_ntt, q, p0u);
     polyops::ntt_inverse(p0u, tables);
     Poly x;
-    polyops::sub(ct[0], p0u, moduli, x);
-    if (context.coeff_mod_count() == 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t rem = x.at(i, 0) % delta;
-        const std::uint64_t dist = rem > delta / 2 ? delta - rem : rem;
-        if (static_cast<double>(dist) > slack) return false;
-      }
+    polyops::sub(ct[0], p0u, q, x);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t rem = x[i] % delta;
+      const std::uint64_t dist = rem > delta / 2 ? delta - rem : rem;
+      if (static_cast<double>(dist) > slack) return false;
     }
     return true;
   };
@@ -211,38 +193,27 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
   Poly w = p1_inv_ntt;
   polyops::ntt_inverse(w, tables);
   for (auto& l : lists) {
-    for (const std::int64_t v : l.values) {
-      for (const Modulus& q : moduli) l.deltas.push_back(reduce_signed(v - l.values[0], q));
-    }
+    for (const std::int64_t v : l.values) l.deltas.push_back(reduce_signed(v - l.values[0], q));
   }
   struct Change {
     std::size_t pos;
-    const std::uint64_t* delta;  // one residue per modulus
+    std::uint64_t delta;
   };
   std::vector<Change> changes;
   changes.reserve(width);
   auto ternary = [&]() -> bool {
     for (std::size_t i = 0; i < n; ++i) {
-      std::int64_t centered = 0;
-      for (std::size_t j = 0; j < moduli.size(); ++j) {
-        const Modulus& q = moduli[j];
-        std::uint64_t v = u_base.at(i, j);
-        for (const Change& c : changes) {
-          // Negacyclic: (x^p * w)[i] = w[i - p], or -w[n + i - p] on wrap.
-          if (i >= c.pos) {
-            v = seal::sub_mod(v, seal::mul_mod(c.delta[j], w.at(i - c.pos, j), q), q);
-          } else {
-            v = seal::add_mod(v, seal::mul_mod(c.delta[j], w.at(n + i - c.pos, j), q), q);
-          }
-        }
-        const std::int64_t cv = seal::center_mod(v, q);
-        if (j == 0) {
-          if (cv < -1 || cv > 1) return false;
-          centered = cv;
-        } else if (cv != centered) {
-          return false;
+      std::uint64_t v = u_base[i];
+      for (const Change& c : changes) {
+        // Negacyclic: (x^p * w)[i] = w[i - p], or -w[n + i - p] on wrap.
+        if (i >= c.pos) {
+          v = seal::sub_mod(v, seal::mul_mod(c.delta, w[i - c.pos], q), q);
+        } else {
+          v = seal::add_mod(v, seal::mul_mod(c.delta, w[n + i - c.pos], q), q);
         }
       }
+      const std::int64_t cv = seal::center_mod(v, q);
+      if (cv < -1 || cv > 1) return false;
     }
     return true;
   };
@@ -280,7 +251,7 @@ ResidualSearchResult residual_search(const seal::Context& context, const seal::P
     changes.clear();
     for (std::size_t k = 0; k < width; ++k) {
       if (ranks[k] != 0) {
-        changes.push_back({lists[k].coeff_index, &lists[k].deltas[ranks[k] * moduli.size()]});
+        changes.push_back({lists[k].coeff_index, lists[k].deltas[ranks[k]]});
       }
     }
     if (ternary()) {

@@ -38,9 +38,6 @@ struct LeakageParams {
   double w_serial = 0.10;     ///< per-cycle operand activity of the serial mul/div
   double bit_deviation = 0.08;///< relative per-bit capacitance spread
   double noise_sigma = 0.15;  ///< additive Gaussian measurement noise (std)
-  /// Random-walk step of the slow baseline wander (supply/temperature
-  /// drift); 0 disables. Applied per sample by the TraceRecorder.
-  double drift_sigma = 0.0;
   std::uint64_t bit_weight_seed = 0xB17C0FFEEULL;  ///< fixes the bit weights
 
   /// Per-class static/base power (fetch + control activity). The bit-serial

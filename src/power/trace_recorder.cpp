@@ -12,36 +12,23 @@ void TraceRecorder::on_instruction(const riscv::InstrEvent& event) {
       if (w.increment) ++w.tag;
     }
   }
-  const std::size_t first = samples_.size();
   model_.append_samples(event, noise_rng_, samples_);
-  const double drift_sigma = model_.params().drift_sigma;
-  if (drift_sigma > 0.0) {
-    // Slow supply/temperature wander: a per-sample random walk riding on
-    // top of the instruction-level power.
-    for (std::size_t i = first; i < samples_.size(); ++i) {
-      drift_ += noise_rng_.gaussian(0.0, drift_sigma);
-      samples_[i] += drift_;
-    }
-  }
 }
 
 std::vector<double> TraceRecorder::take_samples() noexcept {
   std::vector<double> out = std::move(samples_);
-  // Leave the recorder reusable instead of holding stale markers/drift from
-  // the capture that was just moved out: a subsequent capture must not see
-  // the previous run's marker stream or start mid-way through its drift
-  // walk. (The noise RNG deliberately keeps advancing; begin_capture()
-  // reseeds it for reproducible reuse.)
+  // Leave the recorder reusable instead of holding stale markers from the
+  // capture that was just moved out: a subsequent capture must not see the
+  // previous run's marker stream. (The noise RNG deliberately keeps
+  // advancing; begin_capture() reseeds it for reproducible reuse.)
   samples_.clear();
   markers_.clear();
-  drift_ = 0.0;
   return out;
 }
 
 void TraceRecorder::begin_capture(std::uint64_t noise_seed) {
   samples_.clear();
   markers_.clear();
-  drift_ = 0.0;
   noise_rng_ = num::Xoshiro256StarStar(noise_seed);
   for (Watch& w : watches_) w.tag = w.initial_tag;
 }
@@ -58,7 +45,6 @@ void TraceRecorder::watch_pc(std::uint32_t pc, std::uint32_t tag, bool increment
 void TraceRecorder::clear() {
   samples_.clear();
   markers_.clear();
-  drift_ = 0.0;
 }
 
 }  // namespace reveal::power

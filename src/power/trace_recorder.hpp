@@ -36,15 +36,14 @@ class TraceRecorder final : public riscv::ExecutionObserver {
   [[nodiscard]] const std::vector<double>& samples() const noexcept { return samples_; }
 
   /// Moves the recorded trace out. The recorder is left in a documented
-  /// reusable state: samples and markers empty, drift reset to zero,
-  /// watches retained. The noise RNG keeps its advanced position — call
-  /// begin_capture() to reseed before recording a new trace whose noise
-  /// must be reproducible.
+  /// reusable state: samples and markers empty, watches retained. The noise
+  /// RNG keeps its advanced position — call begin_capture() to reseed
+  /// before recording a new trace whose noise must be reproducible.
   [[nodiscard]] std::vector<double> take_samples() noexcept;
 
   /// Rearms the recorder for a new capture: clears samples and markers
-  /// (keeping their capacity), zeroes the drift walk and reseeds the noise
-  /// stream. Registered watches are preserved.
+  /// (keeping their capacity) and reseeds the noise stream. Registered
+  /// watches are preserved.
   void begin_capture(std::uint64_t noise_seed);
 
   /// Pre-sizes the internal buffers (e.g. from an instruction budget) so a
@@ -68,7 +67,6 @@ class TraceRecorder final : public riscv::ExecutionObserver {
 
   const LeakageModel& model_;
   num::Xoshiro256StarStar noise_rng_;
-  double drift_ = 0.0;  ///< accumulated baseline wander (random walk)
   std::vector<double> samples_;
   std::vector<Watch> watches_;
   std::vector<TraceMarker> markers_;

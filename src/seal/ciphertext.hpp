@@ -49,8 +49,8 @@ class Ciphertext {
     return components_[i];
   }
 
-  void resize(std::size_t count, std::size_t coeff_count, std::size_t coeff_mod_count) {
-    components_.assign(count, Poly(coeff_count, coeff_mod_count));
+  void resize(std::size_t count, std::size_t coeff_count) {
+    components_.assign(count, Poly(coeff_count));
   }
   void push_back(Poly p) { components_.push_back(std::move(p)); }
 

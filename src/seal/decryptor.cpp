@@ -2,24 +2,21 @@
 
 #include <stdexcept>
 
-#include "seal/crt.hpp"
 #include "seal/poly.hpp"
 
 namespace reveal::seal {
 
 Plaintext decode_scaled(const Context& context, const Poly& v) {
-  if (v.coeff_count() != context.n() || v.coeff_mod_count() != context.coeff_mod_count())
+  if (v.coeff_count() != context.n())
     throw std::invalid_argument("decode_scaled: polynomial does not match context");
+  __extension__ typedef unsigned __int128 u128;
+  const std::uint64_t q = context.coeff_modulus().value();
   const std::uint64_t t = context.plain_modulus().value();
-  const BigUInt& q = context.total_coeff_modulus();
-  BigUInt half_q = q;
-  half_q >>= 1;
-  const CrtComposer crt(context.coeff_modulus());
 
   std::vector<std::uint64_t> message(context.n(), 0);
   for (std::size_t i = 0; i < context.n(); ++i) {
-    const BigUInt numerator = crt.compose(v, i) * t + half_q;
-    message[i] = BigUInt::divmod(numerator, q).quotient.mod_word(t);
+    const u128 numerator = static_cast<u128>(t) * v[i] + q / 2;
+    message[i] = static_cast<std::uint64_t>(numerator / q) % t;
   }
   // Trim trailing zeros for a canonical representation.
   while (!message.empty() && message.back() == 0) message.pop_back();

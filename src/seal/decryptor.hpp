@@ -1,9 +1,9 @@
 #pragma once
 // BFV decryption: m = [ round(t/q · [c0 + c1·s]_q) ]_t.
 //
-// Works for any number of RNS components: the noisy inner product is
-// CRT-composed into a BigUInt per coefficient, then the exact rational
-// rounding is done with multi-precision arithmetic.
+// The rounding is exact: q < 2^61 and t < q, so t·x + ⌊q/2⌋ < 2^122 for
+// every coefficient x < q, and one 128-bit product and division per
+// coefficient computes it.
 
 #include "seal/ciphertext.hpp"
 #include "seal/encryption_params.hpp"
@@ -12,9 +12,8 @@
 namespace reveal::seal {
 
 /// The BFV rounding step shared by decryption and message recovery: for
-/// v = Δ·m + noise (mod q, RNS, coefficient representation), CRT-composes
-/// each coefficient x_i and returns m_i = ⌊(t·x_i + ⌊q/2⌋)/q⌋ mod t with
-/// trailing zeros trimmed.
+/// v = Δ·m + noise (mod q, coefficient representation), returns
+/// m_i = ⌊(t·v_i + ⌊q/2⌋)/q⌋ mod t with trailing zeros trimmed.
 [[nodiscard]] Plaintext decode_scaled(const Context& context, const Poly& v);
 
 class Decryptor {

@@ -8,6 +8,24 @@ namespace {
 
 bool is_power_of_two(std::size_t v) noexcept { return v != 0 && (v & (v - 1)) == 0; }
 
+/// The parameters, or std::invalid_argument; the NTT-friendliness of q is
+/// checked by the tables the Context builds next.
+EncryptionParameters validated(EncryptionParameters parms) {
+  const std::size_t n = parms.poly_modulus_degree();
+  if (!is_power_of_two(n) || n < 2)
+    throw std::invalid_argument("Context: poly_modulus_degree must be a power of two >= 2");
+  if (parms.coeff_modulus().is_zero())
+    throw std::invalid_argument("Context: coeff_modulus not set");
+  const auto& t = parms.plain_modulus();
+  if (t.is_zero()) throw std::invalid_argument("Context: plain_modulus not set");
+  if (t.value() >= parms.coeff_modulus().value())
+    throw std::invalid_argument("Context: plain_modulus must be smaller than coeff modulus");
+  if (parms.noise_standard_deviation() <= 0.0 ||
+      parms.noise_max_deviation() < parms.noise_standard_deviation())
+    throw std::invalid_argument("Context: invalid noise distribution parameters");
+  return parms;
+}
+
 }  // namespace
 
 EncryptionParameters EncryptionParameters::seal_128_1024() {
@@ -15,7 +33,7 @@ EncryptionParameters EncryptionParameters::seal_128_1024() {
   parms.set_poly_modulus_degree(1024);
   // q = 132120577 = 2^27 - 2^21 + 1; prime, q ≡ 1 (mod 2048) — the smallest
   // SEAL-128 coefficient modulus used in the paper's Table III.
-  parms.set_coeff_modulus({Modulus(132120577ULL)});
+  parms.set_coeff_modulus(Modulus(132120577ULL));
   parms.set_plain_modulus(256);
   parms.set_noise_standard_deviation(3.19);
   parms.set_noise_max_deviation(41.0);
@@ -25,44 +43,16 @@ EncryptionParameters EncryptionParameters::seal_128_1024() {
 EncryptionParameters EncryptionParameters::toy_256() {
   EncryptionParameters parms;
   parms.set_poly_modulus_degree(256);
-  parms.set_coeff_modulus({find_ntt_prime(20, 256)});
+  parms.set_coeff_modulus(find_ntt_prime(20, 256));
   parms.set_plain_modulus(64);
   parms.set_noise_standard_deviation(3.19);
   parms.set_noise_max_deviation(41.0);
   return parms;
 }
 
-Context::Context(EncryptionParameters parms) : parms_(std::move(parms)) {
-  const std::size_t n = parms_.poly_modulus_degree();
-  if (!is_power_of_two(n) || n < 2)
-    throw std::invalid_argument("Context: poly_modulus_degree must be a power of two >= 2");
-  const auto& moduli = parms_.coeff_modulus();
-  if (moduli.empty())
-    throw std::invalid_argument("Context: coeff_modulus must not be empty");
-  for (std::size_t i = 0; i < moduli.size(); ++i) {
-    for (std::size_t j = i + 1; j < moduli.size(); ++j) {
-      if (moduli[i] == moduli[j])
-        throw std::invalid_argument("Context: duplicate coefficient moduli");
-    }
-  }
-  const auto& t = parms_.plain_modulus();
-  if (t.is_zero()) throw std::invalid_argument("Context: plain_modulus not set");
-  if (parms_.noise_standard_deviation() <= 0.0 ||
-      parms_.noise_max_deviation() < parms_.noise_standard_deviation())
-    throw std::invalid_argument("Context: invalid noise distribution parameters");
-
-  fast_ntt_tables_.reserve(moduli.size());
-  total_q_ = BigUInt(1);
-  for (const auto& q : moduli) {
-    fast_ntt_tables_.emplace_back(n, q);  // throws if q is not NTT-friendly
-    total_q_ = total_q_ * q.value();
-  }
-  if (BigUInt(t.value()) >= total_q_)
-    throw std::invalid_argument("Context: plain_modulus must be smaller than coeff modulus");
-
-  delta_ = BigUInt::divmod(total_q_, BigUInt(t.value())).quotient;
-  delta_mod_qj_.reserve(moduli.size());
-  for (const auto& q : moduli) delta_mod_qj_.push_back(delta_.mod_word(q.value()));
-}
+Context::Context(EncryptionParameters parms)
+    : parms_(validated(std::move(parms))),
+      fast_ntt_tables_(parms_.poly_modulus_degree(), parms_.coeff_modulus()),
+      delta_(parms_.coeff_modulus().value() / parms_.plain_modulus().value()) {}
 
 }  // namespace reveal::seal

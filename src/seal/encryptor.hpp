@@ -48,10 +48,14 @@ class Encryptor {
   [[nodiscard]] Ciphertext encrypt_with_witness(const Plaintext& plain,
                                                 const EncryptionWitness& witness) const;
 
-  /// Scales a plaintext by Delta into an RNS poly: result = Δ·m per modulus.
+  /// Scales a plaintext by Delta: result = Δ·m mod q.
   [[nodiscard]] Poly scale_plain(const Plaintext& plain) const;
 
  private:
+  /// (c0, c1) = (Δ·m + p0·u + e1, p1·u + e2) mod q.
+  [[nodiscard]] Ciphertext combine(const Plaintext& plain, const Poly& u, const Poly& e1,
+                                   const Poly& e2) const;
+
   const Context& context_;
   const PublicKey& pk_;
   SamplerVariant sampler_;

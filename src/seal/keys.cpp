@@ -13,13 +13,12 @@ KeyGenerator::KeyGenerator(const Context& context, UniformRandomGenerator& rando
   sample_poly_uniform(a, random, context);
   Poly e = sample_error_poly(random, context);
 
-  const auto& tables = context.fast_ntt_tables();
-  const auto& moduli = context.coeff_modulus();
+  const auto& q = context.coeff_modulus();
   Poly as;
-  polyops::multiply_ntt(a, secret_key_.s, tables, as);
+  polyops::multiply_ntt(a, secret_key_.s, context.fast_ntt_tables(), as);
   Poly as_plus_e;
-  polyops::add(as, e, moduli, as_plus_e);
-  polyops::negate(as_plus_e, moduli, public_key_.p0);
+  polyops::add(as, e, q, as_plus_e);
+  polyops::negate(as_plus_e, q, public_key_.p0);
   public_key_.p1 = std::move(a);
 }
 

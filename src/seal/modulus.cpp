@@ -119,29 +119,18 @@ std::uint64_t Modulus::reduce128(std::uint64_t high, std::uint64_t low) const no
   return result;
 }
 
-Modulus find_ntt_prime(int bit_count, std::size_t poly_degree, std::size_t skip) {
-  if (bit_count < 8 || bit_count > 60)
-    throw std::invalid_argument("find_ntt_prime: bit_count must be in [8, 60]");
+Modulus find_ntt_prime(int bit_count, std::size_t poly_degree) {
+  if (bit_count < 8 || bit_count > 61)
+    throw std::invalid_argument("find_ntt_prime: bit_count must be in [8, 61]");
   const std::uint64_t two_n = static_cast<std::uint64_t>(poly_degree) * 2;
   // Start at the largest candidate ≡ 1 (mod 2n) below 2^bit_count.
   std::uint64_t candidate = ((std::uint64_t{1} << bit_count) - 1) / two_n * two_n + 1;
-  std::size_t skipped = 0;
   while (candidate > two_n) {
-    if (candidate < (std::uint64_t{1} << bit_count) && is_prime_u64(candidate)) {
-      if (skipped == skip) return Modulus(candidate);
-      ++skipped;
-    }
+    if (candidate < (std::uint64_t{1} << bit_count) && is_prime_u64(candidate))
+      return Modulus(candidate);
     candidate -= two_n;
   }
   throw std::runtime_error("find_ntt_prime: no NTT-friendly prime found");
-}
-
-std::vector<Modulus> find_ntt_primes(int bit_count, std::size_t poly_degree,
-                                     std::size_t count) {
-  std::vector<Modulus> primes;
-  primes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) primes.push_back(find_ntt_prime(bit_count, poly_degree, i));
-  return primes;
 }
 
 }  // namespace reveal::seal

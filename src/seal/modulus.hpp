@@ -5,8 +5,8 @@
 // stored as two 64-bit words so that 128-bit products can be reduced without
 // division, exactly as SEAL does.
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace reveal::seal {
 
@@ -44,14 +44,9 @@ class Modulus {
 [[nodiscard]] bool is_prime_u64(std::uint64_t n) noexcept;
 
 /// Finds the largest prime p < 2^bit_count with p ≡ 1 (mod 2n), suitable as
-/// an NTT-friendly coefficient modulus for polynomial degree n.
-/// Throws std::runtime_error if none exists in the search window.
-[[nodiscard]] Modulus find_ntt_prime(int bit_count, std::size_t poly_degree,
-                                     std::size_t skip = 0);
-
-/// Generates `count` distinct NTT-friendly primes of the given bit size.
-[[nodiscard]] std::vector<Modulus> find_ntt_primes(int bit_count,
-                                                   std::size_t poly_degree,
-                                                   std::size_t count);
+/// an NTT-friendly coefficient modulus for polynomial degree n. bit_count
+/// must be in [8, 61]; throws std::runtime_error if no prime exists in the
+/// search window.
+[[nodiscard]] Modulus find_ntt_prime(int bit_count, std::size_t poly_degree);
 
 }  // namespace reveal::seal

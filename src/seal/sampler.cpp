@@ -10,11 +10,13 @@ void set_poly_coeffs_normal(std::uint64_t* poly, UniformRandomGenerator& random,
                             std::vector<std::int64_t>* sampled_out) {
   const auto& parms = context.parms();
   const std::size_t coeff_count = context.n();
-  const std::size_t coeff_mod_count = context.coeff_mod_count();
-  const auto& coeff_modulus = context.coeff_modulus();
+  const std::uint64_t modulus = context.coeff_modulus().value();
   if (sampled_out != nullptr) sampled_out->assign(coeff_count, 0);
 
   // --- begin faithful port of SEAL v3.2 (paper Fig. 2) ---
+  // Fig. 2 stores every value once per coefficient modulus, at
+  // poly[i + (j * coeff_count)]; with the one modulus here that loop runs
+  // once (j = 0), so each branch is a single store.
   RandomToStandardAdapter engine(random);
   ClippedNormalDistribution dist(0, parms.noise_standard_deviation(),
                                  parms.noise_max_deviation());
@@ -22,19 +24,12 @@ void set_poly_coeffs_normal(std::uint64_t* poly, UniformRandomGenerator& random,
     const std::int64_t noise = std::llround(dist(engine));
     if (sampled_out != nullptr) (*sampled_out)[i] = noise;
     if (noise > 0) {
-      for (std::size_t j = 0; j < coeff_mod_count; j++) {
-        poly[i + (j * coeff_count)] = static_cast<std::uint64_t>(noise);
-      }
+      poly[i] = static_cast<std::uint64_t>(noise);
     } else if (noise < 0) {
       const std::int64_t negated = -noise;  // the negation the attack exploits
-      for (std::size_t j = 0; j < coeff_mod_count; j++) {
-        poly[i + (j * coeff_count)] =
-            coeff_modulus[j].value() - static_cast<std::uint64_t>(negated);
-      }
+      poly[i] = modulus - static_cast<std::uint64_t>(negated);
     } else {
-      for (std::size_t j = 0; j < coeff_mod_count; j++) {
-        poly[i + (j * coeff_count)] = 0;
-      }
+      poly[i] = 0;
     }
   }
   // --- end faithful port ---
@@ -45,8 +40,7 @@ void sample_poly_normal_v36(std::uint64_t* poly, UniformRandomGenerator& random,
                             std::vector<std::int64_t>* sampled_out) {
   const auto& parms = context.parms();
   const std::size_t coeff_count = context.n();
-  const std::size_t coeff_mod_count = context.coeff_mod_count();
-  const auto& coeff_modulus = context.coeff_modulus();
+  const std::uint64_t modulus = context.coeff_modulus().value();
   if (sampled_out != nullptr) sampled_out->assign(coeff_count, 0);
 
   RandomToStandardAdapter engine(random);
@@ -57,21 +51,18 @@ void sample_poly_normal_v36(std::uint64_t* poly, UniformRandomGenerator& random,
     if (sampled_out != nullptr) (*sampled_out)[i] = noise;
     // Branch-free sign handling (SEAL v3.6 replaces the if/else chain with
     // an iterator expression of the same shape): `flag` is all-ones exactly
-    // when noise < 0, selecting the additive offset q_j without branching.
+    // when noise < 0, selecting the additive offset q without branching.
     const auto u_noise = static_cast<std::uint64_t>(noise);
     const std::uint64_t flag =
         static_cast<std::uint64_t>(-static_cast<std::int64_t>(noise < 0));
-    for (std::size_t j = 0; j < coeff_mod_count; j++) {
-      poly[i + (j * coeff_count)] = u_noise + (flag & coeff_modulus[j].value());
-    }
+    poly[i] = u_noise + (flag & modulus);
   }
 }
 
 void sample_poly_ternary(Poly& poly, UniformRandomGenerator& random, const Context& context) {
   const std::size_t n = context.n();
-  const std::size_t k = context.coeff_mod_count();
-  if (poly.coeff_count() != n || poly.coeff_mod_count() != k) poly = Poly(n, k);
-  const auto& moduli = context.coeff_modulus();
+  if (poly.coeff_count() != n) poly = Poly(n);
+  const std::uint64_t q = context.coeff_modulus().value();
   // Rejection-sample a uniform value in {0, 1, 2} from 32-bit words.
   auto draw_ternary = [&random]() -> std::uint32_t {
     for (;;) {
@@ -81,35 +72,28 @@ void sample_poly_ternary(Poly& poly, UniformRandomGenerator& random, const Conte
   };
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = draw_ternary();  // 0 -> 0, 1 -> 1, 2 -> -1
-    for (std::size_t j = 0; j < k; ++j) {
-      if (v == 2) poly.at(i, j) = moduli[j].value() - 1;
-      else poly.at(i, j) = v;
-    }
+    poly[i] = v == 2 ? q - 1 : v;
   }
 }
 
 void sample_poly_uniform(Poly& poly, UniformRandomGenerator& random, const Context& context) {
   const std::size_t n = context.n();
-  const std::size_t k = context.coeff_mod_count();
-  if (poly.coeff_count() != n || poly.coeff_mod_count() != k) poly = Poly(n, k);
-  const auto& moduli = context.coeff_modulus();
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::uint64_t q = moduli[j].value();
-    // Rejection sampling from 64-bit words below the largest multiple of q.
-    const std::uint64_t limit = q * (~std::uint64_t{0} / q);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t r = 0;
-      do {
-        r = (static_cast<std::uint64_t>(random.generate()) << 32) | random.generate();
-      } while (r >= limit);
-      poly.at(i, j) = r % q;
-    }
+  if (poly.coeff_count() != n) poly = Poly(n);
+  const std::uint64_t q = context.coeff_modulus().value();
+  // Rejection sampling from 64-bit words below the largest multiple of q.
+  const std::uint64_t limit = q * (~std::uint64_t{0} / q);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t r = 0;
+    do {
+      r = (static_cast<std::uint64_t>(random.generate()) << 32) | random.generate();
+    } while (r >= limit);
+    poly[i] = r % q;
   }
 }
 
 Poly sample_error_poly(UniformRandomGenerator& random, const Context& context,
                        std::vector<std::int64_t>* sampled_out) {
-  Poly poly(context.n(), context.coeff_mod_count());
+  Poly poly(context.n());
   set_poly_coeffs_normal(poly.data(), random, context, sampled_out);
   return poly;
 }
@@ -117,20 +101,17 @@ Poly sample_error_poly(UniformRandomGenerator& random, const Context& context,
 void encode_noise_values(const std::vector<std::int64_t>& noise, const Context& context,
                          Poly& poly) {
   const std::size_t n = context.n();
-  const std::size_t k = context.coeff_mod_count();
   if (noise.size() != n)
     throw std::invalid_argument("encode_noise_values: noise vector size mismatch");
-  if (poly.coeff_count() != n || poly.coeff_mod_count() != k) poly = Poly(n, k);
-  const auto& moduli = context.coeff_modulus();
+  if (poly.coeff_count() != n) poly = Poly(n);
+  const std::uint64_t q = context.coeff_modulus().value();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (noise[i] > 0) {
-        poly.at(i, j) = static_cast<std::uint64_t>(noise[i]);
-      } else if (noise[i] < 0) {
-        poly.at(i, j) = moduli[j].value() - static_cast<std::uint64_t>(-noise[i]);
-      } else {
-        poly.at(i, j) = 0;
-      }
+    if (noise[i] > 0) {
+      poly[i] = static_cast<std::uint64_t>(noise[i]);
+    } else if (noise[i] < 0) {
+      poly[i] = q - static_cast<std::uint64_t>(-noise[i]);
+    } else {
+      poly[i] = 0;
     }
   }
 }

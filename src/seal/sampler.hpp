@@ -19,10 +19,9 @@ namespace reveal::seal {
 
 /// SEAL v3.2 Encryptor::set_poly_coeffs_normal (vulnerable).
 ///
-/// `poly` must point to coeff_count * coeff_mod_count uint64 slots laid out
-/// SEAL-style (coefficient i of component j at poly[i + j*coeff_count]).
-/// If `sampled_out` is non-null it receives the signed noise value of every
-/// coefficient (ground truth for attack evaluation).
+/// `poly` must point to n uint64 slots. If `sampled_out` is non-null it
+/// receives the signed noise value of every coefficient (ground truth for
+/// attack evaluation).
 void set_poly_coeffs_normal(std::uint64_t* poly, UniformRandomGenerator& random,
                             const Context& context,
                             std::vector<std::int64_t>* sampled_out = nullptr);
@@ -38,8 +37,7 @@ void sample_poly_normal_v36(std::uint64_t* poly, UniformRandomGenerator& random,
 /// distribution used for the secret key s and the encryption sample u.
 void sample_poly_ternary(Poly& poly, UniformRandomGenerator& random, const Context& context);
 
-/// Uniform polynomial over [0, q_j) per component — used for the public
-/// key's `a` part.
+/// Uniform polynomial over [0, q) — used for the public key's `a` part.
 void sample_poly_uniform(Poly& poly, UniformRandomGenerator& random, const Context& context);
 
 /// Convenience: samples a fresh error polynomial with the vulnerable sampler.
@@ -47,7 +45,7 @@ void sample_poly_uniform(Poly& poly, UniformRandomGenerator& random, const Conte
                                      std::vector<std::int64_t>* sampled_out = nullptr);
 
 /// Writes a *known* signed noise vector into a poly using the same encoding
-/// the samplers use (positive -> value, negative -> q_j - |value|, zero -> 0).
+/// the samplers use (positive -> value, negative -> q - |value|, zero -> 0).
 void encode_noise_values(const std::vector<std::int64_t>& noise, const Context& context,
                          Poly& poly);
 

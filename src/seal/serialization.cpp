@@ -68,24 +68,25 @@ constexpr std::uint64_t kMaxElements = std::uint64_t{1} << 28;  // 2 GiB guard
 
 void save_poly_body(const Poly& poly, std::ostream& out) {
   write_raw<std::uint64_t>(out, poly.coeff_count());
-  write_raw<std::uint64_t>(out, poly.coeff_mod_count());
+  // Component count: the format keeps the field of the RNS layout, which
+  // with the one coefficient modulus is always 1.
+  write_raw<std::uint64_t>(out, 1);
   out.write(reinterpret_cast<const char*>(poly.data()),
-            static_cast<std::streamsize>(poly.coeff_count() * poly.coeff_mod_count() *
-                                         sizeof(std::uint64_t)));
+            static_cast<std::streamsize>(poly.coeff_count() * sizeof(std::uint64_t)));
 }
 
 Poly load_poly_body(std::istream& in) {
   const auto n = read_raw<std::uint64_t>(in);
-  const auto k = read_raw<std::uint64_t>(in);
-  // Division form: the product guard `n * k > kMaxElements` wraps on uint64
-  // multiply (n = k = 2^33 passes yet requests a ~2^66-element Poly).
-  if (n == 0 || k == 0 || n > kMaxElements / k)
+  const auto components = read_raw<std::uint64_t>(in);
+  if (components != 1)
+    throw std::runtime_error("serialization: a poly has exactly one component");
+  if (n == 0 || n > kMaxElements)
     throw std::runtime_error("serialization: implausible poly shape");
-  Poly poly(n, k);
-  // n * k <= kMaxElements (2^28), so the byte count is <= 2^31 and the
+  Poly poly(n);
+  // n <= kMaxElements (2^28), so the byte count is <= 2^31 and the
   // streamsize cast cannot wrap.
   in.read(reinterpret_cast<char*>(poly.data()),
-          static_cast<std::streamsize>(n * k * sizeof(std::uint64_t)));
+          static_cast<std::streamsize>(n * sizeof(std::uint64_t)));
   if (!in) throw std::runtime_error("serialization: unexpected end of stream");
   return poly;
 }
@@ -123,11 +124,13 @@ void save_ciphertext(const Ciphertext& ct, std::ostream& out) {
 
 Ciphertext load_ciphertext(std::istream& in) {
   expect_header(in, kCiphertextTag, "ciphertext");
-  const auto count = read_raw<std::uint64_t>(in);
-  if (count < 2 || count > 8)
-    throw std::runtime_error("serialization: implausible ciphertext size");
+  // Only fresh (c0, c1) ciphertexts exist: nothing in the library makes or
+  // takes any other size.
+  if (read_raw<std::uint64_t>(in) != 2)
+    throw std::runtime_error("serialization: a ciphertext has exactly two components");
   Ciphertext ct;
-  for (std::uint64_t i = 0; i < count; ++i) ct.push_back(load_poly_body(in));
+  ct.push_back(load_poly_body(in));
+  ct.push_back(load_poly_body(in));
   return ct;
 }
 
@@ -161,12 +164,9 @@ SecretKey load_secret_key(std::istream& in) {
 
 bool conforms_to(const Poly& poly, const Context& context) {
   if (poly.coeff_count() != context.n()) return false;
-  if (poly.coeff_mod_count() != context.coeff_mod_count()) return false;
-  const auto& moduli = context.coeff_modulus();
-  for (std::size_t j = 0; j < moduli.size(); ++j) {
-    for (std::size_t i = 0; i < poly.coeff_count(); ++i) {
-      if (poly.at(i, j) >= moduli[j].value()) return false;
-    }
+  const std::uint64_t q = context.coeff_modulus().value();
+  for (std::size_t i = 0; i < poly.coeff_count(); ++i) {
+    if (poly[i] >= q) return false;
   }
   return true;
 }

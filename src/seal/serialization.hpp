@@ -30,8 +30,8 @@ void save_public_key(const PublicKey& pk, std::ostream& out);
 void save_secret_key(const SecretKey& sk, std::ostream& out);
 [[nodiscard]] SecretKey load_secret_key(std::istream& in);
 
-/// True if the poly's shape matches the context (degree and RNS count) and
-/// every coefficient is reduced modulo its modulus.
+/// True if the poly has the context's degree and every coefficient is
+/// reduced mod q.
 [[nodiscard]] bool conforms_to(const Poly& poly, const Context& context);
 
 /// File helpers (throw std::runtime_error on I/O failure).

@@ -332,7 +332,7 @@ TEST(EndToEnd, SingleTraceMessageRecovery) {
 
     // The encryption whose e2 was sampled on the victim.
     seal::EncryptionWitness witness;
-    witness.u = seal::Poly(64, 1);
+    witness.u = seal::Poly(64);
     seal::sample_poly_ternary(witness.u, rng, ctx);
     witness.e1.assign(64, 0);
     seal::StandardRandomGenerator noise_rng(seed);
@@ -416,7 +416,7 @@ TEST(Acquisition, RobustToBaselineDrift) {
   // Slow supply drift must not break segmentation or sign recovery (the
   // thresholds have multi-sigma margins).
   CampaignConfig cfg = small_campaign();
-  cfg.leakage.drift_sigma = 0.002;  // ~0.4 units of wander over a trace
+  cfg.faults.drift_sigma = 0.002;  // ~0.4 units of wander over a trace
   SamplerCampaign campaign(cfg);
   RevealAttack attack;
   attack.train(campaign.collect_windows(100, /*seed_base=*/1));

@@ -40,12 +40,7 @@ TEST(Context, ValidatesParameters) {
   EXPECT_THROW(seal::Context{p}, std::invalid_argument);
 
   p = seal::EncryptionParameters::toy_256();
-  const auto q = p.coeff_modulus()[0];
-  p.set_coeff_modulus({q, q});  // duplicate moduli
-  EXPECT_THROW(seal::Context{p}, std::invalid_argument);
-
-  p = seal::EncryptionParameters::toy_256();
-  p.set_plain_modulus(p.coeff_modulus()[0].value());  // t == q
+  p.set_plain_modulus(p.coeff_modulus().value());  // t == q
   EXPECT_THROW(seal::Context{p}, std::invalid_argument);
 
   p = seal::EncryptionParameters::toy_256();
@@ -56,9 +51,8 @@ TEST(Context, ValidatesParameters) {
 TEST(Context, DeltaComputation) {
   const seal::Context ctx(seal::EncryptionParameters::seal_128_1024());
   // Delta = floor(q / t) = floor(132120577 / 256).
-  EXPECT_EQ(ctx.delta().low_word(), 132120577ULL / 256);
-  EXPECT_EQ(ctx.delta_mod_qj()[0], 132120577ULL / 256 % 132120577ULL);
-  EXPECT_EQ(ctx.total_coeff_modulus().low_word(), 132120577ULL);
+  EXPECT_EQ(ctx.coeff_modulus().value(), 132120577ULL);
+  EXPECT_EQ(ctx.delta(), 132120577ULL / 256);
 }
 
 TEST(Bfv, EncryptDecryptRoundtripToy) {
@@ -73,17 +67,6 @@ TEST(Bfv, EncryptDecryptRoundtripPaperParams) {
   std::vector<std::uint64_t> msg(1024);
   for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = (i * 37 + 11) % 256;
   const seal::Plaintext m(msg);
-  const seal::Ciphertext ct = f.encryptor.encrypt(m, f.rng);
-  EXPECT_EQ(f.decryptor.decrypt(ct), m);
-}
-
-TEST(Bfv, EncryptDecryptMultiModulus) {
-  seal::EncryptionParameters p;
-  p.set_poly_modulus_degree(256);
-  p.set_coeff_modulus(seal::find_ntt_primes(25, 256, 2));
-  p.set_plain_modulus(64);
-  BfvFixture f(std::move(p));
-  const seal::Plaintext m(std::vector<std::uint64_t>{5, 0, 63, 1});
   const seal::Ciphertext ct = f.encryptor.encrypt(m, f.rng);
   EXPECT_EQ(f.decryptor.decrypt(ct), m);
 }
@@ -120,10 +103,37 @@ TEST(Bfv, WitnessNoiseBounded) {
 TEST(Bfv, DecryptRejectsNonFreshCiphertext) {
   BfvFixture f(seal::EncryptionParameters::toy_256());
   seal::Ciphertext ct = f.encryptor.encrypt(seal::Plaintext(std::uint64_t{1}), f.rng);
-  ct.push_back(seal::Poly(f.ctx.n(), f.ctx.coeff_mod_count()));
+  ct.push_back(seal::Poly(f.ctx.n()));
   EXPECT_THROW((void)f.decryptor.decrypt(ct), std::invalid_argument);
   EXPECT_THROW((void)f.decryptor.decrypt(seal::Ciphertext{}), std::invalid_argument);
   // The shared rounding step rejects a polynomial of another shape.
-  EXPECT_THROW((void)seal::decode_scaled(f.ctx, seal::Poly(f.ctx.n() / 2, 1)),
+  EXPECT_THROW((void)seal::decode_scaled(f.ctx, seal::Poly(f.ctx.n() / 2)),
                std::invalid_argument);
+}
+
+TEST(Decryptor, DecodeScaledIsExactAtWideModulus) {
+  // q just below 2^61 and t near 2^20: t * x needs up to 81 bits, so a
+  // rounding step that multiplies in 64 bits wraps and decodes garbage.
+  constexpr std::size_t kN = 8;
+  const seal::Modulus q = seal::find_ntt_prime(61, kN);
+  ASSERT_EQ(q.bit_count(), 61);
+  constexpr std::uint64_t kT = 1048573;
+  seal::EncryptionParameters parms;
+  parms.set_poly_modulus_degree(kN);
+  parms.set_coeff_modulus({q});
+  parms.set_plain_modulus(kT);
+  const seal::Context ctx(parms);
+  const std::uint64_t delta = q.value() / kT;
+
+  // x = Δ·m decodes to m, and so does Δ·m + ⌊Δ/2⌋ − 1, just below the
+  // rounding boundary.
+  const std::vector<std::uint64_t> messages = {0, 1, kT - 1};
+  seal::Poly v(kN);
+  std::vector<std::uint64_t> expected(kN, 0);
+  for (std::size_t k = 0; k < messages.size(); ++k) {
+    v[2 * k] = delta * messages[k];
+    v[2 * k + 1] = delta * messages[k] + delta / 2 - 1;
+    expected[2 * k] = expected[2 * k + 1] = messages[k];
+  }
+  EXPECT_EQ(seal::decode_scaled(ctx, v), seal::Plaintext(expected));
 }

@@ -2,8 +2,9 @@
 // REVEAL_SANITIZE configs by tests/CMakeLists.txt): truncation sweeps must
 // throw on every strict prefix, and single-byte corruption sweeps must
 // either throw or return — never crash, over-allocate, or trip a sanitizer.
-// Also pins the two hardening fixes this layer grew from: the uint64 wrap
-// in seal's n * k element guard and TraceSet::load's remaining-bytes caps.
+// Also pins the two hardening fixes this layer grew from: seal's poly shape
+// guard (once an n * k product that wrapped uint64) and TraceSet::load's
+// remaining-bytes caps.
 
 #include <gtest/gtest.h>
 
@@ -138,26 +139,74 @@ TEST(BinaryHardening, TraceSetLoadRejectsOverdeclaredCountWithoutAllocating) {
 
 // --- seal serialization -----------------------------------------------------
 
+seal::Poly numbered_poly(std::size_t n, std::uint64_t offset) {
+  seal::Poly poly(n);
+  for (std::size_t i = 0; i < n; ++i) poly[i] = i * 131 + offset;
+  return poly;
+}
+
 TEST(BinaryHardening, SealLoadersSurviveCorruptStreams) {
-  seal::Poly poly(64, 3);
-  for (std::size_t j = 0; j < 3; ++j)
-    for (std::size_t i = 0; i < 64; ++i) poly.at(i, j) = i * 131 + j;
+  const seal::Poly poly = numbered_poly(64, 1);
   run_sweeps(serialize([&](std::ostream& out) { seal::save_poly(poly, out); }),
              [](std::istream& in) { (void)seal::load_poly(in); });
+  seal::Ciphertext ct;
+  ct.push_back(numbered_poly(16, 2));
+  ct.push_back(numbered_poly(16, 3));
+  run_sweeps(serialize([&](std::ostream& out) { seal::save_ciphertext(ct, out); }),
+             [](std::istream& in) { (void)seal::load_ciphertext(in); });
 }
 
 TEST(BinaryHardening, SealPolyDimensionProductCannotWrap) {
-  // Regression for the n * k > kMaxElements guard: with n = k = 2^32 the
-  // product wraps uint64 to 0 and the old check passed, sizing a huge
-  // resize. The division-form guard must reject it before any allocation.
-  seal::Poly poly(4, 1);
-  std::string bytes = serialize([&](std::ostream& out) { seal::save_poly(poly, out); });
+  // Regression for the old n * k > kMaxElements guard: with n = k = 2^32
+  // the product wrapped uint64 to 0 and the check passed, sizing a huge
+  // resize. The shape guard must reject these before any allocation.
+  const seal::Poly poly = numbered_poly(4, 0);
+  const std::string bytes = serialize([&](std::ostream& out) { seal::save_poly(poly, out); });
+  // Layout: u32 tag, u32 version, u64 coeff_count, u64 component count.
+  const auto patched = [&bytes](std::uint64_t n, std::uint64_t components) {
+    std::string out = bytes;
+    std::memcpy(out.data() + 8, &n, sizeof(n));
+    std::memcpy(out.data() + 16, &components, sizeof(components));
+    return out;
+  };
   const std::uint64_t wrap = std::uint64_t{1} << 32;
-  // Layout: u32 tag, u32 version, u64 coeff_count, u64 coeff_mod_count.
-  std::memcpy(bytes.data() + 8, &wrap, sizeof(wrap));
-  std::memcpy(bytes.data() + 16, &wrap, sizeof(wrap));
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW((void)seal::load_poly(in), std::runtime_error);
+  for (const std::string& shape : {patched(wrap, wrap), patched(wrap, 1)}) {
+    std::istringstream in(shape, std::ios::binary);
+    EXPECT_THROW((void)seal::load_poly(in), std::runtime_error);
+  }
+}
+
+TEST(BinaryHardening, SealLoadersRejectOtherComponentCounts) {
+  // A poly body holds one component (the residues mod the one coefficient
+  // modulus) and a ciphertext exactly two polys. Files written with more
+  // components must be rejected, not misread; every payload word is
+  // present, so the count alone decides.
+  seal::Poly poly = numbered_poly(8, 0);
+  std::string bytes = serialize([&](std::ostream& out) { seal::save_poly(poly, out); });
+  const std::uint64_t two = 2;
+  std::memcpy(bytes.data() + 16, &two, sizeof(two));
+  bytes += bytes.substr(24);  // a second component's words
+  std::istringstream poly_in(bytes, std::ios::binary);
+  EXPECT_THROW((void)seal::load_poly(poly_in), std::runtime_error);
+
+  seal::Ciphertext ct;
+  ct.push_back(numbered_poly(8, 1));
+  ct.push_back(numbered_poly(8, 2));
+  const std::string ct_bytes =
+      serialize([&](std::ostream& out) { seal::save_ciphertext(ct, out); });
+  // Header (tag, version, size), then each poly's n and component count.
+  std::string two_component_polys = ct_bytes;
+  std::memcpy(two_component_polys.data() + 16 + 8, &two, sizeof(two));
+  two_component_polys += std::string(8 * 8, '\0');
+  const std::string path = temp_path("ct_two_components.bin");
+  write_file(path, two_component_polys);
+  EXPECT_THROW((void)seal::load_ciphertext_file(path), std::runtime_error);
+
+  ct.push_back(numbered_poly(8, 3));  // three polys
+  write_file(path, serialize([&](std::ostream& out) { seal::save_ciphertext(ct, out); }));
+  EXPECT_THROW((void)seal::load_ciphertext_file(path), std::runtime_error);
+  write_file(path, ct_bytes);
+  EXPECT_EQ(seal::load_ciphertext_file(path)[1], ct[1]);
 }
 
 }  // namespace

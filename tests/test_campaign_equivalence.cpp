@@ -347,7 +347,7 @@ TEST_F(CampaignEquivalence, ShuffledFirmwareIsRejectedUpFront) {
   // refuses the config before any capture runs.
   CampaignConfig cfg;
   cfg.n = 64;
-  cfg.shuffled_firmware = true;
+  cfg.firmware = Firmware::kShuffled;
   CampaignRunner runner(2);
   CampaignDiagnostics diag;
   EXPECT_THROW((void)runner.run_recovery_campaign(*attack_, cfg,

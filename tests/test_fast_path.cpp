@@ -933,7 +933,7 @@ TEST(CaptureReuse, ShuffledCaptureIntoMatchesFreshCapture) {
   core::CampaignConfig cfg;
   cfg.n = 16;
   cfg.num_workers = 0;
-  cfg.shuffled_firmware = true;
+  cfg.firmware = core::Firmware::kShuffled;
   core::SamplerCampaign fresh(cfg);
   core::SamplerCampaign reused(cfg);
   core::FullCapture scratch;

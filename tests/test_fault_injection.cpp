@@ -157,6 +157,23 @@ TEST(FaultInjector, ClippingClampsToRails) {
   EXPECT_THROW(FaultInjector::clip_samples(trace, 3.0, 3.0), std::invalid_argument);
 }
 
+TEST(Drift, RandomWalkAccumulates) {
+  // On a flat trace the samples are base + drift: the wander must be
+  // visible (nonzero spread), continuous (bounded per-step increments) and
+  // start at the base level, and sigma 0 must leave the trace untouched.
+  num::Xoshiro256StarStar rng(42);
+  std::vector<double> trace(1500, 4.0);
+  FaultInjector::add_drift(trace, 0.0, rng);
+  EXPECT_EQ(trace, std::vector<double>(1500, 4.0));
+  FaultInjector::add_drift(trace, 0.05, rng);
+  const auto [lo, hi] = std::minmax_element(trace.begin(), trace.end());
+  EXPECT_GT(*hi - *lo, 0.2);
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    EXPECT_LT(std::abs(trace[i] - trace[i - 1]), 1.0);  // no jumps
+  }
+  EXPECT_NEAR(trace.front(), 4.0, 0.2);
+}
+
 TEST(FaultInjector, TriggerMisalignmentShiftsBoundedly) {
   const auto trace = ramp_trace(1000);
   bool saw_shift = false;

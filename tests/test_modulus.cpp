@@ -74,17 +74,6 @@ TEST(Primality, FindNttPrime) {
   EXPECT_EQ((132120577 - 1) % 2048, 0);
 }
 
-TEST(Primality, FindNttPrimesDistinct) {
-  const auto primes = seal::find_ntt_primes(30, 2048, 3);
-  ASSERT_EQ(primes.size(), 3u);
-  EXPECT_NE(primes[0].value(), primes[1].value());
-  EXPECT_NE(primes[1].value(), primes[2].value());
-  for (const auto& p : primes) {
-    EXPECT_TRUE(p.is_prime());
-    EXPECT_EQ((p.value() - 1) % 4096, 0u);
-  }
-}
-
 TEST(ModArith, AddSubNegate) {
   const seal::Modulus q(17);
   EXPECT_EQ(seal::add_mod(16, 5, q), 4u);

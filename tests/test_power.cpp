@@ -173,11 +173,10 @@ TEST(TraceRecorder, ClearResets) {
 
 TEST(TraceRecorder, TakeSamplesLeavesRecorderReusable) {
   // Regression: take_samples() used to only move the buffer out, leaving
-  // the markers of the taken capture and a mid-walk drift value behind to
-  // contaminate the next recording.
+  // the markers of the taken capture behind to contaminate the next
+  // recording.
   power::LeakageParams p;
   p.noise_sigma = 0.2;
-  p.drift_sigma = 0.05;  // exercises the drift random walk
   const power::LeakageModel model(p);
   power::TraceRecorder recorder(model, 9);
   recorder.watch_pc(0, 5);
@@ -188,8 +187,8 @@ TEST(TraceRecorder, TakeSamplesLeavesRecorderReusable) {
   EXPECT_TRUE(recorder.markers().empty());  // stale markers are gone
 
   // Rearming with the same seed must reproduce the first capture
-  // bit-for-bit (drift restarts at zero, noise stream reseeded, the
-  // auto-increment watch tag rewinds).
+  // bit-for-bit (noise stream reseeded, the auto-increment watch tag
+  // rewinds).
   recorder.begin_capture(9);
   recorder.on_instruction(make_alu_event(0, 1));
   EXPECT_EQ(recorder.samples(), first);
@@ -200,7 +199,6 @@ TEST(TraceRecorder, TakeSamplesLeavesRecorderReusable) {
 TEST(TraceRecorder, ReusedRecorderMatchesFreshRecorder) {
   power::LeakageParams p;
   p.noise_sigma = 0.3;
-  p.drift_sigma = 0.02;
   const power::LeakageModel model(p);
 
   power::TraceRecorder reused(model, 1);
@@ -214,29 +212,4 @@ TEST(TraceRecorder, ReusedRecorderMatchesFreshRecorder) {
     EXPECT_EQ(reused.samples(), fresh.samples()) << "seed " << seed;
     (void)reused.take_samples();
   }
-}
-
-TEST(Drift, RandomWalkAccumulates) {
-  power::LeakageParams p;
-  p.noise_sigma = 0.0;
-  p.drift_sigma = 0.05;
-  const power::LeakageModel model(p);
-  power::TraceRecorder recorder(model, 42);
-  for (int i = 0; i < 500; ++i) recorder.on_instruction(make_alu_event(0, 0));
-  // With zero scope noise the samples are base + drift: the wander must be
-  // visible (nonzero spread) and continuous (bounded per-step increments).
-  const auto& s = recorder.samples();
-  double lo = s[0], hi = s[0];
-  for (const double v : s) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  EXPECT_GT(hi - lo, 0.2);
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    EXPECT_LT(std::abs(s[i] - s[i - 1]), 1.0);  // no jumps
-  }
-  recorder.clear();
-  recorder.on_instruction(make_alu_event(0, 0));
-  // clear() resets the wander: first sample returns near the base level.
-  EXPECT_NEAR(recorder.samples().front(), model.base_power(InstrClass::kAlu), 0.2);
 }

@@ -9,7 +9,6 @@
 
 #include "numeric/distributions.hpp"
 #include "numeric/rng.hpp"
-#include "seal/biguint.hpp"
 #include "seal/decryptor.hpp"
 #include "seal/encryptor.hpp"
 #include "seal/keys.hpp"
@@ -67,33 +66,6 @@ INSTANTIATE_TEST_SUITE_P(ModulusGrid, ModArithLaws,
                          ::testing::Values(3ULL, 257ULL, 65537ULL, 132120577ULL,
                                            (std::uint64_t{1} << 61) - 1,
                                            4294967291ULL));
-
-// ---------------------------------------------------------------------------
-// BigUInt ring laws against 128-bit reference arithmetic.
-
-TEST(BigUIntLaws, RingAxiomsRandomized) {
-  num::Xoshiro256StarStar rng(777);
-  for (int rep = 0; rep < 500; ++rep) {
-    const std::uint64_t a = rng(), b = rng(), c = rng() % 1000;
-    const seal::BigUInt A(a), B(b), C(c);
-    // (A + B) * C == A*C + B*C — verified limb-exactly via decimal strings.
-    const seal::BigUInt lhs = (A + B) * C;
-    const seal::BigUInt rhs = A * C + B * C;
-    ASSERT_EQ(lhs, rhs);
-    // divmod law: A = q*B + r with r < B.
-    if (b != 0) {
-      const auto [quot, rem] = seal::BigUInt::divmod(A, B);
-      ASSERT_LT(rem, B);
-      ASSERT_EQ(quot * B + rem, A);
-    }
-    // Shift laws.
-    seal::BigUInt shifted = A;
-    shifted <<= 37;
-    seal::BigUInt back = shifted;
-    back >>= 37;
-    ASSERT_EQ(back, A);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // BFV: encrypt/decrypt roundtrip over a grid.

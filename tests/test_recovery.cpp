@@ -19,14 +19,13 @@ using namespace reveal::core;
 namespace {
 
 struct RecoveryWorld {
-  explicit RecoveryWorld(std::vector<seal::Modulus> moduli = {seal::Modulus(132120577ULL)})
-      : ctx(make_params(std::move(moduli))), rng(515), keygen(ctx, rng),
-        encryptor(ctx, keygen.public_key()) {}
+  RecoveryWorld()
+      : ctx(make_params()), rng(515), keygen(ctx, rng), encryptor(ctx, keygen.public_key()) {}
 
-  static seal::EncryptionParameters make_params(std::vector<seal::Modulus> moduli) {
+  static seal::EncryptionParameters make_params() {
     seal::EncryptionParameters parms;
     parms.set_poly_modulus_degree(64);
-    parms.set_coeff_modulus(std::move(moduli));
+    parms.set_coeff_modulus(seal::Modulus(132120577ULL));
     parms.set_plain_modulus(256);
     return parms;
   }
@@ -123,11 +122,10 @@ TEST(ResidualSearch, MlAssignmentAcceptedImmediately) {
   EXPECT_EQ(r.tried, 1u);
 }
 
-namespace {
-
-/// Demotes the truth at four nonzero coefficients and expects the search to
-/// restore them and the message.
-void expect_corrects_demoted_coefficients(RecoveryWorld& w) {
+TEST(ResidualSearch, CorrectsDemotedCoefficients) {
+  // Demotes the truth at four nonzero coefficients and expects the search
+  // to restore them and the message.
+  RecoveryWorld w;
   std::vector<std::uint64_t> msg(64);
   for (std::size_t i = 0; i < 64; ++i) msg[i] = (i * 3) % 256;
   const seal::Plaintext plain(msg);
@@ -150,20 +148,6 @@ void expect_corrects_demoted_coefficients(RecoveryWorld& w) {
   const auto recovered = recover_message(w.ctx, w.keygen.public_key(), ct, r.e2);
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ(*recovered, plain);
-}
-
-}  // namespace
-
-TEST(ResidualSearch, CorrectsDemotedCoefficients) {
-  RecoveryWorld w;
-  expect_corrects_demoted_coefficients(w);
-}
-
-TEST(ResidualSearch, CorrectsDemotedCoefficientsOnTwoModuli) {
-  // The consistency oracle updates u under every modulus and requires the
-  // centered values to agree across them.
-  RecoveryWorld w({seal::Modulus(132120577ULL), seal::Modulus(1073479681ULL)});
-  expect_corrects_demoted_coefficients(w);
 }
 
 TEST(ResidualSearch, BudgetExhaustionReportsFailure) {

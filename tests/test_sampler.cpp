@@ -47,9 +47,9 @@ TEST(ClippedNormal, ClippingEnforced) {
 
 TEST(SetPolyCoeffsNormal, EncodingConvention) {
   const seal::Context ctx = toy_context();
-  const std::uint64_t q = ctx.coeff_modulus()[0].value();
+  const std::uint64_t q = ctx.coeff_modulus().value();
   seal::StandardRandomGenerator gen(1);
-  seal::Poly poly(ctx.n(), ctx.coeff_mod_count());
+  seal::Poly poly(ctx.n());
   std::vector<std::int64_t> sampled;
   seal::set_poly_coeffs_normal(poly.data(), gen, ctx, &sampled);
   ASSERT_EQ(sampled.size(), ctx.n());
@@ -57,13 +57,13 @@ TEST(SetPolyCoeffsNormal, EncodingConvention) {
   for (std::size_t i = 0; i < ctx.n(); ++i) {
     const std::int64_t v = sampled[i];
     if (v > 0) {
-      EXPECT_EQ(poly.at(i, 0), static_cast<std::uint64_t>(v));
+      EXPECT_EQ(poly[i], static_cast<std::uint64_t>(v));
       saw_pos = true;
     } else if (v < 0) {
-      EXPECT_EQ(poly.at(i, 0), q - static_cast<std::uint64_t>(-v));
+      EXPECT_EQ(poly[i], q - static_cast<std::uint64_t>(-v));
       saw_neg = true;
     } else {
-      EXPECT_EQ(poly.at(i, 0), 0u);
+      EXPECT_EQ(poly[i], 0u);
       saw_zero = true;
     }
   }
@@ -88,33 +88,11 @@ TEST(SetPolyCoeffsNormal, SampledValuesWithinClip) {
   EXPECT_NEAR(stats.stddev(), 3.19, 0.15);
 }
 
-TEST(SetPolyCoeffsNormal, MultiModulusRows) {
-  seal::EncryptionParameters parms;
-  parms.set_poly_modulus_degree(64);
-  parms.set_coeff_modulus(seal::find_ntt_primes(20, 64, 2));
-  parms.set_plain_modulus(17);
-  const seal::Context ctx(parms);
-  seal::StandardRandomGenerator gen(3);
-  seal::Poly poly(ctx.n(), 2);
-  std::vector<std::int64_t> sampled;
-  seal::set_poly_coeffs_normal(poly.data(), gen, ctx, &sampled);
-  for (std::size_t i = 0; i < ctx.n(); ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      const std::uint64_t qj = ctx.coeff_modulus()[j].value();
-      const std::int64_t v = sampled[i];
-      const std::uint64_t expect =
-          v > 0 ? static_cast<std::uint64_t>(v)
-                : (v < 0 ? qj - static_cast<std::uint64_t>(-v) : 0);
-      ASSERT_EQ(poly.at(i, j), expect);
-    }
-  }
-}
-
 TEST(PatchedSampler, SameEncodingSameDistribution) {
   const seal::Context ctx = toy_context();
-  const std::uint64_t q = ctx.coeff_modulus()[0].value();
+  const std::uint64_t q = ctx.coeff_modulus().value();
   seal::StandardRandomGenerator gen(4);
-  seal::Poly poly(ctx.n(), 1);
+  seal::Poly poly(ctx.n());
   std::vector<std::int64_t> sampled;
   seal::sample_poly_normal_v36(poly.data(), gen, ctx, &sampled);
   reveal::num::RunningStats stats;
@@ -123,7 +101,7 @@ TEST(PatchedSampler, SameEncodingSameDistribution) {
     const std::uint64_t expect =
         v > 0 ? static_cast<std::uint64_t>(v)
               : (v < 0 ? q - static_cast<std::uint64_t>(-v) : 0);
-    ASSERT_EQ(poly.at(i, 0), expect);
+    ASSERT_EQ(poly[i], expect);
     stats.add(static_cast<double>(v));
   }
   EXPECT_NEAR(stats.stddev(), 3.19, 0.45);  // one polynomial only
@@ -135,7 +113,7 @@ TEST(PatchedSampler, IdenticalOutputForIdenticalSeed) {
   // the distribution).
   const seal::Context ctx = toy_context();
   seal::StandardRandomGenerator g1(5), g2(5);
-  seal::Poly p1(ctx.n(), 1), p2(ctx.n(), 1);
+  seal::Poly p1(ctx.n()), p2(ctx.n());
   std::vector<std::int64_t> s1, s2;
   seal::set_poly_coeffs_normal(p1.data(), g1, ctx, &s1);
   seal::sample_poly_normal_v36(p2.data(), g2, ctx, &s2);
@@ -145,14 +123,14 @@ TEST(PatchedSampler, IdenticalOutputForIdenticalSeed) {
 
 TEST(TernarySampler, UniformOverThreeValues) {
   const seal::Context ctx = toy_context();
-  const std::uint64_t q = ctx.coeff_modulus()[0].value();
+  const std::uint64_t q = ctx.coeff_modulus().value();
   seal::StandardRandomGenerator gen(6);
   std::size_t counts[3] = {0, 0, 0};
   for (int rep = 0; rep < 50; ++rep) {
     seal::Poly p;
     seal::sample_poly_ternary(p, gen, ctx);
     for (std::size_t i = 0; i < ctx.n(); ++i) {
-      const std::uint64_t v = p.at(i, 0);
+      const std::uint64_t v = p[i];
       if (v == 0) ++counts[0];
       else if (v == 1) ++counts[1];
       else if (v == q - 1) ++counts[2];
@@ -165,30 +143,30 @@ TEST(TernarySampler, UniformOverThreeValues) {
 
 TEST(UniformSampler, FullRangeCoverage) {
   const seal::Context ctx = toy_context();
-  const std::uint64_t q = ctx.coeff_modulus()[0].value();
+  const std::uint64_t q = ctx.coeff_modulus().value();
   seal::StandardRandomGenerator gen(8);
   seal::Poly p;
   seal::sample_poly_uniform(p, gen, ctx);
   reveal::num::RunningStats stats;
   for (std::size_t i = 0; i < ctx.n(); ++i) {
-    ASSERT_LT(p.at(i, 0), q);
-    stats.add(static_cast<double>(p.at(i, 0)));
+    ASSERT_LT(p[i], q);
+    stats.add(static_cast<double>(p[i]));
   }
   EXPECT_NEAR(stats.mean(), q / 2.0, q * 0.1);
 }
 
 TEST(EncodeNoiseValues, MatchesSamplerConvention) {
   const seal::Context ctx = toy_context();
-  const std::uint64_t q = ctx.coeff_modulus()[0].value();
+  const std::uint64_t q = ctx.coeff_modulus().value();
   std::vector<std::int64_t> noise(ctx.n(), 0);
   noise[0] = 5;
   noise[1] = -3;
   noise[2] = 0;
   seal::Poly p;
   seal::encode_noise_values(noise, ctx, p);
-  EXPECT_EQ(p.at(0, 0), 5u);
-  EXPECT_EQ(p.at(1, 0), q - 3);
-  EXPECT_EQ(p.at(2, 0), 0u);
+  EXPECT_EQ(p[0], 5u);
+  EXPECT_EQ(p[1], q - 3);
+  EXPECT_EQ(p[2], 0u);
   std::vector<std::int64_t> wrong(ctx.n() + 1, 0);
   EXPECT_THROW(seal::encode_noise_values(wrong, ctx, p), std::invalid_argument);
 }

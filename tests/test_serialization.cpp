@@ -15,6 +15,16 @@ namespace seal = reveal::seal;
 
 namespace {
 
+/// FNV-1a 64 of a byte string.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 struct World {
   World()
       : ctx(seal::EncryptionParameters::toy_256()),
@@ -32,10 +42,8 @@ struct World {
 }  // namespace
 
 TEST(Serialization, PolyRoundtrip) {
-  seal::Poly p(16, 2);
-  for (std::size_t j = 0; j < 2; ++j) {
-    for (std::size_t i = 0; i < 16; ++i) p.at(i, j) = i * 100 + j;
-  }
+  seal::Poly p(16);
+  for (std::size_t i = 0; i < 16; ++i) p[i] = i * 100 + 1;
   std::stringstream ss;
   seal::save_poly(p, ss);
   const seal::Poly q = seal::load_poly(ss);
@@ -102,12 +110,12 @@ TEST(Serialization, GarbageRejected) {
 
 TEST(Serialization, ConformsTo) {
   World w;
-  seal::Poly good(w.ctx.n(), w.ctx.coeff_mod_count());
+  seal::Poly good(w.ctx.n());
   EXPECT_TRUE(seal::conforms_to(good, w.ctx));
-  seal::Poly wrong_shape(w.ctx.n() / 2, 1);
+  seal::Poly wrong_shape(w.ctx.n() / 2);
   EXPECT_FALSE(seal::conforms_to(wrong_shape, w.ctx));
-  seal::Poly unreduced(w.ctx.n(), w.ctx.coeff_mod_count());
-  unreduced.at(0, 0) = w.ctx.coeff_modulus()[0].value();  // == q: not reduced
+  seal::Poly unreduced(w.ctx.n());
+  unreduced[0] = w.ctx.coeff_modulus().value();  // == q: not reduced
   EXPECT_FALSE(seal::conforms_to(unreduced, w.ctx));
 }
 
@@ -129,4 +137,30 @@ TEST(Serialization, FileHelpersRoundtrip) {
   std::remove(ct_path.c_str());
   std::remove(pk_path.c_str());
   EXPECT_THROW((void)seal::load_ciphertext_file("/nonexistent/x.bin"), std::runtime_error);
+}
+
+TEST(Serialization, ArtifactBytesArePinned) {
+  // attack_cli's parameters with fixed seeds. The digests pin the bytes of
+  // the pk.bin and ct.bin formats and, through them, the draw order of
+  // keygen and encryption and the arithmetic behind every coefficient.
+  seal::EncryptionParameters parms;
+  parms.set_poly_modulus_degree(64);
+  parms.set_coeff_modulus({seal::Modulus(132120577ULL)});
+  parms.set_plain_modulus(256);
+  const seal::Context ctx(parms);
+  seal::StandardRandomGenerator rng(4242);
+  const seal::KeyGenerator keygen(ctx, rng);
+  const seal::Encryptor encryptor(ctx, keygen.public_key());
+  std::vector<std::uint64_t> msg(64);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = (i * 29 + 3) % 256;
+  const seal::Ciphertext ct = encryptor.encrypt(seal::Plaintext(msg), rng);
+
+  std::stringstream pk_bytes, ct_bytes;
+  seal::save_public_key(keygen.public_key(), pk_bytes);
+  seal::save_ciphertext(ct, ct_bytes);
+  // Header (tag, version), then per poly: n, component count 1, n words.
+  EXPECT_EQ(pk_bytes.str().size(), 8u + 2 * (16 + 64 * 8));
+  EXPECT_EQ(ct_bytes.str().size(), 8u + 8 + 2 * (16 + 64 * 8));
+  EXPECT_EQ(fnv1a64(pk_bytes.str()), 0x02b9e479573edff7ULL);
+  EXPECT_EQ(fnv1a64(ct_bytes.str()), 0x9611a8a93fc552a5ULL);
 }

@@ -120,7 +120,7 @@ TEST(TvlaIntegration, BothFirmwaresFailTvla) {
   auto collect = [](bool patched) {
     core::CampaignConfig cfg;
     cfg.n = 64;
-    cfg.patched_firmware = patched;
+    cfg.firmware = patched ? core::Firmware::kPatched : core::Firmware::kSampler;
     core::SamplerCampaign campaign(cfg);
     TraceSet pos, neg;
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
